@@ -35,8 +35,10 @@ from .groups import (
     custom_table,
     sectors,
     sn_irrep_dim,
+    su2_multiplicity,
+    zp_multiplicity,
 )
-from .intlinalg import rank_exact
+from .intlinalg import Echelon
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +182,19 @@ class ChargeMatrix:
         return [list(r) for r in self.rows]
 
 
-def build_charge_matrix(group: GroupSpec, n: int, k: int) -> ChargeMatrix:
+def build_charge_matrix(
+    group: GroupSpec, n: int, k: int, classes: list[CycleType] | None = None
+) -> ChargeMatrix:
     """Charge matrix of ``k``-local symmetric gates on ``n`` sites.
 
     Columns follow the natural order of :func:`symdesign.groups.sectors`; use
     :meth:`ChargeMatrix.aligned_to` to match a canonically ordered table.
+    ``classes`` restricts the SU(d) character rows to a subset of the
+    ``k``-local conjugacy classes (see :func:`character_matrix`); it is an
+    error for any other group.
     """
+    if classes is not None:
+        return character_matrix(group, n, k, classes)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     table = sectors(group, n)
@@ -254,13 +263,48 @@ def character_matrix(
     return ChargeMatrix(tuple(classes), table.ids, rows, group, n, k)
 
 
-def multiplicity_in_row_span(m, rows) -> bool:
-    """Exact test that the multiplicity vector lies in the rational row span."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return False
-    base = rank_exact(rows)
-    return rank_exact(rows + [list(m)]) == base
+def row_span_witness(A: ChargeMatrix) -> list[int]:
+    """Closed-form weights ``y`` with ``y^T A = m`` for the built-in row labels.
+
+    Splitting the ``n`` sites into the ``k`` gate sites and the rest, every
+    ``n``-site sector decomposes over the ``k``-site irreps, which gives
+    ``m = sum_v C(k, v) A[v]`` for U(1), ``sum_j' m_k(j') A[j']`` for SU(2)
+    and ``sum_a m_k(a) A[a]`` for Z_p; the identity class row of a character
+    matrix and the ``"identity"`` row of a custom matrix are ``m`` itself.
+    Every other row gets weight 0, so the weights are only a candidate that
+    :func:`multiplicity_in_row_span` checks.
+    """
+    k = A.k
+    p = A.group.p if A.group is not None else None
+
+    def weight(label) -> int:
+        if k is not None:
+            if isinstance(label, HammingWeight):
+                return comb(k, label.w)
+            if isinstance(label, TwiceSpin):
+                return su2_multiplicity(k, label.jj)
+            if isinstance(label, Residue) and p is not None:
+                return zp_multiplicity(k, p, label.beta)
+        return 1 if label == IDENTITY_CLASS or label == "identity" else 0
+
+    return [weight(label) for label in A.row_labels]
+
+
+def multiplicity_in_row_span(m, rows, witness=None) -> bool:
+    """Exact test that the multiplicity vector ``m`` lies in the rational row span.
+
+    When the ``witness`` weights satisfy ``witness^T rows == m`` that product,
+    computed in O(rows * cols), is the proof.  Otherwise one exact echelon
+    over the rows decides.
+    """
+    if witness is not None:
+        weighted = [(y, row) for y, row in zip(witness, rows) if y]
+        if all(sum(y * row[j] for y, row in weighted) == mj for j, mj in enumerate(m)):
+            return True
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return not ech.add(m)
 
 
 def custom_matrix(
@@ -300,10 +344,11 @@ def custom_matrix(
 
 
 def parse_rational(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (str, int)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {x!r} has a zero denominator") from None
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {x!r}")
 
 

@@ -22,17 +22,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
-from .charges import (
-    CycleType,
-    build_charge_matrix,
-    character_matrix,
-    conjugacy_classes,
-    load_custom_problem,
-)
+from .charges import CycleType, build_charge_matrix, conjugacy_classes, load_custom_problem
 from .closedforms import closed_tmax
 from .groups import GroupSpec, canonical_order, sectors, sud, zp, U1, SU2
 from .infinity import INFINITE, is_finite
@@ -48,6 +41,10 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 EXIT_VERIFY = 4
+
+
+class ParseError(ValueError):
+    """Malformed command-line input; exits with code 3."""
 
 
 def _group_from_flags(args) -> GroupSpec:
@@ -67,23 +64,25 @@ def _group_from_flags(args) -> GroupSpec:
     raise ValueError(f"unknown group {args.group!r}")
 
 
-def _parse_classes(text: str) -> list[CycleType]:
+def _parse_classes(text: str | None) -> list[CycleType] | None:
     """Parse a class list such as ``id,2,3,2+2`` or ``(1),(12),(12)(34)``."""
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token in ("id", "e", "1", "(1)"):
-            out.append(CycleType(()))
-            continue
-        if token.startswith("("):
-            lengths = tuple(
-                sorted((len(part) for part in token.strip("()").split(")(")), reverse=True)
-            )
-            out.append(CycleType(lengths))
-            continue
-        lengths = tuple(sorted((int(x) for x in token.split("+")), reverse=True))
-        out.append(CycleType(lengths))
-    return out
+    if not text:
+        return None
+    try:
+        return [_parse_class(token) for token in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"bad --classes entry: {exc}") from None
+
+
+def _parse_class(token: str) -> CycleType:
+    token = token.strip().lower()
+    if token in ("id", "e", "1", "(1)"):
+        return CycleType(())
+    if token.startswith("("):
+        lengths = (len(part) for part in token.strip("()").split(")("))
+    else:
+        lengths = (int(x) for x in token.split("+"))
+    return CycleType(tuple(sorted(lengths, reverse=True)))
 
 
 def _render_value(v):
@@ -143,7 +142,7 @@ def _emit(report: dict, fmt: str) -> str:
 
 def cmd_tmax(args) -> int:
     group = _group_from_flags(args)
-    classes = _parse_classes(args.classes) if args.classes else None
+    classes = _parse_classes(args.classes)
     started = time.perf_counter()
     try:
         result, table, matrix = compute_tmax(
@@ -181,12 +180,9 @@ def cmd_tmax(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     group = _group_from_flags(args)
-    classes = _parse_classes(args.classes) if args.classes else None
+    classes = _parse_classes(args.classes)
     table = canonical_order(sectors(group, args.n))
-    if classes is not None:
-        matrix = character_matrix(group, args.n, args.k, classes).aligned_to(table)
-    else:
-        matrix = build_charge_matrix(group, args.n, args.k).aligned_to(table)
+    matrix = build_charge_matrix(group, args.n, args.k, classes).aligned_to(table)
     started = time.perf_counter()
     lb = lower_bound(matrix, table)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -205,11 +201,8 @@ def cmd_lower_bound(args) -> int:
 
 def cmd_smatrix(args) -> int:
     group = _group_from_flags(args)
-    classes = _parse_classes(args.classes) if args.classes else None
-    if classes is not None:
-        matrix = character_matrix(group, args.n, args.k, classes)
-    else:
-        matrix = build_charge_matrix(group, args.n, args.k)
+    classes = _parse_classes(args.classes)
+    matrix = build_charge_matrix(group, args.n, args.k, classes)
     cols = [irrep.label for irrep in matrix.col_ids]
     rows = []
     for label, row in zip(matrix.row_labels, matrix.rows):
@@ -242,7 +235,7 @@ def cmd_smatrix(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(which: str, n_lo: int, n_hi: int, d: int, threads: int = 1):
+def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
     """(group label, k, n, solver, closed form) rows for the requested table."""
     jobs = []
     if which == "table1":
@@ -297,11 +290,6 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int, threads: int = 1):
             "agrees": result.tmax == cf.value,
         }
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, kept))  # order-preserving, deterministic
     return [solve(job) for job in kept]
 
 
@@ -312,7 +300,7 @@ def cmd_table(args) -> int:
     except ValueError:
         print("error: --n-range expects A..B", file=sys.stderr)
         return EXIT_PARSE
-    rows = _table_rows(args.reproduce.lower(), n_lo, n_hi, args.d or 3, args.threads)
+    rows = _table_rows(args.reproduce.lower(), n_lo, n_hi, args.d or 3)
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
@@ -373,250 +361,29 @@ def cmd_custom(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_identities_u1(n_max: int):
-    from math import comb
-
-    from .closedforms import (
-        tr_f_c,
-        u1_a_norm,
-        u1_a_operator,
-        u1_c_eigenvalue,
-        u1_f_norm,
-        u1_f_values,
-    )
-
-    checks = 0
-    failures = 0
-
-    def check(ok):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if ok else 1
-
-    for n in range(1, n_max + 1):
-        cvals = [[u1_c_eigenvalue(n, l, w) for w in range(n + 1)] for l in range(n + 1)]
-        for l in range(n + 1):
-            for lp in range(n + 1):
-                acc = sum(cvals[l][w] * cvals[lp][w] * comb(n, w) for w in range(n + 1))
-                check(acc == (2**n * comb(n, l) if l == lp else 0))
-            for w in range(n + 1):
-                check(comb(n, w) * cvals[l][w] == comb(n, l) * cvals[w][l])
-                check(comb(n, w) * cvals[l][w] == (-1) ** l * comb(n, n - w) * cvals[l][n - w])
-                check(cvals[l][w] == (-1) ** w * cvals[n - l][w])
-        amat = [[op_w for op_w in u1_a_operator(n, k).qvec] for k in range(n + 1)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                acc = sum(amat[i][t] * amat[t][j] for t in range(n + 1))
-                # the coefficient matrix of the low-weight family is self-inverse
-                check(acc == (1 if i == j else 0))
-        if n <= min(n_max, 16):
-            for k in range(n + 1):
-                fvals = u1_f_values(n, k)
-                for l in range(n + 1):
-                    direct = sum(fvals[w] * comb(n, w) * cvals[l][w] for w in range(n + 1))
-                    check(direct == tr_f_c(n, k, l))
-        for k in range(n + 1):
-            check(u1_f_norm(n, k) == sum(abs(x) * comb(n, w) for w, x in enumerate(u1_f_values(n, k))))
-            check(u1_a_norm(n, k) == 2**k * comb(n, k))
-    return checks, failures
-
-
-def _suite_identities_su2(n_max: int):
-    from math import comb
-
-    from .closedforms import (
-        double_factorial,
-        su2_a_operator,
-        su2_c_eigenvalue,
-        tr_a_ctilde,
-    )
-    from .groups import su2_multiplicity
-
-    checks = 0
-    failures = 0
-
-    def check(ok):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if ok else 1
-
-    for n in range(2, n_max + 1):
-        jjs = list(range(n % 2, n + 1, 2))
-        traces = {jj: (jj + 1) * su2_multiplicity(n, jj) for jj in jjs}
-        for ll in range(0, n + 1, 2):
-            for llp in range(0, n + 1, 2):
-                acc = sum(
-                    su2_c_eigenvalue(n, ll, jj) * su2_c_eigenvalue(n, llp, jj) * traces[jj]
-                    for jj in jjs
-                )
-                if ll == llp:
-                    check(
-                        acc
-                        == double_factorial(ll + 1)
-                        * double_factorial(ll - 1)
-                        * 2**n
-                        * comb(n, ll)
-                    )
-                else:
-                    check(acc == 0)
-        for ss in range(0, n + 1, 2):
-            op = su2_a_operator(n, ss)
-            for mm in range(0, n + 1, 2):
-                scale = double_factorial(mm - 1) * comb(n, mm)
-                direct = sum(
-                    op.values[i] * su2_c_eigenvalue(n, mm, jj) * traces[jj]
-                    for i, jj in enumerate(jjs)
-                )
-                # compare against the unit-normalized pairing
-                check(direct == tr_a_ctilde(n, ss, mm) * scale)
-    return checks, failures
-
-
-def _suite_characters():
-    from .charges import sn_character
-
-    rows = {
-        (): lambda n: [1, 1, 1, 1, 1],
-        (1,): lambda n: [n - 1, n - 3, n - 4, n - 5, n - 5],
-        (2,): lambda n: [
-            n * (n - 3) // 2,
-            (n - 3) * (n - 4) // 2,
-            (n - 3) * (n - 6) // 2,
-            (n * n - 11 * n + 32) // 2,
-            (n - 4) * (n - 7) // 2,
-        ],
-        (1, 1): lambda n: [
-            (n - 1) * (n - 2) // 2,
-            (n - 2) * (n - 5) // 2,
-            (n - 4) * (n - 5) // 2,
-            (n * n - 11 * n + 26) // 2,
-            (n - 5) * (n - 6) // 2,
-        ],
-        (3,): lambda n: [
-            n * (n - 1) * (n - 5) // 6,
-            (n - 3) * (n - 4) * (n - 5) // 6,
-            (n - 5) * (n * n - 10 * n + 18) // 6,
-            (n - 5) * (n * n - 13 * n + 48) // 6,
-            (n - 4) * (n - 5) * (n - 9) // 6,
-        ],
-        (1, 1, 1): lambda n: [
-            (n - 1) * (n - 2) * (n - 3) // 6,
-            (n - 2) * (n - 3) * (n - 7) // 6,
-            (n - 3) * (n * n - 12 * n + 38) // 6,
-            (n - 3) * (n - 5) * (n - 10) // 6,
-            (n - 5) * (n - 6) * (n - 7) // 6,
-        ],
-        (2, 1): lambda n: [
-            n * (n - 2) * (n - 4) // 3,
-            (n - 2) * (n - 4) * (n - 6) // 3,
-            (n - 4) * (n * n - 11 * n + 27) // 3,
-            (n - 4) * (n - 6) * (n - 8) // 3,
-            (n - 4) * (n - 6) * (n - 8) // 3,
-        ],
-    }
-    class_cycles = [(), (2,), (3,), (2, 2), (4,)]
-    checks = 0
-    failures = 0
-    for n in range(15, 21):
-        for tail, formula in rows.items():
-            parts = (n - sum(tail),) + tail
-            expected = formula(n)
-            for cyc, exp in zip(class_cycles, expected):
-                checks += 1
-                if sn_character(parts, cyc) != exp:
-                    failures += 1
-    return checks, failures
-
-
-def _suite_oracle(n_max: int, samples: int, seed: int):
-    from . import dense
-
-    checks = 0
-    failures = 0
-
-    def check(ok):
-        nonlocal checks, failures
-        checks += 1
-        failures += 0 if ok else 1
-
-    for n in range(1, min(n_max, 12) + 1):
-        for k in range(n + 1):
-            check(dense.u1_orthogonality_check(n, k))
-    for k in range(11):
-        for l in range(11):
-            from .closedforms import tr_f_c
-
-            check(dense.dense_tr_f_c(10, k, l) == tr_f_c(10, k, l))
-    for n in range(1, min(n_max, 8) + 1):
-        check(dense.su2_c2_check(n))
-        if n >= 2:
-            check(dense.su2_projector_checks(n))
-    check(dense.z2_witness_check(samples=samples, seed=seed))
-    return checks, failures
-
-
-def _suite_solver_brute():
-    from .charges import build_charge_matrix
-    from .groups import canonical_order, sectors, sud, zp, U1, SU2
-    from .infinity import INFINITE
-    from .intlinalg import kernel_lattice
-    from .solver import brute_force_tmax, tmax_exact
-
-    checks = 0
-    failures = 0
-    instances = []
-    for n in range(2, 9):
-        for k in range(max(1, n - 3), n + 1):
-            instances.append((U1, n, k))
-            instances.append((SU2, n, k))
-    for p in (2, 3, 4, 5):
-        for n in range(3, 9):
-            for k in range(p, n + 1):
-                instances.append((zp(p), n, k))
-    for d in (3, 4):
-        for n in range(4, 9):
-            for k in (3, 4):
-                if k <= n:
-                    instances.append((sud(d), n, k))
-    for group, n, k in instances:
-        table = canonical_order(sectors(group, n))
-        matrix = build_charge_matrix(group, n, k).aligned_to(table)
-        dim = len(kernel_lattice(matrix.row_lists()))
-        if dim > 3:
-            continue
-        checks += 1
-        exact = tmax_exact(matrix, table, assume_semiuniversal=True)
-        brute = brute_force_tmax(matrix, table, coeff_bound=6)
-        if brute is None:
-            ok = exact.tmax == INFINITE
-        else:
-            ok = exact.tmax == brute[0] // 2 - 1
-        failures += 0 if ok else 1
-    return checks, failures
-
-
 def cmd_verify(args) -> int:
+    from . import checks  # only this subcommand needs the suites
+
     suite = args.suite
+    n_max = {} if args.n_max is None else {"n_max": args.n_max}
     if suite == "identities-u1":
-        checks, failures = _suite_identities_u1(args.n_max or 16)
+        tally = checks.identities_u1(**n_max)
     elif suite == "identities-su2":
-        checks, failures = _suite_identities_su2(args.n_max or 14)
+        tally = checks.identities_su2(**n_max)
     elif suite == "characters":
-        checks, failures = _suite_characters()
+        tally = checks.characters()
     elif suite == "oracle":
-        checks, failures = _suite_oracle(args.n_max or 8, args.samples, args.seed)
+        tally = checks.oracle(**n_max, samples=args.samples, seed=args.seed)
     elif suite == "solver-brute":
-        checks, failures = _suite_solver_brute()
+        tally = checks.solver_brute()
     else:
         print(f"error: unknown suite {suite!r}", file=sys.stderr)
         return EXIT_PARSE
+    failures = len(tally.failures)
     status = "pass" if failures == 0 else "FAIL"
-    print(f"suite {suite}: {status} ({checks - failures}/{checks} checks)")
+    print(f"suite {suite}: {status} ({tally.checks - failures}/{tally.checks} checks)")
+    for where in tally.failures[:10]:
+        print(f"failed: {where}", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -644,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdesign",
         description="exact design orders of random local symmetric circuits",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SYMDESIGN_THREADS", "1")),
-        help="worker threads for table sweeps (results are order-deterministic)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -683,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["identities-u1", "identities-su2", "characters", "oracle", "solver-brute"],
     )
-    s.add_argument("--n-max", type=int, default=None)
+    s.add_argument(
+        "--n-max", type=int, default=None, help="largest n (default 30; 12 for oracle)"
+    )
     s.add_argument("--samples", type=int, default=500)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_verify)
@@ -701,6 +464,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except SemiUniversalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

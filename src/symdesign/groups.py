@@ -211,7 +211,8 @@ def sn_irrep_dim(parts: tuple[int, ...]) -> int:
         for j in range(row_len):
             hook_prod *= row_len - j + cols[j] - i - 1
     dim, rem = divmod(factorial(n), hook_prod)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook product of {parts} does not divide {n}!")
     return dim
 
 
@@ -231,7 +232,8 @@ def sud_irrep_dim(parts: tuple[int, ...], d: int) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     dim, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Weyl dimension of {parts} for SU({d}) is not an integer")
     return dim
 
 
@@ -281,9 +283,9 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
             )
     else:
         raise ValueError("custom groups carry their own sector tables")
-    table = SectorTable(group, n, tuple(entries))
-    assert sum(e.multiplicity * e.dim for e in entries) == group.local_dim**n
-    return table
+    if sum(e.multiplicity * e.dim for e in entries) != group.local_dim**n:
+        raise ArithmeticError(f"{group} sectors on n={n} sites do not exhaust the Hilbert space")
+    return SectorTable(group, n, tuple(entries))
 
 
 def _tie_break_key(group: GroupSpec, n: int, irrep: IrrepId):
@@ -324,11 +326,13 @@ def semiuniversal_min_locality(group: GroupSpec) -> int:
 
 def custom_table(multiplicities: list[int], names: list[str] | None = None) -> SectorTable:
     """Sector table for a user-supplied problem (irrep dimensions default to 1)."""
+    if not multiplicities:
+        raise ValueError("the multiplicity vector must list at least one sector")
     if names is not None and len(names) != len(multiplicities):
         raise ValueError("labels length must match multiplicity vector")
     entries = []
     for i, m in enumerate(multiplicities):
-        if int(m) != m or m <= 0:
+        if isinstance(m, bool) or int(m) != m or m <= 0:
             raise ValueError("multiplicities must be positive integers")
         entries.append(SectorEntry(CustomSector(i, names[i] if names else None), int(m), 1))
     return SectorTable(CUSTOM, len(entries), tuple(entries))

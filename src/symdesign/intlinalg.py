@@ -1,4 +1,4 @@
-"""Exact integer/rational linear algebra: rank, Hermite normal form, kernels.
+"""Exact integer/rational linear algebra: echelon rank, Hermite normal form, kernels.
 
 All routines work on dense lists of rows holding Python ints (or Fractions,
 which get cleared row-wise where permitted).  Entries of the charge matrices
@@ -14,51 +14,59 @@ from math import gcd
 Matrix = list[list[int]]
 
 
-def _as_int_rows(rows) -> Matrix:
-    """Copy ``rows``, clearing Fraction denominators row by row.
+def _as_int_row(row) -> list[int]:
+    """Copy ``row``, clearing Fraction denominators.
 
-    Row scaling by a positive integer changes neither the rank nor the kernel,
-    so rank/kernel routines may operate on the scaled copy.
+    Scaling a vector by a positive integer changes neither the span it adds
+    to nor the kernel of a matrix it is a row of, so rank/kernel routines may
+    operate on the scaled copy.
     """
-    out = []
-    for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            scale = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    scale = scale * x.denominator // gcd(scale, x.denominator)
-            out.append([int(x * scale) for x in row])
-        else:
-            out.append([int(x) for x in row])
-    return out
+    if not any(isinstance(x, Fraction) for x in row):
+        return [int(x) for x in row]
+    scale = 1
+    for x in row:
+        if isinstance(x, Fraction):
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+    return [int(x * scale) for x in row]
+
+
+class Echelon:
+    """Incremental rank of a growing set of vectors over the rationals.
+
+    Every stored pivot vector is integral, primitive, and zero at the pivot
+    positions of the vectors stored before it, so reducing a new vector
+    against the pivots in insertion order is exact fraction-free elimination.
+    """
+
+    def __init__(self):
+        self.pivots: list[tuple[int, list[int]]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec) -> bool:
+        """Reduce ``vec`` against the stored pivots; True if the rank grew."""
+        v = _as_int_row(vec)
+        for i, piv in self.pivots:
+            a = v[i]
+            if a:
+                b = piv[i]
+                v = [b * x - a * y for x, y in zip(v, piv)]
+        for i, a in enumerate(v):
+            if a:
+                g = gcd(*v)
+                self.pivots.append((i, [x // g for x in v] if g > 1 else v))
+                return True
+        return False
 
 
 def rank_exact(rows) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    M = _as_int_rows(rows)
-    r = len(M)
-    if r == 0:
-        return 0
-    c = len(M[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            M[row], M[piv] = M[piv], M[row]
-        for i in range(row + 1, r):
-            for j in range(col + 1, c):
-                M[i][j] = (M[row][col] * M[i][j] - M[i][col] * M[row][j]) // prev
-            M[i][col] = 0
-        prev = M[row][col]
-        rank += 1
-        row += 1
-        if row == r:
-            break
-    return rank
+    """Rank over the rationals: the rank of an :class:`Echelon` fed every row."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return ech.rank
 
 
 def _identity(n: int) -> Matrix:
@@ -120,7 +128,7 @@ def kernel_lattice(rows) -> list[list[int]]:
     aligned with zero rows of the HNF form a primitive basis.  Returns ``[]``
     when the matrix has full column rank.
     """
-    A = _as_int_rows(rows)
+    A = [_as_int_row(row) for row in rows]
     r = len(A)
     if r == 0:
         raise ValueError("matrix must have at least one row")

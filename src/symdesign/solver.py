@@ -25,10 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .charges import ChargeMatrix, CycleType, build_charge_matrix, character_matrix, conjugacy_classes
+from .charges import (
+    ChargeMatrix,
+    CycleType,
+    build_charge_matrix,
+    conjugacy_classes,
+    multiplicity_in_row_span,
+    row_span_witness,
+)
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import kernel_lattice, lll_reduce, mat_vec, rank_exact
+from .intlinalg import Echelon, kernel_lattice, lll_reduce, mat_vec
 
 
 @dataclass(frozen=True)
@@ -114,51 +121,41 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
     return False
 
 
+def _check_row_span(A: ChargeMatrix, table: SectorTable):
+    # the support cutoff of the scan relies on m lying in the row span
+    if not multiplicity_in_row_span(table.multiplicities, A.rows, row_span_witness(A)):
+        raise ValueError(
+            "the multiplicity vector is outside the rational row span; add the "
+            "identity row (custom_matrix does this automatically)"
+        )
+
+
 # ---------------------------------------------------------------------------
-# lower bound (rank scan over multiplicity-ordered prefixes)
+# the prefix scan and the lower bound it yields
 # ---------------------------------------------------------------------------
 
 
-class _Echelon:
-    """Incremental column-rank tracker over exact rationals."""
-
-    def __init__(self, nrows: int):
-        self.nrows = nrows
-        self.pivots: list[tuple[int, list[Fraction]]] = []
-
-    def add_column(self, col) -> bool:
-        """Reduce ``col`` against stored pivots; True if the rank grew."""
-        v = [Fraction(x) for x in col]
-        for piv_idx, piv in self.pivots:
-            if v[piv_idx]:
-                factor = v[piv_idx] / piv[piv_idx]
-                v = [a - factor * b for a, b in zip(v, piv)]
-        for i, a in enumerate(v):
-            if a:
-                self.pivots.append((i, v))
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _prefix_scan(rows, length: int):
+    """Yield ``(idx, kernel dimension of the columns 0..idx)`` for each prefix."""
+    ech = Echelon()
+    for idx in range(length):
+        ech.add([row[idx] for row in rows])
+        yield idx, idx + 1 - ech.rank
 
 
 def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
-    """First multiplicity-ordered prefix whose columns become dependent.
+    """First kernel growth of the multiplicity-ordered prefix scan.
 
     Scanning sectors in weakly increasing multiplicity order, the first index
     ``ell`` where the restricted matrix has column rank ``ell - 1`` yields the
     bound ``m[ell] - 1`` on the design order; if every prefix (including all
-    sectors) has full column rank the order is unbounded.
+    sectors) has full column rank the order is unbounded.  :func:`tmax_exact`
+    reports the same bound from its own scan.
     """
     _check_alignment(A, table)
     _check_canonical(table)
-    rows = A.row_lists()
-    ech = _Echelon(len(rows))
-    for idx in range(len(table)):
-        col = [row[idx] for row in rows]
-        if not ech.add_column(col):
+    for idx, dim in _prefix_scan(A.rows, len(table)):
+        if dim:
             return LowerBoundResult(
                 ell=idx + 1,
                 bound=table.multiplicities[idx] - 1,
@@ -321,47 +318,35 @@ def tmax_exact(
     A: ChargeMatrix,
     table: SectorTable,
     assume_semiuniversal: bool = False,
-    restrict_sectors: Optional[int] = None,
 ) -> TmaxResult:
     """Exact maximum design order with a verifiable certificate.
 
-    Iterates over multiplicity-ordered sector prefixes, keeping the minimum
-    weighted norm ``B`` found in the restricted kernels, and stops as soon as
-    ``B <= 2 * m[next]``: any kernel vector supported outside the prefix costs
-    at least ``2 * m[next]`` because its positive and negative weighted parts
-    are equal.  ``restrict_sectors`` truncates the scan after that many
-    sectors, in which case the answer may be only an upper bound and
-    ``proven_exact`` is False unless the cutoff fired earlier.
+    One scan over multiplicity-ordered sector prefixes: the first kernel
+    growth gives the lower bound (as in :func:`lower_bound`), and each later
+    growth re-solves the restricted kernel, keeping the minimum weighted norm
+    ``B``.  The scan stops as soon as ``B <= 2 * m[next]``: any kernel vector
+    supported outside the prefix costs at least ``2 * m[next]`` because its
+    positive and negative weighted parts are equal.
     """
     _check_alignment(A, table)
     _check_canonical(table)
     assumed = _check_semiuniversal(A, assume_semiuniversal)
+    _check_row_span(A, table)
 
-    rows = A.row_lists()
+    rows = A.rows
     mults = table.multiplicities
-    if not multiplicity_consistent(rows, mults):
-        raise ValueError(
-            "the multiplicity vector is outside the rational row span; add the "
-            "identity row (custom_matrix does this automatically)"
-        )
-
-    lb = lower_bound(A, table)
     L = len(table)
-    limit = L if restrict_sectors is None else min(restrict_sectors, L)
-
+    bound = INFINITE
     best: Optional[Certificate] = None
-    proven = False
-    ech = _Echelon(len(rows))
     kernel_dim = 0
-    for idx in range(limit):
-        col = [row[idx] for row in rows]
-        ech.add_column(col)
-        new_dim = (idx + 1) - ech.rank
+    for idx, new_dim in _prefix_scan(rows, L):
         if new_dim > kernel_dim:
+            if kernel_dim == 0:
+                bound = mults[idx] - 1
             kernel_dim = new_dim
-            sub = [row[: idx + 1] for row in rows]
-            basis = kernel_lattice(sub)
-            assert len(basis) == new_dim
+            basis = kernel_lattice([row[: idx + 1] for row in rows])
+            if len(basis) != new_dim:
+                raise ArithmeticError("kernel basis size disagrees with the echelon rank")
             cand = min_weighted_l1(
                 basis,
                 mults[: idx + 1],
@@ -381,25 +366,18 @@ def tmax_exact(
                         support=tuple(table.ids[i] for i in cand.support),
                     )
         if best is not None and idx + 1 < L and best.weighted_norm <= 2 * mults[idx + 1]:
-            proven = True
             break
-    else:
-        proven = limit == L
 
     if best is None:
         # trivial kernel: every symmetric Hamiltonian direction is reachable
-        return TmaxResult(INFINITE, lb.bound, None, limit == L, assumed)
+        return TmaxResult(INFINITE, bound, None, True, assumed)
 
-    assert best.weighted_norm % 2 == 0
+    if best.weighted_norm % 2:
+        raise ArithmeticError("a kernel vector has an odd weighted norm")
     tmax = best.weighted_norm // 2 - 1
-    assert is_finite(lb.bound) and lb.bound <= tmax
-    return TmaxResult(tmax, lb.bound, best, proven, assumed)
-
-
-def multiplicity_consistent(rows, mults) -> bool:
-    """True when the multiplicity vector lies in the rational row span."""
-    base = rank_exact(rows)
-    return rank_exact([list(r) for r in rows] + [list(mults)]) == base
+    if not (is_finite(bound) and bound <= tmax):
+        raise ArithmeticError("the lower bound exceeds the certified design order")
+    return TmaxResult(tmax, bound, best, True, assumed)
 
 
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:
@@ -484,10 +462,6 @@ def compute_tmax(
     ``k``-local conjugacy classes (amended or reduced gate sets).
     """
     table = canonical_order(sectors(group, n))
-    if classes is not None:
-        A = character_matrix(group, n, k, classes)
-    else:
-        A = build_charge_matrix(group, n, k)
-    A = A.aligned_to(table)
+    A = build_charge_matrix(group, n, k, classes).aligned_to(table)
     result = tmax_exact(A, table, assume_semiuniversal=assume_semiuniversal)
     return result, table, A

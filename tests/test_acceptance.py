@@ -6,41 +6,27 @@ per criterion with its runtime.
 
 import time
 from fractions import Fraction
-from math import comb
-
-import pytest
 
 from symdesign import (
     INFINITE,
     SU2,
     U1,
     binom_frac,
-    brute_force_tmax,
-    build_charge_matrix,
     canonical_order,
     compute_tmax,
     custom_matrix,
-    kernel_lattice,
     lower_bound,
     sectors,
-    sn_character,
     su2_a_norm,
-    su2_c_eigenvalue,
-    su2_multiplicity,
     sud,
     tmax_exact,
-    tr_a_c,
-    tr_a_ctilde,
-    tr_f_c,
-    u1_a_norm,
-    u1_a_operator,
-    u1_c_eigenvalue,
     u1_f_norm,
     verify_certificate,
     zp,
 )
+from symdesign import checks
 from symdesign.charges import CycleType, T_GROUP_CLASSES
-from symdesign.closedforms import double_factorial, u1_f_values, u1_nbound, su2_nbound
+from symdesign.closedforms import u1_nbound, su2_nbound
 from symdesign.infinity import is_finite
 
 # (lower_bound, tmax) pairs accumulated by criteria 1-4 and re-checked in 5
@@ -59,6 +45,7 @@ def _solve_checked(group, n, k, assume=False, classes=None):
         group, n, k, assume_semiuniversal=assume, classes=classes
     )
     assert result.proven_exact
+    assert result.lower_bound == lower_bound(matrix, table).bound
     BOUND_LOG.append((result.lower_bound, result.tmax))
     if is_finite(result.tmax):
         assert result.lower_bound <= result.tmax
@@ -158,172 +145,41 @@ def test_criterion_5_lower_bound_soundness():
         lb = lower_bound(matrix, table)
         assert lb.bound == n - 2
         result = tmax_exact(matrix, table, assume_semiuniversal=True)
+        assert result.lower_bound == lb.bound
         assert result.tmax == n - 2
         assert result.certificate.weighted_norm == su2_a_norm(n, 2)
     _report("5 (lower-bound soundness)", started, 60.0)
 
 
+def _assert_passes(tally, floor: int):
+    assert not tally.failures, tally.failures[:10]
+    assert tally.checks >= floor, f"only {tally.checks} checks, expected >= {floor}"
+
+
 def test_criterion_6_identity_suites():
     started = time.monotonic()
-    # pairing of edge and locality bases: closed form vs explicit double sum
-    for n in range(1, 17):
-        ctab = [[u1_c_eigenvalue(n, l, w) for w in range(n + 1)] for l in range(n + 1)]
-        for k in range(n + 1):
-            fvals = u1_f_values(n, k)
-            for l in range(n + 1):
-                direct = sum(fvals[w] * comb(n, w) * ctab[l][w] for w in range(n + 1))
-                assert direct == tr_f_c(n, k, l), (n, k, l)
-
-    # norms: integral for every parity and equal to the direct sums, n <= 30
-    from symdesign import su2_a_operator
-
-    for n in range(1, 31):
-        for k in range(n + 1):
-            f_direct = sum(abs(v) * comb(n, w) for w, v in enumerate(u1_f_values(n, k)))
-            assert u1_f_norm(n, k) == f_direct
-            a_direct = sum(
-                comb(n - w, k - w) * comb(n, w) for w in range(min(k, n) + 1)
-            )
-            assert u1_a_norm(n, k) == a_direct == 2**k * comb(n, k)
-        for k in range(0, n + 1, 2):
-            op = su2_a_operator(n, k)
-            direct = sum(
-                abs(q) * su2_multiplicity(n, e.irrep.jj)
-                for q, e in zip(op.qvec, op.table.sectors)
-            )
-            assert su2_a_norm(n, k) == direct  # asserts integrality internally
-
-    # the low-weight coefficient matrix is self-inverse, n <= 18
-    for n in range(1, 19):
-        amat = [u1_a_operator(n, k).qvec for k in range(n + 1)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                acc = sum(amat[i][t] * amat[t][j] for t in range(n + 1))
-                assert acc == (1 if i == j else 0)
-
-    # trace-pairing symmetry and the two mirror identities, n <= 18
-    for n in range(1, 19):
-        ctab = [[u1_c_eigenvalue(n, l, w) for w in range(n + 1)] for l in range(n + 1)]
-        for l in range(n + 1):
-            for w in range(n + 1):
-                assert comb(n, w) * ctab[l][w] == comb(n, l) * ctab[w][l]
-                assert (
-                    comb(n, w) * ctab[l][w]
-                    == (-1) ** l * comb(n, n - w) * ctab[l][n - w]
-                )
-                assert ctab[l][w] == (-1) ** w * ctab[n - l][w]
-
-    # total-spin basis: orthogonality and pairings, n <= 14
-    for n in range(2, 15):
-        jjs = list(range(n % 2, n + 1, 2))
-        traces = {jj: (jj + 1) * su2_multiplicity(n, jj) for jj in jjs}
-        cvals = {ll: {jj: su2_c_eigenvalue(n, ll, jj) for jj in jjs} for ll in range(0, n + 1, 2)}
-        for ll in range(0, n + 1, 2):
-            for llp in range(ll, n + 1, 2):
-                acc = sum(cvals[ll][jj] * cvals[llp][jj] * traces[jj] for jj in jjs)
-                if ll == llp:
-                    assert acc == double_factorial(ll + 1) * double_factorial(
-                        ll - 1
-                    ) * 2**n * comb(n, ll)
-                else:
-                    assert acc == 0
-        from symdesign import su2_a_operator
-
-        for ss in range(0, n + 1, 2):
-            op = su2_a_operator(n, ss)
-            for mm in range(0, n + 1, 2):
-                scale = double_factorial(mm - 1) * comb(n, mm)
-                direct = sum(
-                    op.values[i] * cvals[mm][jj] * traces[jj] for i, jj in enumerate(jjs)
-                )
-                assert direct == tr_a_ctilde(n, ss, mm) * scale
-
-    # symmetric-group characters against the tabulated polynomials, n = 15..20
-    for n in range(15, 21):
-        rows = {
-            (): [1, 1, 1, 1, 1],
-            (1,): [n - 1, n - 3, n - 4, n - 5, n - 5],
-            (2,): [
-                n * (n - 3) // 2,
-                (n - 3) * (n - 4) // 2,
-                (n - 3) * (n - 6) // 2,
-                (n * n - 11 * n + 32) // 2,
-                (n - 4) * (n - 7) // 2,
-            ],
-            (1, 1): [
-                (n - 1) * (n - 2) // 2,
-                (n - 2) * (n - 5) // 2,
-                (n - 4) * (n - 5) // 2,
-                (n * n - 11 * n + 26) // 2,
-                (n - 5) * (n - 6) // 2,
-            ],
-            (3,): [
-                n * (n - 1) * (n - 5) // 6,
-                (n - 3) * (n - 4) * (n - 5) // 6,
-                (n - 5) * (n * n - 10 * n + 18) // 6,
-                (n - 5) * (n * n - 13 * n + 48) // 6,
-                (n - 4) * (n - 5) * (n - 9) // 6,
-            ],
-            (1, 1, 1): [
-                (n - 1) * (n - 2) * (n - 3) // 6,
-                (n - 2) * (n - 3) * (n - 7) // 6,
-                (n - 3) * (n * n - 12 * n + 38) // 6,
-                (n - 3) * (n - 5) * (n - 10) // 6,
-                (n - 5) * (n - 6) * (n - 7) // 6,
-            ],
-            (2, 1): [
-                n * (n - 2) * (n - 4) // 3,
-                (n - 2) * (n - 4) * (n - 6) // 3,
-                (n - 4) * (n * n - 11 * n + 27) // 3,
-                (n - 4) * (n - 6) * (n - 8) // 3,
-                (n - 4) * (n - 6) * (n - 8) // 3,
-            ],
-        }
-        for tail, values in rows.items():
-            shape = (n - sum(tail),) + tail
-            for ct, expected in zip([(), (2,), (3,), (2, 2), (4,)], values):
-                assert sn_character(shape, ct) == expected, (shape, ct)
+    u1 = checks.identities_u1()
+    su2 = checks.identities_su2()
+    chars = checks.characters()
+    # floors: the checks these suites and this criterion made separately before
+    # they were merged into symdesign.checks
+    _assert_passes(u1, 11008)
+    _assert_passes(su2, 684)
+    _assert_passes(chars, 210)
+    assert u1.checks + su2.checks + chars.checks >= 13659
     _report("6 (identity suites)", started, 60.0)
 
 
 def test_criterion_7_oracle_equivalence():
     started = time.monotonic()
-    count = 0
-    groups = [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4)]
-    for group in groups:
-        for n in range(2, 9):
-            kmin = group.p if group.kind == "Zp" else 1
-            for k in range(kmin, n + 1):
-                table = canonical_order(sectors(group, n))
-                matrix = build_charge_matrix(group, n, k).aligned_to(table)
-                if len(kernel_lattice(matrix.row_lists())) > 3:
-                    continue
-                exact = tmax_exact(matrix, table, assume_semiuniversal=True)
-                brute = brute_force_tmax(matrix, table, coeff_bound=6)
-                if brute is None:
-                    assert exact.tmax == INFINITE, (group, n, k)
-                else:
-                    assert exact.tmax == brute[0] // 2 - 1, (group, n, k)
-                count += 1
-    assert count >= 50, f"only {count} oracle instances"
-    _report(f"7 (brute-force equivalence, {count} instances)", started, 120.0)
+    tally = checks.solver_brute()
+    _assert_passes(tally, 2 * 171)  # tmax and lower bound on 171 instances
+    _report(f"7 (brute-force equivalence, {tally.checks // 2} instances)", started, 120.0)
 
 
 def test_criterion_8_dense_checks():
-    from symdesign import dense
-
     started = time.monotonic()
-    for n in range(1, 13):
-        for k in range(n + 1):
-            assert dense.u1_orthogonality_check(n, k), (n, k)
-    for k in range(11):
-        for l in range(11):
-            assert dense.dense_tr_f_c(10, k, l) == tr_f_c(10, k, l), (k, l)
-    for n in range(1, 9):
-        assert dense.su2_c2_check(n), n
-    for n in range(2, 9):
-        assert dense.su2_projector_checks(n), n
-    assert dense.z2_witness_check(samples=500, seed=0)
+    _assert_passes(checks.oracle(), 227)
     _report("8 (dense oracle)", started, 180.0)
 
 

@@ -23,7 +23,12 @@ from symdesign import (
     sud,
     zp,
 )
-from symdesign.charges import CycleType, T_GROUP_CLASSES, multiplicity_in_row_span
+from symdesign.charges import (
+    CycleType,
+    T_GROUP_CLASSES,
+    multiplicity_in_row_span,
+    row_span_witness,
+)
 from symdesign.groups import partitions_max_rows
 from symdesign.intlinalg import mat_vec
 
@@ -415,6 +420,31 @@ class TestMatrixInvariants:
         for k in range(kmin, n + 1):
             m = build_charge_matrix(group, n, k)
             assert multiplicity_in_row_span(table.multiplicities, m.row_lists())
+
+    @pytest.mark.parametrize("group", [U1, SU2] + [zp(p) for p in range(2, 8)], ids=str)
+    def test_structural_witness(self, group):
+        # the closed-form weights alone reproduce m, with no elimination
+        for n in range(1, 31):
+            m = list(sectors(group, n).multiplicities)
+            for k in range(1, n + 1):
+                A = build_charge_matrix(group, n, k)
+                assert mat_vec(list(zip(*A.rows)), row_span_witness(A)) == m, (n, k)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_structural_witness_sud(self, d):
+        for n in range(1, 16):
+            m = list(sectors(sud(d), n).multiplicities)
+            matrices = [build_charge_matrix(sud(d), n, k) for k in range(1, min(n, 5) + 1)]
+            if n >= 4:
+                matrices.append(character_matrix(sud(d), n, 4, list(T_GROUP_CLASSES)))
+            for A in matrices:
+                assert mat_vec(list(zip(*A.rows)), row_span_witness(A)) == m, (n, A.row_labels)
+
+    def test_row_span_falls_back_to_elimination(self):
+        # a witness that does not reproduce m leaves the decision to the echelon
+        assert multiplicity_in_row_span([2, 3], [[4, 6]], witness=[1])
+        assert not multiplicity_in_row_span([1, 2], [[1, 1]], witness=[1])
+        assert not multiplicity_in_row_span([1, 2], [])
 
 
 class TestCustomMatrix:

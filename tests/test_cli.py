@@ -58,6 +58,21 @@ class TestTmaxCommand:
         assert doc["tmax"] == 16 * 13 // 2 - 1
         assert doc["agrees"] is True
 
+    @pytest.mark.parametrize("classes", ["foo", "1+1", "id,,2", "(12)(3)"])
+    def test_malformed_classes_exit_3(self, capsys, classes):
+        code, _, err = run_cli(
+            capsys, "tmax", "--group", "sud", "--d", "3", "--n", "15", "--k", "3",
+            "--classes", classes,
+        )
+        assert code == 3
+        assert err.startswith("error:")
+
+    def test_classes_on_non_sud_exits_2(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "tmax", "--group", "u1", "--n", "6", "--k", "2", "--classes", "id,2",
+        )
+        assert code == 2
+
     def test_below_threshold_u1_k1(self, capsys):
         code, _, _ = run_cli(capsys, "tmax", "--group", "u1", "--n", "4", "--k", "1")
         assert code == 2
@@ -130,12 +145,6 @@ class TestTableCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 1  # header only
 
-    def test_threads_flag_deterministic(self, capsys):
-        base = ("table", "--reproduce", "table2", "--n-range", "13..14", "--format", "csv")
-        _, out1, _ = run_cli(capsys, *base)
-        _, out2, _ = run_cli(capsys, "--threads", "4", *base)
-        assert out1 == out2
-
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--reproduce", "table2", "--n-range", "oops")
         assert code == 3
@@ -171,6 +180,23 @@ class TestCustomCommand:
         code, _, err = run_cli(capsys, "custom", str(path))
         assert code == 3
         assert re.search(r"line \d+, column \d+", err)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"m": [4, 4], "rows": [["1/0", "1"]]}',  # zero denominator
+            '{"m": []}',  # no sectors
+            '{"m": [true, 2]}',  # boolean multiplicity
+            '{"m": [1, 2], "rows": [[true, 1]]}',  # boolean row entry
+        ],
+    )
+    def test_malformed_document_exits_3(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "custom", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "custom", str(tmp_path / "nope.json"))

@@ -177,15 +177,6 @@ class TestTmaxExact:
         with pytest.raises(ValueError):
             tmax_exact(matrix, table)
 
-    def test_restricted_scan_not_proven(self):
-        # at n=5, k=3 the support cutoff cannot fire within 5 sectors, so a
-        # truncated scan returns an upper bound without the exactness flag
-        matrix, table = aligned(U1, 5, 3)
-        full = tmax_exact(matrix, table)
-        limited = tmax_exact(matrix, table, restrict_sectors=5)
-        assert full.proven_exact and not limited.proven_exact
-        assert full.tmax <= limited.tmax
-
     @pytest.mark.parametrize("n", [8, 11, 14])
     def test_monotone_in_locality(self, n):
         prev = None
