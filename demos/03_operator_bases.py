@@ -59,7 +59,7 @@ print("  ", [tr_a_c(n, 4, l) for l in range(n + 1)])
 
 ###############################################################################
 # Norms.  Note the half-integer upper binomial indices for odd n-k; the
-# results are integers for every parity, which the implementation asserts.
+# results are integers for every parity, which the implementation checks.
 
 print("\none-norms of f_k and a_k:")
 for k in range(0, n + 1, 2):

@@ -29,13 +29,7 @@ from .charges import CycleType, build_charge_matrix, conjugacy_classes, load_cus
 from .closedforms import closed_tmax
 from .groups import GroupSpec, canonical_order, sectors, sud, zp, U1, SU2
 from .infinity import INFINITE, is_finite
-from .solver import (
-    SemiUniversalityError,
-    compute_tmax,
-    lower_bound,
-    tmax_exact,
-    verify_certificate,
-)
+from .solver import compute_tmax, lower_bound, tmax_exact, verify_certificate
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -144,17 +138,13 @@ def cmd_tmax(args) -> int:
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
     started = time.perf_counter()
-    try:
-        result, table, matrix = compute_tmax(
-            group,
-            args.n,
-            args.k,
-            assume_semiuniversal=args.assume_semiuniversal,
-            classes=classes,
-        )
-    except SemiUniversalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    result, table, matrix = compute_tmax(
+        group,
+        args.n,
+        args.k,
+        assume_semiuniversal=args.assume_semiuniversal,
+        classes=classes,
+    )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if result.certificate is not None and not verify_certificate(
         result.certificate, matrix, table
@@ -467,10 +457,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SemiUniversalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+    except ValueError as exc:  # precondition failures, SemiUniversalityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

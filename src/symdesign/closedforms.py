@@ -13,7 +13,7 @@ Three families of operators span the center of the symmetric Hamiltonians on
   Halved one-norms of these give the exact design orders.
 
 Everything is exact: integers and ``Fraction``s only, with final integrality
-asserted where a half-integer binomial appears in an intermediate step.
+checked where a half-integer binomial appears in an intermediate step.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def su2_c_eigenvalue(n: int, ll: int, jj: int) -> int:
         )
     num = double_factorial(ll - 1) * comb(n, ll) * acc
     val, rem = divmod(num, mi)
-    assert rem == 0, "exchange-operator eigenvalue must be integral"
+    if rem:
+        raise ArithmeticError("exchange-operator eigenvalue must be integral")
     return val
 
 
@@ -322,7 +323,8 @@ def closed_tmax(group: GroupSpec, n: int, k: int, variant: str = "full") -> Clos
             if d < 4:
                 raise ValueError("the tgroup variant requires d >= 4")
             val = (n - 3) * (2 * n * n - 3 * n + 4)
-            assert val % 6 == 0
+            if val % 6:
+                raise ArithmeticError("the tgroup closed form must be divisible by 6")
             return ClosedFormTmax(val // 6 - 1, max(22, d + 4), "sud:tgroup")
         if variant != "full":
             raise ValueError(f"unknown variant {variant!r}")
@@ -330,7 +332,8 @@ def closed_tmax(group: GroupSpec, n: int, k: int, variant: str = "full") -> Clos
             return ClosedFormTmax((n - 1) * (n - 3) - 1, max(15, d + 3), "sud:k=3")
         if k == 4:
             val = 2 * (n - 1) * (n - 3) * (n - 5)
-            assert val % 3 == 0
+            if val % 3:
+                raise ArithmeticError("the k=4 closed form must be divisible by 3")
             return ClosedFormTmax(val // 3 - 1, max(22, d + 4), "sud:k=4")
         if k < 3:
             raise ValueError("k-local SU(d)-invariant gates are semi-universal only for k >= 3")

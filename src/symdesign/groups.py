@@ -332,7 +332,11 @@ def custom_table(multiplicities: list[int], names: list[str] | None = None) -> S
         raise ValueError("labels length must match multiplicity vector")
     entries = []
     for i, m in enumerate(multiplicities):
-        if isinstance(m, bool) or int(m) != m or m <= 0:
+        try:
+            valid = not isinstance(m, bool) and int(m) == m and m > 0
+        except (OverflowError, ValueError):  # int() of an infinite or NaN float
+            valid = False
+        if not valid:
             raise ValueError("multiplicities must be positive integers")
         entries.append(SectorEntry(CustomSector(i, names[i] if names else None), int(m), 1))
     return SectorTable(CUSTOM, len(entries), tuple(entries))

@@ -1,4 +1,5 @@
-"""Exact integer/rational linear algebra: echelon rank, Hermite normal form, kernels.
+"""Exact integer/rational linear algebra: echelon rank, Hermite normal form,
+kernels, and weighted LLL over an exact ``L D L^T`` of the Gram matrix.
 
 All routines work on dense lists of rows holding Python ints (or Fractions,
 which get cleared row-wise where permitted).  Entries of the charge matrices
@@ -156,59 +157,75 @@ def hnf_basis_key(vectors: list[list[int]]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def weighted_gram(basis, weights=None) -> Matrix:
+    """Integer Gram matrix of ``basis`` under ``<x, y> = sum w_i^2 x_i y_i``."""
+    w2 = [1] * len(basis[0]) if weights is None else [int(w) ** 2 for w in weights]
+    return [[sum(w * x * y for w, x, y in zip(w2, bi, bj)) for bj in basis] for bi in basis]
+
+
+def gram_ldl(G):
+    """Exact ``L D L^T`` factorization of a positive-definite Gram matrix.
+
+    ``L`` is unit lower triangular and ``D`` diagonal, both as Fractions: for
+    the Gram matrix of a basis, ``L[i][j]`` (j < i) are the Gram-Schmidt
+    coefficients and ``D`` the squared Gram-Schmidt norms.  Raises
+    ``ArithmeticError`` on a non-positive pivot (dependent vectors).
+    """
+    d = len(G)
+    L = [[Fraction(0)] * d for _ in range(d)]
+    D = [Fraction(0)] * d
+    for i in range(d):
+        for j in range(i):
+            s = Fraction(G[i][j])
+            for t in range(j):
+                s -= L[i][t] * L[j][t] * D[t]
+            L[i][j] = s / D[j]
+        s = Fraction(G[i][i])
+        for t in range(i):
+            s -= L[i][t] * L[i][t] * D[t]
+        if s <= 0:
+            raise ArithmeticError("basis vectors are not independent")
+        D[i] = s
+        L[i][i] = Fraction(1)
+    return L, D
+
+
 def lll_reduce(basis: list[list[int]], weights: list[int] | None = None) -> list[list[int]]:
     """LLL-reduce ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
 
-    Exact rational arithmetic throughout (delta = 3/4).  The returned vectors
-    span the same lattice; reduction only tightens the enumeration radius in
-    the solver, it never changes any answer.
+    The vectors must be linearly independent (``ArithmeticError`` otherwise).
+    Only their integer Gram matrix is tracked through the reduction, and the
+    Gram-Schmidt data come from its exact :func:`gram_ldl` (delta = 3/4).
+    The returned vectors span the same lattice; reduction only tightens the
+    enumeration radius in the solver, it never changes any answer.
     """
     b = [list(v) for v in basis]
     d = len(b)
     if d <= 1:
         return b
-    w2 = [1] * len(b[0]) if weights is None else [int(w) ** 2 for w in weights]
+    G = weighted_gram(b, weights)
     delta = Fraction(3, 4)
 
-    def gso():
-        # straightforward exact Gram-Schmidt in the weighted metric
-        mu = [[Fraction(0)] * d for _ in range(d)]
-        norms = [Fraction(0)] * d
-        gs = [[Fraction(0)] * len(b[0]) for _ in range(d)]
-        for i in range(d):
-            gs[i] = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                num = sum(Fraction(wi) * Fraction(x) * g for wi, x, g in zip(w2, b[i], gs[j]))
-                mu[i][j] = num / norms[j]
-                gs[i] = [x - mu[i][j] * g for x, g in zip(gs[i], gs[j])]
-            norms[i] = sum(Fraction(wi) * x * x for wi, x in zip(w2, gs[i]))
-        return mu, norms
-
-    mu, norms = gso()
+    mu, norms = gram_ldl(G)
     k = 1
     while k < d:
         for j in range(k - 1, -1, -1):
-            q = _round_half_even(mu[k][j])
+            q = round(mu[k][j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = gso()
+                G[k][k] -= 2 * q * G[k][j] - q * q * G[j][j]
+                for i in range(d):
+                    if i != k:
+                        G[k][i] -= q * G[j][i]
+                        G[i][k] = G[k][i]
+                mu, norms = gram_ldl(G)
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gso()
+            G[k], G[k - 1] = G[k - 1], G[k]
+            for row in G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            mu, norms = gram_ldl(G)
             k = max(k - 1, 1)
     return b
-
-
-def _round_half_even(x: Fraction) -> int:
-    fl = x.numerator // x.denominator
-    rem = x - fl
-    if rem > Fraction(1, 2):
-        return fl + 1
-    if rem < Fraction(1, 2):
-        return fl
-    return fl + (fl % 2)

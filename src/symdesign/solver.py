@@ -10,9 +10,10 @@ trivial).  Two facts make this computable fast:
   norm at least twice that sector's multiplicity (its positive and negative
   parts are equal because the multiplicity vector lies in the row span);
 * within a prefix the problem is a small-dimensional weighted shortest-vector
-  search, solved by branch-and-bound over an exact rational Cholesky
-  factorization (the Euclidean norm of the weight-rescaled vector lower
-  bounds the weighted one-norm).
+  search, solved by branch-and-bound over the exact ``L D L^T`` of the
+  weighted Gram matrix (``intlinalg.gram_ldl``, the factorization the LLL
+  pre-reduction also uses; the Euclidean norm of the weight-rescaled vector
+  lower bounds the weighted one-norm).
 
 Both the incumbent certificate and the cutoff rule are exact, so every answer
 returned with ``proven_exact`` is self-certifying.
@@ -35,7 +36,7 @@ from .charges import (
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, kernel_lattice, lll_reduce, mat_vec
+from .intlinalg import Echelon, gram_ldl, kernel_lattice, lll_reduce, mat_vec, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -187,27 +188,6 @@ def _normalize_sign(q: list[int]) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _cholesky(G: list[list[int]]):
-    """Exact LDL^T of a positive-definite integer Gram matrix."""
-    d = len(G)
-    L = [[Fraction(0)] * d for _ in range(d)]
-    D = [Fraction(0)] * d
-    for i in range(d):
-        for j in range(i):
-            s = Fraction(G[i][j])
-            for t in range(j):
-                s -= L[i][t] * L[j][t] * D[t]
-            L[i][j] = s / D[j]
-        s = Fraction(G[i][i])
-        for t in range(i):
-            s -= L[i][t] * L[i][t] * D[t]
-        if s <= 0:
-            raise ArithmeticError("basis vectors are not independent")
-        D[i] = s
-        L[i][i] = Fraction(1)
-    return L, D
-
-
 def _interval(center: Fraction, radius2: Fraction) -> tuple[int, int]:
     """Integers x with (x - center)^2 <= radius2, computed exactly.
 
@@ -266,44 +246,34 @@ def min_weighted_l1(
     for b in basis:
         consider(b)
 
-    # radius: nothing better than the incumbent (or the caller's cap) matters
-    radius = best if best is not None else None
-    if upper is not None:
-        radius = upper if radius is None else min(radius, upper)
+    # radius: nothing better than the incumbent (or the caller's cap) matters;
+    # the basis vectors are nonzero, so at least one of the two is set
+    radius = upper if best is None else best
+    L, D = gram_ldl(weighted_gram(basis, weights))
+    coeff = [0] * d
 
-    if radius is not None and d >= 1:
-        G = [
-            [sum(w * w * x * y for w, x, y in zip(weights, bi, bj)) for bj in basis]
-            for bi in basis
-        ]
-        L, D = _cholesky(G)
-        R2 = Fraction(radius) ** 2
-        coeff = [0] * d
+    def descend(level: int, rem: Fraction):
+        # levels run d-1 .. 0; partial sums use the LDL^T quadratic form
+        center = -sum(L[t][level] * coeff[t] for t in range(level + 1, d))
+        lo, hi = _interval(center, rem / D[level])
+        for x in range(lo, hi + 1):
+            coeff[level] = x
+            if level == 0:
+                if any(coeff):
+                    q = [0] * len(basis[0])
+                    for t in range(d):
+                        if coeff[t]:
+                            for j in range(len(q)):
+                                q[j] += coeff[t] * basis[t][j]
+                    consider(q)
+            else:
+                used = D[level] * (Fraction(x) - center) ** 2
+                descend(level - 1, rem - used)
+        coeff[level] = 0
 
-        def descend(level: int, rem: Fraction):
-            # levels run d-1 .. 0; partial sums use the LDL^T quadratic form
-            center = -sum(L[t][level] * coeff[t] for t in range(level + 1, d))
-            lo, hi = _interval(center, rem / D[level])
-            for x in range(lo, hi + 1):
-                coeff[level] = x
-                if level == 0:
-                    if any(coeff):
-                        q = [0] * len(basis[0])
-                        for t in range(d):
-                            if coeff[t]:
-                                for j in range(len(q)):
-                                    q[j] += coeff[t] * basis[t][j]
-                        consider(q)
-                else:
-                    used = D[level] * (Fraction(x) - center) ** 2
-                    descend(level - 1, rem - used)
-            coeff[level] = 0
-
-        descend(d - 1, R2)
+    descend(d - 1, Fraction(radius) ** 2)
 
     if best is None:
-        return None
-    if upper is not None and best > upper:
         return None
     support = tuple(i for i, x in enumerate(best_q) if x)
     return Certificate(q=best_q, weighted_norm=best, support=support)

@@ -188,6 +188,8 @@ class TestCustomCommand:
             '{"m": []}',  # no sectors
             '{"m": [true, 2]}',  # boolean multiplicity
             '{"m": [1, 2], "rows": [[true, 1]]}',  # boolean row entry
+            '{"m": [Infinity]}',  # infinite multiplicity
+            '{"m": [1e400, 2]}',  # multiplicity that overflows to infinity
         ],
     )
     def test_malformed_document_exits_3(self, capsys, tmp_path, doc):

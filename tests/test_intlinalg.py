@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import build_charge_matrix, kernel_lattice, rank_exact, U1, zp
-from symdesign.intlinalg import hnf, hnf_basis_key, lll_reduce, mat_vec
+from symdesign.intlinalg import gram_ldl, hnf, hnf_basis_key, lll_reduce, mat_vec, weighted_gram
 
 
 def rank_rational(rows) -> int:
@@ -155,7 +155,76 @@ class TestKernelLattice:
             assert all(x == 0 for x in mat_vec(A, b))
 
 
+def weighted_gso(basis, weights):
+    """Plain vector Gram-Schmidt in the weighted metric: the reference ``mu`` and norms."""
+    w2 = [w * w for w in weights]
+
+    def dot(x, y):
+        return sum(w * a * b for w, a, b in zip(w2, x, y))
+
+    d = len(basis)
+    mu = [[Fraction(0)] * d for _ in range(d)]
+    gs, norms = [], []
+    for i, b in enumerate(basis):
+        v = [Fraction(x) for x in b]
+        for j in range(i):
+            mu[i][j] = dot(b, gs[j]) / norms[j]
+            v = [x - mu[i][j] * g for x, g in zip(v, gs[j])]
+        gs.append(v)
+        norms.append(dot(v, v))
+    return mu, norms
+
+
+def random_kernel_bases(seed, count, min_dim=2):
+    """Seeded ``(basis, weights)`` pairs: kernels of random integer matrices."""
+    rng = random.Random(seed)
+    while count:
+        c = rng.randint(3, 9)
+        A = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(rng.randint(1, c - 2))]
+        basis = kernel_lattice(A)
+        if len(basis) >= min_dim:
+            count -= 1
+            yield basis, [rng.randint(1, 1000) for _ in range(c)]
+
+
+class TestGramLdl:
+    def test_reproduces_gram_matrix(self):
+        for basis, weights in random_kernel_bases(7, 40, min_dim=1):
+            G = weighted_gram(basis, weights)
+            L, D = gram_ldl(G)
+            d = len(G)
+            for i in range(d):
+                assert L[i][i] == 1 and all(L[i][j] == 0 for j in range(i + 1, d))
+                for j in range(d):
+                    assert sum(L[i][t] * D[t] * L[j][t] for t in range(d)) == G[i][j]
+
+    def test_matches_vector_gram_schmidt(self):
+        for basis, weights in random_kernel_bases(11, 20):
+            L, D = gram_ldl(weighted_gram(basis, weights))
+            mu, norms = weighted_gso(basis, weights)
+            assert D == norms
+            assert all(L[i][j] == mu[i][j] for i in range(len(L)) for j in range(i))
+
+    def test_dependent_basis_raises(self):
+        basis = [[1, 2, 3], [0, 1, 1], [1, 3, 4]]
+        with pytest.raises(ArithmeticError):
+            gram_ldl(weighted_gram(basis))
+
+
 class TestLllReduce:
+    def test_size_reduced_and_lovasz(self):
+        for basis, weights in random_kernel_bases(20240901, 40):
+            reduced = lll_reduce(basis, weights)
+            assert hnf_basis_key(reduced) == hnf_basis_key(basis)
+            mu, norms = weighted_gso(reduced, weights)
+            for i in range(1, len(reduced)):
+                assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+                assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
+
+    def test_dependent_vectors_raise(self):
+        with pytest.raises(ArithmeticError):
+            lll_reduce([[1, 0, 2], [2, 0, 4]], [1, 2, 3])
+
     @given(small_matrix)
     @settings(max_examples=60, deadline=None)
     def test_preserves_kernel_lattices(self, A):

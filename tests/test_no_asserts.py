@@ -5,10 +5,12 @@ import inspect
 
 import pytest
 
-from symdesign import charges, groups, intlinalg, solver
+from symdesign import charges, closedforms, groups, intlinalg, solver
 
 
-@pytest.mark.parametrize("module", [groups, charges, intlinalg, solver], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [groups, charges, closedforms, intlinalg, solver], ids=lambda m: m.__name__
+)
 def test_no_assert_statements(module):
     tree = ast.parse(inspect.getsource(module))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
