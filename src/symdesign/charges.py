@@ -357,8 +357,16 @@ def load_custom_problem(text: str) -> tuple[SectorTable, ChargeMatrix]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "m" not in doc:
         raise ValueError('the problem document must be an object with an "m" key')
-    table = custom_table(list(doc["m"]))  # validates positive integers
-    rows = [[parse_rational(x) for x in row] for row in doc.get("rows", [])]
-    labels = doc.get("labels")
+    m, rows, labels = doc["m"], doc.get("rows", []), doc.get("labels")
+    if not isinstance(m, list):
+        raise ValueError('"m" must be a list of positive integers')
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('"rows" must be a list of lists of rationals')
+    if labels is not None and (
+        not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError('"labels" must be a list of strings')
+    table = custom_table(m)  # validates positive integers
+    rows = [[parse_rational(x) for x in row] for row in rows]
     matrix = custom_matrix(table.multiplicities, rows, row_labels=labels, col_ids=table.ids)
     return table, matrix

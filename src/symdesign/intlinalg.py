@@ -194,38 +194,48 @@ def lll_reduce(basis: list[list[int]], weights: list[int] | None = None) -> list
     """LLL-reduce ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
 
     The vectors must be linearly independent (``ArithmeticError`` otherwise).
-    Only their integer Gram matrix is tracked through the reduction, and the
-    Gram-Schmidt data come from its exact :func:`gram_ldl` (delta = 3/4).
-    The returned vectors span the same lattice; reduction only tightens the
+    The Gram-Schmidt coefficients ``mu`` and squared norms come from one exact
+    :func:`gram_ldl` of the integer Gram matrix and are then updated in place
+    under size reduction and swaps (Cohen, Alg. 2.6.3; delta = 3/4).  The
+    returned vectors span the same lattice; reduction only tightens the
     enumeration radius in the solver, it never changes any answer.
     """
     b = [list(v) for v in basis]
     d = len(b)
     if d <= 1:
         return b
-    G = weighted_gram(b, weights)
+    mu, norms = gram_ldl(weighted_gram(b, weights))
     delta = Fraction(3, 4)
 
-    mu, norms = gram_ldl(G)
     k = 1
     while k < d:
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(mu_k[j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                G[k][k] -= 2 * q * G[k][j] - q * q * G[j][j]
-                for i in range(d):
-                    if i != k:
-                        G[k][i] -= q * G[j][i]
-                        G[i][k] = G[k][i]
-                mu, norms = gram_ldl(G)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mu_j = mu[j]
+                for t in range(j):
+                    mu_k[t] -= mu_j[t] * q
+                mu_k[j] -= q
+        m = mu_k[k - 1]
+        if norms[k] >= (delta - m * m) * norms[k - 1]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            G[k], G[k - 1] = G[k - 1], G[k]
-            for row in G:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            mu, norms = gram_ldl(G)
-            k = max(k - 1, 1)
+            continue
+        # swap b[k-1] and b[k]: only rows k-1, k and columns k-1, k of mu move
+        b[k], b[k - 1] = b[k - 1], b[k]
+        old = norms[k - 1]
+        norms[k - 1] = norms[k] + m * m * old
+        mu_k[k - 1] = m * old / norms[k - 1]
+        norms[k] = old * norms[k] / norms[k - 1]
+        mu_prev = mu[k - 1]
+        for t in range(k - 1):
+            mu_k[t], mu_prev[t] = mu_prev[t], mu_k[t]
+        m_new = mu_k[k - 1]
+        for i in range(k + 1, d):
+            mu_i = mu[i]
+            t = mu_i[k]
+            mu_i[k] = mu_i[k - 1] - m * t
+            mu_i[k - 1] = t + m_new * mu_i[k]
+        k = max(k - 1, 1)
     return b

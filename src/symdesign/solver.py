@@ -10,10 +10,13 @@ trivial).  Two facts make this computable fast:
   norm at least twice that sector's multiplicity (its positive and negative
   parts are equal because the multiplicity vector lies in the row span);
 * within a prefix the problem is a small-dimensional weighted shortest-vector
-  search, solved by branch-and-bound over the exact ``L D L^T`` of the
-  weighted Gram matrix (``intlinalg.gram_ldl``, the factorization the LLL
-  pre-reduction also uses; the Euclidean norm of the weight-rescaled vector
-  lower bounds the weighted one-norm).
+  search: Schnorr-Euchner enumeration of the LLL-reduced basis over the exact
+  ``L D L^T`` of its weighted Gram matrix (``intlinalg.gram_ldl``), scaled to
+  integers by the leading Gram minors so every level test is an integer
+  comparison.  The Euclidean norm of the weight-rescaled vector lower bounds
+  the weighted one-norm, so the radius shrinks to each new incumbent; each
+  level visits its values zig-zag outwards from the center, and only one of
+  each pair ``+-q`` is visited (the top nonzero coefficient is positive).
 
 Both the incumbent certificate and the cutoff rule are exact, so every answer
 returned with ``proven_exact`` is self-certifying.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .charges import (
@@ -171,7 +175,7 @@ def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
 
 
 def _weighted_l1(q, weights) -> int:
-    return sum(w * abs(x) for w, x in zip(weights, q))
+    return sum(map(mul, weights, map(abs, q)))
 
 
 def _normalize_sign(q: list[int]) -> tuple[int, ...]:
@@ -188,21 +192,11 @@ def _normalize_sign(q: list[int]) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _interval(center: Fraction, radius2: Fraction) -> tuple[int, int]:
-    """Integers x with (x - center)^2 <= radius2, computed exactly.
-
-    Writing center = p/q and radius2 = u/v, the endpoints are
-    (p v +- q sqrt(u v)) / (q v); flooring commutes with replacing the inner
-    square root by its integer part, so ``isqrt`` suffices.
-    """
-    if radius2 < 0:
-        return (1, 0)
-    p, q = center.numerator, center.denominator
-    u, v = radius2.numerator, radius2.denominator
-    root = math.isqrt(q * q * u * v)
-    hi = (p * v + root) // (q * v)
-    lo = -((root - p * v) // (q * v))
-    return lo, hi
+def _exact_int(x: Fraction, what: str) -> int:
+    """``x`` as an int; ``ArithmeticError`` if it is not integral."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"{what} is not an integer")
+    return x.numerator
 
 
 def min_weighted_l1(
@@ -228,50 +222,91 @@ def min_weighted_l1(
     basis = lll_reduce(basis, weights)
     d = len(basis)
 
+    # Integer form of the quadratic form x^T G x = sum_i D[i] (x_i +
+    # sum_{t>i} L[t][i] x_t)^2 of the reduced basis.  With the leading minors
+    # P[0] = 1, P[i+1] = P[i] D[i] and lam[t][i] = L[t][i] P[i+1], the level-i
+    # term is y^2 / (P[i] P[i+1]) for the integer y = x_i P[i+1] +
+    # sum_{t>i} lam[t][i] x_t; multiplying by C = lcm(P[i] P[i+1]) makes every
+    # term and the squared radius integers.
+    L, D = gram_ldl(weighted_gram(basis, weights))
+    P = [1]
+    for pivot in D:
+        P.append(_exact_int(P[-1] * pivot, "a leading Gram minor"))
+    lam = [
+        [_exact_int(L[t][i] * P[i + 1], "a scaled Gram-Schmidt coefficient") for i in range(t)]
+        for t in range(d)
+    ]
+    C = math.lcm(*(P[i] * P[i + 1] for i in range(d)))
+    scale = [C // (P[i] * P[i + 1]) for i in range(d)]
+
     best: Optional[int] = None
     best_q: Optional[tuple[int, ...]] = None
+    cap = 0  # C * radius^2; the radius is the incumbent's norm, or upper before one exists
 
     def consider(vec):
-        nonlocal best, best_q
+        nonlocal best, best_q, cap
         norm = _weighted_l1(vec, weights)
-        if norm == 0:
+        # a vector longer than the incumbent (or the cap) cannot win, not even
+        # divided by its content: that primitive vector is enumerated itself
+        limit = upper if best is None else best
+        if norm == 0 or (limit is not None and norm > limit):
             return
-        if upper is not None and norm > upper:
-            return
-        q = _normalize_sign(list(vec))
+        q = _normalize_sign(vec)
         norm = _weighted_l1(q, weights)
         if best is None or norm < best or (norm == best and q < best_q):
             best, best_q = norm, q
+            cap = C * norm * norm
 
     for b in basis:
         consider(b)
+    # the basis vectors are nonzero, so without an incumbent the caller's cap is set
+    if best is None:
+        cap = _exact_int(C * Fraction(upper) ** 2, "the scaled radius")
 
-    # radius: nothing better than the incumbent (or the caller's cap) matters;
-    # the basis vectors are nonzero, so at least one of the two is set
-    radius = upper if best is None else best
-    L, D = gram_ldl(weighted_gram(basis, weights))
     coeff = [0] * d
 
-    def descend(level: int, rem: Fraction):
-        # levels run d-1 .. 0; partial sums use the LDL^T quadratic form
-        center = -sum(L[t][level] * coeff[t] for t in range(level + 1, d))
-        lo, hi = _interval(center, rem / D[level])
-        for x in range(lo, hi + 1):
-            coeff[level] = x
-            if level == 0:
-                if any(coeff):
-                    q = [0] * len(basis[0])
-                    for t in range(d):
-                        if coeff[t]:
-                            for j in range(len(q)):
-                                q[j] += coeff[t] * basis[t][j]
-                    consider(q)
+    def search(level: int, used: int, partial: list[int], top: bool):
+        # partial = sum of coeff[t] * basis[t] over t > level, and top says
+        # all those coefficients are zero; used is the scaled form above level
+        p = P[level + 1]
+        c = scale[level]
+        s = 0
+        for t in range(level + 1, d):
+            if coeff[t]:
+                s += lam[t][level] * coeff[t]
+        # zig-zag outwards from the center -s/p: x = lo, lo-1, ... have y <= 0
+        # and x = hi, hi+1, ... have y > 0; always take the smaller |y|.  The
+        # cap only shrinks, so a side that leaves the radius stays closed.
+        lo = -s // p
+        hi = lo + 1
+        down = up = True
+        while True:
+            rem = cap - used
+            if down:
+                y_lo = lo * p + s
+                down = y_lo * y_lo * c <= rem
+            if up:
+                y_hi = hi * p + s
+                up = y_hi * y_hi * c <= rem
+            if down and (not up or -y_lo <= y_hi):
+                x, y = lo, y_lo
+                lo -= 1
+                # sign symmetry: the top nonzero coefficient is positive
+                down = not top
+            elif up:
+                x, y = hi, y_hi
+                hi += 1
             else:
-                used = D[level] * (Fraction(x) - center) ** 2
-                descend(level - 1, rem - used)
+                break
+            coeff[level] = x
+            vec = partial if x == 0 else [a + x * b for a, b in zip(partial, basis[level])]
+            if level:
+                search(level - 1, used + y * y * c, vec, top and x == 0)
+            elif not (top and x == 0):
+                consider(vec)
         coeff[level] = 0
 
-    descend(d - 1, Fraction(radius) ** 2)
+    search(d - 1, 0, [0] * len(basis[0]), True)
 
     if best is None:
         return None

@@ -182,23 +182,33 @@ class TestCustomCommand:
         assert re.search(r"line \d+, column \d+", err)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, key",
         [
-            '{"m": [4, 4], "rows": [["1/0", "1"]]}',  # zero denominator
-            '{"m": []}',  # no sectors
-            '{"m": [true, 2]}',  # boolean multiplicity
-            '{"m": [1, 2], "rows": [[true, 1]]}',  # boolean row entry
-            '{"m": [Infinity]}',  # infinite multiplicity
-            '{"m": [1e400, 2]}',  # multiplicity that overflows to infinity
+            pytest.param(doc, key, id=doc)
+            for doc, key in [
+                ('{"m": [4, 4], "rows": [["1/0", "1"]]}', None),  # zero denominator
+                ('{"m": []}', None),  # no sectors
+                ('{"m": [true, 2]}', None),  # boolean multiplicity
+                ('{"m": [1, 2], "rows": [[true, 1]]}', None),  # boolean row entry
+                ('{"m": [Infinity]}', None),  # infinite multiplicity
+                ('{"m": [1e400, 2]}', None),  # multiplicity that overflows to infinity
+                ('{"m": 5}', '"m"'),  # multiplicities not a list
+                ('{"m": [1, 2], "rows": [1]}', '"rows"'),  # a row that is not a list
+                ('{"m": [1, 2], "rows": "ab"}', '"rows"'),  # rows not a list
+                ('{"m": [1, 2], "labels": 5}', '"labels"'),  # labels not a list
+                ('{"m": [1, 2], "rows": [[1, 1]], "labels": [7]}', '"labels"'),  # not strings
+            ]
         ],
     )
-    def test_malformed_document_exits_3(self, capsys, tmp_path, doc):
+    def test_malformed_document_exits_3(self, capsys, tmp_path, doc, key):
         path = tmp_path / "bad.json"
         path.write_text(doc)
         code, out, err = run_cli(capsys, "custom", str(path))
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+        if key is not None:
+            assert key in err
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "custom", str(tmp_path / "nope.json"))

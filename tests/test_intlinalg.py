@@ -211,6 +211,44 @@ class TestGramLdl:
             gram_ldl(weighted_gram(basis))
 
 
+def lll_reduce_refactoring(basis, weights=None):
+    """Reference LLL that refactors the whole Gram matrix after every step.
+
+    Same moves and the same exact arithmetic as :func:`lll_reduce`, but ``mu``
+    and the norms come from a fresh :func:`gram_ldl` each time, so the
+    in-place updates of the library routine must reproduce its bases exactly.
+    """
+    b = [list(v) for v in basis]
+    d = len(b)
+    if d <= 1:
+        return b
+    G = weighted_gram(b, weights)
+    delta = Fraction(3, 4)
+    mu, norms = gram_ldl(G)
+    k = 1
+    while k < d:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                G[k][k] -= 2 * q * G[k][j] - q * q * G[j][j]
+                for i in range(d):
+                    if i != k:
+                        G[k][i] -= q * G[j][i]
+                        G[i][k] = G[k][i]
+                mu, norms = gram_ldl(G)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            G[k], G[k - 1] = G[k - 1], G[k]
+            for row in G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            mu, norms = gram_ldl(G)
+            k = max(k - 1, 1)
+    return b
+
+
 class TestLllReduce:
     def test_size_reduced_and_lovasz(self):
         for basis, weights in random_kernel_bases(20240901, 40):
@@ -221,9 +259,30 @@ class TestLllReduce:
                 assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
                 assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
 
+    def test_matches_full_refactoring(self):
+        # kernel dimension 2..10 under weights up to 10^6; every fifth unweighted
+        rng = random.Random(20261018)
+        count = 0
+        while count < 200:
+            dim = rng.randint(2, 10)
+            c = dim + rng.randint(1, 2)
+            A = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(c - dim)]
+            basis = kernel_lattice(A)
+            if len(basis) != dim:
+                continue
+            weights = None if count % 5 == 0 else [rng.randint(1, 10**6) for _ in range(c)]
+            assert lll_reduce(basis, weights) == lll_reduce_refactoring(basis, weights)
+            count += 1
+
     def test_dependent_vectors_raise(self):
         with pytest.raises(ArithmeticError):
             lll_reduce([[1, 0, 2], [2, 0, 4]], [1, 2, 3])
+
+    @pytest.mark.parametrize("weights", [None, [5, 1, 7]])
+    def test_dependent_basis_raises(self, weights):
+        # the third vector is the sum of the first two
+        with pytest.raises(ArithmeticError):
+            lll_reduce([[1, 2, 3], [0, 1, 1], [1, 3, 4]], weights)
 
     @given(small_matrix)
     @settings(max_examples=60, deadline=None)

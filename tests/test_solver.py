@@ -1,5 +1,7 @@
 """Lower bounds, exact design orders, enumeration, and certificate checks."""
 
+import json
+import random
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from symdesign import (
     compute_tmax,
     custom_matrix,
     kernel_lattice,
+    load_custom_problem,
     lower_bound,
     min_weighted_l1,
     sectors,
@@ -121,6 +124,102 @@ class TestMinWeightedL1:
             assert got.weighted_norm == reference.weighted_norm
 
 
+def kernel_vectors_in_ball(A, weights, radius):
+    """Every nonzero ``q`` with ``sum(w |q_i|) <= radius`` and ``A q = 0``.
+
+    Complete by construction: it visits each integer point of the weighted
+    one-norm ball, so it needs no lattice machinery at all.
+    """
+    found = []
+    q = [0] * len(weights)
+
+    def rec(i, budget):
+        if i == len(q):
+            if any(q) and all(sum(a * x for a, x in zip(row, q)) == 0 for row in A):
+                found.append(tuple(q))
+            return
+        reach = budget // weights[i]
+        for x in range(-reach, reach + 1):
+            q[i] = x
+            rec(i + 1, budget - weights[i] * abs(x))
+        q[i] = 0
+
+    rec(0, radius)
+    return found
+
+
+def ball_size(weights, radius) -> int:
+    """Number of integer points with ``sum(w |q_i|) <= radius``."""
+    counts = [1] * (radius + 1)  # counts[b]: points of the empty suffix within budget b
+    for w in reversed(weights):
+        counts = [
+            sum(counts[b - w * abs(x)] for x in range(-(b // w), b // w + 1))
+            for b in range(radius + 1)
+        ]
+    return counts[radius]
+
+
+def check_against_oracle(A, weights) -> tuple[bool, bool]:
+    """Compare :func:`min_weighted_l1` on the kernel of ``A`` with the complete oracle.
+
+    The oracle radius is the best norm among the kernel basis vectors.
+    Returns whether the optimum is tied and whether it beats every basis vector.
+    """
+    basis = kernel_lattice(A)
+    radius = min(sum(w * abs(x) for w, x in zip(weights, b)) for b in basis)
+    candidates = {}
+    for q in kernel_vectors_in_ball(A, weights, radius):
+        if next(x for x in q if x) > 0:  # one of each pair +-q
+            candidates.setdefault(sum(w * abs(x) for w, x in zip(weights, q)), []).append(q)
+    best = min(candidates)
+    cert = min_weighted_l1(basis, weights)
+    assert cert.weighted_norm == best
+    assert cert.q == min(candidates[best])
+    assert min_weighted_l1(basis, weights, upper=best) == cert
+    assert min_weighted_l1(basis, weights, upper=best - 1) is None
+    return len(candidates[best]) > 1, best < radius
+
+
+class TestMinWeightedL1Oracle:
+    def test_matches_complete_oracle(self):
+        rng = random.Random(20261018)
+        checked = ties = shorter = 0
+        while checked < 100:
+            c = rng.randint(4, 7)
+            A = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(rng.randint(1, c - 2))]
+            weights = [rng.randint(1, 4) for _ in range(c)]
+            basis = kernel_lattice(A)
+            if not basis:
+                continue
+            radius = min(sum(w * abs(x) for w, x in zip(weights, b)) for b in basis)
+            if ball_size(weights, radius) > 20_000:
+                continue
+            tied, beats_basis = check_against_oracle(A, weights)
+            ties += tied
+            shorter += beats_basis
+            checked += 1
+        # the seeded set exercises tie-breaking and optima that beat every basis vector
+        assert ties >= 10 and shorter >= 10
+
+    @pytest.mark.parametrize(
+        "A, weights",
+        [
+            ([[-1, 2, -3, 1]], [4, 1, 4, 3]),
+            (
+                [[0, 0, -2, 2, -1, -1], [2, -1, -2, 1, -1, -2], [3, -1, -2, -1, 0, -2]],
+                [2, 1, 3, 1, 4, 3],
+            ),
+            ([[-3, -2, -3, -1, -3], [1, 3, 0, -1, -3]], [1, 3, 4, 4, 1]),
+            ([[1, -3, 0, 3, 2, -1, 2], [0, 3, -3, 3, 1, 2, 2]], [4, 4, 4, 4, 3, 3, 1]),
+        ],
+    )
+    def test_optimum_far_below_the_center(self, A, weights):
+        # rare members of the seeded family above whose optimum needs, at some
+        # level, a coefficient below the floor of that level's center: a
+        # zig-zag that stops going down after its first value misses them
+        check_against_oracle(A, weights)
+
+
 class TestTmaxExact:
     def test_u1_n3_k1_certificate(self):
         result, table, _ = compute_tmax(U1, 3, 1, assume_semiuniversal=True)
@@ -205,6 +304,41 @@ class TestTmaxExact:
         for group, n, k in [(U1, 10, 2), (U1, 9, 4), (SU2, 14, 3), (zp(4), 9, 4)]:
             result, _, _ = compute_tmax(group, n, k)
             assert result.lower_bound <= result.tmax
+
+
+class TestHardKernelCertificates:
+    """Certificates of kernels where LLL and the enumeration do all the work.
+
+    The closed form for U1 holds only from n = 5120 (k = 18) and n = 11264
+    (k = 20) on, so the exact certificates are pinned instead: the optimum
+    is unique (ties go to the lexicographically smallest ``q``), so any
+    change in them is a bug.
+    """
+
+    @pytest.mark.parametrize(
+        "n, k, tmax",
+        [(26, 18, 33554431), (30, 20, 536870911)],
+    )
+    def test_u1(self, n, k, tmax):
+        result, table, matrix = compute_tmax(U1, n, k)
+        assert result.tmax == tmax
+        # the n + 1 sectors in canonical order carry the signs + + - - + + - - ...
+        assert result.certificate.q == tuple((1, 1, -1, -1)[i % 4] for i in range(n + 1))
+        assert result.certificate.weighted_norm == 2 * (tmax + 1)
+        assert verify_certificate(result.certificate, matrix, table)
+
+    def test_custom_12x3(self):
+        # multiplicities 1..10^6 and charges -50..50, solved as `symdesign custom` does
+        rng = random.Random(1)
+        m = [rng.randint(1, 10**6) for _ in range(12)]
+        rows = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(3)]
+        table, matrix = load_custom_problem(json.dumps({"m": m, "rows": rows}))
+        table = canonical_order(table)
+        matrix = matrix.aligned_to(table)
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
+        assert result.tmax == 17812250
+        assert result.certificate.q == (22, 18, -1, -10, -6, -7, -6, 5, -7, 3, 3, 7)
+        assert verify_certificate(result.certificate, matrix, table)
 
 
 class TestVerifyCertificate:
