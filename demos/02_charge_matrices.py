@@ -13,8 +13,8 @@ Run:  python demos/02_charge_matrices.py
 
 from symdesign import (
     U1,
-    build_charge_matrix,
     canonical_order,
+    charge_matrix,
     kernel_lattice,
     load_custom_problem,
     lower_bound,
@@ -38,9 +38,10 @@ print("canonical order:", [(e.irrep.label, e.multiplicity) for e in table.sector
 ###############################################################################
 # Step 3: the charge matrix.  Row v, column w holds the number of ways the
 # remaining n-k qubits absorb the weight difference w - v; its rational row
-# span is exactly the reachable charge directions.
+# span is exactly the reachable charge directions.  It is built over the
+# canonically ordered table's columns.
 
-matrix = build_charge_matrix(U1, n, k).aligned_to(table)
+matrix = charge_matrix(table, k)
 print("\ncharge matrix (rows = k-site irreps, columns = canonical sectors)")
 print("        " + "  ".join(f"{i.label:>4}" for i in matrix.col_ids))
 for label, row in zip(matrix.row_labels, matrix.rows):

@@ -149,25 +149,40 @@ def _char_rec(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChargeMatrix:
-    """Exact matrix with one row per gate charge vector and one column per sector."""
+    """Exact matrix with one row per gate charge vector and one column per sector.
 
-    row_labels: tuple
-    col_ids: tuple
-    rows: tuple[tuple, ...]
-    group: GroupSpec | None = None
-    n: int | None = None
-    k: int | None = None
+    Solvers read it a column at a time through :meth:`column`; ``A[i]`` is
+    row ``i`` and iterating yields the rows.
+    """
 
-    def __post_init__(self):
-        for row in self.rows:
+    def __init__(self, row_labels, col_ids, rows, group=None, n=None, k=None):
+        self.row_labels = tuple(row_labels)
+        self.col_ids = tuple(col_ids)
+        self.group: GroupSpec | None = group
+        self.n: int | None = n
+        self.k: int | None = k
+        self._rows = tuple(tuple(row) for row in rows)
+        for row in self._rows:
             if len(row) != len(self.col_ids):
                 raise ValueError("row length must equal the number of sector columns")
 
     @property
+    def rows(self) -> tuple[tuple, ...]:
+        return self._rows
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.col_ids))
+        return (len(self.row_labels), len(self.col_ids))
+
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self._rows)
+
+    def __getitem__(self, i: int) -> tuple:
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
 
     def aligned_to(self, table: SectorTable) -> "ChargeMatrix":
         """Permute columns to match ``table``'s sector order."""
@@ -182,22 +197,55 @@ class ChargeMatrix:
         return [list(r) for r in self.rows]
 
 
-def build_charge_matrix(
-    group: GroupSpec, n: int, k: int, classes: list[CycleType] | None = None
-) -> ChargeMatrix:
-    """Charge matrix of ``k``-local symmetric gates on ``n`` sites.
+class CharacterMatrix(ChargeMatrix):
+    """S_n characters of the sectors' partitions on the given classes, built lazily.
 
-    Columns follow the natural order of :func:`symdesign.groups.sectors`; use
-    :meth:`ChargeMatrix.aligned_to` to match a canonically ordered table.
-    ``classes`` restricts the SU(d) character rows to a subset of the
-    ``k``-local conjugacy classes (see :func:`character_matrix`); it is an
-    error for any other group.
+    A column (one character per class) is computed the first time it is read
+    and kept; the multiplicity-ordered scan reads only a short prefix.
+    Reading :attr:`rows` builds every column.
     """
-    if classes is not None:
-        return character_matrix(group, n, k, classes)
+
+    def __init__(self, table: SectorTable, k: int, classes):
+        self.row_labels = tuple(classes)
+        self.col_ids = table.ids
+        self.group, self.n, self.k = table.group, table.n, k
+        self._parts = [e.irrep.parts for e in table.sectors]
+        self._cycles = [cls.cycles for cls in self.row_labels]
+        self._columns: dict[int, tuple[int, ...]] = {}
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*map(self.column, range(len(self.col_ids)))))
+
+    def column(self, j: int) -> tuple[int, ...]:
+        col = self._columns.get(j)
+        if col is None:
+            parts = self._parts[j]
+            col = self._columns[j] = tuple(_char_rec(parts, c) for c in self._cycles)
+        return col
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        # one row without building the columns: the identity class row is the
+        # multiplicities, which sector enumeration already cached
+        cycles = self._cycles[i]
+        return tuple(_char_rec(parts, cycles) for parts in self._parts)
+
+
+def charge_matrix(
+    table: SectorTable, k: int, classes: list[CycleType] | None = None
+) -> ChargeMatrix:
+    """Charge matrix of ``k``-local symmetric gates over ``table``'s columns, in its order.
+
+    ``table`` lists the sectors of a built-in group on ``n`` sites, in any
+    order.  ``classes`` restricts the SU(d) character rows to a subset of the
+    ``k``-local conjugacy classes (see :func:`character_matrix`); it is an
+    error for any other group.  SU(d) columns are computed on first read.
+    """
+    group, n = table.group, table.n
+    if classes is not None and group.kind != "SUd":
+        raise ValueError("character matrices describe SU(d) problems")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    table = sectors(group, n)
     if group.kind == "U1":
         rows = tuple(
             tuple(_binom0(n - k, e.irrep.w - v) for e in table.sectors) for v in range(k + 1)
@@ -217,10 +265,31 @@ def build_charge_matrix(
         )
         labels = tuple(Residue(alpha) for alpha in range(p))
     elif group.kind == "SUd":
-        return character_matrix(group, n, k)
+        if classes is None:
+            classes = conjugacy_classes(k)
+        # support <= k <= n and sectors of n boxes are what sn_character
+        # checks on every entry; the lazy columns call _char_rec directly
+        for cls in classes:
+            if cls.support > k:
+                raise ValueError(f"class {cls.label} needs support {cls.support} > k = {k}")
+        if any(sum(e.irrep.parts) != n for e in table.sectors):
+            raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
+        return CharacterMatrix(table, k, classes)
     else:
         raise ValueError("use custom_matrix for user-supplied problems")
     return ChargeMatrix(labels, table.ids, rows, group, n, k)
+
+
+def build_charge_matrix(
+    group: GroupSpec, n: int, k: int, classes: list[CycleType] | None = None
+) -> ChargeMatrix:
+    """Charge matrix of ``k``-local symmetric gates on ``n`` sites.
+
+    Columns follow the natural order of :func:`symdesign.groups.sectors`;
+    :func:`charge_matrix` builds over a table in any other order.
+    ``classes`` restricts the SU(d) character rows (see :func:`character_matrix`).
+    """
+    return charge_matrix(sectors(group, n), k, classes)
 
 
 def _binom0(a: int, b: int) -> int:
@@ -247,20 +316,13 @@ def character_matrix(
     The default row set is every cycle type with support <= k.  Restricting
     ``classes`` models gate sets generating only part of the ``k``-local
     permutations (for example dropping the 4-cycle row realizes 3-local gates
-    amended by a product of two disjoint transpositions).
+    amended by a product of two disjoint transpositions).  Columns follow the
+    natural order of :func:`symdesign.groups.sectors` and are computed on
+    first read.
     """
     if group.kind != "SUd":
         raise ValueError("character matrices describe SU(d) problems")
-    if classes is None:
-        classes = conjugacy_classes(k)
-    for cls in classes:
-        if cls.support > k:
-            raise ValueError(f"class {cls.label} needs support {cls.support} > k = {k}")
-    table = sectors(group, n)
-    rows = tuple(
-        tuple(sn_character(e.irrep.parts, cls) for e in table.sectors) for cls in classes
-    )
-    return ChargeMatrix(tuple(classes), table.ids, rows, group, n, k)
+    return charge_matrix(sectors(group, n), k, classes)
 
 
 def row_span_witness(A: ChargeMatrix) -> list[int]:
@@ -293,12 +355,13 @@ def row_span_witness(A: ChargeMatrix) -> list[int]:
 def multiplicity_in_row_span(m, rows, witness=None) -> bool:
     """Exact test that the multiplicity vector ``m`` lies in the rational row span.
 
-    When the ``witness`` weights satisfy ``witness^T rows == m`` that product,
-    computed in O(rows * cols), is the proof.  Otherwise one exact echelon
-    over the rows decides.
+    ``rows`` is a list of rows or a :class:`ChargeMatrix`.  When the
+    ``witness`` weights satisfy ``witness^T rows == m`` that product,
+    computed in O(rows * cols) from the rows of nonzero weight only, is the
+    proof.  Otherwise one exact echelon over all the rows decides.
     """
     if witness is not None:
-        weighted = [(y, row) for y, row in zip(witness, rows) if y]
+        weighted = [(y, rows[i]) for i, y in enumerate(witness) if y]
         if all(sum(y * row[j] for y, row in weighted) == mj for j, mj in enumerate(m)):
             return True
     ech = Echelon()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .charges import build_charge_matrix, sn_character
+from .charges import charge_matrix, sn_character
 from .closedforms import (
     double_factorial,
     su2_a_norm,
@@ -201,7 +201,7 @@ def solver_brute() -> Tally:
             kmin = group.p if group.kind == "Zp" else 1
             for k in range(kmin, n + 1):
                 table = canonical_order(sectors(group, n))
-                matrix = build_charge_matrix(group, n, k).aligned_to(table)
+                matrix = charge_matrix(table, k)
                 if len(kernel_lattice(matrix.row_lists())) > 3:
                     continue
                 exact = tmax_exact(matrix, table, assume_semiuniversal=True)

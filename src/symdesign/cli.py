@@ -25,7 +25,13 @@ import json
 import sys
 import time
 
-from .charges import CycleType, build_charge_matrix, conjugacy_classes, load_custom_problem
+from .charges import (
+    CycleType,
+    build_charge_matrix,
+    charge_matrix,
+    conjugacy_classes,
+    load_custom_problem,
+)
 from .closedforms import closed_tmax
 from .groups import GroupSpec, canonical_order, sectors, sud, zp, U1, SU2
 from .infinity import INFINITE, is_finite
@@ -63,9 +69,13 @@ def _parse_classes(text: str | None) -> list[CycleType] | None:
     if not text:
         return None
     try:
-        return [_parse_class(token) for token in text.split(",")]
+        classes = [_parse_class(token) for token in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad --classes entry: {exc}") from None
+    for i, cls in enumerate(classes):
+        if cls in classes[:i]:
+            raise ParseError(f"bad --classes entry: class {cls.label} is listed twice")
+    return classes
 
 
 def _parse_class(token: str) -> CycleType:
@@ -172,7 +182,7 @@ def cmd_lower_bound(args) -> int:
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
     table = canonical_order(sectors(group, args.n))
-    matrix = build_charge_matrix(group, args.n, args.k, classes).aligned_to(table)
+    matrix = charge_matrix(table, args.k, classes)
     started = time.perf_counter()
     lb = lower_bound(matrix, table)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

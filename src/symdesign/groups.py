@@ -20,7 +20,7 @@ Built-in symmetries:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterator, Union
 
@@ -152,17 +152,21 @@ class SectorEntry:
 
 @dataclass(frozen=True)
 class SectorTable:
-    """Ordered list of irrep sectors with exact multiplicities and dimensions."""
+    """Ordered list of irrep sectors with exact multiplicities and dimensions.
+
+    ``ids`` and ``multiplicities`` are computed once per table (the solver
+    reads them on every check), which a frozen dataclass without slots allows.
+    """
 
     group: GroupSpec
     n: int
     sectors: tuple[SectorEntry, ...]
 
-    @property
+    @cached_property
     def ids(self) -> tuple[IrrepId, ...]:
         return tuple(e.irrep for e in self.sectors)
 
-    @property
+    @cached_property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(e.multiplicity for e in self.sectors)
 

@@ -33,14 +33,14 @@ from typing import Optional
 from .charges import (
     ChargeMatrix,
     CycleType,
-    build_charge_matrix,
+    charge_matrix,
     conjugacy_classes,
     multiplicity_in_row_span,
     row_span_witness,
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, gram_ldl, kernel_lattice, lll_reduce, mat_vec, weighted_gram
+from .intlinalg import Echelon, gram_ldl, kernel_lattice, lll_reduce, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,9 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
 
 
 def _check_row_span(A: ChargeMatrix, table: SectorTable):
-    # the support cutoff of the scan relies on m lying in the row span
-    if not multiplicity_in_row_span(table.multiplicities, A.rows, row_span_witness(A)):
+    # the lower bound and the support cutoff of the scan rely on m lying in
+    # the row span; the witness reads only its rows of nonzero weight
+    if not multiplicity_in_row_span(table.multiplicities, A, row_span_witness(A)):
         raise ValueError(
             "the multiplicity vector is outside the rational row span; add the "
             "identity row (custom_matrix does this automatically)"
@@ -140,12 +141,13 @@ def _check_row_span(A: ChargeMatrix, table: SectorTable):
 # ---------------------------------------------------------------------------
 
 
-def _prefix_scan(rows, length: int):
-    """Yield ``(idx, kernel dimension of the columns 0..idx)`` for each prefix."""
+def _prefix_scan(A: ChargeMatrix, length: int):
+    """Yield ``(idx, column idx, kernel dimension of the columns 0..idx)`` per prefix."""
     ech = Echelon()
     for idx in range(length):
-        ech.add([row[idx] for row in rows])
-        yield idx, idx + 1 - ech.rank
+        col = A.column(idx)
+        ech.add(col)
+        yield idx, col, idx + 1 - ech.rank
 
 
 def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
@@ -155,11 +157,13 @@ def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
     ``ell`` where the restricted matrix has column rank ``ell - 1`` yields the
     bound ``m[ell] - 1`` on the design order; if every prefix (including all
     sectors) has full column rank the order is unbounded.  :func:`tmax_exact`
-    reports the same bound from its own scan.
+    reports the same bound from its own scan; like it, this needs the
+    multiplicity vector in the rational row span of ``A``.
     """
     _check_alignment(A, table)
     _check_canonical(table)
-    for idx, dim in _prefix_scan(A.rows, len(table)):
+    _check_row_span(A, table)
+    for idx, _col, dim in _prefix_scan(A, len(table)):
         if dim:
             return LowerBoundResult(
                 ell=idx + 1,
@@ -338,18 +342,19 @@ def tmax_exact(
     assumed = _check_semiuniversal(A, assume_semiuniversal)
     _check_row_span(A, table)
 
-    rows = A.rows
     mults = table.multiplicities
     L = len(table)
     bound = INFINITE
     best: Optional[Certificate] = None
     kernel_dim = 0
-    for idx, new_dim in _prefix_scan(rows, L):
+    cols = []
+    for idx, col, new_dim in _prefix_scan(A, L):
+        cols.append(col)
         if new_dim > kernel_dim:
             if kernel_dim == 0:
                 bound = mults[idx] - 1
             kernel_dim = new_dim
-            basis = kernel_lattice([row[: idx + 1] for row in rows])
+            basis = kernel_lattice([list(row) for row in zip(*cols)])
             if len(basis) != new_dim:
                 raise ArithmeticError("kernel basis size disagrees with the echelon rank")
             cand = min_weighted_l1(
@@ -386,13 +391,22 @@ def tmax_exact(
 
 
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:
-    """Re-derive every certificate property from scratch."""
+    """Re-derive every certificate property from scratch.
+
+    ``A q = 0`` is checked as the sum of ``q_j`` times column ``j`` over the
+    support of ``q``: the other columns are multiplied by zero.
+    """
     q = list(cert.q)
-    if len(q) != len(table) or A.shape[1] != len(table):
+    rows, cols = A.shape
+    if len(q) != len(table) or cols != len(table):
         return False
     if all(x == 0 for x in q):
         return False
-    if any(x != 0 for x in mat_vec(A.row_lists(), q)):
+    Aq = [0] * rows
+    for j, x in enumerate(q):
+        if x:
+            Aq = [acc + x * a for acc, a in zip(Aq, A.column(j))]
+    if any(Aq):
         return False
     mults = table.multiplicities
     if sum(m * x for m, x in zip(mults, q)) != 0:
@@ -463,10 +477,12 @@ def compute_tmax(
 ) -> tuple[TmaxResult, SectorTable, ChargeMatrix]:
     """End-to-end solve: sectors, canonical order, charge matrix, exact search.
 
+    The charge matrix is built over the columns of the canonically ordered
+    table (SU(d) columns on first read, so the scan computes only its prefix).
     ``classes`` restricts the SU(d) character rows to a subset of the
     ``k``-local conjugacy classes (amended or reduced gate sets).
     """
     table = canonical_order(sectors(group, n))
-    A = build_charge_matrix(group, n, k, classes).aligned_to(table)
+    A = charge_matrix(table, k, classes)
     result = tmax_exact(A, table, assume_semiuniversal=assume_semiuniversal)
     return result, table, A

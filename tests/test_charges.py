@@ -317,6 +317,21 @@ class TestBuildChargeMatrix:
             build_charge_matrix(U1, 3, 0)
         with pytest.raises(ValueError):
             build_charge_matrix(U1, 3, 4)
+        # explicit classes get the same check, before any column is computed
+        ident, swap, cycle3 = CycleType(()), CycleType((2,)), CycleType((3,))
+        for n, k, classes in [(2, 5, [ident, swap, cycle3]), (3, 0, [ident])]:
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                character_matrix(sud(3), n, k, classes)
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                build_charge_matrix(sud(3), n, k, classes)
+
+    def test_sud_table_partitions_must_have_n_boxes(self):
+        # a lazy column skips sn_character, so the table is checked up front
+        from symdesign import SectorTable, charge_matrix
+
+        table = SectorTable(sud(3), 5, sectors(sud(3), 4).sectors)
+        with pytest.raises(ValueError, match="partitions of n"):
+            charge_matrix(table, 5)
 
     def test_class_support_exceeds_k(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,18 @@ class TestTmaxCommand:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "classes, label", [("id,2,3,id", "(1)"), ("2,3,2+2,(12)(34)", "(12)(34)")]
+    )
+    def test_duplicate_classes_exit_3(self, capsys, classes, label):
+        code, out, err = run_cli(
+            capsys, "smatrix", "--group", "sud", "--d", "3", "--n", "6", "--k", "4",
+            "--classes", classes, "--format", "json",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and label in err
+
     def test_classes_on_non_sud_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "tmax", "--group", "u1", "--n", "6", "--k", "2", "--classes", "id,2",
@@ -83,6 +99,20 @@ class TestTmaxCommand:
         _, out2, _ = run_cli(capsys, *args)
         strip = lambda s: re.sub(r'"ms": [0-9.]+', '"ms": 0', s)
         assert strip(out1) == strip(out2)
+
+
+@pytest.mark.parametrize("command", ["tmax", "lower-bound", "smatrix"])
+@pytest.mark.parametrize(
+    "n, k, classes", [("2", "5", "id,2,3"), ("3", "0", "id"), ("6", "0", None)]
+)
+def test_locality_out_of_range_exits_2(capsys, command, n, k, classes):
+    argv = [command, "--group", "sud", "--d", "3", "--n", n, "--k", k]
+    if classes is not None:
+        argv += ["--classes", classes]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "need 1 <= k <= n" in err
 
 
 class TestSmatrixCommand:
@@ -116,6 +146,51 @@ class TestLowerBoundCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["ell"] == 4 and doc["bound"] == 4 and doc["sector"] == "w=4"
+
+    def test_outside_row_span_exits_2(self, capsys):
+        # without the identity class the bound m[ell] - 1 does not hold, as
+        # for tmax --assume-semiuniversal on the same instance
+        for argv in (
+            ["lower-bound"],
+            ["tmax", "--assume-semiuniversal"],
+        ):
+            code, out, err = run_cli(
+                capsys, *argv, "--group", "sud", "--d", "3", "--n", "6", "--k", "3",
+                "--classes", "2,3",
+            )
+            assert code == 2
+            assert out == ""
+            assert "row span" in err
+
+
+class TestOptimizedInterpreter:
+    """No invariant of the solving path lives in an ``assert`` (removed by ``-O``)."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run(self, *flags_and_argv):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, *flags_and_argv],
+            cwd=self.ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        return [line for line in proc.stdout.splitlines() if not line.startswith("ms = ")]
+
+    @pytest.mark.parametrize("command", ["tmax", "lower-bound"])
+    def test_same_stdout_with_and_without_O(self, command):
+        argv = [
+            "-m", "symdesign.cli", command, "--group", "sud", "--d", "4", "--n", "24",
+            "--k", "4", "--classes", "id,2,3,2+2",
+        ]
+        plain = self.run(*argv)
+        assert "n = 24" in plain
+        assert plain == self.run("-O", *argv)
 
 
 class TestTableCommand:

@@ -1,6 +1,7 @@
 """Lower bounds, exact design orders, enumeration, and certificate checks."""
 
 import json
+import math
 import random
 from itertools import product
 
@@ -27,6 +28,8 @@ from symdesign import (
     verify_certificate,
     zp,
 )
+from symdesign import charges, groups, solver
+from symdesign.charges import T_GROUP_CLASSES, CharacterMatrix, CycleType, sn_character
 from symdesign.groups import HammingWeight
 
 
@@ -59,6 +62,16 @@ class TestLowerBound:
         matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
         lb = lower_bound(matrix, table)
         assert lb.bound == n - 2
+
+    def test_multiplicities_outside_row_span_rejected(self):
+        # the bound m[ell] - 1 holds only for balanced kernel vectors, which
+        # needs m in the row span: (2) and (3) alone do not constrain traces
+        from symdesign import character_matrix
+
+        table = canonical_order(sectors(sud(3), 6))
+        chi = character_matrix(sud(3), 6, 3, [CycleType((2,)), CycleType((3,))])
+        with pytest.raises(ValueError, match="row span"):
+            lower_bound(chi.aligned_to(table), table)
 
     def test_misaligned(self):
         table = canonical_order(sectors(U1, 5))
@@ -382,6 +395,73 @@ class TestVerifyCertificate:
         q = (1, -1, 0, 0, 0)
         cert = Certificate(q=q, weighted_norm=2, support=(table.ids[0], table.ids[1]))
         assert not verify_certificate(cert, matrix, table)
+
+
+def _count_column_reads(monkeypatch) -> set:
+    """Record every column index a character matrix is asked for."""
+    read = set()
+    column = CharacterMatrix.column
+    monkeypatch.setattr(CharacterMatrix, "column", lambda self, j: read.add(j) or column(self, j))
+    return read
+
+
+class TestLazyCharacterColumns:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_rows_equal_eager_characters(self, d):
+        for n in range(1, 15):
+            cases = [(k, None) for k in range(1, min(n, 5) + 1)]
+            if n >= 4:
+                cases.append((4, list(T_GROUP_CLASSES)))
+            for k, classes in cases:
+                _, table, A = compute_tmax(
+                    sud(d), n, k, assume_semiuniversal=True, classes=classes
+                )
+                eager = tuple(
+                    tuple(sn_character(e.irrep.parts, cls) for e in table.sectors)
+                    for cls in A.row_labels
+                )
+                assert A.col_ids == table.ids
+                assert A.rows == eager, (n, k, classes)
+
+    def test_sud5_n50_reads_a_short_prefix_of_one_table(self, monkeypatch):
+        calls = []
+        enumerate_sectors = groups.sectors
+
+        def counting(group, n):
+            calls.append((group, n))
+            return enumerate_sectors(group, n)
+
+        for module in (groups, charges, solver):
+            monkeypatch.setattr(module, "sectors", counting)
+        read = _count_column_reads(monkeypatch)
+        result, table, A = compute_tmax(sud(5), 50, 4)
+        assert len(calls) == 1
+        assert A.shape == (5, 3765)
+        assert verify_certificate(result.certificate, A, table)
+        # the scan stops after a few columns (5 today) and reads them in order
+        assert len(read) <= 10
+        assert read == set(range(len(read)))
+
+    def test_verify_reads_columns_the_scan_skipped(self, monkeypatch):
+        read = _count_column_reads(monkeypatch)
+        result, table, A = compute_tmax(sud(5), 50, 4)
+        L = len(table)
+        j1, j2 = L - 2, L - 1
+        assert not {j1, j2} & read
+        # balanced, primitive, even norm: only A q = 0 can reject it
+        m1, m2 = table.multiplicities[j1], table.multiplicities[j2]
+        g = math.gcd(m1, m2)
+        q = [0] * L
+        q[j1], q[j2] = m2 // g, -(m1 // g)
+        eager_col = lambda j: [sn_character(table.ids[j].parts, cls) for cls in A.row_labels]
+        assert any(q[j1] * a + q[j2] * b for a, b in zip(eager_col(j1), eager_col(j2)))
+        cert = Certificate(
+            q=tuple(q),
+            weighted_norm=2 * m1 * m2 // g,
+            support=(table.ids[j1], table.ids[j2]),
+        )
+        assert not verify_certificate(cert, A, table)
+        assert {j1, j2} <= read
 
 
 class TestBruteForce:
