@@ -52,7 +52,7 @@ for label, row in zip(matrix.row_labels, matrix.rows):
 # lower bound: the first prefix whose columns go dependent caps how small a
 # certificate's support can be.
 
-basis = kernel_lattice(matrix.row_lists())
+basis = kernel_lattice(matrix.rows)
 print("\nkernel lattice basis (full matrix):")
 for b in basis:
     print("  ", b)

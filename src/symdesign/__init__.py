@@ -33,8 +33,6 @@ from .charges import (
     ChargeMatrix,
     CycleType,
     T_GROUP_CLASSES,
-    build_charge_matrix,
-    character_matrix,
     charge_matrix,
     conjugacy_classes,
     custom_matrix,
@@ -99,8 +97,6 @@ __all__ = [
     "ChargeMatrix",
     "CycleType",
     "T_GROUP_CLASSES",
-    "build_charge_matrix",
-    "character_matrix",
     "charge_matrix",
     "conjugacy_classes",
     "custom_matrix",

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 from .groups import (
@@ -33,7 +34,6 @@ from .groups import (
     SectorTable,
     TwiceSpin,
     custom_table,
-    sectors,
     sn_irrep_dim,
     su2_multiplicity,
     zp_multiplicity,
@@ -152,83 +152,54 @@ def _char_rec(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 class ChargeMatrix:
     """Exact matrix with one row per gate charge vector and one column per sector.
 
-    Solvers read it a column at a time through :meth:`column`; ``A[i]`` is
-    row ``i`` and iterating yields the rows.
+    Entries come from one exact function ``entry(i, j)``.  A column is
+    computed the first time it is read and kept, so the multiplicity-ordered
+    scan pays only for the prefix it reads; ``A[i]`` computes row ``i``
+    without building columns, and :attr:`rows` (or iteration) builds every
+    column.  :func:`charge_matrix` and :func:`custom_matrix` construct it.
     """
 
-    def __init__(self, row_labels, col_ids, rows, group=None, n=None, k=None):
+    def __init__(self, row_labels, col_ids, entry, group=None, n=None, k=None):
         self.row_labels = tuple(row_labels)
         self.col_ids = tuple(col_ids)
         self.group: GroupSpec | None = group
         self.n: int | None = n
         self.k: int | None = k
-        self._rows = tuple(tuple(row) for row in rows)
-        for row in self._rows:
-            if len(row) != len(self.col_ids):
-                raise ValueError("row length must equal the number of sector columns")
-
-    @property
-    def rows(self) -> tuple[tuple, ...]:
-        return self._rows
+        self._entry = entry
+        self._columns: dict[int, tuple] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_ids))
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._rows)
+        col = self._columns.get(j)
+        if col is None:
+            rows = len(self.row_labels)
+            col = self._columns[j] = tuple(map(self._entry, range(rows), repeat(j, rows)))
+        return col
 
     def __getitem__(self, i: int) -> tuple:
-        return self._rows[i]
+        cols = len(self.col_ids)
+        return tuple(map(self._entry, repeat(i, cols), range(cols)))
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*map(self.column, range(len(self.col_ids)))))
 
     def __iter__(self):
         return iter(self.rows)
 
     def aligned_to(self, table: SectorTable) -> "ChargeMatrix":
-        """Permute columns to match ``table``'s sector order."""
+        """The same matrix with its columns in ``table``'s sector order."""
         if set(self.col_ids) != set(table.ids):
             raise ValueError("sector sets differ; cannot align")
-        pos = {irrep: i for i, irrep in enumerate(self.col_ids)}
+        pos = {irrep: j for j, irrep in enumerate(self.col_ids)}
         perm = [pos[irrep] for irrep in table.ids]
-        rows = tuple(tuple(row[i] for i in perm) for row in self.rows)
-        return ChargeMatrix(self.row_labels, table.ids, rows, self.group, self.n, self.k)
-
-    def row_lists(self) -> list[list]:
-        return [list(r) for r in self.rows]
-
-
-class CharacterMatrix(ChargeMatrix):
-    """S_n characters of the sectors' partitions on the given classes, built lazily.
-
-    A column (one character per class) is computed the first time it is read
-    and kept; the multiplicity-ordered scan reads only a short prefix.
-    Reading :attr:`rows` builds every column.
-    """
-
-    def __init__(self, table: SectorTable, k: int, classes):
-        self.row_labels = tuple(classes)
-        self.col_ids = table.ids
-        self.group, self.n, self.k = table.group, table.n, k
-        self._parts = [e.irrep.parts for e in table.sectors]
-        self._cycles = [cls.cycles for cls in self.row_labels]
-        self._columns: dict[int, tuple[int, ...]] = {}
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*map(self.column, range(len(self.col_ids)))))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        col = self._columns.get(j)
-        if col is None:
-            parts = self._parts[j]
-            col = self._columns[j] = tuple(_char_rec(parts, c) for c in self._cycles)
-        return col
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        # one row without building the columns: the identity class row is the
-        # multiplicities, which sector enumeration already cached
-        cycles = self._cycles[i]
-        return tuple(_char_rec(parts, cycles) for parts in self._parts)
+        entry = self._entry
+        return ChargeMatrix(
+            self.row_labels, table.ids, lambda i, j: entry(i, perm[j]), self.group, self.n, self.k
+        )
 
 
 def charge_matrix(
@@ -237,92 +208,66 @@ def charge_matrix(
     """Charge matrix of ``k``-local symmetric gates over ``table``'s columns, in its order.
 
     ``table`` lists the sectors of a built-in group on ``n`` sites, in any
-    order.  ``classes`` restricts the SU(d) character rows to a subset of the
-    ``k``-local conjugacy classes (see :func:`character_matrix`); it is an
-    error for any other group.  SU(d) columns are computed on first read.
+    order.  SU(d) rows are the S_n characters on ``classes``, by default every
+    cycle type with support <= k.  Restricting ``classes`` models gate sets
+    generating only part of the ``k``-local permutations (for example dropping
+    the 4-cycle row realizes 3-local gates amended by a product of two
+    disjoint transpositions); it is an error for any other group.
     """
     group, n = table.group, table.n
     if classes is not None and group.kind != "SUd":
         raise ValueError("character matrices describe SU(d) problems")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    # U(1), SU(2) and Z_p entries count the ways the other n - k sites
+    # complete the gate's k-site irrep to the column's n-site irrep
+    nk = n - k
     if group.kind == "U1":
-        rows = tuple(
-            tuple(_binom0(n - k, e.irrep.w - v) for e in table.sectors) for v in range(k + 1)
-        )
-        labels = tuple(HammingWeight(v) for v in range(k + 1))
+        labels = tuple(map(HammingWeight, range(k + 1)))
+        ws = [e.irrep.w for e in table.sectors]
+
+        def entry(v, j):
+            b = ws[j] - v
+            return comb(nk, b) if b >= 0 else 0
+
     elif group.kind == "SU2":
-        jjs = tuple(range(k % 2, k + 1, 2))
-        rows = tuple(
-            tuple(_su2_entry(n, k, jjp, e.irrep.jj) for e in table.sectors) for jjp in jjs
-        )
-        labels = tuple(TwiceSpin(jjp) for jjp in jjs)
+        jjps = range(k % 2, k + 1, 2)
+        labels = tuple(map(TwiceSpin, jjps))
+        jjs = [e.irrep.jj for e in table.sectors]
+
+        def entry(i, j):
+            jj, jjp = jjs[j], jjps[i]
+            if (nk + jj + jjp) % 2:
+                return 0
+            lo = (nk + jj - jjp) // 2
+            return (comb(nk, lo) if lo >= 0 else 0) - comb(nk, lo + jjp + 1)
+
     elif group.kind == "Zp":
         p = group.p
-        rows = tuple(
-            tuple(_zp_entry(n, k, p, alpha, e.irrep.beta) for e in table.sectors)
-            for alpha in range(p)
-        )
-        labels = tuple(Residue(alpha) for alpha in range(p))
+        labels = tuple(map(Residue, range(p)))
+        betas = [e.irrep.beta for e in table.sectors]
+
+        def entry(alpha, j):
+            return sum(comb(nk, b) for b in range((betas[j] - alpha) % p, nk + 1, p))
+
     elif group.kind == "SUd":
-        if classes is None:
-            classes = conjugacy_classes(k)
+        labels = tuple(conjugacy_classes(k) if classes is None else classes)
         # support <= k <= n and sectors of n boxes are what sn_character
-        # checks on every entry; the lazy columns call _char_rec directly
-        for cls in classes:
+        # checks on every entry; the entries call _char_rec directly
+        for cls in labels:
             if cls.support > k:
                 raise ValueError(f"class {cls.label} needs support {cls.support} > k = {k}")
         if any(sum(e.irrep.parts) != n for e in table.sectors):
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
-        return CharacterMatrix(table, k, classes)
+        parts = [e.irrep.parts for e in table.sectors]
+        cycles = [cls.cycles for cls in labels]
+
+        def entry(i, j):
+            return _char_rec(parts[j], cycles[i])
+
     else:
         raise ValueError("use custom_matrix for user-supplied problems")
-    return ChargeMatrix(labels, table.ids, rows, group, n, k)
-
-
-def build_charge_matrix(
-    group: GroupSpec, n: int, k: int, classes: list[CycleType] | None = None
-) -> ChargeMatrix:
-    """Charge matrix of ``k``-local symmetric gates on ``n`` sites.
-
-    Columns follow the natural order of :func:`symdesign.groups.sectors`;
-    :func:`charge_matrix` builds over a table in any other order.
-    ``classes`` restricts the SU(d) character rows (see :func:`character_matrix`).
-    """
-    return charge_matrix(sectors(group, n), k, classes)
-
-
-def _binom0(a: int, b: int) -> int:
-    return comb(a, b) if 0 <= b <= a else 0
-
-
-def _su2_entry(n: int, k: int, jjp: int, jj: int) -> int:
-    nk = n - k
-    first = _binom0(nk, (nk + jj - jjp) // 2) if (nk + jj - jjp) % 2 == 0 else 0
-    second = _binom0(nk, (nk + jj + jjp + 2) // 2) if (nk + jj + jjp) % 2 == 0 else 0
-    return first - second
-
-
-def _zp_entry(n: int, k: int, p: int, alpha: int, beta: int) -> int:
-    c = (beta - alpha) % p
-    return sum(comb(n - k, c + p * l) for l in range((n - k - c) // p + 1)) if c <= n - k else 0
-
-
-def character_matrix(
-    group: GroupSpec, n: int, k: int, classes: list[CycleType] | None = None
-) -> ChargeMatrix:
-    """Symmetric-group character matrix: rows are ``k``-local conjugacy classes.
-
-    The default row set is every cycle type with support <= k.  Restricting
-    ``classes`` models gate sets generating only part of the ``k``-local
-    permutations (for example dropping the 4-cycle row realizes 3-local gates
-    amended by a product of two disjoint transpositions).  Columns follow the
-    natural order of :func:`symdesign.groups.sectors` and are computed on
-    first read.
-    """
-    if group.kind != "SUd":
-        raise ValueError("character matrices describe SU(d) problems")
-    return charge_matrix(sectors(group, n), k, classes)
+    return ChargeMatrix(labels, table.ids, entry, group, n, k)
 
 
 def row_span_witness(A: ChargeMatrix) -> list[int]:
@@ -398,7 +343,9 @@ def custom_matrix(
         labels = ["identity"] + labels
     if col_ids is None:
         col_ids = tuple(CustomSector(i) for i in range(len(m)))
-    return ChargeMatrix(tuple(labels), tuple(col_ids), tuple(tuple(r) for r in rows), CUSTOM)
+    elif len(col_ids) != len(m):
+        raise ValueError("col_ids length must equal the multiplicity vector length")
+    return ChargeMatrix(labels, col_ids, lambda i, j: rows[i][j], CUSTOM)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def solver_brute() -> Tally:
             for k in range(kmin, n + 1):
                 table = canonical_order(sectors(group, n))
                 matrix = charge_matrix(table, k)
-                if len(kernel_lattice(matrix.row_lists())) > 3:
+                if len(kernel_lattice(matrix.rows)) > 3:
                     continue
                 exact = tmax_exact(matrix, table, assume_semiuniversal=True)
                 brute = brute_force_tmax(matrix, table, coeff_bound=6)

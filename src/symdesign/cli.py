@@ -27,7 +27,6 @@ import time
 
 from .charges import (
     CycleType,
-    build_charge_matrix,
     charge_matrix,
     conjugacy_classes,
     load_custom_problem,
@@ -202,7 +201,7 @@ def cmd_lower_bound(args) -> int:
 def cmd_smatrix(args) -> int:
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
-    matrix = build_charge_matrix(group, args.n, args.k, classes)
+    matrix = charge_matrix(sectors(group, args.n), args.k, classes)
     cols = [irrep.label for irrep in matrix.col_ids]
     rows = []
     for label, row in zip(matrix.row_labels, matrix.rows):
@@ -298,8 +297,9 @@ def cmd_table(args) -> int:
         lo_s, hi_s = args.n_range.split("..")
         n_lo, n_hi = int(lo_s), int(hi_s)
     except ValueError:
-        print("error: --n-range expects A..B", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("--n-range expects A..B") from None
+    if not 1 <= n_lo <= n_hi:
+        raise ParseError(f"--n-range {args.n_range} needs 1 <= A <= B")
     rows = _table_rows(args.reproduce.lower(), n_lo, n_hi, args.d or 3)
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -365,6 +365,11 @@ def cmd_verify(args) -> int:
     from . import checks  # only this subcommand needs the suites
 
     suite = args.suite
+    # a suite run on no instances would report a pass for checking nothing
+    if args.n_max is not None and args.n_max < 1:
+        raise ParseError("--n-max must be at least 1")
+    if args.samples < 1:
+        raise ParseError("--samples must be at least 1")
     n_max = {} if args.n_max is None else {"n_max": args.n_max}
     if suite == "identities-u1":
         tally = checks.identities_u1(**n_max)

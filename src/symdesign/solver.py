@@ -434,7 +434,7 @@ def brute_force_tmax(
     instances with kernel dimension <= 4.
     """
     _check_alignment(A, table)
-    basis = kernel_lattice(A.row_lists())
+    basis = kernel_lattice(A.rows)
     if not basis:
         return None
     dim = len(basis)

@@ -10,9 +10,8 @@ import pytest
 from symdesign import (
     SU2,
     U1,
-    build_charge_matrix,
     canonical_order,
-    character_matrix,
+    charge_matrix,
     conjugacy_classes,
     custom_matrix,
     kernel_lattice,
@@ -256,45 +255,44 @@ class TestConjugacyClasses:
             (), (2,), (3,), (2, 2), (4,), (3, 2), (5,),
         ]
         n = 12
-        rows5 = character_matrix(sud(3), n, 5).row_lists()
-        rows4 = character_matrix(sud(3), n, 4).row_lists()
+        rows5 = charge_matrix(sectors(sud(3), n), 5).rows
+        rows4 = charge_matrix(sectors(sud(3), n), 4).rows
         for b in kernel_lattice(rows5):
             assert all(x == 0 for x in mat_vec(rows4, b))
 
 
 class TestBuildChargeMatrix:
     def test_u1_n3_k1(self):
-        m = build_charge_matrix(U1, 3, 1)
+        m = charge_matrix(sectors(U1, 3), 1)
         assert m.rows == ((1, 2, 1, 0), (0, 1, 2, 1))
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_u1_k_equals_n_identity(self, n):
-        m = build_charge_matrix(U1, n, n)
+        m = charge_matrix(sectors(U1, n), n)
         eye = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1))
         assert m.rows == eye
 
     def test_z2_constant_entries(self):
-        m = build_charge_matrix(zp(2), 5, 2)
+        m = charge_matrix(sectors(zp(2), 5), 2)
         assert all(x == 4 for row in m.rows for x in row)
 
     def test_sud_column_example(self):
-        m = build_charge_matrix(sud(3), 15, 2)
+        m = charge_matrix(sectors(sud(3), 15), 2)
         col = m.col_ids.index(next(i for i in m.col_ids if i.parts == (14, 1)))
         assert [row[col] for row in m.rows] == [14, 12]
 
-    def test_character_matrix_identity_row_is_multiplicities(self):
+    def test_identity_class_row_is_multiplicities(self):
         # the identity class row carries the irrep dimensions of the
         # symmetric group, which are exactly the sector multiplicities
-        m = character_matrix(sud(4), 8, 1)
         table = sectors(sud(4), 8)
+        m = charge_matrix(table, 1)
         assert len(m.rows) == 1
         assert m.rows[0] == table.multiplicities
 
     def test_k3_chi_restriction_matches_tabulated_entries(self):
         n = 15
-        m = character_matrix(sud(3), n, 3)
         table = canonical_order(sectors(sud(3), n))
-        aligned = m.aligned_to(table)
+        aligned = charge_matrix(table, 3)
         # four lowest-multiplicity sectors: [n], [n-1,1], [n-2,2], [n-2,1,1]
         assert [i.parts for i in table.ids[:4]] == [(15,), (14, 1), (13, 2), (13, 1, 1)]
         sub = [list(row[:4]) for row in aligned.rows]
@@ -314,20 +312,18 @@ class TestBuildChargeMatrix:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            build_charge_matrix(U1, 3, 0)
+            charge_matrix(sectors(U1, 3), 0)
         with pytest.raises(ValueError):
-            build_charge_matrix(U1, 3, 4)
+            charge_matrix(sectors(U1, 3), 4)
         # explicit classes get the same check, before any column is computed
         ident, swap, cycle3 = CycleType(()), CycleType((2,)), CycleType((3,))
         for n, k, classes in [(2, 5, [ident, swap, cycle3]), (3, 0, [ident])]:
             with pytest.raises(ValueError, match="need 1 <= k <= n"):
-                character_matrix(sud(3), n, k, classes)
-            with pytest.raises(ValueError, match="need 1 <= k <= n"):
-                build_charge_matrix(sud(3), n, k, classes)
+                charge_matrix(sectors(sud(3), n), k, classes)
 
     def test_sud_table_partitions_must_have_n_boxes(self):
         # a lazy column skips sn_character, so the table is checked up front
-        from symdesign import SectorTable, charge_matrix
+        from symdesign import SectorTable
 
         table = SectorTable(sud(3), 5, sectors(sud(3), 4).sectors)
         with pytest.raises(ValueError, match="partitions of n"):
@@ -335,13 +331,13 @@ class TestBuildChargeMatrix:
 
     def test_class_support_exceeds_k(self):
         with pytest.raises(ValueError):
-            character_matrix(sud(3), 10, 2, [CycleType((3,))])
+            charge_matrix(sectors(sud(3), 10), 2, [CycleType((3,))])
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3), (7, 4)])
     def test_u1_entries_count_bitstrings(self, n, k):
         # independent oracle: the (v, w) entry counts (n-k)-bit strings of
         # weight w - v
-        m = build_charge_matrix(U1, n, k)
+        m = charge_matrix(sectors(U1, n), k)
         for v, row in enumerate(m.rows):
             for w, entry in enumerate(row):
                 count = sum(
@@ -354,7 +350,7 @@ class TestBuildChargeMatrix:
     def test_zp_entries_count_bitstrings(self, p, n, k):
         if k < 1 or k > n:
             return
-        m = build_charge_matrix(zp(p), n, k)
+        m = charge_matrix(sectors(zp(p), n), k)
         residues = [i.beta for i in m.col_ids]
         for alpha, row in enumerate(m.rows):
             for beta, entry in zip(residues, row):
@@ -372,7 +368,7 @@ class TestBuildChargeMatrix:
         from symdesign import su2_multiplicity
 
         for k in range(1, n):
-            m = build_charge_matrix(SU2, n, k)
+            m = charge_matrix(sectors(SU2, n), k)
             jjs = [i.jj for i in m.col_ids]
             for lbl, row in zip(m.row_labels, m.rows):
                 jjp = lbl.jj
@@ -397,7 +393,7 @@ class TestMatrixInvariants:
         ks = [k for k in range(max(1, getattr(group, "p", 1) or 1), n + 1)]
         prev = None
         for k in ks:
-            rows = build_charge_matrix(group, n, k).row_lists()
+            rows = charge_matrix(sectors(group, n), k).rows
             if prev is not None:
                 for b in kernel_lattice(rows):
                     assert all(x == 0 for x in mat_vec(prev, b))
@@ -406,25 +402,25 @@ class TestMatrixInvariants:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_u1_rank(self, n):
         for k in range(1, n + 1):
-            assert rank_exact(build_charge_matrix(U1, n, k).row_lists()) == k + 1
+            assert rank_exact(charge_matrix(sectors(U1, n), k).rows) == k + 1
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_su2_rank_and_parity_kernel(self, n):
         from symdesign.intlinalg import hnf_basis_key
 
         for k in range(2, n + 1):
-            rows = build_charge_matrix(SU2, n, k).row_lists()
+            rows = charge_matrix(sectors(SU2, n), k).rows
             assert rank_exact(rows) == k // 2 + 1
         for s in range(1, n // 2):
-            even = kernel_lattice(build_charge_matrix(SU2, n, 2 * s).row_lists())
-            odd = kernel_lattice(build_charge_matrix(SU2, n, 2 * s + 1).row_lists())
+            even = kernel_lattice(charge_matrix(sectors(SU2, n), 2 * s).rows)
+            odd = kernel_lattice(charge_matrix(sectors(SU2, n), 2 * s + 1).rows)
             assert hnf_basis_key(even) == hnf_basis_key(odd)
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     def test_zp_rank(self, p):
         for n in range(p + 1, 13):
             for k in range(p, n):
-                rank = rank_exact(build_charge_matrix(zp(p), n, k).row_lists())
+                rank = rank_exact(charge_matrix(sectors(zp(p), n), k).rows)
                 assert rank == (p - 1 if p % 2 == 0 else p)
 
     @pytest.mark.parametrize("group", GROUPS_FOR_INVARIANTS)
@@ -433,8 +429,8 @@ class TestMatrixInvariants:
         table = sectors(group, n)
         kmin = group.p if group.kind == "Zp" else 1
         for k in range(kmin, n + 1):
-            m = build_charge_matrix(group, n, k)
-            assert multiplicity_in_row_span(table.multiplicities, m.row_lists())
+            m = charge_matrix(table, k)
+            assert multiplicity_in_row_span(table.multiplicities, m.rows)
 
     @pytest.mark.parametrize("group", [U1, SU2] + [zp(p) for p in range(2, 8)], ids=str)
     def test_structural_witness(self, group):
@@ -442,16 +438,16 @@ class TestMatrixInvariants:
         for n in range(1, 31):
             m = list(sectors(group, n).multiplicities)
             for k in range(1, n + 1):
-                A = build_charge_matrix(group, n, k)
+                A = charge_matrix(sectors(group, n), k)
                 assert mat_vec(list(zip(*A.rows)), row_span_witness(A)) == m, (n, k)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_structural_witness_sud(self, d):
         for n in range(1, 16):
             m = list(sectors(sud(d), n).multiplicities)
-            matrices = [build_charge_matrix(sud(d), n, k) for k in range(1, min(n, 5) + 1)]
+            matrices = [charge_matrix(sectors(sud(d), n), k) for k in range(1, min(n, 5) + 1)]
             if n >= 4:
-                matrices.append(character_matrix(sud(d), n, 4, list(T_GROUP_CLASSES)))
+                matrices.append(charge_matrix(sectors(sud(d), n), 4, list(T_GROUP_CLASSES)))
             for A in matrices:
                 assert mat_vec(list(zip(*A.rows)), row_span_witness(A)) == m, (n, A.row_labels)
 
@@ -475,10 +471,10 @@ class TestCustomMatrix:
     def test_sud_k2_sv_rows(self):
         n = 15
         table = sectors(sud(3), n)
-        chi = character_matrix(sud(3), n, 2)
+        chi = charge_matrix(table, 2)
         m = custom_matrix(
             table.multiplicities,
-            chi.row_lists(),
+            chi.rows,
             col_ids=table.ids,
         )
         # identity row already equals the multiplicities: nothing prepended

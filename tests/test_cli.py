@@ -214,11 +214,20 @@ class TestTableCommand:
         assert rows and all(r["agrees"] for r in rows)
 
     def test_empty_range(self, capsys):
-        code, out, _ = run_cli(
+        # an empty range would print a bare header, checking nothing
+        code, out, err = run_cli(
             capsys, "table", "--reproduce", "table2", "--n-range", "9..8",
         )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 1  # header only
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n_range", ["5..3", "0..4", "-2..4"])
+    def test_reversed_or_nonpositive_range_exits_3(self, capsys, n_range):
+        code, out, err = run_cli(capsys, "table", "--reproduce", "table1", f"--n-range={n_range}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--reproduce", "table2", "--n-range", "oops")
@@ -304,6 +313,22 @@ class TestVerifyCommand:
     def test_identities_su2_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities-su2", "--n-max", "8")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identities-u1", "--n-max", "0"),
+            ("identities-su2", "--n-max", "-1"),
+            ("oracle", "--n-max", "2", "--samples", "-3"),
+            ("oracle", "--n-max", "2", "--samples", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_checking_nothing_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_oracle_small(self, capsys):
         code, out, _ = run_cli(

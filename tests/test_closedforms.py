@@ -266,17 +266,17 @@ class TestKernelMembership:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_u1_edge_operator_in_kernel(self, n):
-        from symdesign import build_charge_matrix
+        from symdesign import charge_matrix, sectors
         from symdesign.intlinalg import mat_vec
 
         for k in range(1, n):
             q = u1_f_values(n, k + 1)
-            rows = build_charge_matrix(U1, n, k).row_lists()
+            rows = charge_matrix(sectors(U1, n), k).rows
             assert all(x == 0 for x in mat_vec(rows, q)), (n, k)
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_su2_highspin_operator_in_kernel(self, n):
-        from symdesign import build_charge_matrix
+        from symdesign import charge_matrix, sectors
         from symdesign.intlinalg import mat_vec
 
         for k in range(2, n - 1):
@@ -284,17 +284,17 @@ class TestKernelMembership:
             if 2 * (s + 1) > n:
                 continue
             q = su2_a_operator(n, 2 * (s + 1)).qvec
-            rows = build_charge_matrix(SU2, n, k).row_lists()
+            rows = charge_matrix(sectors(SU2, n), k).rows
             assert all(x == 0 for x in mat_vec(rows, q)), (n, k)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_u1_lowweight_operator_in_kernel(self, n):
-        from symdesign import build_charge_matrix
+        from symdesign import charge_matrix, sectors
         from symdesign.intlinalg import mat_vec
 
         for k in range(1, n):
             q = u1_a_operator(n, k + 1).qvec
-            rows = build_charge_matrix(U1, n, k).row_lists()
+            rows = charge_matrix(sectors(U1, n), k).rows
             assert all(x == 0 for x in mat_vec(rows, q)), (n, k)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdesign import build_charge_matrix, kernel_lattice, rank_exact, U1, zp
+from symdesign import charge_matrix, kernel_lattice, rank_exact, sectors, U1, zp
 from symdesign.intlinalg import gram_ldl, hnf, hnf_basis_key, lll_reduce, mat_vec, weighted_gram
 
 
@@ -49,10 +49,10 @@ class TestRank:
         assert rank_exact(eye) == 4
 
     def test_u1_rank_example(self):
-        assert rank_exact(build_charge_matrix(U1, 6, 2).row_lists()) == 3
+        assert rank_exact(charge_matrix(sectors(U1, 6), 2).rows) == 3
 
     def test_zp_even_rank_example(self):
-        assert rank_exact(build_charge_matrix(zp(4), 7, 4).row_lists()) == 3
+        assert rank_exact(charge_matrix(sectors(zp(4), 7), 4).rows) == 3
 
     def test_against_rational_elimination_1000(self):
         rng = random.Random(20240901)
@@ -123,7 +123,7 @@ class TestKernelLattice:
         return found
 
     def test_u1_n3_k1_lattice(self):
-        rows = build_charge_matrix(U1, 3, 1).row_lists()
+        rows = charge_matrix(sectors(U1, 3), 1).rows
         basis = kernel_lattice(rows)
         assert len(basis) == 2
         assert rank_exact(rows) == 2
@@ -141,7 +141,7 @@ class TestKernelLattice:
         assert kernel_lattice([[1, 0], [0, 1], [1, 1]]) == []
 
     def test_z2_kernel(self):
-        rows = build_charge_matrix(zp(2), 4, 2).row_lists()
+        rows = charge_matrix(sectors(zp(2), 4), 2).rows
         basis = kernel_lattice(rows)
         assert hnf_basis_key(basis) == hnf_basis_key([[1, -1]])
 

@@ -1,15 +1,17 @@
-"""Exactness invariants on the solving path must survive ``python -O``."""
+"""Exactness invariants on the solving and re-verification paths must survive ``python -O``."""
 
 import ast
 import inspect
 
 import pytest
 
-from symdesign import charges, closedforms, groups, intlinalg, solver
+from symdesign import charges, checks, cli, closedforms, groups, intlinalg, solver
 
 
 @pytest.mark.parametrize(
-    "module", [groups, charges, closedforms, intlinalg, solver], ids=lambda m: m.__name__
+    "module",
+    [groups, charges, closedforms, intlinalg, solver, cli, checks],
+    ids=lambda m: m.__name__,
 )
 def test_no_assert_statements(module):
     tree = ast.parse(inspect.getsource(module))
