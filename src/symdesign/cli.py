@@ -300,7 +300,7 @@ def cmd_table(args) -> int:
         raise ParseError("--n-range expects A..B") from None
     if not 1 <= n_lo <= n_hi:
         raise ParseError(f"--n-range {args.n_range} needs 1 <= A <= B")
-    rows = _table_rows(args.reproduce.lower(), n_lo, n_hi, args.d or 3)
+    rows = _table_rows(args.reproduce.lower(), n_lo, n_hi, args.d)
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
@@ -361,29 +361,36 @@ def cmd_custom(args) -> int:
     return EXIT_OK
 
 
+# each suite's function in symdesign.checks and the flags it reads
+_SUITES = {
+    "identities-u1": ("identities_u1", ("n_max",)),
+    "identities-su2": ("identities_su2", ("n_max",)),
+    "characters": ("characters", ()),
+    "oracle": ("oracle", ("n_max", "samples", "seed")),
+    "solver-brute": ("solver_brute", ()),
+}
+
+
 def cmd_verify(args) -> int:
     from . import checks  # only this subcommand needs the suites
 
     suite = args.suite
+    name, reads = _SUITES[suite]
+    kwargs = {}
+    for flag in ("n_max", "samples", "seed"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        # a flag the suite does not read would be silently ignored
+        if flag not in reads:
+            raise ParseError(f"--{flag.replace('_', '-')} does not apply to suite {suite}")
+        kwargs[flag] = value
     # a suite run on no instances would report a pass for checking nothing
-    if args.n_max is not None and args.n_max < 1:
+    if kwargs.get("n_max", 1) < 1:
         raise ParseError("--n-max must be at least 1")
-    if args.samples < 1:
+    if kwargs.get("samples", 1) < 1:
         raise ParseError("--samples must be at least 1")
-    n_max = {} if args.n_max is None else {"n_max": args.n_max}
-    if suite == "identities-u1":
-        tally = checks.identities_u1(**n_max)
-    elif suite == "identities-su2":
-        tally = checks.identities_su2(**n_max)
-    elif suite == "characters":
-        tally = checks.characters()
-    elif suite == "oracle":
-        tally = checks.oracle(**n_max, samples=args.samples, seed=args.seed)
-    elif suite == "solver-brute":
-        tally = checks.solver_brute()
-    else:
-        print(f"error: unknown suite {suite!r}", file=sys.stderr)
-        return EXIT_PARSE
+    tally = getattr(checks, name)(**kwargs)
     failures = len(tally.failures)
     status = "pass" if failures == 0 else "FAIL"
     print(f"suite {suite}: {status} ({tally.checks - failures}/{tally.checks} checks)")
@@ -447,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--suite",
         required=True,
-        choices=["identities-u1", "identities-su2", "characters", "oracle", "solver-brute"],
+        choices=list(_SUITES),
     )
     s.add_argument(
         "--n-max", type=int, default=None, help="largest n (default 30; 12 for oracle)"
     )
-    s.add_argument("--samples", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--samples", type=int, default=None, help="oracle only (default 500)")
+    s.add_argument("--seed", type=int, default=None, help="oracle only (default 0)")
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("custom", help="solve a custom problem from JSON")

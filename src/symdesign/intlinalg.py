@@ -1,5 +1,6 @@
 """Exact integer/rational linear algebra: echelon rank, Hermite normal form,
-kernels, and weighted LLL over an exact ``L D L^T`` of the Gram matrix.
+kernels, and the integral weighted LLL, which returns its integer Gram-Schmidt
+state (leading Gram minors ``d``, ``lam = mu * d``) for the solver's enumeration.
 
 All routines work on dense lists of rows holding Python ints (or Fractions,
 which get cleared row-wise where permitted).  Entries of the charge matrices
@@ -163,79 +164,81 @@ def weighted_gram(basis, weights=None) -> Matrix:
     return [[sum(w * x * y for w, x, y in zip(w2, bi, bj)) for bj in basis] for bi in basis]
 
 
-def gram_ldl(G):
-    """Exact ``L D L^T`` factorization of a positive-definite Gram matrix.
-
-    ``L`` is unit lower triangular and ``D`` diagonal, both as Fractions: for
-    the Gram matrix of a basis, ``L[i][j]`` (j < i) are the Gram-Schmidt
-    coefficients and ``D`` the squared Gram-Schmidt norms.  Raises
-    ``ArithmeticError`` on a non-positive pivot (dependent vectors).
-    """
-    d = len(G)
-    L = [[Fraction(0)] * d for _ in range(d)]
-    D = [Fraction(0)] * d
-    for i in range(d):
-        for j in range(i):
-            s = Fraction(G[i][j])
-            for t in range(j):
-                s -= L[i][t] * L[j][t] * D[t]
-            L[i][j] = s / D[j]
-        s = Fraction(G[i][i])
-        for t in range(i):
-            s -= L[i][t] * L[i][t] * D[t]
-        if s <= 0:
-            raise ArithmeticError("basis vectors are not independent")
-        D[i] = s
-        L[i][i] = Fraction(1)
-    return L, D
+def _exact_div(a: int, b: int) -> int:
+    """``a / b`` for a division the theory says is exact; ``ArithmeticError`` if not."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("an integral Gram-Schmidt division is not exact")
+    return q
 
 
-def lll_reduce(basis: list[list[int]], weights: list[int] | None = None) -> list[list[int]]:
-    """LLL-reduce ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
+def _round_div(a: int, b: int) -> int:
+    """``round(a / b)`` for ``b > 0``, ties to even as ``round(Fraction)``."""
+    q, r = divmod(a, b)
+    r *= 2
+    return q + 1 if r > b or (r == b and q & 1) else q
 
-    The vectors must be linearly independent (``ArithmeticError`` otherwise).
-    The Gram-Schmidt coefficients ``mu`` and squared norms come from one exact
-    :func:`gram_ldl` of the integer Gram matrix and are then updated in place
-    under size reduction and swaps (Cohen, Alg. 2.6.3; delta = 3/4).  The
-    returned vectors span the same lattice; reduction only tightens the
-    enumeration radius in the solver, it never changes any answer.
+
+def lll_reduce(
+    basis: list[list[int]], weights: list[int] | None = None
+) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Integral LLL of ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
+
+    Returns ``(reduced, d, lam)``: the leading Gram minors ``d[0] = 1``,
+    ``d[i+1] = d[i] * |b_i*|^2`` and ``lam[i][j] = mu_ij * d[j+1]`` (j < i) of
+    the reduced basis, all integers (Cohen, Alg. 2.6.7; de Weger 1987).  They
+    come once from the integer Gram matrix and are updated in place under size
+    reduction and swaps, every division checked exact.  The moves are those of
+    the rational LLL with delta = 3/4, ``round(mu)`` tying to even.  The vectors
+    must be independent (``ArithmeticError`` otherwise); the reduced ones span
+    the same lattice, so reduction never changes a solver answer.
     """
     b = [list(v) for v in basis]
-    d = len(b)
-    if d <= 1:
-        return b
-    mu, norms = gram_ldl(weighted_gram(b, weights))
-    delta = Fraction(3, 4)
+    n = len(b)
+    G = weighted_gram(b, weights) if n else []
+    d = [1]
+    lam: list[list[int]] = []
+    for k in range(n):
+        lam_k: list[int] = []
+        for j in range(k + 1):
+            u = G[k][j]
+            lam_j = lam[j] if j < k else lam_k
+            for i in range(j):
+                u = _exact_div(d[i + 1] * u - lam_k[i] * lam_j[i], d[i])
+            if j < k:
+                lam_k.append(u)
+        if u <= 0:
+            raise ArithmeticError("basis vectors are not independent")
+        d.append(u)
+        lam.append(lam_k)
 
     k = 1
-    while k < d:
-        mu_k = mu[k]
+    while k < n:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu_k[j])
+            q = _round_div(lam_k[j], d[j + 1])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu_j = mu[j]
+                lam_j = lam[j]
                 for t in range(j):
-                    mu_k[t] -= mu_j[t] * q
-                mu_k[j] -= q
-        m = mu_k[k - 1]
-        if norms[k] >= (delta - m * m) * norms[k - 1]:
+                    lam_k[t] -= q * lam_j[t]
+                lam_k[j] -= q * d[j + 1]
+        m = lam_k[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
             k += 1
             continue
-        # swap b[k-1] and b[k]: only rows k-1, k and columns k-1, k of mu move
+        # swap b[k-1] and b[k]: lam[k][k-1] and every d but d[k] stay put
         b[k], b[k - 1] = b[k - 1], b[k]
-        old = norms[k - 1]
-        norms[k - 1] = norms[k] + m * m * old
-        mu_k[k - 1] = m * old / norms[k - 1]
-        norms[k] = old * norms[k] / norms[k - 1]
-        mu_prev = mu[k - 1]
+        lam_prev = lam[k - 1]
         for t in range(k - 1):
-            mu_k[t], mu_prev[t] = mu_prev[t], mu_k[t]
-        m_new = mu_k[k - 1]
-        for i in range(k + 1, d):
-            mu_i = mu[i]
-            t = mu_i[k]
-            mu_i[k] = mu_i[k - 1] - m * t
-            mu_i[k - 1] = t + m_new * mu_i[k]
+            lam_k[t], lam_prev[t] = lam_prev[t], lam_k[t]
+        d_lo, d_mid, d_hi = d[k - 1], d[k], d[k + 1]
+        new_mid = _exact_div(d_lo * d_hi + m * m, d_mid)
+        for i in range(k + 1, n):
+            lam_i = lam[i]
+            t = lam_i[k]
+            lam_i[k] = _exact_div(d_hi * lam_i[k - 1] - m * t, d_mid)
+            lam_i[k - 1] = _exact_div(new_mid * t + m * lam_i[k], d_hi)
+        d[k] = new_mid
         k = max(k - 1, 1)
-    return b
+    return b, d, lam

@@ -10,9 +10,9 @@ trivial).  Two facts make this computable fast:
   norm at least twice that sector's multiplicity (its positive and negative
   parts are equal because the multiplicity vector lies in the row span);
 * within a prefix the problem is a small-dimensional weighted shortest-vector
-  search: Schnorr-Euchner enumeration of the LLL-reduced basis over the exact
-  ``L D L^T`` of its weighted Gram matrix (``intlinalg.gram_ldl``), scaled to
-  integers by the leading Gram minors so every level test is an integer
+  search: Schnorr-Euchner enumeration of the LLL-reduced basis over the
+  integer Gram-Schmidt state the integral LLL returns with it (the leading
+  Gram minors ``d`` and ``lam = mu * d``), so every level test is an integer
   comparison.  The Euclidean norm of the weight-rescaled vector lower bounds
   the weighted one-norm, so the radius shrinks to each new incumbent; each
   level visits its values zig-zag outwards from the center, and only one of
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Optional
 
@@ -40,7 +39,7 @@ from .charges import (
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, gram_ldl, kernel_lattice, lll_reduce, weighted_gram
+from .intlinalg import Echelon, kernel_lattice, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,6 @@ def _normalize_sign(q: list[int]) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _exact_int(x: Fraction, what: str) -> int:
-    """``x`` as an int; ``ArithmeticError`` if it is not integral."""
-    if x.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer")
-    return x.numerator
-
-
 def min_weighted_l1(
     basis: list[list[int]],
     weights,
@@ -216,30 +208,24 @@ def min_weighted_l1(
     one-norm, so the radius equal to the best norm found so far is sound.
     Returns the primitive optimizer, sign-normalized (first nonzero entry
     positive), with lexicographically smallest ``q`` among ties; ``None`` if
-    ``upper`` is given and no vector has norm <= ``upper``.
+    ``upper`` (an integer) is given and no vector has norm <= ``upper``.
     """
     if not basis:
         raise ValueError("basis must be nonempty")
+    if upper is not None and not isinstance(upper, int):
+        raise ValueError("upper must be an integer")
     weights = [int(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    basis = lll_reduce(basis, weights)
+    basis, P, lam = lll_reduce(basis, weights)
     d = len(basis)
 
-    # Integer form of the quadratic form x^T G x = sum_i D[i] (x_i +
-    # sum_{t>i} L[t][i] x_t)^2 of the reduced basis.  With the leading minors
-    # P[0] = 1, P[i+1] = P[i] D[i] and lam[t][i] = L[t][i] P[i+1], the level-i
-    # term is y^2 / (P[i] P[i+1]) for the integer y = x_i P[i+1] +
+    # Integer form of the quadratic form x^T G x = sum_i |b_i*|^2 (x_i +
+    # sum_{t>i} mu[t][i] x_t)^2 of the reduced basis.  With the leading minors
+    # P[i+1] = P[i] |b_i*|^2 and lam[t][i] = mu[t][i] P[i+1] that LLL returns,
+    # the level-i term is y^2 / (P[i] P[i+1]) for the integer y = x_i P[i+1] +
     # sum_{t>i} lam[t][i] x_t; multiplying by C = lcm(P[i] P[i+1]) makes every
     # term and the squared radius integers.
-    L, D = gram_ldl(weighted_gram(basis, weights))
-    P = [1]
-    for pivot in D:
-        P.append(_exact_int(P[-1] * pivot, "a leading Gram minor"))
-    lam = [
-        [_exact_int(L[t][i] * P[i + 1], "a scaled Gram-Schmidt coefficient") for i in range(t)]
-        for t in range(d)
-    ]
     C = math.lcm(*(P[i] * P[i + 1] for i in range(d)))
     scale = [C // (P[i] * P[i + 1]) for i in range(d)]
 
@@ -265,7 +251,7 @@ def min_weighted_l1(
         consider(b)
     # the basis vectors are nonzero, so without an incumbent the caller's cap is set
     if best is None:
-        cap = _exact_int(C * Fraction(upper) ** 2, "the scaled radius")
+        cap = C * upper * upper
 
     coeff = [0] * d
 
@@ -448,7 +434,6 @@ def brute_force_tmax(
         if i == dim:
             if all(x == 0 for x in acc):
                 return
-            norm = _weighted_l1(acc, mults)
             q = _normalize_sign(list(acc))
             norm = _weighted_l1(q, mults)
             if best is None or norm < best or (norm == best and q < best_q):

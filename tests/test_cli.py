@@ -213,6 +213,16 @@ class TestTableCommand:
         rows = json.loads(out)
         assert rows and all(r["agrees"] for r in rows)
 
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_tablesud_small_d_exits_2(self, capsys, d):
+        # d = 0 must not fall back to the default d = 3
+        code, out, err = run_cli(
+            capsys, "table", "--reproduce", "tableSUd", "--n-range", "5..6", "--d", d,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_empty_range(self, capsys):
         # an empty range would print a bare header, checking nothing
         code, out, err = run_cli(
@@ -329,6 +339,24 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("characters", "--n-max", "3"),
+            ("solver-brute", "--n-max", "3"),
+            ("characters", "--samples", "5"),
+            ("identities-u1", "--samples", "5"),
+            ("identities-su2", "--seed", "1"),
+            ("solver-brute", "--seed", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_suite_ignores_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and argv[1] in err
 
     def test_oracle_small(self, capsys):
         code, out, _ = run_cli(

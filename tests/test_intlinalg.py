@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import charge_matrix, kernel_lattice, rank_exact, sectors, U1, zp
-from symdesign.intlinalg import gram_ldl, hnf, hnf_basis_key, lll_reduce, mat_vec, weighted_gram
+from symdesign.intlinalg import _exact_div, hnf, hnf_basis_key, lll_reduce, mat_vec
 
 
 def rank_rational(rows) -> int:
@@ -155,12 +155,18 @@ class TestKernelLattice:
             assert all(x == 0 for x in mat_vec(A, b))
 
 
+def weighted_dot(x, y, weights):
+    return sum(w * w * a * b for w, a, b in zip(weights, x, y))
+
+
 def weighted_gso(basis, weights):
-    """Plain vector Gram-Schmidt in the weighted metric: the reference ``mu`` and norms."""
-    w2 = [w * w for w in weights]
+    """Plain vector Gram-Schmidt in the weighted metric.
+
+    Returns the reference ``mu``, the squared norms and the vectors ``b_i*``.
+    """
 
     def dot(x, y):
-        return sum(w * a * b for w, a, b in zip(w2, x, y))
+        return weighted_dot(x, y, weights)
 
     d = len(basis)
     mu = [[Fraction(0)] * d for _ in range(d)]
@@ -172,7 +178,7 @@ def weighted_gso(basis, weights):
             v = [x - mu[i][j] * g for x, g in zip(v, gs[j])]
         gs.append(v)
         norms.append(dot(v, v))
-    return mu, norms
+    return mu, norms, gs
 
 
 def random_kernel_bases(seed, count, min_dim=2):
@@ -187,64 +193,59 @@ def random_kernel_bases(seed, count, min_dim=2):
             yield basis, [rng.randint(1, 1000) for _ in range(c)]
 
 
-class TestGramLdl:
-    def test_reproduces_gram_matrix(self):
-        for basis, weights in random_kernel_bases(7, 40, min_dim=1):
-            G = weighted_gram(basis, weights)
-            L, D = gram_ldl(G)
-            d = len(G)
-            for i in range(d):
-                assert L[i][i] == 1 and all(L[i][j] == 0 for j in range(i + 1, d))
-                for j in range(d):
-                    assert sum(L[i][t] * D[t] * L[j][t] for t in range(d)) == G[i][j]
-
+class TestIntegralGramSchmidt:
     def test_matches_vector_gram_schmidt(self):
-        for basis, weights in random_kernel_bases(11, 20):
-            L, D = gram_ldl(weighted_gram(basis, weights))
-            mu, norms = weighted_gso(basis, weights)
-            assert D == norms
-            assert all(L[i][j] == mu[i][j] for i in range(len(L)) for j in range(i))
+        for basis, weights in random_kernel_bases(7, 40, min_dim=1):
+            reduced, d, lam = lll_reduce(basis, weights)
+            mu, norms, _ = weighted_gso(reduced, weights)
+            assert len(d) == len(reduced) + 1 and d[0] == 1
+            assert all(type(x) is int for x in d)
+            for i in range(len(reduced)):
+                assert d[i + 1] == d[i] * norms[i]
+                assert len(lam[i]) == i
+                for j in range(i):
+                    assert type(lam[i][j]) is int and lam[i][j] == mu[i][j] * d[j + 1]
 
-    def test_dependent_basis_raises(self):
-        basis = [[1, 2, 3], [0, 1, 1], [1, 3, 4]]
+    def test_empty_basis(self):
+        assert lll_reduce([]) == ([], [1], [])
+
+    def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
-            gram_ldl(weighted_gram(basis))
+            _exact_div(7, 2)
+
+    def test_zero_vector_raises(self):
+        with pytest.raises(ArithmeticError):
+            lll_reduce([[0, 0, 0]])
 
 
 def lll_reduce_refactoring(basis, weights=None):
-    """Reference LLL that refactors the whole Gram matrix after every step.
+    """Reference LLL that recomputes the Gram-Schmidt data after every step.
 
-    Same moves and the same exact arithmetic as :func:`lll_reduce`, but ``mu``
-    and the norms come from a fresh :func:`gram_ldl` each time, so the
-    in-place updates of the library routine must reproduce its bases exactly.
+    Same moves as :func:`lll_reduce` in rational arithmetic, but ``mu`` and the
+    norms come from a fresh :func:`weighted_gso` of the current vectors each
+    time, so the integral in-place updates of the library routine must
+    reproduce its bases exactly.
     """
     b = [list(v) for v in basis]
     d = len(b)
     if d <= 1:
         return b
-    G = weighted_gram(b, weights)
+    w = [1] * len(b[0]) if weights is None else weights
     delta = Fraction(3, 4)
-    mu, norms = gram_ldl(G)
     k = 1
     while k < d:
+        # size reduction moves b[k] by vectors of b[:k], so no b_j* (j <= k)
+        # changes; mu[k][j] is read afresh from the current b[k]
+        _, norms, gs = weighted_gso(b[: k + 1], w)
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(weighted_dot(b[k], gs[j], w) / norms[j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                G[k][k] -= 2 * q * G[k][j] - q * q * G[j][j]
-                for i in range(d):
-                    if i != k:
-                        G[k][i] -= q * G[j][i]
-                        G[i][k] = G[k][i]
-                mu, norms = gram_ldl(G)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        m = weighted_dot(b[k], gs[k - 1], w) / norms[k - 1]
+        if norms[k] >= (delta - m * m) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            G[k], G[k - 1] = G[k - 1], G[k]
-            for row in G:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            mu, norms = gram_ldl(G)
             k = max(k - 1, 1)
     return b
 
@@ -252,9 +253,9 @@ def lll_reduce_refactoring(basis, weights=None):
 class TestLllReduce:
     def test_size_reduced_and_lovasz(self):
         for basis, weights in random_kernel_bases(20240901, 40):
-            reduced = lll_reduce(basis, weights)
+            reduced, _, _ = lll_reduce(basis, weights)
             assert hnf_basis_key(reduced) == hnf_basis_key(basis)
-            mu, norms = weighted_gso(reduced, weights)
+            mu, norms, _ = weighted_gso(reduced, weights)
             for i in range(1, len(reduced)):
                 assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
                 assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
@@ -271,8 +272,15 @@ class TestLllReduce:
             if len(basis) != dim:
                 continue
             weights = None if count % 5 == 0 else [rng.randint(1, 10**6) for _ in range(c)]
-            assert lll_reduce(basis, weights) == lll_reduce_refactoring(basis, weights)
+            assert lll_reduce(basis, weights)[0] == lll_reduce_refactoring(basis, weights)
             count += 1
+
+    def test_ties_round_to_even(self):
+        # mu = 5/2 rounds to 2, as round(Fraction) does; rounding half up
+        # would give [[-1, 1], [1, 1]]
+        basis = [[2, 0], [5, 1]]
+        assert lll_reduce(basis)[0] == [[1, 1], [1, -1]]
+        assert lll_reduce_refactoring(basis) == [[1, 1], [1, -1]]
 
     def test_dependent_vectors_raise(self):
         with pytest.raises(ArithmeticError):
@@ -290,10 +298,10 @@ class TestLllReduce:
         basis = kernel_lattice(A)
         if not basis:
             return
-        reduced = lll_reduce(basis, [1] * len(A[0]))
+        reduced, _, _ = lll_reduce(basis, [1] * len(A[0]))
         assert hnf_basis_key(reduced) == hnf_basis_key(basis)
 
     def test_weighted_reduction_shortens(self):
         basis = [[1, 0, -1, 2], [0, 1, -2, 3]]
-        reduced = lll_reduce(basis, [1, 3, 3, 1])
+        reduced, _, _ = lll_reduce(basis, [1, 3, 3, 1])
         assert hnf_basis_key(reduced) == hnf_basis_key(basis)

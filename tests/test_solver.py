@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -109,6 +110,13 @@ class TestMinWeightedL1:
     def test_upper_cuts_off(self):
         assert min_weighted_l1([[1, -1]], [4, 4], upper=1) is None
         assert min_weighted_l1([[1, -1], [5, 3]], [2, 2], upper=1) is None
+
+    # C * upper^2 is an integer for each of these (C = 32 here), so only a
+    # type check rejects them
+    @pytest.mark.parametrize("upper", [Fraction(1, 2), 0.5, 8.0])
+    def test_non_integer_upper_rejected(self, upper):
+        with pytest.raises(ValueError):
+            min_weighted_l1([[1, -1]], [4, 4], upper=upper)
 
     def test_primitive_and_sign_normalized(self):
         cert = min_weighted_l1([[-2, 2]], [1, 1])
