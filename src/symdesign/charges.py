@@ -7,9 +7,9 @@ irrep sectors are constrained by one exact integer matrix per problem:
   irreps (binomial expressions, one row per ``k``-site irrep);
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
   classes realizable by ``k``-local permutations;
-* custom problems -- user-supplied rational charge rows, with the
-  multiplicity row (the identity Hamiltonian) added when missing so that
-  tracelessness is implied by the kernel condition.
+* custom problems -- user-supplied rational charge rows, each stored as an
+  integer multiple, with the multiplicity row (the identity Hamiltonian)
+  added when missing so that tracelessness is implied by the kernel condition.
 
 An integer vector in the rational kernel of this matrix is exactly a
 symmetric Hamiltonian orthogonal to everything the gates generate; the solver
@@ -38,7 +38,7 @@ from .groups import (
     su2_multiplicity,
     zp_multiplicity,
 )
-from .intlinalg import Echelon
+from .intlinalg import Echelon, as_int_row
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,8 @@ def multiplicity_in_row_span(m, rows, witness=None) -> bool:
             return True
     ech = Echelon()
     for row in rows:
-        ech.add(row)
-    return not ech.add(m)
+        ech.add(as_int_row(row))
+    return not ech.add(as_int_row(m))
 
 
 def custom_matrix(
@@ -323,13 +323,14 @@ def custom_matrix(
 ) -> ChargeMatrix:
     """Charge matrix from user-supplied rational rows.
 
-    Prepends the multiplicity vector itself (the charge row of the identity
-    Hamiltonian) unless it is already in the rational row span; global phases
-    never change the design order, and this makes every kernel vector
-    automatically traceless.
+    Each row is stored scaled by the lcm of its denominators, which changes
+    neither the kernel nor the row span.  Prepends the multiplicity vector
+    (the charge row of the identity Hamiltonian) unless it is already in the
+    rational row span; global phases never change the design order, and this
+    makes every kernel vector automatically traceless.
     """
     m = [int(x) for x in m]
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = list(map(as_int_row, rows))
     for row in rows:
         if len(row) != len(m):
             raise ValueError("row length must equal the multiplicity vector length")
@@ -339,7 +340,7 @@ def custom_matrix(
     if len(labels) != len(rows):
         raise ValueError("row_labels length must match rows")
     if not multiplicity_in_row_span(m, rows):
-        rows = [[Fraction(x) for x in m]] + rows
+        rows = [m] + rows
         labels = ["identity"] + labels
     if col_ids is None:
         col_ids = tuple(CustomSector(i) for i in range(len(m)))

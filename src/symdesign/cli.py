@@ -10,10 +10,10 @@ Subcommands::
     symdesign custom      solve a user problem from a JSON document
 
 Exit codes: 0 success, 2 precondition failure (for example a gate set below
-its semi-universality threshold), 3 input parse error, 4 internal
-verification failure.  ``--format json`` output uses the fixed key set
-{group, n, k, tmax, lower_bound, certificate, proven_exact, closed_form,
-agrees, ms}; infinite orders render as the string "infinity" in every format.
+its semi-universality threshold), 3 input parse error (argparse usage errors
+too), 4 internal verification failure.  ``--format json`` output uses the
+fixed key set {group, n, k, tmax, lower_bound, certificate, proven_exact,
+closed_form, agrees, ms}; infinite orders render as "infinity" in every format.
 """
 
 from __future__ import annotations
@@ -46,21 +46,12 @@ class ParseError(ValueError):
     """Malformed command-line input; exits with code 3."""
 
 
+# GroupSpec itself rejects a --p or --d that its group does not take
+_GROUP_KINDS = {"u1": "U1", "su2": "SU2", "zp": "Zp", "sud": "SUd"}
+
+
 def _group_from_flags(args) -> GroupSpec:
-    kind = args.group.lower()
-    if kind == "u1":
-        return U1
-    if kind == "su2":
-        return SU2
-    if kind == "zp":
-        if args.p is None:
-            raise ValueError("--p is required for --group zp")
-        return zp(args.p)
-    if kind == "sud":
-        if args.d is None:
-            raise ValueError("--d is required for --group sud")
-        return sud(args.d)
-    raise ValueError(f"unknown group {args.group!r}")
+    return GroupSpec(_GROUP_KINDS[args.group], p=args.p, d=args.d)
 
 
 def _parse_classes(text: str | None) -> list[CycleType] | None:
@@ -129,15 +120,9 @@ def _emit(report: dict, fmt: str) -> str:
         return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        keys = list(report.keys())
-        writer.writerow(keys)
-        writer.writerow(
-            [
-                ";".join(report[k]) if isinstance(report[k], list) else report[k]
-                for k in keys
-            ]
-        )
+        writer = csv.DictWriter(buf, list(report), lineterminator="\n")
+        writer.writeheader()
+        writer.writerow({k: ";".join(v) if isinstance(v, list) else v for k, v in report.items()})
         return buf.getvalue().rstrip("\n")
     lines = [f"{key} = {value}" for key, value in report.items()]
     return "\n".join(lines)
@@ -304,20 +289,10 @@ def cmd_table(args) -> int:
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["group", "formula", "k", "n", "tmax", "closed_form", "agrees"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["group"],
-                    row["formula"],
-                    row["k"],
-                    row["n"],
-                    row["tmax"],
-                    row["closed_form"],
-                    row["agrees"],
-                ]
-            )
+        columns = ["group", "formula", "k", "n", "tmax", "closed_form", "agrees"]
+        writer = csv.DictWriter(sys.stdout, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -405,7 +380,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_instance_flags(sub, with_classes=True):
-    sub.add_argument("--group", required=True, choices=["u1", "su2", "zp", "sud"])
+    sub.add_argument("--group", required=True, choices=list(_GROUP_KINDS))
     sub.add_argument("--p", type=int, default=None, help="cyclic order (zp only)")
     sub.add_argument("--d", type=int, default=None, help="local dimension (sud only)")
     sub.add_argument("--n", type=int, required=True, help="number of sites")
@@ -419,8 +394,16 @@ def _add_instance_flags(sub, with_classes=True):
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 3, the parse-error code (subparsers inherit it)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symdesign",
         description="exact design orders of random local symmetric circuits",
     )

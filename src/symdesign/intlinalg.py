@@ -1,73 +1,99 @@
-"""Exact integer/rational linear algebra: echelon rank, Hermite normal form,
-kernels, and the integral weighted LLL, which returns its integer Gram-Schmidt
-state (leading Gram minors ``d``, ``lam = mu * d``) for the solver's enumeration.
+"""Exact integer linear algebra: one incremental echelon for rank and kernel
+basis, Hermite normal form (the reference kernel), and the integral weighted
+LLL, which returns its integer Gram-Schmidt state (leading Gram minors ``d``,
+``lam = mu * d``) for the solver's enumeration.
 
-All routines work on dense lists of rows holding Python ints (or Fractions,
-which get cleared row-wise where permitted).  Entries of the charge matrices
-grow like binomial coefficients, so everything here is arbitrary precision;
-no floating point is used anywhere in this module.
+Rows of ints, Fractions or floats become exact integer multiples through
+:func:`as_int_row`.  Entries of the charge matrices grow like binomial
+coefficients, so everything here is arbitrary precision; no floating point
+arithmetic is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Matrix = list[list[int]]
 
 
-def _as_int_row(row) -> list[int]:
-    """Copy ``row``, clearing Fraction denominators.
+def as_int_row(row) -> list[int]:
+    """``row`` read exactly (floats too) and scaled by the lcm of its denominators.
 
     Scaling a vector by a positive integer changes neither the span it adds
-    to nor the kernel of a matrix it is a row of, so rank/kernel routines may
-    operate on the scaled copy.
+    to nor the kernel of a matrix it is a row of.
     """
-    if not any(isinstance(x, Fraction) for x in row):
-        return [int(x) for x in row]
-    scale = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    return [int(x * scale) for x in row]
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in fracs))
+    return [int(x * scale) for x in fracs]
 
 
 class Echelon:
-    """Incremental rank of a growing set of vectors over the rationals.
+    """Incremental integer echelon of the vectors ``v_j`` added so far.
 
-    Every stored pivot vector is integral, primitive, and zero at the pivot
-    positions of the vectors stored before it, so reducing a new vector
-    against the pivots in insertion order is exact fraction-free elimination.
+    Each pivot ``(i, h, u)`` has ``h == sum_j u[j] v_j`` and is zero at the
+    positions of the pivots before it.  A new vector is reduced against them
+    by unimodular Euclidean steps, which may rewrite a pivot (Cohen, Sec.
+    2.4); if it reaches zero, its transform is a relation.  The transform
+    stays unimodular, so the relations are a basis of the integer kernel of
+    the ``v_j`` as columns, and each new vector adds at most one relation.
+    Each relation ends at the index of the vector that made it, so reducing a
+    new one by the others from the last index down keeps a basis, and keeps
+    its entries near those of the HNF kernel instead of compounding.
     """
 
     def __init__(self):
-        self.pivots: list[tuple[int, list[int]]] = []
+        self.pivots: list[tuple[int, list[int], list[int]]] = []
+        self.relations: list[list[int]] = []
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def add(self, vec) -> bool:
-        """Reduce ``vec`` against the stored pivots; True if the rank grew."""
-        v = _as_int_row(vec)
-        for i, piv in self.pivots:
-            a = v[i]
-            if a:
-                b = piv[i]
-                v = [b * x - a * y for x, y in zip(v, piv)]
-        for i, a in enumerate(v):
-            if a:
-                g = gcd(*v)
-                self.pivots.append((i, [x // g for x in v] if g > 1 else v))
+        """Reduce the integer vector ``vec``; True if the rank grew, else it gave a relation."""
+        v = list(vec)
+        w = [0] * (len(self.pivots) + len(self.relations)) + [1]
+        for slot, (i, h, u) in enumerate(self.pivots):
+            if v[i]:
+                g = gcd(h[i], v[i])
+                a, b = h[i] // g, v[i] // g
+                u += [0] * (len(w) - len(u))
+                if abs(a) > 1:
+                    # the pivot becomes g = s h[i] + t v[i]: the step
+                    # [[s, t], [-b, a]] has determinant s a + t b = 1
+                    t = pow(b, -1, abs(a))
+                    s = (1 - t * b) // a
+                    self.pivots[slot] = (i, _combine(s, h, t, v), _combine(s, u, t, w))
+                v, w = _combine(a, v, -b, h), _combine(a, w, -b, u)
+        for i, x in enumerate(v):
+            if x:
+                self.pivots.append((i, v, w))
                 return True
+        for r in reversed(self.relations):
+            q = w[len(r) - 1] // r[-1]
+            if q:
+                w = _combine(1, w, -q, r) + w[len(r) :]
+        self.relations.append(w)
         return False
+
+    def kernel_basis(self) -> list[list[int]]:
+        """The relations zero-padded to the number of vectors added so far."""
+        n = len(self.pivots) + len(self.relations)
+        return [r + [0] * (n - len(r)) for r in self.relations]
+
+
+def _combine(a: int, x: list[int], b: int, y: list[int]) -> list[int]:
+    return [a * p + b * q for p, q in zip(x, y)]
 
 
 def rank_exact(rows) -> int:
     """Rank over the rationals: the rank of an :class:`Echelon` fed every row."""
     ech = Echelon()
     for row in rows:
-        ech.add(row)
+        ech.add(as_int_row(row))
     return ech.rank
 
 
@@ -130,7 +156,7 @@ def kernel_lattice(rows) -> list[list[int]]:
     aligned with zero rows of the HNF form a primitive basis.  Returns ``[]``
     when the matrix has full column rank.
     """
-    A = [_as_int_row(row) for row in rows]
+    A = [as_int_row(row) for row in rows]
     r = len(A)
     if r == 0:
         raise ValueError("matrix must have at least one row")

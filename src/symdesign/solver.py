@@ -8,7 +8,8 @@ trivial).  Two facts make this computable fast:
 * sectors can be scanned in weakly increasing multiplicity order, and any
   kernel vector touching a sector outside the scanned prefix has weighted
   norm at least twice that sector's multiplicity (its positive and negative
-  parts are equal because the multiplicity vector lies in the row span);
+  parts are equal because the multiplicity vector lies in the row span), and
+  one integer echelon extends the kernel basis by <= 1 vector per column;
 * within a prefix the problem is a small-dimensional weighted shortest-vector
   search: Schnorr-Euchner enumeration of the LLL-reduced basis over the
   integer Gram-Schmidt state the integral LLL returns with it (the leading
@@ -141,12 +142,10 @@ def _check_row_span(A: ChargeMatrix, table: SectorTable):
 
 
 def _prefix_scan(A: ChargeMatrix, length: int):
-    """Yield ``(idx, column idx, kernel dimension of the columns 0..idx)`` per prefix."""
+    """Yield ``(idx, basis)`` per prefix: its kernel basis if column ``idx`` grew it, else None."""
     ech = Echelon()
     for idx in range(length):
-        col = A.column(idx)
-        ech.add(col)
-        yield idx, col, idx + 1 - ech.rank
+        yield idx, None if ech.add(A.column(idx)) else ech.kernel_basis()
 
 
 def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
@@ -162,8 +161,8 @@ def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
     _check_alignment(A, table)
     _check_canonical(table)
     _check_row_span(A, table)
-    for idx, _col, dim in _prefix_scan(A, len(table)):
-        if dim:
+    for idx, basis in _prefix_scan(A, len(table)):
+        if basis is not None:
             return LowerBoundResult(
                 ell=idx + 1,
                 bound=table.multiplicities[idx] - 1,
@@ -182,9 +181,7 @@ def _weighted_l1(q, weights) -> int:
 
 
 def _normalize_sign(q: list[int]) -> tuple[int, ...]:
-    g = 0
-    for x in q:
-        g = math.gcd(g, x)
+    g = math.gcd(*q)
     if g > 1:
         q = [x // g for x in q]
     for x in q:
@@ -212,9 +209,12 @@ def min_weighted_l1(
     """
     if not basis:
         raise ValueError("basis must be nonempty")
-    if upper is not None and not isinstance(upper, int):
+    # type(x) is int also rejects bool, whose True would pass for 1
+    if upper is not None and type(upper) is not int:
         raise ValueError("upper must be an integer")
-    weights = [int(w) for w in weights]
+    weights = list(weights)
+    if any(type(w) is not int for w in weights):
+        raise ValueError("weights must be integers")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
     basis, P, lam = lll_reduce(basis, weights)
@@ -332,17 +332,10 @@ def tmax_exact(
     L = len(table)
     bound = INFINITE
     best: Optional[Certificate] = None
-    kernel_dim = 0
-    cols = []
-    for idx, col, new_dim in _prefix_scan(A, L):
-        cols.append(col)
-        if new_dim > kernel_dim:
-            if kernel_dim == 0:
+    for idx, basis in _prefix_scan(A, L):
+        if basis is not None:
+            if best is None:  # the first kernel growth
                 bound = mults[idx] - 1
-            kernel_dim = new_dim
-            basis = kernel_lattice([list(row) for row in zip(*cols)])
-            if len(basis) != new_dim:
-                raise ArithmeticError("kernel basis size disagrees with the echelon rank")
             cand = min_weighted_l1(
                 basis,
                 mults[: idx + 1],
@@ -397,10 +390,7 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
     mults = table.multiplicities
     if sum(m * x for m, x in zip(mults, q)) != 0:
         return False
-    g = 0
-    for x in q:
-        g = math.gcd(g, x)
-    if g != 1:
+    if math.gcd(*q) != 1:
         return False
     norm = _weighted_l1(q, mults)
     if norm != cert.weighted_norm or norm % 2 or norm <= 0:

@@ -20,6 +20,7 @@ from symdesign import (
     sectors,
     sn_character,
     sud,
+    tmax_exact,
     zp,
 )
 from symdesign.charges import (
@@ -494,8 +495,13 @@ class TestCustomJson:
 
     def test_rational_strings(self):
         doc = {"m": [1, 2, 1], "rows": [["1/2", "-1/3", "0"]], "labels": ["h0"]}
-        _, matrix = load_custom_problem(json.dumps(doc))
-        assert matrix.rows[-1] == (Fraction(1, 2), Fraction(-1, 3), Fraction(0))
+        table, matrix = load_custom_problem(json.dumps(doc))
+        # stored scaled by the lcm of the denominators
+        assert matrix.rows[-1] == (3, -2, 0)
+        table = canonical_order(table)
+        result = tmax_exact(matrix.aligned_to(table), table, assume_semiuniversal=True)
+        assert result.tmax == 7
+        assert result.certificate.q == (2, -8, 3) and result.certificate.weighted_norm == 16
 
     def test_malformed(self):
         with pytest.raises(json.JSONDecodeError):

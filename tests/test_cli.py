@@ -115,6 +115,50 @@ def test_locality_out_of_range_exits_2(capsys, command, n, k, classes):
     assert "need 1 <= k <= n" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tmax", "--group", "u1", "--n", "x", "--k", "2"),
+        ("tmax", "--group", "foo", "--n", "6", "--k", "2"),
+        ("tmax", "--group", "u1", "--n", "6"),
+        ("frobnicate",),
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_3(capsys, argv):
+    # argparse's own exit code 2 would read as a precondition failure
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == ""
+    assert "usage:" in captured.err and "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tmax", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--group", "u1", "--d", "5"), "d is only meaningful"),
+        (("--group", "sud", "--d", "3", "--p", "3"), "p is only meaningful"),
+        (("--group", "zp", "--p", "3", "--d", "4"), "d is only meaningful"),
+        (("--group", "zp"), "Zp requires p >= 2"),
+        (("--group", "sud"), "SUd requires local dimension"),
+    ],
+)
+def test_flag_the_group_does_not_take_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "tmax", *argv, "--n", "6", "--k", "3")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestSmatrixCommand:
     def test_u1_rows(self, capsys):
         code, out, _ = run_cli(

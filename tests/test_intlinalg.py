@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import charge_matrix, kernel_lattice, rank_exact, sectors, U1, zp
-from symdesign.intlinalg import _exact_div, hnf, hnf_basis_key, lll_reduce, mat_vec
+from symdesign.intlinalg import Echelon, _exact_div, hnf, hnf_basis_key, lll_reduce, mat_vec
 
 
 def rank_rational(rows) -> int:
@@ -70,6 +70,88 @@ class TestRank:
     @settings(max_examples=200, deadline=None)
     def test_matches_rational_elimination(self, m):
         assert rank_exact(m) == rank_rational(m)
+
+    def test_float_entries_are_exact(self):
+        # truncating 0.5 to 0 would report rank 0
+        assert rank_exact([[0.5]]) == 1
+        assert rank_exact([[0.5, 0.25], [2, 1]]) == 1
+
+
+def check_echelon_against_hnf(A):
+    """Feed the columns of ``A`` to one echelon, checking it after every column.
+
+    The kernel basis must span the lattice of the independent HNF reference on
+    the column prefix, every pivot ``(i, h, u)`` must satisfy
+    ``h == sum_j u[j] * column_j``, and each relation must be reduced by the
+    earlier ones at their last indices.
+    """
+    cols = [list(col) for col in zip(*A)]
+    ech = Echelon()
+    for idx, col in enumerate(cols):
+        ech.add(col)
+        prefix = [row[: idx + 1] for row in A]
+        basis = ech.kernel_basis()
+        assert hnf_basis_key(basis) == hnf_basis_key(kernel_lattice(prefix))
+        assert ech.rank + len(basis) == idx + 1
+        for k, r in enumerate(ech.relations):
+            assert r[-1] != 0
+            for earlier in ech.relations[:k]:
+                last = earlier[-1]
+                assert 0 <= r[len(earlier) - 1] * last < last * last
+        for i, h, u in ech.pivots:
+            assert h[i] != 0
+            combo = [0] * len(h)
+            for x, v in zip(u, cols):
+                combo = [a + x * b for a, b in zip(combo, v)]
+            assert combo == h
+
+
+class TestEchelonKernel:
+    @given(small_matrix)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_hnf_kernel(self, A):
+        check_echelon_against_hnf(A)
+
+    def test_matches_hnf_kernel_seeded(self):
+        # sparse entries make dependent columns, and so kernel growth, common
+        rng = random.Random(20261018)
+        for _ in range(200):
+            c = rng.randint(1, 9)
+            A = [
+                [rng.randint(-40, 40) if rng.random() < 0.6 else 0 for _ in range(c)]
+                for _ in range(rng.randint(1, 6))
+            ]
+            check_echelon_against_hnf(A)
+
+    def test_bezout_step_rewrites_the_pivot(self):
+        # 3 does not divide 2: the pivot becomes gcd 1 and the kernel [2, -3]
+        ech = Echelon()
+        assert ech.add([3]) and not ech.add([2])
+        assert [abs(h[0]) for _, h, _ in ech.pivots] == [1]
+        assert hnf_basis_key(ech.kernel_basis()) == hnf_basis_key([[2, -3]])
+
+    def test_relation_entries_stay_small(self):
+        # without reducing each relation by the earlier ones these 7 x 11
+        # matrices gave entries of about 800 to 4,600 bits, the HNF kernel at most 94;
+        # reduced, they stay under twice the HNF kernel's bits
+        rng = random.Random(5)
+        for _ in range(40):
+            A = [[rng.randint(-(10**6), 10**6) for _ in range(11)] for _ in range(7)]
+            ech = Echelon()
+            for col in zip(*A):
+                ech.add(col)
+            ref = max(abs(x) for b in kernel_lattice(A) for x in b)
+            bits = max(abs(x) for b in ech.relations for x in b).bit_length()
+            assert bits <= 3 * ref.bit_length()
+
+    def test_previous_basis_is_kept(self):
+        ech = Echelon()
+        ech.add([1, 1])
+        ech.add([2, 2])
+        first = ech.kernel_basis()
+        ech.add([0, 1])
+        ech.add([3, 3])
+        assert ech.kernel_basis()[:1] == [first[0] + [0, 0]]
 
 
 class TestHnf:
@@ -139,6 +221,10 @@ class TestKernelLattice:
 
     def test_full_column_rank_empty(self):
         assert kernel_lattice([[1, 0], [0, 1], [1, 1]]) == []
+
+    def test_float_entries_are_exact(self):
+        # truncating 0.5 to 0 would return [[1, 0]], which is not in the kernel
+        assert hnf_basis_key(kernel_lattice([[0.5, -1.0]])) == hnf_basis_key([[2, 1]])
 
     def test_z2_kernel(self):
         rows = charge_matrix(sectors(zp(2), 4), 2).rows

@@ -29,7 +29,7 @@ from symdesign import (
     verify_certificate,
     zp,
 )
-from symdesign import groups, solver
+from symdesign import groups, intlinalg, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, sn_character
 from symdesign.groups import HammingWeight
 
@@ -117,6 +117,12 @@ class TestMinWeightedL1:
     def test_non_integer_upper_rejected(self, upper):
         with pytest.raises(ValueError):
             min_weighted_l1([[1, -1]], [4, 4], upper=upper)
+
+    # truncating 2.5 to 2 would certify weighted norm 4 instead of 5
+    @pytest.mark.parametrize("weight", [2.5, Fraction(5, 2), True])
+    def test_non_integer_weights_rejected(self, weight):
+        with pytest.raises(ValueError):
+            min_weighted_l1([[1, -1]], [weight, weight])
 
     def test_primitive_and_sign_normalized(self):
         cert = min_weighted_l1([[-2, 2]], [1, 1])
@@ -426,6 +432,27 @@ LAZY_MATRICES = {
     "custom": lambda: _custom_problem()[1],
     "custom-aligned": _custom_aligned,
 }
+
+
+class TestSolvePathKernel:
+    def test_solves_without_hnf(self, monkeypatch):
+        # the scan's echelon is the only kernel routine on the solve path
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solve path called the HNF kernel")
+
+        monkeypatch.setattr(solver, "kernel_lattice", forbidden)
+        monkeypatch.setattr(intlinalg, "kernel_lattice", forbidden)
+        monkeypatch.setattr(intlinalg, "hnf", forbidden)
+        for group, n, k in [(U1, 9, 3), (SU2, 10, 4), (zp(3), 8, 3), (sud(4), 9, 4)]:
+            result, table, A = compute_tmax(group, n, k)
+            assert result.proven_exact
+            if result.certificate is not None:
+                assert verify_certificate(result.certificate, A, table)
+        A = _custom_aligned()
+        table = canonical_order(_custom_problem()[0])
+        result = tmax_exact(A, table, assume_semiuniversal=True)
+        assert result.certificate is not None
+        assert verify_certificate(result.certificate, A, table)
 
 
 class TestLazyColumns:
