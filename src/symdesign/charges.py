@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
+from operator import add, eq, mul, sub
 
 from .groups import (
     CUSTOM,
@@ -126,21 +127,27 @@ def _char_rec(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
         return sn_irrep_dim(parts) if parts else 1
     c, rest = cycles[0], cycles[1:]
     r = len(parts)
-    beta = [parts[i] + (r - 1 - i) for i in range(r)]  # distinct, decreasing
+    # first-column hook lengths: distinct and decreasing; removing a border
+    # strip of length c moves one of them, b, down to b - c
+    beta = list(map(add, parts, range(r - 1, -1, -1)))
     beta_set = set(beta)
     total = 0
     for idx, b in enumerate(beta):
-        if b < c or (b - c) in beta_set:
+        e = b - c
+        if e < 0:
+            break
+        if e in beta_set:
             continue
-        height = sum(1 for x in beta if b - c < x < b)
-        new_beta = sorted(beta, reverse=True)
-        new_beta[idx] = b - c
-        new_beta.sort(reverse=True)
-        new_parts = tuple(
-            x - (len(new_beta) - 1 - i) for i, x in enumerate(new_beta)
-        )
-        new_parts = tuple(p for p in new_parts if p > 0)
-        total += (-1) ** height * _char_rec(new_parts, rest)
+        # the rows idx+1 .. h-1 lie between e and b: the strip's height
+        h = idx + 1
+        while h < r and beta[h] > e:
+            h += 1
+        new_beta = beta[:idx] + beta[idx + 1 : h] + [e] + beta[h:]
+        new_parts = tuple(map(sub, new_beta, range(r - 1, -1, -1)))
+        if not new_parts[-1]:  # only e == 0 in the last row leaves an empty row
+            new_parts = new_parts[:-1]
+        value = _char_rec(new_parts, rest)
+        total += -value if (h - idx) % 2 == 0 else value
     return total
 
 
@@ -303,11 +310,18 @@ def multiplicity_in_row_span(m, rows, witness=None) -> bool:
     ``rows`` is a list of rows or a :class:`ChargeMatrix`.  When the
     ``witness`` weights satisfy ``witness^T rows == m`` that product,
     computed in O(rows * cols) from the rows of nonzero weight only, is the
-    proof.  Otherwise one exact echelon over all the rows decides.
+    proof.  Otherwise one exact echelon over all the rows decides.  A matrix
+    whose weights are all nonzero (U(1), SU(2), Z_p) is read by columns, so
+    the solver's scan reuses them instead of computing every entry again.
     """
     if witness is not None:
-        weighted = [(y, rows[i]) for i, y in enumerate(witness) if y]
-        if all(sum(y * row[j] for y, row in weighted) == mj for j, mj in enumerate(m)):
+        if isinstance(rows, ChargeMatrix) and all(witness):
+            cols = map(rows.column, range(len(m)))
+            products = (sum(map(mul, witness, col)) for col in cols)
+        else:
+            weighted = [(y, rows[i]) for i, y in enumerate(witness) if y]
+            products = (sum(y * row[j] for y, row in weighted) for j in range(len(m)))
+        if all(map(eq, products, m)):
             return True
     ech = Echelon()
     for row in rows:

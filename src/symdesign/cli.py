@@ -168,7 +168,7 @@ def cmd_lower_bound(args) -> int:
     table = canonical_order(sectors(group, args.n))
     matrix = charge_matrix(table, args.k, classes)
     started = time.perf_counter()
-    lb = lower_bound(matrix, table)
+    lb = lower_bound(matrix, table, assume_semiuniversal=args.assume_semiuniversal)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "group": str(group),
@@ -409,18 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("tmax", help="exact design order with certificate")
-    _add_instance_flags(s)
-    s.add_argument(
-        "--assume-semiuniversal",
-        action="store_true",
-        help="assert semi-universality for gate sets below the built-in threshold",
-    )
-    s.set_defaults(func=cmd_tmax)
-
-    s = subs.add_parser("lower-bound", help="rank-scan lower bound")
-    _add_instance_flags(s)
-    s.set_defaults(func=cmd_lower_bound)
+    for name, help_text, func in (
+        ("tmax", "exact design order with certificate", cmd_tmax),
+        ("lower-bound", "rank-scan lower bound", cmd_lower_bound),
+    ):
+        s = subs.add_parser(name, help=help_text)
+        _add_instance_flags(s)
+        s.add_argument(
+            "--assume-semiuniversal",
+            action="store_true",
+            help="assert semi-universality for gate sets below the built-in threshold",
+        )
+        s.set_defaults(func=func)
 
     s = subs.add_parser("smatrix", help="dump the exact charge matrix")
     _add_instance_flags(s)

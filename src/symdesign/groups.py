@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from itertools import combinations, starmap
+from math import comb, factorial, prod
+from operator import add, attrgetter, le, lt, sub
 from typing import Iterator, Union
 
 
@@ -120,9 +122,10 @@ class PartitionId:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts or any(a <= 0 for a in self.parts):
+        parts = self.parts
+        if not parts or min(parts) <= 0:
             raise ValueError("partition parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
 
     @property
@@ -182,7 +185,7 @@ class SectorTable:
 
     def is_canonical(self) -> bool:
         m = self.multiplicities
-        return all(m[i] <= m[i + 1] for i in range(len(m) - 1))
+        return all(map(le, m, m[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +195,32 @@ class SectorTable:
 
 def partitions_max_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """Partitions of ``n`` with at most ``d`` parts, descending lexicographic."""
-
-    def rec(rest: int, max_part: int, rows_left: int, prefix: tuple[int, ...]):
-        if rest == 0:
-            yield prefix
+    if n == 0:
+        yield ()
+        return
+    if n < 0 or d < 1:
+        return
+    a = [n]
+    while True:
+        yield tuple(a)
+        # the successor lowers the rightmost part a[i] that can drop by one
+        # while its tail a[i+1:] plus one box still fits below it in the rows
+        # left, then refills that tail greedily (the lex-largest way)
+        rest = 1
+        i = len(a) - 1
+        while i >= 0:
+            x = a[i] - 1
+            if x and -(-rest // x) < d - i:
+                break
+            rest += a[i]
+            i -= 1
+        if i < 0:
             return
-        if rows_left == 0:
-            return
-        for part in range(min(rest, max_part), 0, -1):
-            yield from rec(rest - part, part, rows_left - 1, prefix + (part,))
-
-    yield from rec(n, n, d, ())
+        q, r = divmod(rest, x)
+        del a[i:]
+        a += [x] * (q + 1)
+        if r:
+            a.append(r)
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +230,8 @@ def sn_irrep_dim(parts: tuple[int, ...]) -> int:
     cols = _conjugate(parts)
     hook_prod = 1
     for i, row_len in enumerate(parts):
-        for j in range(row_len):
-            hook_prod *= row_len - j + cols[j] - i - 1
+        # the hook of cell (i, j) is row_len - j + cols[j] - i - 1
+        hook_prod *= prod(map(add, cols, range(row_len - i - 1, -i - 1, -1)))
     dim, rem = divmod(factorial(n), hook_prod)
     if rem:
         raise ArithmeticError(f"hook product of {parts} does not divide {n}!")
@@ -221,21 +239,27 @@ def sn_irrep_dim(parts: tuple[int, ...]) -> int:
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for a in parts if a > j) for j in range(parts[0]))
+    """Column lengths of the Young diagram of the partition ``parts``."""
+    cols = []
+    rows = len(parts)
+    for j in range(parts[0] if parts else 0):
+        while parts[rows - 1] <= j:
+            rows -= 1
+        cols.append(rows)
+    return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def _weyl_denominator(d: int) -> int:
+    """``prod_{i<j<d} (j - i)``, the Weyl dimension formula's denominator for SU(d)."""
+    return prod(factorial(i) for i in range(d))
 
 
 def sud_irrep_dim(parts: tuple[int, ...], d: int) -> int:
     """Dimension of the SU(d) irrep with highest weight given by ``parts``."""
-    lam = list(parts) + [0] * (d - len(parts))
-    num = 1
-    den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    dim, rem = divmod(num, den)
+    # lam_i - lam_j + j - i == l_i - l_j for the shifted weights l_i = lam_i - i
+    ls = [*map(sub, parts[:d], range(d)), *range(-len(parts), -d, -1)]
+    dim, rem = divmod(prod(starmap(sub, combinations(ls, 2))), _weyl_denominator(d))
     if rem:
         raise ArithmeticError(f"Weyl dimension of {parts} for SU({d}) is not an integer")
     return dim
@@ -292,25 +316,32 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
     return SectorTable(group, n, tuple(entries))
 
 
-def _tie_break_key(group: GroupSpec, n: int, irrep: IrrepId):
-    if isinstance(irrep, HammingWeight):
-        # low-weight member of each mirror pair (w, n-w) first: 0, n, 1, n-1, ...
-        return (min(irrep.w, n - irrep.w), irrep.w)
-    if isinstance(irrep, TwiceSpin):
-        return (-irrep.jj,)
-    if isinstance(irrep, Residue):
-        return (irrep.beta,)
-    if isinstance(irrep, PartitionId):
-        return (irrep.parts,)
-    return (irrep.index,)
+# ties among equal multiplicities: ascending label, except descending 2j for
+# SU(2); every label is unique within its table, so the order is total
+_LABEL_KEYS = {
+    "SU2": attrgetter("irrep.jj"),
+    "Zp": attrgetter("irrep.beta"),
+    "SUd": attrgetter("irrep.parts"),
+    "Custom": attrgetter("irrep.index"),
+}
 
 
 def canonical_order(table: SectorTable) -> SectorTable:
     """Sort sectors by weakly increasing multiplicity with deterministic ties."""
-    order = sorted(
-        table.sectors,
-        key=lambda e: (e.multiplicity,) + _tie_break_key(table.group, table.n, e.irrep),
-    )
+    kind = table.group.kind
+    if kind == "U1":
+        n = table.n
+
+        def key(e):
+            # low-weight member of each mirror pair (w, n-w) first: 0, n, 1, n-1, ...
+            w = e.irrep.w
+            return (e.multiplicity, min(w, n - w), w)
+
+        order = sorted(table.sectors, key=key)
+    else:
+        # two stable sorts: by label, then by multiplicity keeping label order
+        order = sorted(table.sectors, key=_LABEL_KEYS[kind], reverse=kind == "SU2")
+        order.sort(key=attrgetter("multiplicity"))
     return SectorTable(table.group, table.n, tuple(order))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 Matrix = list[list[int]]
 
@@ -101,13 +102,30 @@ def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _exact_int(x) -> int:
+    """``x`` as an int if its exact value is an integer (``2.0``, ``Fraction(4, 2)``)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (float, Rational)) and not isinstance(x, bool):
+        try:
+            f = Fraction(x)
+        except (OverflowError, ValueError):  # an infinite or NaN float
+            pass
+        else:
+            if f.denominator == 1:
+                return f.numerator
+    raise ValueError(f"entries must be integers, got {x!r}")
+
+
 def hnf(rows) -> tuple[Matrix, Matrix]:
     """Row Hermite normal form ``H = U @ A`` with unimodular ``U``.
 
     Pivots are positive, entries above each pivot are reduced into
-    ``[0, pivot)``, and zero rows sink to the bottom.
+    ``[0, pivot)``, and zero rows sink to the bottom.  Entries must have
+    integer values (``ValueError`` otherwise); scaling a row would change the
+    lattice the rows span.
     """
-    H = [[int(x) for x in row] for row in rows]
+    H = [[_exact_int(x) for x in row] for row in rows]
     r = len(H)
     c = len(H[0]) if r else 0
     U = _identity(r)
@@ -186,7 +204,13 @@ def hnf_basis_key(vectors: list[list[int]]) -> tuple:
 
 def weighted_gram(basis, weights=None) -> Matrix:
     """Integer Gram matrix of ``basis`` under ``<x, y> = sum w_i^2 x_i y_i``."""
-    w2 = [1] * len(basis[0]) if weights is None else [int(w) ** 2 for w in weights]
+    if weights is None:
+        w2 = [1] * len(basis[0])
+    else:
+        # type(w) is int also rejects bool, whose True would pass for 1
+        if any(type(w) is not int for w in weights):
+            raise ValueError("weights must be integers")
+        w2 = [w * w for w in weights]
     return [[sum(w * x * y for w, x, y in zip(w2, bi, bj)) for bj in basis] for bi in basis]
 
 

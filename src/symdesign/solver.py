@@ -148,18 +148,22 @@ def _prefix_scan(A: ChargeMatrix, length: int):
         yield idx, None if ech.add(A.column(idx)) else ech.kernel_basis()
 
 
-def lower_bound(A: ChargeMatrix, table: SectorTable) -> LowerBoundResult:
+def lower_bound(
+    A: ChargeMatrix, table: SectorTable, assume_semiuniversal: bool = False
+) -> LowerBoundResult:
     """First kernel growth of the multiplicity-ordered prefix scan.
 
     Scanning sectors in weakly increasing multiplicity order, the first index
     ``ell`` where the restricted matrix has column rank ``ell - 1`` yields the
     bound ``m[ell] - 1`` on the design order; if every prefix (including all
     sectors) has full column rank the order is unbounded.  :func:`tmax_exact`
-    reports the same bound from its own scan; like it, this needs the
+    reports the same bound from its own scan; like it, this needs a
+    semi-universal gate set (or ``assume_semiuniversal``) and the
     multiplicity vector in the rational row span of ``A``.
     """
     _check_alignment(A, table)
     _check_canonical(table)
+    _check_semiuniversal(A, assume_semiuniversal)
     _check_row_span(A, table)
     for idx, basis in _prefix_scan(A, len(table)):
         if basis is not None:

@@ -45,7 +45,7 @@ def _solve_checked(group, n, k, assume=False, classes=None):
         group, n, k, assume_semiuniversal=assume, classes=classes
     )
     assert result.proven_exact
-    assert result.lower_bound == lower_bound(matrix, table).bound
+    assert result.lower_bound == lower_bound(matrix, table, assume_semiuniversal=assume).bound
     BOUND_LOG.append((result.lower_bound, result.tmax))
     if is_finite(result.tmax):
         assert result.lower_bound <= result.tmax
@@ -142,7 +142,7 @@ def test_criterion_5_lower_bound_soundness():
     for n in range(5, 17):
         table = canonical_order(sectors(SU2, n))
         matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
-        lb = lower_bound(matrix, table)
+        lb = lower_bound(matrix, table, assume_semiuniversal=True)
         assert lb.bound == n - 2
         result = tmax_exact(matrix, table, assume_semiuniversal=True)
         assert result.lower_bound == lb.bound

@@ -195,7 +195,7 @@ class TestLowerBoundCommand:
         # without the identity class the bound m[ell] - 1 does not hold, as
         # for tmax --assume-semiuniversal on the same instance
         for argv in (
-            ["lower-bound"],
+            ["lower-bound", "--assume-semiuniversal"],
             ["tmax", "--assume-semiuniversal"],
         ):
             code, out, err = run_cli(
@@ -205,6 +205,30 @@ class TestLowerBoundCommand:
             assert code == 2
             assert out == ""
             assert "row span" in err
+
+    @pytest.mark.parametrize("command", ["lower-bound", "tmax"])
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            ("--group", "u1", "--n", "6", "--k", "1"),
+            ("--group", "zp", "--p", "3", "--n", "6", "--k", "2"),
+            ("--group", "sud", "--d", "3", "--n", "6", "--k", "3", "--classes", "2,3"),
+        ],
+        ids=" ".join,
+    )
+    def test_below_semiuniversality_exits_2(self, capsys, command, instance):
+        code, out, err = run_cli(capsys, command, *instance)
+        assert code == 2
+        assert out == ""
+        assert "2-design" in err or "semi-universality" in err
+
+    def test_assume_semiuniversal_gives_the_formal_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lower-bound", "--group", "u1", "--n", "6", "--k", "1",
+            "--assume-semiuniversal", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["bound"] == 5
 
 
 class TestOptimizedInterpreter:

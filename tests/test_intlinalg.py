@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import charge_matrix, kernel_lattice, rank_exact, sectors, U1, zp
-from symdesign.intlinalg import Echelon, _exact_div, hnf, hnf_basis_key, lll_reduce, mat_vec
+from symdesign.intlinalg import (
+    Echelon,
+    _exact_div,
+    hnf,
+    hnf_basis_key,
+    lll_reduce,
+    mat_vec,
+    weighted_gram,
+)
 
 
 def rank_rational(rows) -> int:
@@ -192,6 +200,28 @@ class TestHnf:
         assert Hu == [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
 
+    def test_integral_values_read_exactly(self):
+        A = [[2.0, Fraction(4, 2)], [1, 3]]
+        assert hnf(A) == hnf([[2, 2], [1, 3]])
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[0.5, 1.0], [1.0, 3.5]],
+            [[1, Fraction(1, 3)]],
+            [[True, 1]],
+            [["1", 2]],
+            [[float("inf"), 1]],
+            [[float("nan"), 1]],
+        ],
+        ids=repr,
+    )
+    def test_non_integer_entries_raise(self, A):
+        # truncating (or scaling a row) would change the lattice
+        with pytest.raises(ValueError, match="integers"):
+            hnf(A)
+
+
 class TestKernelLattice:
     def brute_kernel_vectors(self, rows, bound):
         """All small integer kernel vectors, by exhaustion."""
@@ -295,6 +325,18 @@ class TestIntegralGramSchmidt:
     def test_empty_basis(self):
         assert lll_reduce([]) == ([], [1], [])
 
+    def test_weighted_gram(self):
+        assert weighted_gram([[1, -1]], [2, 3]) == [[13]]
+        assert weighted_gram([[1, 2], [0, 1]]) == [[5, 2], [2, 1]]
+
+    @pytest.mark.parametrize("weights", [[2.5, 2.5], [2.0, 2], [True, 2], [Fraction(2), 2]])
+    def test_non_int_weights_raise(self, weights):
+        # int(2.5) ** 2 would silently give the Gram matrix for weight 2
+        with pytest.raises(ValueError, match="integers"):
+            weighted_gram([[1, -1]], weights)
+        with pytest.raises(ValueError, match="integers"):
+            lll_reduce([[1, -1]], weights)
+
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
             _exact_div(7, 2)
@@ -307,28 +349,50 @@ class TestIntegralGramSchmidt:
 def lll_reduce_refactoring(basis, weights=None):
     """Reference LLL that recomputes the Gram-Schmidt data after every step.
 
-    Same moves as :func:`lll_reduce` in rational arithmetic, but ``mu`` and the
-    norms come from a fresh :func:`weighted_gso` of the current vectors each
-    time, so the integral in-place updates of the library routine must
-    reproduce its bases exactly.
+    Same moves as :func:`lll_reduce`, but the Gram-Schmidt data of the current
+    vectors come afresh each time from a fraction-free Gram-Schmidt of their
+    weighted dot products (leading Gram minors ``d`` and ``lam = mu * d``), and
+    every decision is taken in rational arithmetic, so the integral in-place
+    updates of the library routine must reproduce its bases exactly.
     """
     b = [list(v) for v in basis]
-    d = len(b)
-    if d <= 1:
+    n = len(b)
+    if n <= 1:
         return b
     w = [1] * len(b[0]) if weights is None else weights
     delta = Fraction(3, 4)
+    d = [1]
+    lam = []
+
+    def gso_row(k):
+        # d[k+1] and lam[k] from the dot products of b[k] with b[:k+1]; the
+        # rows before k are those of the current b[:k]
+        row = []
+        for j in range(k + 1):
+            u = weighted_dot(b[k], b[j], w)
+            lam_j = lam[j] if j < k else row
+            for i in range(j):
+                u, rem = divmod(d[i + 1] * u - row[i] * lam_j[i], d[i])
+                assert rem == 0
+            row.append(u)
+        del d[k + 1 :], lam[k:]
+        d.append(row.pop())
+        lam.append(row)
+
     k = 1
-    while k < d:
+    while k < n:
         # size reduction moves b[k] by vectors of b[:k], so no b_j* (j <= k)
         # changes; mu[k][j] is read afresh from the current b[k]
-        _, norms, gs = weighted_gso(b[: k + 1], w)
+        del d[1:], lam[:]
+        for i in range(k + 1):
+            gso_row(i)
         for j in range(k - 1, -1, -1):
-            q = round(weighted_dot(b[k], gs[j], w) / norms[j])
+            q = round(Fraction(lam[k][j], d[j + 1]))
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        m = weighted_dot(b[k], gs[k - 1], w) / norms[k - 1]
-        if norms[k] >= (delta - m * m) * norms[k - 1]:
+                gso_row(k)
+        m = Fraction(lam[k][k - 1], d[k])
+        if Fraction(d[k + 1], d[k]) >= (delta - m * m) * Fraction(d[k], d[k - 1]):
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -61,7 +62,7 @@ class TestLowerBound:
     def test_su2_identity_row_only(self, n):
         table = canonical_order(sectors(SU2, n))
         matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
-        lb = lower_bound(matrix, table)
+        lb = lower_bound(matrix, table, assume_semiuniversal=True)
         assert lb.bound == n - 2
 
     def test_multiplicities_outside_row_span_rejected(self):
@@ -70,7 +71,26 @@ class TestLowerBound:
         table = canonical_order(sectors(sud(3), 6))
         chi = charge_matrix(table, 3, [CycleType((2,)), CycleType((3,))])
         with pytest.raises(ValueError, match="row span"):
+            lower_bound(chi, table, assume_semiuniversal=True)
+        # without the flag the missing identity class fails semi-universality first
+        with pytest.raises(SemiUniversalityError):
             lower_bound(chi, table)
+
+    @pytest.mark.parametrize("group, k", [(U1, 1), (SU2, 1), (zp(3), 2)])
+    def test_below_semiuniversality_threshold_rejected(self, group, k):
+        # as in tmax_exact, a kernel-based bound means nothing for such gates
+        matrix, table = aligned(group, 6, k)
+        with pytest.raises(SemiUniversalityError, match="semi-universality"):
+            lower_bound(matrix, table)
+        lb = lower_bound(matrix, table, assume_semiuniversal=True)
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
+        assert lb.bound == result.lower_bound
+
+    def test_custom_needs_override(self):
+        table = canonical_order(sectors(SU2, 6))
+        matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
+        with pytest.raises(SemiUniversalityError, match="custom"):
+            lower_bound(matrix, table)
 
     def test_misaligned(self):
         table = canonical_order(sectors(U1, 5))
@@ -474,6 +494,30 @@ class TestLazyColumns:
         assert aligned.col_ids != A.col_ids
         for j, irrep in enumerate(aligned.col_ids):
             assert aligned.column(j) == A.column(A.col_ids.index(irrep))
+
+    @pytest.mark.parametrize("group, n, k", [(U1, 40, 6), (SU2, 30, 4), (zp(4), 25, 4)])
+    def test_entries_computed_once(self, group, n, k, monkeypatch):
+        # the row-span witness reads the columns that the scan and the
+        # certificate check then reuse
+        counts = Counter()
+        build = solver.charge_matrix
+
+        def counting(table, k, classes=None):
+            A = build(table, k, classes)
+            entry = A._entry
+
+            def counted(i, j):
+                counts[i, j] += 1
+                return entry(i, j)
+
+            A._entry = counted
+            return A
+
+        monkeypatch.setattr(solver, "charge_matrix", counting)
+        result, table, A = compute_tmax(group, n, k)
+        assert verify_certificate(result.certificate, A, table)
+        assert len(counts) == A.shape[0] * A.shape[1]
+        assert max(counts.values()) == 1
 
 
 class TestLazyCharacterColumns:

@@ -1,7 +1,8 @@
 """Sector enumeration, canonical ordering, and semi-universality thresholds."""
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -23,7 +24,36 @@ from symdesign.groups import (
     TwiceSpin,
     partitions_max_rows,
     sn_irrep_dim,
+    sud_irrep_dim,
 )
+
+
+def partitions_reference(n: int, d: int):
+    """Recursive reference: partitions of n with at most d parts, descending lex."""
+
+    def rec(rest, max_part, rows_left, prefix):
+        if rest == 0:
+            yield prefix
+            return
+        if rows_left == 0:
+            return
+        for part in range(min(rest, max_part), 0, -1):
+            yield from rec(rest - part, part, rows_left - 1, prefix + (part,))
+
+    yield from rec(n, n, d, ())
+
+
+def tie_break_key(n, irrep):
+    """Reference tie-break among equal multiplicities, by label type."""
+    if isinstance(irrep, HammingWeight):
+        return (min(irrep.w, n - irrep.w), irrep.w)
+    if isinstance(irrep, TwiceSpin):
+        return (-irrep.jj,)
+    if isinstance(irrep, Residue):
+        return (irrep.beta,)
+    if isinstance(irrep, PartitionId):
+        return (irrep.parts,)
+    return (irrep.index,)
 
 
 def clebsch_gordan_multiplicities(n: int) -> dict[int, int]:
@@ -131,6 +161,23 @@ class TestCanonicalOrder:
         assert set(before.ids) == set(after.ids)
         assert after.is_canonical()
 
+    @pytest.mark.parametrize(
+        "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4), sud(6)], ids=str
+    )
+    def test_matches_reference_sort(self, group):
+        # sorted from a shuffled copy too: the order must not lean on the input's
+        rng = random.Random(7)
+        for n in range(1, 31):
+            natural = sectors(group, n)
+            expect = sorted(
+                natural.sectors, key=lambda e: (e.multiplicity,) + tie_break_key(n, e.irrep)
+            )
+            assert canonical_order(natural).sectors == tuple(expect)
+            shuffled = list(natural.sectors)
+            rng.shuffle(shuffled)
+            table = type(natural)(group, n, tuple(shuffled))
+            assert canonical_order(table).sectors == tuple(expect)
+
     @pytest.mark.parametrize("n", range(3, 21))
     def test_su2_imax_matches_table(self, n):
         # the last index qualifies vacuously (no r beyond it) and is excluded
@@ -171,3 +218,31 @@ class TestPartitionHelpers:
         for n in range(1, 9):
             total = sum(sn_irrep_dim(p) ** 2 for p in partitions_max_rows(n, n))
             assert total == factorial(n)
+
+    def test_partitions_match_recursive_reference(self):
+        for n in range(1, 41):
+            for d in range(1, 9):
+                assert list(partitions_max_rows(n, d)) == list(partitions_reference(n, d)), (n, d)
+
+    def test_partitions_edge_cases(self):
+        assert list(partitions_max_rows(0, 3)) == [()]
+        assert list(partitions_max_rows(5, 0)) == []
+        assert list(partitions_max_rows(-1, 3)) == []
+        assert list(partitions_max_rows(4, 2)) == [(4,), (3, 1), (2, 2)]
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_sud_dim_matches_hook_content_formula(self, d):
+        # dim = prod over cells (d + j - i) / prod over cells of the hook length
+        for n in range(1, 21):
+            for parts in partitions_max_rows(n, d):
+                cols = [sum(1 for a in parts if a > j) for j in range(parts[0])]
+                cells = [(i, j) for i, a in enumerate(parts) for j in range(a)]
+                num = prod(d + j - i for i, j in cells)
+                hooks = prod(parts[i] - j + cols[j] - i - 1 for i, j in cells)
+                assert num % hooks == 0
+                assert sud_irrep_dim(parts, d) == num // hooks, (parts, d)
+
+    @pytest.mark.parametrize("parts", [(0,), (1, 2), (), (-1,), (2, 0), (3, 1, 2)])
+    def test_partition_id_rejects_invalid_parts(self, parts):
+        with pytest.raises(ValueError):
+            PartitionId(parts)
