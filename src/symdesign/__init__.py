@@ -45,7 +45,6 @@ from .solver import (
     LowerBoundResult,
     SemiUniversalityError,
     TmaxResult,
-    brute_force_tmax,
     compute_tmax,
     lower_bound,
     min_weighted_l1,
@@ -113,7 +112,6 @@ __all__ = [
     "tmax_exact",
     "min_weighted_l1",
     "verify_certificate",
-    "brute_force_tmax",
     "compute_tmax",
     "ClosedFormTmax",
     "DiagOperator",

@@ -2,13 +2,17 @@
 
 Each suite re-derives exact identities (or solver answers) by an independent
 route and returns a :class:`Tally` of the checks it made and the ones that
-failed, so the command line and the test suite run the same checks.
+failed, so the command line and the test suite run the same checks.  The
+exhaustive oracle behind ``solver-brute`` (:func:`kernel_vectors`,
+:func:`exhaustive_certificate`) shares no code with the solve path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
+from typing import Optional
 
 from .charges import charge_matrix, sn_character
 from .closedforms import (
@@ -26,8 +30,7 @@ from .closedforms import (
 )
 from .groups import SU2, U1, canonical_order, sectors, su2_multiplicity, sud, zp
 from .infinity import INFINITE
-from .intlinalg import kernel_lattice
-from .solver import brute_force_tmax, lower_bound, tmax_exact
+from .solver import Certificate, lower_bound, tmax_exact
 
 
 @dataclass
@@ -189,11 +192,113 @@ def oracle(n_max: int = 12, samples: int = 500, seed: int = 0) -> Tally:
     return t
 
 
-def solver_brute() -> Tally:
-    """Exact solver against the brute-force oracle on every small instance.
+def _free_form(rows, weights):
+    """Exact RREF of ``rows`` with its pivots on the lightest columns.
 
-    Instances have n <= 8 and kernel dimension <= 3; each also checks that
-    the lower bound of the solve equals the stand-alone :func:`lower_bound`.
+    Returns the free columns (heaviest first) and per pivot ``(column, scale,
+    c)`` with ``scale * q[column] == -sum(c_f * q[f])`` over the free ``f``.
+    """
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in sorted(range(len(weights)), key=weights.__getitem__):
+        r = len(pivots)
+        i = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        M[r] = [x / M[r][col] for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[col]:
+                M[i] = [a - row[col] * b for a, b in zip(row, M[r])]
+        pivots.append(col)
+    free = sorted(set(range(len(weights))) - set(pivots), key=lambda j: (-weights[j], j))
+    solved = []
+    for col, row in zip(pivots, M):
+        scale = lcm(*(row[f].denominator for f in free))
+        solved.append((col, scale, [int(row[f] * scale) for f in free]))
+    return free, solved
+
+
+def _vectors_within(form, weights, radius: int) -> list[tuple[int, ...]]:
+    free, solved = form
+    found = []
+    q = [0] * len(weights)
+
+    def descend(level, budget, sums, top):
+        # sums[i] = -scale * q[pivot i] over the free coordinates fixed so
+        # far; top says they are all zero
+        if level == len(free):
+            if top:
+                return
+            for (col, scale, _), s in zip(solved, sums):
+                x, rem = divmod(-s, scale)
+                budget -= weights[col] * abs(x)
+                if rem or budget < 0:
+                    return
+                q[col] = x
+            found.append(tuple(q) if next(x for x in q if x) > 0 else tuple(-x for x in q))
+            return
+        f = free[level]
+        reach = budget // weights[f]
+        # the first nonzero free coordinate is positive, so each +-q comes once
+        for x in range(0 if top else -reach, reach + 1):
+            q[f] = x
+            sums_x = [s + c[level] * x for s, (_, _, c) in zip(sums, solved)]
+            descend(level + 1, budget - weights[f] * abs(x), sums_x, top and not x)
+        q[f] = 0
+
+    descend(0, radius, [0] * len(solved), True)
+    return found
+
+
+def kernel_vectors(rows, weights, radius: int) -> list[tuple[int, ...]]:
+    """Every nonzero integer ``q`` with ``rows . q == 0`` and weighted norm <= ``radius``.
+
+    The norm is ``sum(w_i |q_i|)`` over positive integer weights.  One of
+    each pair ``+-q`` is listed, with its first nonzero entry positive.
+    Complete by construction: the free coordinates of an exact RREF fix a
+    kernel vector, and each is enumerated within the budget the others
+    leave.  Pivots go to the smallest weights, so the free coordinates carry
+    the largest ones and take the fewest values.
+    """
+    return _vectors_within(_free_form(rows, weights), weights, radius)
+
+
+def exhaustive_certificate(A, table) -> Optional[Certificate]:
+    """The certificate :func:`tmax_exact` must return, found with no lattice code.
+
+    ``None`` when the kernel of ``A`` is trivial.  Otherwise the radius
+    starts at ``2 * m[0]`` and doubles until kernel vectors appear; their
+    least norm ``B`` is the optimum.  Ties go to the lexicographically
+    smallest optimum supported on the prefix where the scan of
+    :func:`tmax_exact` stops: the first ``0..s`` that holds an optimum with
+    ``s`` last or ``B <= 2 * m[s + 1]``.
+    """
+    m = table.multiplicities
+    form = _free_form(A.rows, m)
+    if not form[0]:  # no free column: the kernel is trivial
+        return None
+    radius = 2 * m[0]
+    while not (found := _vectors_within(form, m, radius)):
+        radius *= 2
+    norms = {q: sum(w * abs(x) for w, x in zip(m, q)) for q in found}
+    best = min(norms.values())
+    optima = [q for q in found if norms[q] == best]
+    last = {q: max(i for i, x in enumerate(q) if x) for q in optima}
+    s = min(last.values())
+    while s + 1 < len(m) and best > 2 * m[s + 1]:
+        s += 1
+    q = min(q for q in optima if last[q] <= s)
+    return Certificate(q, best, tuple(table.ids[i] for i, x in enumerate(q) if x))
+
+
+def solver_brute() -> Tally:
+    """Exact solver against the exhaustive oracle on every small instance.
+
+    Instances have n <= 8, every locality and any kernel dimension.  Each
+    checks the design order and the exact certificate against
+    :func:`exhaustive_certificate`, and that the lower bound of the solve
+    equals the stand-alone :func:`lower_bound`.
     """
     t = Tally()
     for group in (U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4)):
@@ -202,12 +307,11 @@ def solver_brute() -> Tally:
             for k in range(kmin, n + 1):
                 table = canonical_order(sectors(group, n))
                 matrix = charge_matrix(table, k)
-                if len(kernel_lattice(matrix.rows)) > 3:
-                    continue
                 exact = tmax_exact(matrix, table, assume_semiuniversal=True)
-                brute = brute_force_tmax(matrix, table, coeff_bound=6)
-                expected = INFINITE if brute is None else brute[0] // 2 - 1
+                oracle = exhaustive_certificate(matrix, table)
+                expected = INFINITE if oracle is None else oracle.weighted_norm // 2 - 1
                 t.check(exact.tmax == expected, "tmax", str(group), n, k)
+                t.check(exact.certificate == oracle, "certificate", str(group), n, k)
                 bound = lower_bound(matrix, table, assume_semiuniversal=True).bound
                 t.check(exact.lower_bound == bound, "lower bound", str(group), n, k)
     return t

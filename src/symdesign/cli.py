@@ -33,7 +33,7 @@ from .charges import (
 )
 from .closedforms import closed_tmax
 from .groups import GroupSpec, canonical_order, sectors, sud, zp, U1, SU2
-from .infinity import INFINITE, is_finite
+from .infinity import is_finite
 from .solver import compute_tmax, lower_bound, tmax_exact, verify_certificate
 
 EXIT_OK = 0
@@ -226,13 +226,7 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
         for p in (2, 3, 4, 5):
             for n in range(max(n_lo, p + 1), n_hi + 1):
                 jobs.append((zp(p), n, p, None))
-        for k in range(2, 7):
-            for n in range(n_lo, n_hi + 1):
-                jobs.append((U1, n, k, None))
-        for k in range(2, 8):
-            for n in range(n_lo, n_hi + 1):
-                jobs.append((SU2, n, k, None))
-    elif which == "table2":
+    if which in ("table1", "table2"):
         for k in range(2, 7):
             for n in range(n_lo, n_hi + 1):
                 jobs.append((U1, n, k, None))
@@ -256,10 +250,11 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
     for group, n, k, classes in jobs:
         if group.kind != "SUd" and n <= k:
             continue
+        # None below the formula's validity threshold; every tabulated SU(d)
+        # row starts at n >= 15 > k
         cf = _closed_form_for(group, n, k, classes)
-        if cf is None or n < cf.valid_from_n or n < k:
-            continue
-        kept.append((group, n, k, classes, cf))
+        if cf is not None:
+            kept.append((group, n, k, classes, cf))
 
     def solve(job):
         group, n, k, classes, cf = job

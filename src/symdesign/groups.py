@@ -256,9 +256,14 @@ def _weyl_denominator(d: int) -> int:
 
 
 def sud_irrep_dim(parts: tuple[int, ...], d: int) -> int:
-    """Dimension of the SU(d) irrep with highest weight given by ``parts``."""
+    """Dimension of the SU(d) irrep with highest weight given by ``parts``.
+
+    A partition with more than ``d`` rows labels no SU(d) irrep: dimension 0.
+    """
+    if len(parts) > d:
+        return 0
     # lam_i - lam_j + j - i == l_i - l_j for the shifted weights l_i = lam_i - i
-    ls = [*map(sub, parts[:d], range(d)), *range(-len(parts), -d, -1)]
+    ls = [*map(sub, parts, range(d)), *range(-len(parts), -d, -1)]
     dim, rem = divmod(prod(starmap(sub, combinations(ls, 2))), _weyl_denominator(d))
     if rem:
         raise ArithmeticError(f"Weyl dimension of {parts} for SU({d}) is not an integer")

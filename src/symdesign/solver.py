@@ -40,7 +40,7 @@ from .charges import (
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, kernel_lattice, lll_reduce
+from .intlinalg import Echelon, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -326,6 +326,11 @@ def tmax_exact(
     ``B``.  The scan stops as soon as ``B <= 2 * m[next]``: any kernel vector
     supported outside the prefix costs at least ``2 * m[next]`` because its
     positive and negative weighted parts are equal.
+
+    Ties go to the lexicographically smallest optimum supported on the prefix
+    where the scan stops (the first ``0..s`` holding an optimum with ``s``
+    last or ``B <= 2 * m[s + 1]``), not to a smaller one needing a later
+    sector: U(1) n=3 k=1 gives ``(2, 1, -1, 0)``, not ``(1, 2, 0, -1)``.
     """
     _check_alignment(A, table)
     _check_canonical(table)
@@ -401,50 +406,6 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
         return False
     support = tuple(table.ids[i] for i, x in enumerate(q) if x)
     return support == tuple(cert.support)
-
-
-def brute_force_tmax(
-    A: ChargeMatrix, table: SectorTable, coeff_bound: int
-) -> Optional[tuple[int, Certificate]]:
-    """Exhaustive oracle over small integer combinations of the kernel basis.
-
-    Returns ``(minimum weighted norm, certificate)`` over all nonzero
-    coefficient vectors in ``[-coeff_bound, coeff_bound]^dim``, or ``None``
-    when the kernel is trivial.  Only meant to validate the solver on
-    instances with kernel dimension <= 4.
-    """
-    _check_alignment(A, table)
-    basis = kernel_lattice(A.rows)
-    if not basis:
-        return None
-    dim = len(basis)
-    mults = table.multiplicities
-    best = None
-    best_q = None
-    rng = range(-coeff_bound, coeff_bound + 1)
-
-    def rec(i, acc):
-        nonlocal best, best_q
-        if i == dim:
-            if all(x == 0 for x in acc):
-                return
-            q = _normalize_sign(list(acc))
-            norm = _weighted_l1(q, mults)
-            if best is None or norm < best or (norm == best and q < best_q):
-                best, best_q = norm, q
-            return
-        for x in rng:
-            rec(i + 1, [a + x * b for a, b in zip(acc, basis[i])])
-
-    rec(0, [0] * len(basis[0]))
-    if best is None:
-        return None
-    cert = Certificate(
-        q=best_q,
-        weighted_norm=best,
-        support=tuple(table.ids[i] for i, x in enumerate(best_q) if x),
-    )
-    return best, cert
 
 
 def compute_tmax(

@@ -173,8 +173,8 @@ def test_criterion_6_identity_suites():
 def test_criterion_7_oracle_equivalence():
     started = time.monotonic()
     tally = checks.solver_brute()
-    _assert_passes(tally, 2 * 171)  # tmax and lower bound on 171 instances
-    _report(f"7 (brute-force equivalence, {tally.checks // 2} instances)", started, 120.0)
+    _assert_passes(tally, 3 * 214)  # tmax, exact certificate and lower bound on 214 instances
+    _report(f"7 (exhaustive-oracle equivalence, {tally.checks // 3} instances)", started, 120.0)
 
 
 def test_criterion_8_dense_checks():

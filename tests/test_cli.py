@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symdesign.cli import main
 
@@ -388,6 +390,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "pass" in out
 
+    def test_solver_brute_suite(self, capsys):
+        # tmax, the exact certificate and the lower bound on 214 instances
+        code, out, _ = run_cli(capsys, "verify", "--suite", "solver-brute")
+        assert code == 0
+        assert out == "suite solver-brute: pass (642/642 checks)\n"
+
     def test_identities_su2_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities-su2", "--n-max", "8")
         assert code == 0
@@ -432,3 +440,59 @@ class TestVerifyCommand:
             "--seed", "1",
         )
         assert code == 0
+
+
+# arbitrary JSON, and custom documents whose m, rows and labels are either
+# well formed or arbitrary
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+rationals = st.integers(-4, 4) | st.builds("{}/{}".format, st.integers(-4, 4), st.integers(-2, 3))
+custom_documents = json_values | st.fixed_dictionaries(
+    {"m": st.lists(st.integers(1, 12), min_size=1, max_size=6) | json_values},
+    optional={
+        "rows": st.lists(st.lists(rationals | json_values, max_size=6), max_size=3) | json_values,
+        "labels": st.lists(st.text(max_size=3), max_size=4) | json_values,
+    },
+)
+class_tokens = st.sampled_from(["id", "e", "1", "(1)", "2", "3", "2+2", "4", "(12)(34)", "(123)"])
+class_lists = st.lists(class_tokens | st.text("()+-0123456789ide ", max_size=5), max_size=5)
+
+# the examples of one test share its file and its capture, so function-scoped
+# fixtures are fine
+fuzz_settings = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestExitCodeFuzz:
+    """Malformed input never escapes as a traceback: every run exits 0, 2, 3 or 4."""
+
+    @given(custom_documents)
+    @fuzz_settings
+    def test_custom_documents(self, capsys, tmp_path, doc):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(capsys, "custom", str(path), "--format", "json")
+        assert code in (0, 2, 3, 4)
+
+    @given(
+        st.sampled_from(["tmax", "lower-bound", "smatrix"]),
+        st.integers(2, 5),
+        st.integers(1, 8),
+        st.integers(-1, 9),
+        class_lists,
+        st.booleans(),
+    )
+    @fuzz_settings
+    def test_class_lists(self, capsys, command, d, n, k, tokens, assume):
+        argv = [command, "--group", "sud", f"--d={d}", f"--n={n}", f"--k={k}"]
+        argv.append("--classes=" + ",".join(tokens))
+        if assume and command != "smatrix":
+            argv.append("--assume-semiuniversal")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 2, 3, 4)

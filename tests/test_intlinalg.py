@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import charge_matrix, kernel_lattice, rank_exact, sectors, U1, zp
+from symdesign.checks import kernel_vectors
 from symdesign.intlinalg import (
     Echelon,
     _exact_div,
@@ -223,26 +224,16 @@ class TestHnf:
 
 
 class TestKernelLattice:
-    def brute_kernel_vectors(self, rows, bound):
-        """All small integer kernel vectors, by exhaustion."""
-        from itertools import product
-
-        c = len(rows[0])
-        found = []
-        for q in product(range(-bound, bound + 1), repeat=c):
-            if any(q) and all(sum(a * x for a, x in zip(row, q)) == 0 for row in rows):
-                found.append(list(q))
-        return found
-
     def test_u1_n3_k1_lattice(self):
         rows = charge_matrix(sectors(U1, 3), 1).rows
         basis = kernel_lattice(rows)
         assert len(basis) == 2
         assert rank_exact(rows) == 2
-        # expected lattice frozen from the brute-force oracle below
+        # expected lattice frozen from the exhaustive oracle below
         expected = [[1, 0, -1, 2], [0, 1, -2, 3]]
         assert hnf_basis_key(basis) == hnf_basis_key(expected)
-        small = self.brute_kernel_vectors(rows, 3)
+        # every kernel vector of one-norm <= 12, one of each +-q
+        small = [list(q) for q in kernel_vectors(rows, [1, 1, 1, 1], 12)]
         assert [1, 0, -1, 2] in small and [0, 1, -2, 3] in small
         # every small kernel vector is in the lattice generated by the basis
         key = hnf_basis_key(basis)

@@ -242,6 +242,21 @@ class TestPartitionHelpers:
                 assert num % hooks == 0
                 assert sud_irrep_dim(parts, d) == num // hooks, (parts, d)
 
+    @pytest.mark.parametrize(
+        "parts, d",
+        [
+            ((1, 1, 1, 1), 3),
+            ((2, 1, 1, 1), 3),
+            ((5, 1, 1, 1), 3),
+            ((3, 3, 1, 1, 1), 4),
+            ((1,) * 7, 6),
+        ],
+    )
+    def test_sud_dim_zero_beyond_d_rows(self, parts, d):
+        # no SU(d) irrep has more than d rows: the hook-content product has
+        # the factor d + 0 - d = 0 at cell (d, 0)
+        assert sud_irrep_dim(parts, d) == 0
+
     @pytest.mark.parametrize("parts", [(0,), (1, 2), (), (-1,), (2, 0), (3, 1, 2)])
     def test_partition_id_rejects_invalid_parts(self, parts):
         with pytest.raises(ValueError):
