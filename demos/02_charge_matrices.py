@@ -15,7 +15,6 @@ from symdesign import (
     U1,
     canonical_order,
     charge_matrix,
-    kernel_lattice,
     load_custom_problem,
     lower_bound,
     min_weighted_l1,
@@ -23,6 +22,7 @@ from symdesign import (
     tmax_exact,
     verify_certificate,
 )
+from symdesign.intlinalg import Echelon
 
 ###############################################################################
 # Step 1-2: sectors of 5 qubits with U(1) symmetry, then the canonical order.
@@ -48,13 +48,17 @@ for label, row in zip(matrix.row_labels, matrix.rows):
     print(f"  {label.label:>4}  " + "  ".join(f"{x:>4}" for x in row))
 
 ###############################################################################
-# Step 4: the integer kernel lattice of the full matrix, and the rank-scan
-# lower bound: the first prefix whose columns go dependent caps how small a
-# certificate's support can be.
+# Step 4: the integer kernel lattice of the full matrix, from the same
+# incremental echelon the solver's prefix scan uses: each column either raises
+# the rank or adds one relation, and the relations are a basis of the integer
+# kernel.  Then the rank-scan lower bound: the first prefix whose columns go
+# dependent caps how small a certificate's support can be.
 
-basis = kernel_lattice(matrix.rows)
+echelon = Echelon()
+for j in range(matrix.shape[1]):
+    echelon.add(matrix.column(j))
 print("\nkernel lattice basis (full matrix):")
-for b in basis:
+for b in echelon.kernel_basis():
     print("  ", b)
 lb = lower_bound(matrix, table)
 print(f"lower bound: t_max >= {lb.bound} (prefix of {lb.ell - 1} sectors stays full rank)")

@@ -39,7 +39,7 @@ from .charges import (
     load_custom_problem,
     sn_character,
 )
-from .intlinalg import hnf, kernel_lattice, rank_exact
+from .intlinalg import rank_exact
 from .solver import (
     Certificate,
     LowerBoundResult,
@@ -102,8 +102,6 @@ __all__ = [
     "load_custom_problem",
     "sn_character",
     "rank_exact",
-    "hnf",
-    "kernel_lattice",
     "Certificate",
     "TmaxResult",
     "LowerBoundResult",

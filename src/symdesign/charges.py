@@ -19,6 +19,7 @@ minimizes its multiplicity-weighted one-norm.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -368,8 +369,12 @@ def custom_matrix(
 # ---------------------------------------------------------------------------
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(x) -> Fraction:
-    if isinstance(x, (str, int)) and not isinstance(x, bool):
+    """A JSON int or a ``"p"`` / ``"p/q"`` string of decimal digits, read exactly."""
+    if type(x) is int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
         try:
             return Fraction(x)
         except ZeroDivisionError:

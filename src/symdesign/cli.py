@@ -248,10 +248,8 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
 
     kept = []
     for group, n, k, classes in jobs:
-        if group.kind != "SUd" and n <= k:
-            continue
-        # None below the formula's validity threshold; every tabulated SU(d)
-        # row starts at n >= 15 > k
+        # None below the formula's validity threshold, which every tabulated
+        # formula puts above k
         cf = _closed_form_for(group, n, k, classes)
         if cf is not None:
             kept.append((group, n, k, classes, cf))

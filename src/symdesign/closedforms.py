@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .groups import (
     GroupSpec,
@@ -56,14 +56,7 @@ def binom_frac(alpha, k: int) -> Fraction:
     num = Fraction(1)
     for i in range(k):
         num *= alpha - i
-    return num / _factorial_frac(k)
-
-
-def _factorial_frac(k: int) -> Fraction:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return Fraction(out)
+    return num / factorial(k)
 
 
 def _as_int(x: Fraction, what: str) -> int:

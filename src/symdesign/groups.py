@@ -180,9 +180,6 @@ class SectorTable:
     def __len__(self):
         return len(self.sectors)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.irrep.label for e in self.sectors)
-
     def is_canonical(self) -> bool:
         m = self.multiplicities
         return all(map(le, m, m[1:]))

@@ -1,7 +1,7 @@
-"""Exact integer linear algebra: one incremental echelon for rank and kernel
-basis, Hermite normal form (the reference kernel), and the integral weighted
-LLL, which returns its integer Gram-Schmidt state (leading Gram minors ``d``,
-``lam = mu * d``) for the solver's enumeration.
+"""Exact integer linear algebra: one incremental echelon, the only rank and
+kernel-basis routine, and the integral weighted LLL, which returns its integer
+Gram-Schmidt state (leading Gram minors ``d``, ``lam = mu * d``) for the
+solver's enumeration.
 
 Rows of ints, Fractions or floats become exact integer multiples through
 :func:`as_int_row`.  Entries of the charge matrices grow like binomial
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 Matrix = list[list[int]]
 
@@ -42,7 +41,7 @@ class Echelon:
     the ``v_j`` as columns, and each new vector adds at most one relation.
     Each relation ends at the index of the vector that made it, so reducing a
     new one by the others from the last index down keeps a basis, and keeps
-    its entries near those of the HNF kernel instead of compounding.
+    its entries small instead of compounding.
     """
 
     def __init__(self):
@@ -98,103 +97,8 @@ def rank_exact(rows) -> int:
     return ech.rank
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _exact_int(x) -> int:
-    """``x`` as an int if its exact value is an integer (``2.0``, ``Fraction(4, 2)``)."""
-    if type(x) is int:
-        return x
-    if isinstance(x, (float, Rational)) and not isinstance(x, bool):
-        try:
-            f = Fraction(x)
-        except (OverflowError, ValueError):  # an infinite or NaN float
-            pass
-        else:
-            if f.denominator == 1:
-                return f.numerator
-    raise ValueError(f"entries must be integers, got {x!r}")
-
-
-def hnf(rows) -> tuple[Matrix, Matrix]:
-    """Row Hermite normal form ``H = U @ A`` with unimodular ``U``.
-
-    Pivots are positive, entries above each pivot are reduced into
-    ``[0, pivot)``, and zero rows sink to the bottom.  Entries must have
-    integer values (``ValueError`` otherwise); scaling a row would change the
-    lattice the rows span.
-    """
-    H = [[_exact_int(x) for x in row] for row in rows]
-    r = len(H)
-    c = len(H[0]) if r else 0
-    U = _identity(r)
-    piv_row = 0
-    for col in range(c):
-        # collect the column gcd into H[piv_row][col] by Euclidean row steps
-        while True:
-            nonzero = [i for i in range(piv_row, r) if H[i][col] != 0]
-            if not nonzero:
-                break
-            i_min = min(nonzero, key=lambda i: abs(H[i][col]))
-            if i_min != piv_row:
-                H[piv_row], H[i_min] = H[i_min], H[piv_row]
-                U[piv_row], U[i_min] = U[i_min], U[piv_row]
-            if H[piv_row][col] < 0:
-                H[piv_row] = [-x for x in H[piv_row]]
-                U[piv_row] = [-x for x in U[piv_row]]
-            done = True
-            a = H[piv_row][col]
-            for i in range(piv_row + 1, r):
-                if H[i][col] != 0:
-                    q = H[i][col] // a
-                    H[i] = [x - q * y for x, y in zip(H[i], H[piv_row])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[piv_row])]
-                    if H[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if piv_row < r and H[piv_row][col] != 0:
-            a = H[piv_row][col]
-            for i in range(piv_row):
-                q = H[i][col] // a
-                if q:
-                    H[i] = [x - q * y for x, y in zip(H[i], H[piv_row])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[piv_row])]
-            piv_row += 1
-            if piv_row == r:
-                break
-    return H, U
-
-
-def kernel_lattice(rows) -> list[list[int]]:
-    """Basis of the integer kernel lattice ``{q : A q = 0}``.
-
-    Computed from the row HNF of the transpose: rows of the transform matrix
-    aligned with zero rows of the HNF form a primitive basis.  Returns ``[]``
-    when the matrix has full column rank.
-    """
-    A = [as_int_row(row) for row in rows]
-    r = len(A)
-    if r == 0:
-        raise ValueError("matrix must have at least one row")
-    c = len(A[0])
-    B = [[A[i][j] for i in range(r)] for j in range(c)]  # transpose, c x r
-    H, U = hnf(B)
-    basis = [U[i] for i in range(c) if all(x == 0 for x in H[i])]
-    return [list(b) for b in basis]
-
-
 def mat_vec(rows, vec) -> list:
     return [sum(a * x for a, x in zip(row, vec)) for row in rows]
-
-
-def hnf_basis_key(vectors: list[list[int]]) -> tuple:
-    """Canonical form of the lattice spanned by ``vectors`` (for comparisons)."""
-    if not vectors:
-        return ()
-    H, _ = hnf(vectors)
-    return tuple(tuple(row) for row in H if any(row))
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,11 @@ class TestCustomCommand:
             pytest.param(doc, key, id=doc)
             for doc, key in [
                 ('{"m": [4, 4], "rows": [["1/0", "1"]]}', None),  # zero denominator
+                # only ints and "p/q" strings: an exponent of 200,000 digits
+                # would overflow the output, and decimals are not documented
+                ('{"m": [1, 2, 3], "rows": [["1e200000", "1", "-2"]]}', None),
+                ('{"m": [1, 2, 3], "rows": [["0.5", "1", "-2"]]}', None),
+                ('{"m": [1, 2, 3], "rows": [["1e3", "1", "-2"]]}', None),
                 ('{"m": []}', None),  # no sectors
                 ('{"m": [true, 2]}', None),  # boolean multiplicity
                 ('{"m": [1, 2], "rows": [[true, 1]]}', None),  # boolean row entry

@@ -1,44 +1,17 @@
-"""Exact rank, Hermite normal form, and kernel-lattice routines."""
+"""Exact rank, the echelon kernel basis, and the integral weighted LLL."""
 
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdesign import charge_matrix, kernel_lattice, rank_exact, sectors, U1, zp
+from kernel_ref import echelon_kernel, is_kernel_basis, rank_rational
+from symdesign import charge_matrix, rank_exact, sectors, U1, zp
 from symdesign.checks import kernel_vectors
-from symdesign.intlinalg import (
-    Echelon,
-    _exact_div,
-    hnf,
-    hnf_basis_key,
-    lll_reduce,
-    mat_vec,
-    weighted_gram,
-)
-
-
-def rank_rational(rows) -> int:
-    """Naive rational Gaussian elimination, the reference for rank_exact."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    col = 0
-    ncols = len(M[0]) if M else 0
-    while rank < len(M) and col < ncols:
-        piv = next((i for i in range(rank, len(M)) if M[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        for i in range(len(M)):
-            if i != rank and M[i][col]:
-                f = M[i][col] / M[rank][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-        col += 1
-    return rank
+from symdesign.intlinalg import Echelon, _exact_div, lll_reduce, mat_vec, weighted_gram
 
 
 small_matrix = st.integers(1, 6).flatmap(
@@ -86,11 +59,11 @@ class TestRank:
         assert rank_exact([[0.5, 0.25], [2, 1]]) == 1
 
 
-def check_echelon_against_hnf(A):
+def check_echelon(A):
     """Feed the columns of ``A`` to one echelon, checking it after every column.
 
-    The kernel basis must span the lattice of the independent HNF reference on
-    the column prefix, every pivot ``(i, h, u)`` must satisfy
+    The kernel basis must pass the independent saturation check on the column
+    prefix, every pivot ``(i, h, u)`` must satisfy
     ``h == sum_j u[j] * column_j``, and each relation must be reduced by the
     earlier ones at their last indices.
     """
@@ -100,7 +73,7 @@ def check_echelon_against_hnf(A):
         ech.add(col)
         prefix = [row[: idx + 1] for row in A]
         basis = ech.kernel_basis()
-        assert hnf_basis_key(basis) == hnf_basis_key(kernel_lattice(prefix))
+        assert is_kernel_basis(prefix, basis)
         assert ech.rank + len(basis) == idx + 1
         for k, r in enumerate(ech.relations):
             assert r[-1] != 0
@@ -118,10 +91,10 @@ def check_echelon_against_hnf(A):
 class TestEchelonKernel:
     @given(small_matrix)
     @settings(max_examples=150, deadline=None)
-    def test_matches_hnf_kernel(self, A):
-        check_echelon_against_hnf(A)
+    def test_kernel_basis_is_saturated(self, A):
+        check_echelon(A)
 
-    def test_matches_hnf_kernel_seeded(self):
+    def test_kernel_basis_is_saturated_seeded(self):
         # sparse entries make dependent columns, and so kernel growth, common
         rng = random.Random(20261018)
         for _ in range(200):
@@ -130,28 +103,28 @@ class TestEchelonKernel:
                 [rng.randint(-40, 40) if rng.random() < 0.6 else 0 for _ in range(c)]
                 for _ in range(rng.randint(1, 6))
             ]
-            check_echelon_against_hnf(A)
+            check_echelon(A)
 
     def test_bezout_step_rewrites_the_pivot(self):
         # 3 does not divide 2: the pivot becomes gcd 1 and the kernel [2, -3]
         ech = Echelon()
         assert ech.add([3]) and not ech.add([2])
         assert [abs(h[0]) for _, h, _ in ech.pivots] == [1]
-        assert hnf_basis_key(ech.kernel_basis()) == hnf_basis_key([[2, -3]])
+        assert ech.kernel_basis() in ([[2, -3]], [[-2, 3]])
 
     def test_relation_entries_stay_small(self):
         # without reducing each relation by the earlier ones these 7 x 11
-        # matrices gave entries of about 800 to 4,600 bits, the HNF kernel at most 94;
-        # reduced, they stay under twice the HNF kernel's bits
+        # matrices gave entries of about 800 to 4,600 bits; reduced, the
+        # largest has 143 bits, within the Hadamard bound of A (at least 145)
         rng = random.Random(5)
         for _ in range(40):
             A = [[rng.randint(-(10**6), 10**6) for _ in range(11)] for _ in range(7)]
             ech = Echelon()
             for col in zip(*A):
                 ech.add(col)
-            ref = max(abs(x) for b in kernel_lattice(A) for x in b)
+            hadamard = isqrt(prod(sum(x * x for x in row) for row in A))
             bits = max(abs(x) for b in ech.relations for x in b).bit_length()
-            assert bits <= 3 * ref.bit_length()
+            assert bits <= hadamard.bit_length()
 
     def test_previous_basis_is_kept(self):
         ech = Echelon()
@@ -163,103 +136,48 @@ class TestEchelonKernel:
         assert ech.kernel_basis()[:1] == [first[0] + [0, 0]]
 
 
-class TestHnf:
-    def test_identity(self):
-        eye = [[1, 0], [0, 1]]
-        H, U = hnf(eye)
-        assert H == eye and U == eye
-
-    def test_zero_matrix(self):
-        H, U = hnf([[0, 0], [0, 0]])
-        assert H == [[0, 0], [0, 0]]
-        assert U == [[1, 0], [0, 1]]
-
-    def test_2x2_example(self):
-        A = [[2, 4], [1, 3]]
-        H, U = hnf(A)
-        # H = U @ A exactly
-        for i in range(2):
-            for j in range(2):
-                assert H[i][j] == sum(U[i][t] * A[t][j] for t in range(2))
-        # echelon with positive pivots and reduced entries above
-        assert H[0][0] > 0 and H[1][0] == 0 and H[1][1] > 0
-        assert 0 <= H[0][1] < H[1][1]
-        det_u = U[0][0] * U[1][1] - U[0][1] * U[1][0]
-        assert det_u in (1, -1)
-
-    @given(small_matrix)
-    @settings(max_examples=150, deadline=None)
-    def test_round_trip_and_unimodularity(self, A):
-        H, U = hnf(A)
-        r, c = len(A), len(A[0])
-        for i in range(r):
-            for j in range(c):
-                assert H[i][j] == sum(U[i][t] * A[t][j] for t in range(r))
-        assert rank_exact(U) == r
-        Hu, _ = hnf(U)
-        # |det U| = 1: the HNF of a unimodular matrix is the identity
-        assert Hu == [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-
-    def test_integral_values_read_exactly(self):
-        A = [[2.0, Fraction(4, 2)], [1, 3]]
-        assert hnf(A) == hnf([[2, 2], [1, 3]])
-
-    @pytest.mark.parametrize(
-        "A",
-        [
-            [[0.5, 1.0], [1.0, 3.5]],
-            [[1, Fraction(1, 3)]],
-            [[True, 1]],
-            [["1", 2]],
-            [[float("inf"), 1]],
-            [[float("nan"), 1]],
-        ],
-        ids=repr,
-    )
-    def test_non_integer_entries_raise(self, A):
-        # truncating (or scaling a row) would change the lattice
-        with pytest.raises(ValueError, match="integers"):
-            hnf(A)
-
-
 class TestKernelLattice:
     def test_u1_n3_k1_lattice(self):
         rows = charge_matrix(sectors(U1, 3), 1).rows
-        basis = kernel_lattice(rows)
+        basis = echelon_kernel(rows)
         assert len(basis) == 2
         assert rank_exact(rows) == 2
         # expected lattice frozen from the exhaustive oracle below
         expected = [[1, 0, -1, 2], [0, 1, -2, 3]]
-        assert hnf_basis_key(basis) == hnf_basis_key(expected)
+        assert is_kernel_basis(rows, basis) and is_kernel_basis(rows, expected)
         # every kernel vector of one-norm <= 12, one of each +-q
         small = [list(q) for q in kernel_vectors(rows, [1, 1, 1, 1], 12)]
         assert [1, 0, -1, 2] in small and [0, 1, -2, 3] in small
-        # every small kernel vector is in the lattice generated by the basis
-        key = hnf_basis_key(basis)
+        # a saturated basis holds every integer vector of its rational span
         for q in small:
-            assert hnf_basis_key(basis + [q]) == key
+            assert rank_rational(basis + [q]) == len(basis)
 
     def test_full_column_rank_empty(self):
-        assert kernel_lattice([[1, 0], [0, 1], [1, 1]]) == []
+        assert echelon_kernel([[1, 0], [0, 1], [1, 1]]) == []
 
     def test_float_entries_are_exact(self):
         # truncating 0.5 to 0 would return [[1, 0]], which is not in the kernel
-        assert hnf_basis_key(kernel_lattice([[0.5, -1.0]])) == hnf_basis_key([[2, 1]])
+        assert echelon_kernel([[0.5, -1.0]]) in ([[2, 1]], [[-2, -1]])
 
     def test_z2_kernel(self):
         rows = charge_matrix(sectors(zp(2), 4), 2).rows
-        basis = kernel_lattice(rows)
-        assert hnf_basis_key(basis) == hnf_basis_key([[1, -1]])
+        assert echelon_kernel(rows) in ([[1, -1]], [[-1, 1]])
 
     @given(small_matrix)
     @settings(max_examples=150, deadline=None)
     def test_basis_properties(self, A):
-        basis = kernel_lattice(A)
+        basis = echelon_kernel(A)
         assert len(basis) + rank_exact(A) == len(A[0])
         for b in basis:
             assert any(b)
             assert all(x == 0 for x in mat_vec(A, b))
+
+    def test_doubled_relation_is_not_a_basis(self):
+        # in the kernel and of the right size, but of index 2: not saturated
+        rows = charge_matrix(sectors(U1, 3), 1).rows
+        assert not is_kernel_basis(rows, [[2, 0, -2, 4], [0, 1, -2, 3]])
+        assert not is_kernel_basis(rows, [[1, 0, -1, 2]])
+        assert not is_kernel_basis(rows, [[1, 0, -1, 2], [1, 1, 1, 1]])
 
 
 def weighted_dot(x, y, weights):
@@ -289,20 +207,20 @@ def weighted_gso(basis, weights):
 
 
 def random_kernel_bases(seed, count, min_dim=2):
-    """Seeded ``(basis, weights)`` pairs: kernels of random integer matrices."""
+    """Seeded ``(A, basis, weights)``: random integer matrices and their kernel bases."""
     rng = random.Random(seed)
     while count:
         c = rng.randint(3, 9)
         A = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(rng.randint(1, c - 2))]
-        basis = kernel_lattice(A)
+        basis = echelon_kernel(A)
         if len(basis) >= min_dim:
             count -= 1
-            yield basis, [rng.randint(1, 1000) for _ in range(c)]
+            yield A, basis, [rng.randint(1, 1000) for _ in range(c)]
 
 
 class TestIntegralGramSchmidt:
     def test_matches_vector_gram_schmidt(self):
-        for basis, weights in random_kernel_bases(7, 40, min_dim=1):
+        for _, basis, weights in random_kernel_bases(7, 40, min_dim=1):
             reduced, d, lam = lll_reduce(basis, weights)
             mu, norms, _ = weighted_gso(reduced, weights)
             assert len(d) == len(reduced) + 1 and d[0] == 1
@@ -393,9 +311,9 @@ def lll_reduce_refactoring(basis, weights=None):
 
 class TestLllReduce:
     def test_size_reduced_and_lovasz(self):
-        for basis, weights in random_kernel_bases(20240901, 40):
+        for A, basis, weights in random_kernel_bases(20240901, 40):
             reduced, _, _ = lll_reduce(basis, weights)
-            assert hnf_basis_key(reduced) == hnf_basis_key(basis)
+            assert is_kernel_basis(A, reduced)
             mu, norms, _ = weighted_gso(reduced, weights)
             for i in range(1, len(reduced)):
                 assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
@@ -409,7 +327,7 @@ class TestLllReduce:
             dim = rng.randint(2, 10)
             c = dim + rng.randint(1, 2)
             A = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(c - dim)]
-            basis = kernel_lattice(A)
+            basis = echelon_kernel(A)
             if len(basis) != dim:
                 continue
             weights = None if count % 5 == 0 else [rng.randint(1, 10**6) for _ in range(c)]
@@ -436,13 +354,14 @@ class TestLllReduce:
     @given(small_matrix)
     @settings(max_examples=60, deadline=None)
     def test_preserves_kernel_lattices(self, A):
-        basis = kernel_lattice(A)
+        basis = echelon_kernel(A)
         if not basis:
             return
         reduced, _, _ = lll_reduce(basis, [1] * len(A[0]))
-        assert hnf_basis_key(reduced) == hnf_basis_key(basis)
+        assert is_kernel_basis(A, reduced)
 
     def test_weighted_reduction_shortens(self):
+        rows = charge_matrix(sectors(U1, 3), 1).rows
         basis = [[1, 0, -1, 2], [0, 1, -2, 3]]
         reduced, _, _ = lll_reduce(basis, [1, 3, 3, 1])
-        assert hnf_basis_key(reduced) == hnf_basis_key(basis)
+        assert is_kernel_basis(rows, reduced)
