@@ -26,14 +26,15 @@ from symdesign.intlinalg import Echelon
 
 ###############################################################################
 # Step 1-2: sectors of 5 qubits with U(1) symmetry, then the canonical order.
-# Multiplicities are binomials; the canonical order interleaves low and high
-# Hamming weights: 0, n, 1, n-1, ...
+# A sector table holds three aligned tuples: ids, multiplicities and irrep
+# dimensions.  Multiplicities are binomials; the canonical order interleaves
+# low and high Hamming weights: 0, n, 1, n-1, ...
 
 n, k = 5, 2
 table = sectors(U1, n)
-print("natural order  :", [(e.irrep.label, e.multiplicity) for e in table.sectors])
+print("natural order  :", [(i.label, m) for i, m in zip(table.ids, table.multiplicities)])
 table = canonical_order(table)
-print("canonical order:", [(e.irrep.label, e.multiplicity) for e in table.sectors])
+print("canonical order:", [(i.label, m) for i, m in zip(table.ids, table.multiplicities)])
 
 ###############################################################################
 # Step 3: the charge matrix.  Row v, column w holds the number of ways the

@@ -164,15 +164,20 @@ class ChargeMatrix:
     computed the first time it is read and kept, so the multiplicity-ordered
     scan pays only for the prefix it reads; ``A[i]`` computes row ``i``
     without building columns, and :attr:`rows` (or iteration) builds every
-    column.  :func:`charge_matrix` and :func:`custom_matrix` construct it.
+    column.  :func:`charge_matrix` and :func:`custom_matrix` construct it and
+    supply ``witness``, one integer weight per row chosen with the rows so
+    that ``witness^T A = m`` when they can tell.  It is only a candidate:
+    :func:`multiplicity_in_row_span` checks it and otherwise eliminates, so
+    all-zero weights leave the decision to the echelon.  ``k`` is the gate
+    locality, or None for a custom problem.
     """
 
-    def __init__(self, row_labels, col_ids, entry, group=None, n=None, k=None):
+    def __init__(self, row_labels, col_ids, entry, group, k, witness):
         self.row_labels = tuple(row_labels)
         self.col_ids = tuple(col_ids)
-        self.group: GroupSpec | None = group
-        self.n: int | None = n
+        self.group: GroupSpec = group
         self.k: int | None = k
+        self.witness = tuple(witness)
         self._entry = entry
         self._columns: dict[int, tuple] = {}
 
@@ -206,7 +211,12 @@ class ChargeMatrix:
         perm = [pos[irrep] for irrep in table.ids]
         entry = self._entry
         return ChargeMatrix(
-            self.row_labels, table.ids, lambda i, j: entry(i, perm[j]), self.group, self.n, self.k
+            self.row_labels,
+            table.ids,
+            lambda i, j: entry(i, perm[j]),
+            self.group,
+            self.k,
+            self.witness,
         )
 
 
@@ -228,11 +238,17 @@ def charge_matrix(
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     # U(1), SU(2) and Z_p entries count the ways the other n - k sites
-    # complete the gate's k-site irrep to the column's n-site irrep
+    # complete the gate's k-site irrep to the column's n-site irrep.  Each
+    # n-site sector decomposes over the k-site irreps, so the witness weights
+    # every row by the multiplicity of its k-site irrep: m = sum_v C(k, v) A[v]
+    # for U(1), sum_j' m_k(j') A[j'] for SU(2) and sum_a m_k(a) A[a] for Z_p.
+    # The identity class row of a character matrix is m itself.
     nk = n - k
+    ids = table.ids
     if group.kind == "U1":
         labels = tuple(map(HammingWeight, range(k + 1)))
-        ws = [e.irrep.w for e in table.sectors]
+        witness = [comb(k, v) for v in range(k + 1)]
+        ws = [irrep.w for irrep in ids]
 
         def entry(v, j):
             b = ws[j] - v
@@ -241,7 +257,8 @@ def charge_matrix(
     elif group.kind == "SU2":
         jjps = range(k % 2, k + 1, 2)
         labels = tuple(map(TwiceSpin, jjps))
-        jjs = [e.irrep.jj for e in table.sectors]
+        witness = [su2_multiplicity(k, jjp) for jjp in jjps]
+        jjs = [irrep.jj for irrep in ids]
 
         def entry(i, j):
             jj, jjp = jjs[j], jjps[i]
@@ -253,7 +270,8 @@ def charge_matrix(
     elif group.kind == "Zp":
         p = group.p
         labels = tuple(map(Residue, range(p)))
-        betas = [e.irrep.beta for e in table.sectors]
+        witness = [zp_multiplicity(k, p, alpha) for alpha in range(p)]
+        betas = [irrep.beta for irrep in ids]
 
         def entry(alpha, j):
             return sum(comb(nk, b) for b in range((betas[j] - alpha) % p, nk + 1, p))
@@ -265,44 +283,18 @@ def charge_matrix(
         for cls in labels:
             if cls.support > k:
                 raise ValueError(f"class {cls.label} needs support {cls.support} > k = {k}")
-        if any(sum(e.irrep.parts) != n for e in table.sectors):
+        parts = [irrep.parts for irrep in ids]
+        if any(sum(shape) != n for shape in parts):
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
-        parts = [e.irrep.parts for e in table.sectors]
         cycles = [cls.cycles for cls in labels]
+        witness = [int(cls == IDENTITY_CLASS) for cls in labels]
 
         def entry(i, j):
             return _char_rec(parts[j], cycles[i])
 
     else:
         raise ValueError("use custom_matrix for user-supplied problems")
-    return ChargeMatrix(labels, table.ids, entry, group, n, k)
-
-
-def row_span_witness(A: ChargeMatrix) -> list[int]:
-    """Closed-form weights ``y`` with ``y^T A = m`` for the built-in row labels.
-
-    Splitting the ``n`` sites into the ``k`` gate sites and the rest, every
-    ``n``-site sector decomposes over the ``k``-site irreps, which gives
-    ``m = sum_v C(k, v) A[v]`` for U(1), ``sum_j' m_k(j') A[j']`` for SU(2)
-    and ``sum_a m_k(a) A[a]`` for Z_p; the identity class row of a character
-    matrix and the ``"identity"`` row of a custom matrix are ``m`` itself.
-    Every other row gets weight 0, so the weights are only a candidate that
-    :func:`multiplicity_in_row_span` checks.
-    """
-    k = A.k
-    p = A.group.p if A.group is not None else None
-
-    def weight(label) -> int:
-        if k is not None:
-            if isinstance(label, HammingWeight):
-                return comb(k, label.w)
-            if isinstance(label, TwiceSpin):
-                return su2_multiplicity(k, label.jj)
-            if isinstance(label, Residue) and p is not None:
-                return zp_multiplicity(k, p, label.beta)
-        return 1 if label == IDENTITY_CLASS or label == "identity" else 0
-
-    return [weight(label) for label in A.row_labels]
+    return ChargeMatrix(labels, ids, entry, group, k, witness)
 
 
 def multiplicity_in_row_span(m, rows, witness=None) -> bool:
@@ -342,7 +334,9 @@ def custom_matrix(
     neither the kernel nor the row span.  Prepends the multiplicity vector
     (the charge row of the identity Hamiltonian) unless it is already in the
     rational row span; global phases never change the design order, and this
-    makes every kernel vector automatically traceless.
+    makes every kernel vector automatically traceless.  The witness is 1 on
+    a prepended identity row and 0 elsewhere; rows that already span ``m``
+    get all-zero weights, which leaves the row-span check to elimination.
     """
     m = [int(x) for x in m]
     rows = list(map(as_int_row, rows))
@@ -354,14 +348,16 @@ def custom_matrix(
     ]
     if len(labels) != len(rows):
         raise ValueError("row_labels length must match rows")
+    witness = [0] * len(rows)
     if not multiplicity_in_row_span(m, rows):
         rows = [m] + rows
         labels = ["identity"] + labels
+        witness = [1] + witness
     if col_ids is None:
         col_ids = tuple(CustomSector(i) for i in range(len(m)))
     elif len(col_ids) != len(m):
         raise ValueError("col_ids length must equal the multiplicity vector length")
-    return ChargeMatrix(labels, col_ids, lambda i, j: rows[i][j], CUSTOM)
+    return ChargeMatrix(labels, col_ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def identities_su2(n_max: int = 30) -> Tally:
         for k in range(0, n + 1, 2):
             op = su2_a_operator(n, k)
             direct = sum(
-                abs(q) * su2_multiplicity(n, e.irrep.jj) for q, e in zip(op.qvec, op.table.sectors)
+                abs(q) * su2_multiplicity(n, irrep.jj) for q, irrep in zip(op.qvec, op.table.ids)
             )
             t.check(su2_a_norm(n, k) == direct, "a norm", n, k)
         if n < 2:

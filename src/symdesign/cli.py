@@ -313,6 +313,11 @@ def cmd_custom(args) -> int:
     # running a custom problem is itself the assertion of semi-universality
     result = tmax_exact(matrix, table_sorted, assume_semiuniversal=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if result.certificate is not None and not verify_certificate(
+        result.certificate, matrix, table_sorted
+    ):
+        print("error: certificate failed re-verification", file=sys.stderr)
+        return EXIT_VERIFY
     report = {
         "group": "custom",
         "n": None,

@@ -96,17 +96,16 @@ class DiagOperator:
     values: tuple
     qvec: tuple[int, ...]
 
-    def weighted_norm(self) -> int:
-        return sum(m * abs(q) for m, q in zip(self.table.multiplicities, self.qvec))
-
     def reflected(self, sign: int = 1) -> "DiagOperator":
         """Weight reflection w -> n - w (conjugation by X on every qubit)."""
-        if not all(isinstance(e.irrep, HammingWeight) for e in self.table.sectors):
+        ids = self.table.ids
+        if not all(isinstance(irrep, HammingWeight) for irrep in ids):
             raise ValueError("reflection is defined for Hamming-weight tables")
         n = self.table.n
-        pos = {e.irrep.w: i for i, e in enumerate(self.table.sectors)}
-        vals = tuple(sign * self.values[pos[n - e.irrep.w]] for e in self.table.sectors)
-        qs = tuple(sign * self.qvec[pos[n - e.irrep.w]] for e in self.table.sectors)
+        pos = {irrep.w: i for i, irrep in enumerate(ids)}
+        mirror = [pos[n - irrep.w] for irrep in ids]
+        vals = tuple(sign * self.values[i] for i in mirror)
+        qs = tuple(sign * self.qvec[i] for i in mirror)
         return DiagOperator(self.table, vals, qs)
 
 
@@ -225,11 +224,11 @@ def su2_a_operator(n: int, k: int) -> DiagOperator:
     table = sectors(GroupSpec("SU2"), n)
     qs = []
     vals = []
-    for e in table.sectors:
-        i = (n - e.irrep.jj) // 2
+    for irrep in table.ids:
+        i = (n - irrep.jj) // 2
         q = (-1) ** i * binom_int(n - k // 2 - i, n - k)
         qs.append(q)
-        vals.append(Fraction(q, e.irrep.jj + 1))
+        vals.append(Fraction(q, irrep.jj + 1))
     return DiagOperator(table, tuple(vals), tuple(qs))
 
 

@@ -20,10 +20,10 @@ Built-in symmetries:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, starmap
 from math import comb, factorial, prod
-from operator import add, attrgetter, le, lt, sub
+from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
 
 
@@ -136,49 +136,31 @@ class PartitionId:
 @dataclass(frozen=True)
 class CustomSector:
     index: int
-    name: str | None = None
 
     @property
     def label(self) -> str:
-        return self.name if self.name is not None else f"s{self.index}"
+        return f"s{self.index}"
 
 
 IrrepId = Union[HammingWeight, TwiceSpin, Residue, PartitionId, CustomSector]
 
 
 @dataclass(frozen=True)
-class SectorEntry:
-    irrep: IrrepId
-    multiplicity: int
-    dim: int
-
-
-@dataclass(frozen=True)
 class SectorTable:
-    """Ordered list of irrep sectors with exact multiplicities and dimensions.
-
-    ``ids`` and ``multiplicities`` are computed once per table (the solver
-    reads them on every check), which a frozen dataclass without slots allows.
-    """
+    """Irrep sectors as three aligned columns: ids, exact multiplicities, irrep dimensions."""
 
     group: GroupSpec
     n: int
-    sectors: tuple[SectorEntry, ...]
+    ids: tuple[IrrepId, ...]
+    multiplicities: tuple[int, ...]
+    dims: tuple[int, ...]
 
-    @cached_property
-    def ids(self) -> tuple[IrrepId, ...]:
-        return tuple(e.irrep for e in self.sectors)
-
-    @cached_property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(e.multiplicity for e in self.sectors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(e.dim for e in self.sectors)
+    def __post_init__(self):
+        if not len(self.ids) == len(self.multiplicities) == len(self.dims):
+            raise ValueError("ids, multiplicities and dims must have the same length")
 
     def __len__(self):
-        return len(self.sectors)
+        return len(self.ids)
 
     def is_canonical(self) -> bool:
         m = self.multiplicities
@@ -294,57 +276,62 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries: list[SectorEntry] = []
     if group.kind == "U1":
-        for w in range(n + 1):
-            entries.append(SectorEntry(HammingWeight(w), comb(n, w), 1))
+        ids = tuple(map(HammingWeight, range(n + 1)))
+        mults = tuple(comb(n, w) for w in range(n + 1))
+        dims = (1,) * len(ids)
     elif group.kind == "SU2":
-        for jj in range(n % 2, n + 1, 2):
-            entries.append(SectorEntry(TwiceSpin(jj), su2_multiplicity(n, jj), jj + 1))
+        jjs = range(n % 2, n + 1, 2)
+        ids = tuple(map(TwiceSpin, jjs))
+        mults = tuple(su2_multiplicity(n, jj) for jj in jjs)
+        dims = tuple(jj + 1 for jj in jjs)
     elif group.kind == "Zp":
-        for beta in range(group.p):
-            m = zp_multiplicity(n, group.p, beta)
-            if m > 0:  # residues beyond n do not appear for n < p - 1
-                entries.append(SectorEntry(Residue(beta), m, 1))
+        betas = range(min(group.p, n + 1))  # residues beyond n do not appear for n < p - 1
+        ids = tuple(map(Residue, betas))
+        mults = tuple(zp_multiplicity(n, group.p, beta) for beta in betas)
+        dims = (1,) * len(ids)
     elif group.kind == "SUd":
-        for parts in partitions_max_rows(n, group.d):
-            entries.append(
-                SectorEntry(PartitionId(parts), sn_irrep_dim(parts), sud_irrep_dim(parts, group.d))
-            )
+        shapes = tuple(partitions_max_rows(n, group.d))
+        ids = tuple(map(PartitionId, shapes))
+        mults = tuple(map(sn_irrep_dim, shapes))
+        dims = tuple(sud_irrep_dim(parts, group.d) for parts in shapes)
     else:
         raise ValueError("custom groups carry their own sector tables")
-    if sum(e.multiplicity * e.dim for e in entries) != group.local_dim**n:
+    if sum(map(mul, mults, dims)) != group.local_dim**n:
         raise ArithmeticError(f"{group} sectors on n={n} sites do not exhaust the Hilbert space")
-    return SectorTable(group, n, tuple(entries))
+    return SectorTable(group, n, ids, mults, dims)
 
 
 # ties among equal multiplicities: ascending label, except descending 2j for
 # SU(2); every label is unique within its table, so the order is total
 _LABEL_KEYS = {
-    "SU2": attrgetter("irrep.jj"),
-    "Zp": attrgetter("irrep.beta"),
-    "SUd": attrgetter("irrep.parts"),
-    "Custom": attrgetter("irrep.index"),
+    "SU2": attrgetter("jj"),
+    "Zp": attrgetter("beta"),
+    "SUd": attrgetter("parts"),
+    "Custom": attrgetter("index"),
 }
 
 
 def canonical_order(table: SectorTable) -> SectorTable:
     """Sort sectors by weakly increasing multiplicity with deterministic ties."""
     kind = table.group.kind
+    # whole (id, multiplicity, dim) rows are sorted, so each dim moves with its sector
+    rows = zip(table.ids, table.multiplicities, table.dims)
     if kind == "U1":
         n = table.n
 
-        def key(e):
+        def key(row):
             # low-weight member of each mirror pair (w, n-w) first: 0, n, 1, n-1, ...
-            w = e.irrep.w
-            return (e.multiplicity, min(w, n - w), w)
+            w = row[0].w
+            return (row[1], min(w, n - w), w)
 
-        order = sorted(table.sectors, key=key)
+        order = sorted(rows, key=key)
     else:
         # two stable sorts: by label, then by multiplicity keeping label order
-        order = sorted(table.sectors, key=_LABEL_KEYS[kind], reverse=kind == "SU2")
-        order.sort(key=attrgetter("multiplicity"))
-    return SectorTable(table.group, table.n, tuple(order))
+        label = _LABEL_KEYS[kind]
+        order = sorted(rows, key=lambda row: label(row[0]), reverse=kind == "SU2")
+        order.sort(key=itemgetter(1))
+    return SectorTable(table.group, table.n, *zip(*order))
 
 
 def semiuniversal_min_locality(group: GroupSpec) -> int:
@@ -361,19 +348,16 @@ def semiuniversal_min_locality(group: GroupSpec) -> int:
     )
 
 
-def custom_table(multiplicities: list[int], names: list[str] | None = None) -> SectorTable:
+def custom_table(multiplicities: list[int]) -> SectorTable:
     """Sector table for a user-supplied problem (irrep dimensions default to 1)."""
     if not multiplicities:
         raise ValueError("the multiplicity vector must list at least one sector")
-    if names is not None and len(names) != len(multiplicities):
-        raise ValueError("labels length must match multiplicity vector")
-    entries = []
-    for i, m in enumerate(multiplicities):
+    for m in multiplicities:
         try:
             valid = not isinstance(m, bool) and int(m) == m and m > 0
         except (OverflowError, ValueError):  # int() of an infinite or NaN float
             valid = False
         if not valid:
             raise ValueError("multiplicities must be positive integers")
-        entries.append(SectorEntry(CustomSector(i, names[i] if names else None), int(m), 1))
-    return SectorTable(CUSTOM, len(entries), tuple(entries))
+    ids = tuple(map(CustomSector, range(len(multiplicities))))
+    return SectorTable(CUSTOM, len(ids), ids, tuple(map(int, multiplicities)), (1,) * len(ids))

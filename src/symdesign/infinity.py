@@ -1,9 +1,8 @@
 """Sentinel for an unbounded design order.
 
-``INFINITE`` compares greater than every integer, prints as ``infinity`` in
-user-facing output, and is the unique instance of :class:`Infinite`.  Using a
-dedicated sentinel (rather than ``float("inf")``) keeps every quantity in the
-solver path exact.
+``INFINITE`` prints as ``infinity`` in user-facing output and is the unique
+instance of :class:`Infinite`.  Using a dedicated sentinel (rather than
+``float("inf")``) keeps every quantity in the solver path exact.
 """
 
 from __future__ import annotations
@@ -28,20 +27,6 @@ class Infinite:
 
     def __hash__(self):
         return hash("symdesign.INFINITE")
-
-    def __gt__(self, other):
-        if isinstance(other, Infinite):
-            return False
-        return True
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, Infinite)
 
 
 INFINITE = Infinite()

@@ -97,10 +97,6 @@ def rank_exact(rows) -> int:
     return ech.rank
 
 
-def mat_vec(rows, vec) -> list:
-    return [sum(a * x for a, x in zip(row, vec)) for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # weighted lattice reduction (pre-conditioning for the enumeration)
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .charges import (
     charge_matrix,
     conjugacy_classes,
     multiplicity_in_row_span,
-    row_span_witness,
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
@@ -94,7 +93,7 @@ def _check_canonical(table: SectorTable):
 def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
     """Returns True when the caller's override flag was needed."""
     group = A.group
-    if group is None or group.kind == "Custom":
+    if group.kind == "Custom":
         if not assume:
             raise SemiUniversalityError(
                 "custom gate sets carry no built-in semi-universality knowledge; "
@@ -129,7 +128,7 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
 def _check_row_span(A: ChargeMatrix, table: SectorTable):
     # the lower bound and the support cutoff of the scan rely on m lying in
     # the row span; the witness reads only its rows of nonzero weight
-    if not multiplicity_in_row_span(table.multiplicities, A, row_span_witness(A)):
+    if not multiplicity_in_row_span(table.multiplicities, A, A.witness):
         raise ValueError(
             "the multiplicity vector is outside the rational row span; add the "
             "identity row (custom_matrix does this automatically)"

@@ -2,12 +2,14 @@
 
 ``rank_rational`` and ``is_kernel_basis`` share no code with
 :class:`symdesign.intlinalg.Echelon`, so they can check it; ``echelon_kernel``
-is the echelon's own kernel basis, as the solver's prefix scan builds it.
+is the echelon's own kernel basis, as the solver's prefix scan builds it;
+``dot_rows`` is the product ``A v`` that kernel membership is checked with.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 
 from symdesign.intlinalg import Echelon, as_int_row
 
@@ -26,6 +28,11 @@ def _eliminate(rows) -> list[list[Fraction]]:
             M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
         rank += 1
     return M[:rank]
+
+
+def dot_rows(rows, vec) -> list:
+    """``A vec`` for the rows of ``A``: each row's dot product with ``vec``."""
+    return [sum(map(mul, row, vec)) for row in rows]
 
 
 def rank_rational(rows) -> int:

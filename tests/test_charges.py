@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from kernel_ref import echelon_kernel, is_kernel_basis
+from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis
 from symdesign import (
     SU2,
     U1,
@@ -15,6 +15,7 @@ from symdesign import (
     charge_matrix,
     conjugacy_classes,
     custom_matrix,
+    custom_table,
     load_custom_problem,
     rank_exact,
     sectors,
@@ -27,10 +28,8 @@ from symdesign.charges import (
     CycleType,
     T_GROUP_CLASSES,
     multiplicity_in_row_span,
-    row_span_witness,
 )
 from symdesign.groups import partitions_max_rows
-from symdesign.intlinalg import mat_vec
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ class TestConjugacyClasses:
         rows5 = charge_matrix(sectors(sud(3), n), 5).rows
         rows4 = charge_matrix(sectors(sud(3), n), 4).rows
         for b in echelon_kernel(rows5):
-            assert all(x == 0 for x in mat_vec(rows4, b))
+            assert all(x == 0 for x in dot_rows(rows4, b))
 
 
 class TestBuildChargeMatrix:
@@ -321,7 +320,8 @@ class TestBuildChargeMatrix:
         # a lazy column skips sn_character, so the table is checked up front
         from symdesign import SectorTable
 
-        table = SectorTable(sud(3), 5, sectors(sud(3), 4).sectors)
+        four = sectors(sud(3), 4)
+        table = SectorTable(sud(3), 5, four.ids, four.multiplicities, four.dims)
         with pytest.raises(ValueError, match="partitions of n"):
             charge_matrix(table, 5)
 
@@ -392,7 +392,7 @@ class TestMatrixInvariants:
             rows = charge_matrix(sectors(group, n), k).rows
             if prev is not None:
                 for b in echelon_kernel(rows):
-                    assert all(x == 0 for x in mat_vec(prev, b))
+                    assert all(x == 0 for x in dot_rows(prev, b))
             prev = rows
 
     @pytest.mark.parametrize("n", range(1, 15))
@@ -428,12 +428,12 @@ class TestMatrixInvariants:
 
     @pytest.mark.parametrize("group", [U1, SU2] + [zp(p) for p in range(2, 8)], ids=str)
     def test_structural_witness(self, group):
-        # the closed-form weights alone reproduce m, with no elimination
+        # the builder's closed-form weights alone reproduce m, with no elimination
         for n in range(1, 31):
             m = list(sectors(group, n).multiplicities)
             for k in range(1, n + 1):
                 A = charge_matrix(sectors(group, n), k)
-                assert mat_vec(list(zip(*A.rows)), row_span_witness(A)) == m, (n, k)
+                assert dot_rows(list(zip(*A.rows)), A.witness) == m, (n, k)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_structural_witness_sud(self, d):
@@ -443,7 +443,20 @@ class TestMatrixInvariants:
             if n >= 4:
                 matrices.append(charge_matrix(sectors(sud(d), n), 4, list(T_GROUP_CLASSES)))
             for A in matrices:
-                assert mat_vec(list(zip(*A.rows)), row_span_witness(A)) == m, (n, A.row_labels)
+                assert dot_rows(list(zip(*A.rows)), A.witness) == m, (n, A.row_labels)
+
+    def test_structural_witness_custom(self):
+        # a prepended identity row is m itself: weight 1 on it, 0 elsewhere
+        m = [1, 3, 3, 1]
+        A = custom_matrix(m, [[1, Fraction(1, 2), Fraction(-1, 2), -1]])
+        assert A.row_labels[0] == "identity" and A.witness == (1, 0)
+        assert dot_rows(list(zip(*A.rows)), A.witness) == m
+        # rows that already span m get no weights; elimination decides instead
+        A = custom_matrix(m, [[1, 1, 1, 1], [0, 2, 2, 0]])
+        assert A.row_labels == ("H0", "H1") and A.witness == (0, 0)
+        table = canonical_order(custom_table(m))
+        result = tmax_exact(A.aligned_to(table), table, assume_semiuniversal=True)
+        assert result.proven_exact and result.tmax == 0
 
     def test_row_span_falls_back_to_elimination(self):
         # a witness that does not reproduce m leaves the decision to the echelon

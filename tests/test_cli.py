@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from symdesign import cli
 from symdesign.cli import main
 
 
@@ -63,6 +64,13 @@ class TestTmaxCommand:
         doc = json.loads(out)
         assert doc["tmax"] == 16 * 13 // 2 - 1
         assert doc["agrees"] is True
+
+    def test_failed_reverification_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_certificate", lambda *args: False)
+        code, out, err = run_cli(capsys, "tmax", "--group", "u1", "--n", "6", "--k", "2")
+        assert code == 4
+        assert out == ""
+        assert err == "error: certificate failed re-verification\n"
 
     @pytest.mark.parametrize("classes", ["foo", "1+1", "id,,2", "(12)(3)"])
     def test_malformed_classes_exit_3(self, capsys, classes):
@@ -337,6 +345,15 @@ class TestCustomCommand:
         doc = json.loads(out)
         assert doc["tmax"] == 3
         assert doc["certificate"] == ["s0: +1", "s1: -1"]
+
+    def test_failed_reverification_exits_4(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "verify_certificate", lambda *args: False)
+        path = tmp_path / "problem.json"
+        path.write_text('{"m": [4, 4], "rows": []}')
+        code, out, err = run_cli(capsys, "custom", str(path))
+        assert code == 4
+        assert out == ""
+        assert err == "error: certificate failed re-verification\n"
 
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_ref import echelon_kernel, is_kernel_basis, rank_rational
+from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
 from symdesign import charge_matrix, rank_exact, sectors, U1, zp
 from symdesign.checks import kernel_vectors
-from symdesign.intlinalg import Echelon, _exact_div, lll_reduce, mat_vec, weighted_gram
+from symdesign.intlinalg import Echelon, _exact_div, lll_reduce, weighted_gram
 
 
 small_matrix = st.integers(1, 6).flatmap(
@@ -170,7 +170,7 @@ class TestKernelLattice:
         assert len(basis) + rank_exact(A) == len(A[0])
         for b in basis:
             assert any(b)
-            assert all(x == 0 for x in mat_vec(A, b))
+            assert all(x == 0 for x in dot_rows(A, b))
 
     def test_doubled_relation_is_not_a_basis(self):
         # in the kernel and of the right size, but of index 2: not saturated

@@ -282,7 +282,8 @@ class TestTmaxExact:
         for k in range(2, n + 1):
             result, _, _ = compute_tmax(U1, n, k)
             if prev is not None:
-                assert prev <= result.tmax
+                # INFINITE is not ordered: once the order is infinite it stays so
+                assert result.tmax == INFINITE or (prev != INFINITE and prev <= result.tmax)
             prev = result.tmax
 
     def test_k_equals_n_infinite(self):
@@ -469,7 +470,7 @@ class TestLazyCharacterColumns:
                     sud(d), n, k, assume_semiuniversal=True, classes=classes
                 )
                 eager = tuple(
-                    tuple(sn_character(e.irrep.parts, cls) for e in table.sectors)
+                    tuple(sn_character(irrep.parts, cls) for irrep in table.ids)
                     for cls in A.row_labels
                 )
                 assert A.col_ids == table.ids

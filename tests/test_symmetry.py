@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 
 import pytest
 
@@ -21,6 +22,7 @@ from symdesign.groups import (
     HammingWeight,
     PartitionId,
     Residue,
+    SectorTable,
     TwiceSpin,
     partitions_max_rows,
     sn_irrep_dim,
@@ -72,16 +74,17 @@ def clebsch_gordan_multiplicities(n: int) -> dict[int, int]:
 class TestSectors:
     def test_u1_n5_binomials(self):
         table = sectors(U1, 5)
-        assert [e.irrep.w for e in table.sectors] == list(range(6))
+        assert [irrep.w for irrep in table.ids] == list(range(6))
         assert table.multiplicities == (1, 5, 10, 10, 5, 1)
         assert table.dims == (1, 1, 1, 1, 1, 1)
 
     def test_su2_n4_against_cg_oracle(self):
         oracle = clebsch_gordan_multiplicities(4)
         table = sectors(SU2, 4)
-        assert {e.irrep.jj: e.multiplicity for e in table.sectors} == oracle
+        assert {irrep.jj: m for irrep, m in zip(table.ids, table.multiplicities)} == oracle
         # frozen values from the oracle
-        assert [(e.irrep.jj, e.multiplicity, e.dim) for e in table.sectors] == [
+        jjs = [irrep.jj for irrep in table.ids]
+        assert list(zip(jjs, table.multiplicities, table.dims)) == [
             (0, 2, 1),
             (2, 3, 3),
             (4, 1, 5),
@@ -91,23 +94,31 @@ class TestSectors:
     def test_su2_against_cg_oracle(self, n):
         oracle = clebsch_gordan_multiplicities(n)
         table = sectors(SU2, n)
-        assert {e.irrep.jj: e.multiplicity for e in table.sectors} == oracle
+        assert {irrep.jj: m for irrep, m in zip(table.ids, table.multiplicities)} == oracle
 
     def test_sud_hook_length_example(self):
         table = sectors(sud(3), 9)
-        by_parts = {e.irrep.parts: e.multiplicity for e in table.sectors}
+        by_parts = {irrep.parts: m for irrep, m in zip(table.ids, table.multiplicities)}
         assert by_parts[(7, 2)] == 27  # (1/2) n (n-3) at n = 9
 
     def test_zp_even_odd_split(self):
         table = sectors(zp(2), 3)
-        assert [(e.irrep.beta, e.multiplicity) for e in table.sectors] == [(0, 4), (1, 4)]
+        betas = [irrep.beta for irrep in table.ids]
+        assert list(zip(betas, table.multiplicities)) == [(0, 4), (1, 4)]
 
     @pytest.mark.parametrize("group", [U1, SU2, zp(2), zp(3), zp(5), sud(3), sud(4), sud(5)])
     @pytest.mark.parametrize("n", range(1, 21))
     def test_completeness(self, group, n):
         table = sectors(group, n)
-        assert sum(e.multiplicity * e.dim for e in table.sectors) == group.local_dim**n
-        assert all(e.multiplicity > 0 for e in table.sectors)
+        assert sum(map(mul, table.multiplicities, table.dims)) == group.local_dim**n
+        assert all(m > 0 for m in table.multiplicities)
+
+    def test_columns_must_have_equal_lengths(self):
+        ids = (HammingWeight(0), HammingWeight(1))
+        SectorTable(U1, 1, ids, (1, 1), (1, 1))
+        for mults, dims in [((1,), (1, 1)), ((1, 1), (1,)), ((1, 1, 1), (1, 1, 1))]:
+            with pytest.raises(ValueError, match="same length"):
+                SectorTable(U1, 1, ids, mults, dims)
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_su2_multiplicity_recursion(self, n):
@@ -138,18 +149,18 @@ IMAX_TABLE = [0, 0, 1, 1, 2, 1, 2, 2, 3, 2, 4, 3, 4, 4, 5, 4, 6, 5]
 class TestCanonicalOrder:
     def test_u1_interleaving_n5(self):
         table = canonical_order(sectors(U1, 5))
-        assert [e.irrep.w for e in table.sectors] == [0, 5, 1, 4, 2, 3]
+        assert [irrep.w for irrep in table.ids] == [0, 5, 1, 4, 2, 3]
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_u1_matches_interleaving(self, n):
         table = canonical_order(sectors(U1, n))
         expect = [i // 2 if i % 2 == 0 else n - i // 2 for i in range(n + 1)]
-        assert [e.irrep.w for e in table.sectors] == expect
+        assert [irrep.w for irrep in table.ids] == expect
 
     def test_su2_n13_tie_break(self):
         # m(13, j) sorted ascending; the two 429s order by descending 2j
         table = canonical_order(sectors(SU2, 13))
-        assert [e.irrep.jj for e in table.sectors] == [13, 11, 9, 7, 5, 1, 3]
+        assert [irrep.jj for irrep in table.ids] == [13, 11, 9, 7, 5, 1, 3]
         assert table.multiplicities == (1, 12, 65, 208, 429, 429, 572)
 
     @pytest.mark.parametrize("group", [U1, SU2, zp(3), zp(6), sud(3), sud(4)])
@@ -165,18 +176,23 @@ class TestCanonicalOrder:
         "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4), sud(6)], ids=str
     )
     def test_matches_reference_sort(self, group):
-        # sorted from a shuffled copy too: the order must not lean on the input's
+        # sorted from a shuffled copy too: the order must not lean on the input's;
+        # the (id, m, dim) triples are sorted whole, so each dim moves with its sector
         rng = random.Random(7)
+
+        def columns(table):
+            return (table.ids, table.multiplicities, table.dims)
+
         for n in range(1, 31):
             natural = sectors(group, n)
-            expect = sorted(
-                natural.sectors, key=lambda e: (e.multiplicity,) + tie_break_key(n, e.irrep)
+            triples = list(zip(*columns(natural)))
+            expect = tuple(
+                zip(*sorted(triples, key=lambda t: (t[1],) + tie_break_key(n, t[0])))
             )
-            assert canonical_order(natural).sectors == tuple(expect)
-            shuffled = list(natural.sectors)
-            rng.shuffle(shuffled)
-            table = type(natural)(group, n, tuple(shuffled))
-            assert canonical_order(table).sectors == tuple(expect)
+            assert columns(canonical_order(natural)) == expect
+            rng.shuffle(triples)
+            table = SectorTable(group, n, *zip(*triples))
+            assert columns(canonical_order(table)) == expect
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_su2_imax_matches_table(self, n):
