@@ -165,7 +165,7 @@ class ChargeMatrix:
     scan pays only for the prefix it reads; ``A[i]`` computes row ``i``
     without building columns, and :attr:`rows` (or iteration) builds every
     column.  :func:`charge_matrix` and :func:`custom_matrix` construct it and
-    supply ``witness``, one integer weight per row chosen with the rows so
+    supply ``witness``, one exact weight per row chosen with the rows so
     that ``witness^T A = m`` when they can tell.  It is only a candidate:
     :func:`multiplicity_in_row_span` checks it and otherwise eliminates, so
     all-zero weights leave the decision to the echelon.  ``k`` is the gate
@@ -316,10 +316,24 @@ def multiplicity_in_row_span(m, rows, witness=None) -> bool:
             products = (sum(y * row[j] for y, row in weighted) for j in range(len(m)))
         if all(map(eq, products, m)):
             return True
+    return _span_weights(as_int_row(m), list(map(as_int_row, rows))) is not None
+
+
+def _span_weights(m: list[int], rows: list[list[int]]):
+    """Exact weights ``y`` with ``sum_i y_i rows[i] == m``, or None if ``m`` is outside the span.
+
+    If ``m`` reduces to zero against the rows, the echelon's new relation
+    ``sum_i r_i rows[i] + r_last m = 0`` has ``r_last != 0`` (only ``m``'s own
+    transform entry starts nonzero there), so ``y = -r / r_last``.
+    """
     ech = Echelon()
     for row in rows:
-        ech.add(as_int_row(row))
-    return not ech.add(as_int_row(m))
+        ech.add(row)
+    if ech.add(m):
+        return None
+    *r, last = ech.relations[-1]
+    weights = (Fraction(-x, last) for x in r)
+    return [y.numerator if y.denominator == 1 else y for y in weights]
 
 
 def custom_matrix(
@@ -336,7 +350,8 @@ def custom_matrix(
     rational row span; global phases never change the design order, and this
     makes every kernel vector automatically traceless.  The witness is 1 on
     a prepended identity row and 0 elsewhere; rows that already span ``m``
-    get all-zero weights, which leaves the row-span check to elimination.
+    get the exact rational weights that this elimination found, so the
+    solver's row-span check is one product.
     """
     m = [int(x) for x in m]
     rows = list(map(as_int_row, rows))
@@ -348,11 +363,11 @@ def custom_matrix(
     ]
     if len(labels) != len(rows):
         raise ValueError("row_labels length must match rows")
-    witness = [0] * len(rows)
-    if not multiplicity_in_row_span(m, rows):
+    witness = _span_weights(m, rows)
+    if witness is None:
+        witness = [1] + [0] * len(rows)
         rows = [m] + rows
         labels = ["identity"] + labels
-        witness = [1] + witness
     if col_ids is None:
         col_ids = tuple(CustomSector(i) for i in range(len(m)))
     elif len(col_ids) != len(m):

@@ -1,7 +1,9 @@
 """Exact integer linear algebra: one incremental echelon, the only rank and
 kernel-basis routine, and the integral weighted LLL, which returns its integer
 Gram-Schmidt state (leading Gram minors ``d``, ``lam = mu * d``) for the
-solver's enumeration.
+solver's enumeration.  From that state :func:`integral_gso_vectors` gives the
+integral Gram-Schmidt vectors ``d[j] * b_j*`` by exact divisions, which the
+enumeration's Hölder level bound reads.
 
 Rows of ints, Fractions or floats become exact integer multiples through
 :func:`as_int_row`.  Entries of the charge matrices grow like binomial
@@ -192,3 +194,22 @@ def lll_reduce(
         d[k] = new_mid
         k = max(k - 1, 1)
     return b, d, lam
+
+
+def integral_gso_vectors(basis, d, lam) -> list[list[int]]:
+    """The integral Gram-Schmidt vectors ``g_j = d[j] * b_j*`` of an LLL result.
+
+    ``(basis, d, lam)`` is what :func:`lll_reduce` returns.  From ``u = b_j``
+    the fraction-free recurrence ``u <- (d[t+1] * u - lam[j][t] * g_t) / d[t]``
+    for ``t < j`` keeps ``u`` equal to ``d[t+1]`` times the part of ``b_j``
+    orthogonal to ``b_0 .. b_t``, an integer vector, so every division is
+    exact (``ArithmeticError`` otherwise) and ``u`` ends as ``g_j``.
+    """
+    g: list[list[int]] = []
+    for j, u in enumerate(basis):
+        lam_j = lam[j]
+        for t in range(j):
+            a, c, e = d[t + 1], lam_j[t], d[t]
+            u = [_exact_div(a * x - c * y, e) for x, y in zip(u, g[t])]
+        g.append(list(u))
+    return g

@@ -15,9 +15,14 @@ trivial).  Two facts make this computable fast:
   integer Gram-Schmidt state the integral LLL returns with it (the leading
   Gram minors ``d`` and ``lam = mu * d``), so every level test is an integer
   comparison.  The Euclidean norm of the weight-rescaled vector lower bounds
-  the weighted one-norm, so the radius shrinks to each new incumbent; each
-  level visits its values zig-zag outwards from the center, and only one of
-  each pair ``+-q`` is visited (the top nonzero coefficient is positive).
+  the weighted one-norm, so the radius shrinks to each new incumbent.  Each
+  level also keeps Hölder's bound ``|y| <= R * h_j``: the level value ``y``
+  is the weighted inner product of the vector with the integral Gram-Schmidt
+  vector ``g_j = d[j] * b_j*``, so it is at most the vector's weighted
+  one-norm ``R`` times ``h_j = max_i w_i |g_j,i|``.  That cuts the Euclidean
+  ball down towards the one-norm ball it covers.  Each level visits its
+  values zig-zag outwards from the center, and only one of each pair ``+-q``
+  is visited (the top nonzero coefficient is positive).
 
 Both the incumbent certificate and the cutoff rule are exact, so every answer
 returned with ``proven_exact`` is self-certifying.
@@ -39,7 +44,7 @@ from .charges import (
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, lll_reduce
+from .intlinalg import Echelon, integral_gso_vectors, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,10 @@ def min_weighted_l1(
     The lattice is spanned by ``basis`` (independent integer vectors); the
     objective is ``sum(weights * abs(q))``.  Enumeration is branch-and-bound
     over the weight-rescaled Euclidean norm, which never exceeds the weighted
-    one-norm, so the radius equal to the best norm found so far is sound.
+    one-norm, so the radius equal to the best norm found so far is sound.  A
+    level value must also pass the integer Hölder test ``|y| <= R * h_j``
+    against that norm ``R`` (see the module docstring); both tests are
+    non-strict, so every tied optimum reaches the tie-break.
     Returns the primitive optimizer, sign-normalized (first nonzero entry
     positive), with lexicographically smallest ``q`` among ties; ``None`` if
     ``upper`` (an integer) is given and no vector has norm <= ``upper``.
@@ -231,13 +239,18 @@ def min_weighted_l1(
     # term and the squared radius integers.
     C = math.lcm(*(P[i] * P[i + 1] for i in range(d)))
     scale = [C // (P[i] * P[i + 1]) for i in range(d)]
+    # the level-i value y is the weighted inner product of the vector with
+    # g_i = P[i] b_i*, whatever the coefficients below level i, so Hölder
+    # bounds |y| by its weighted one-norm times h_i = max_t w_t |g_i,t|
+    h = [max(map(mul, weights, map(abs, g))) for g in integral_gso_vectors(basis, P, lam)]
 
     best: Optional[int] = None
     best_q: Optional[tuple[int, ...]] = None
     cap = 0  # C * radius^2; the radius is the incumbent's norm, or upper before one exists
+    hcap: list[int] = []  # radius * h, the Hölder caps on |y| per level
 
     def consider(vec):
-        nonlocal best, best_q, cap
+        nonlocal best, best_q, cap, hcap
         norm = _weighted_l1(vec, weights)
         # a vector longer than the incumbent (or the cap) cannot win, not even
         # divided by its content: that primitive vector is enumerated itself
@@ -249,12 +262,14 @@ def min_weighted_l1(
         if best is None or norm < best or (norm == best and q < best_q):
             best, best_q = norm, q
             cap = C * norm * norm
+            hcap = [norm * x for x in h]
 
     for b in basis:
         consider(b)
     # the basis vectors are nonzero, so without an incumbent the caller's cap is set
     if best is None:
         cap = C * upper * upper
+        hcap = [upper * x for x in h]
 
     coeff = [0] * d
 
@@ -268,19 +283,22 @@ def min_weighted_l1(
             if coeff[t]:
                 s += lam[t][level] * coeff[t]
         # zig-zag outwards from the center -s/p: x = lo, lo-1, ... have y <= 0
-        # and x = hi, hi+1, ... have y > 0; always take the smaller |y|.  The
-        # cap only shrinks, so a side that leaves the radius stays closed.
+        # and x = hi, hi+1, ... have y > 0; always take the smaller |y|.  A
+        # value must pass the Hölder and the Euclidean test, both non-strict so
+        # that ties reach the tie-break.  The caps only shrink and |y| only
+        # grows along a side, so a side that fails a test stays closed.
         lo = -s // p
         hi = lo + 1
         down = up = True
         while True:
             rem = cap - used
+            hc = hcap[level]
             if down:
                 y_lo = lo * p + s
-                down = y_lo * y_lo * c <= rem
+                down = -y_lo <= hc and y_lo * y_lo * c <= rem
             if up:
                 y_hi = hi * p + s
-                up = y_hi * y_hi * c <= rem
+                up = y_hi <= hc and y_hi * y_hi * c <= rem
             if down and (not up or -y_lo <= y_hi):
                 x, y = lo, y_lo
                 lo -= 1

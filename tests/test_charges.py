@@ -25,11 +25,13 @@ from symdesign import (
     zp,
 )
 from symdesign.charges import (
+    ChargeMatrix,
     CycleType,
     T_GROUP_CLASSES,
     multiplicity_in_row_span,
 )
-from symdesign.groups import partitions_max_rows
+from symdesign.groups import CUSTOM, partitions_max_rows
+from symdesign.intlinalg import Echelon
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +453,36 @@ class TestMatrixInvariants:
         A = custom_matrix(m, [[1, Fraction(1, 2), Fraction(-1, 2), -1]])
         assert A.row_labels[0] == "identity" and A.witness == (1, 0)
         assert dot_rows(list(zip(*A.rows)), A.witness) == m
-        # rows that already span m get no weights; elimination decides instead
+        # rows that already span m keep the weights their elimination found
         A = custom_matrix(m, [[1, 1, 1, 1], [0, 2, 2, 0]])
-        assert A.row_labels == ("H0", "H1") and A.witness == (0, 0)
+        assert A.row_labels == ("H0", "H1") and A.witness == (1, 1)
+        assert dot_rows(list(zip(*A.rows)), A.witness) == m
+        # the weights are rational when the rows are scaled past m
+        A = custom_matrix(m, [[2, 2, 2, 2], [0, 2, 2, 0]])
+        assert A.witness == (Fraction(1, 2), 1)
+        assert dot_rows(list(zip(*A.rows)), A.witness) == m
+
+    def test_custom_row_span_is_not_eliminated_again(self, monkeypatch):
+        # the solve checks the builder's witness by one product: its only
+        # echelon steps are the prefix scan's, one per column it reads
+        m = [1, 3, 3, 1]
+        A = custom_matrix(m, [[1, 1, 1, 1], [0, 2, 2, 0]])
         table = canonical_order(custom_table(m))
-        result = tmax_exact(A.aligned_to(table), table, assume_semiuniversal=True)
+        A = A.aligned_to(table)
+        calls = []
+        add = Echelon.add
+        monkeypatch.setattr(Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
+        result = tmax_exact(A, table, assume_semiuniversal=True)
         assert result.proven_exact and result.tmax == 0
+        assert calls == [A.column(0), A.column(1)]
+
+    def test_wrong_witness_outside_row_span_rejected(self):
+        # a witness that does not reproduce m is only a candidate: elimination
+        # then finds m outside the span, and the solve refuses the matrix
+        table = canonical_order(custom_table([1, 2]))
+        A = ChargeMatrix(("H0",), table.ids, lambda i, j: 1, CUSTOM, None, (1,))
+        with pytest.raises(ValueError, match="row span"):
+            tmax_exact(A, table, assume_semiuniversal=True)
 
     def test_row_span_falls_back_to_elimination(self):
         # a witness that does not reproduce m leaves the decision to the echelon

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
 from symdesign import charge_matrix, rank_exact, sectors, U1, zp
 from symdesign.checks import kernel_vectors
-from symdesign.intlinalg import Echelon, _exact_div, lll_reduce, weighted_gram
+from symdesign.intlinalg import (
+    Echelon,
+    _exact_div,
+    integral_gso_vectors,
+    lll_reduce,
+    weighted_gram,
+)
 
 
 small_matrix = st.integers(1, 6).flatmap(
@@ -231,8 +237,36 @@ class TestIntegralGramSchmidt:
                 for j in range(i):
                     assert type(lam[i][j]) is int and lam[i][j] == mu[i][j] * d[j + 1]
 
+    def test_integral_vectors_match_vector_gram_schmidt(self):
+        for _, basis, weights in random_kernel_bases(7, 40, min_dim=1):
+            reduced, d, lam = lll_reduce(basis, weights)
+            _, _, gs = weighted_gso(reduced, weights)
+            g = integral_gso_vectors(reduced, d, lam)
+            assert len(g) == len(reduced)
+            for j, (g_j, b_star) in enumerate(zip(g, gs)):
+                assert all(type(x) is int for x in g_j)
+                assert g_j == [d[j] * x for x in b_star]
+
+    def test_corrupted_lam_raises(self):
+        # raising lam[j][j-1] by one moves the last step of g_j by -b*_{j-1},
+        # so the division is inexact exactly when b*_{j-1} is not integral
+        raised = 0
+        for _, basis, weights in random_kernel_bases(7, 40, min_dim=2):
+            reduced, d, lam = lll_reduce(basis, weights)
+            _, _, gs = weighted_gso(reduced, weights)
+            for j in range(1, len(reduced)):
+                if all(x.denominator == 1 for x in gs[j - 1]):
+                    continue
+                bad = [list(row) for row in lam]
+                bad[j][j - 1] += 1
+                with pytest.raises(ArithmeticError):
+                    integral_gso_vectors(reduced, d, bad)
+                raised += 1
+        assert raised >= 20
+
     def test_empty_basis(self):
         assert lll_reduce([]) == ([], [1], [])
+        assert integral_gso_vectors([], [1], []) == []
 
     def test_weighted_gram(self):
         assert weighted_gram([[1, -1]], [2, 3]) == [[13]]

@@ -34,6 +34,7 @@ from symdesign import (
 from symdesign import groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
+from symdesign.intlinalg import integral_gso_vectors, lll_reduce
 
 
 def aligned(group, n, k):
@@ -120,6 +121,25 @@ class TestMinWeightedL1:
         assert cert.weighted_norm == 6
         assert cert.q == (1, 0, -1, 2)  # lexicographically smaller winner
 
+    def test_tie_at_the_hoelder_bound(self):
+        # six kernel vectors tie at norm 4; the smallest, (0, 1, -1, 1), meets
+        # the Hölder cap of one level with equality, so a level test that
+        # dropped |y| == R * h_j would return a larger tie such as (0, 2, 1, 0)
+        A = [[-2, 1, -2, -3]]
+        weights = [2, 1, 2, 1]
+        basis = [[-1, -2, 0, 0], [-1, 0, 1, 0], [-2, -1, 0, 1]]
+        assert kernel_vectors(A, weights, 3) == []
+        assert min(kernel_vectors(A, weights, 4)) == (0, 1, -1, 1)
+        reduced, d, lam = lll_reduce(basis, weights)
+        levels = [
+            (abs(sum(w * w * x * y for w, x, y in zip(weights, (0, 1, -1, 1), g))),
+             max(w * abs(y) for w, y in zip(weights, g)))
+            for g in integral_gso_vectors(reduced, d, lam)
+        ]
+        assert any(y == 4 * h for y, h in levels)
+        cert = min_weighted_l1(basis, weights)
+        assert cert.q == (0, 1, -1, 1) and cert.weighted_norm == 4
+
     def test_upper_cuts_off(self):
         assert min_weighted_l1([[1, -1]], [4, 4], upper=1) is None
         assert min_weighted_l1([[1, -1], [5, 3]], [2, 2], upper=1) is None
@@ -203,6 +223,21 @@ class TestMinWeightedL1Oracle:
             checked += 1
         # the seeded set exercises tie-breaking and optima that beat every basis vector
         assert ties >= 10 and shorter >= 10
+
+    def test_matches_complete_oracle_at_large_weights(self):
+        # kernel dimension 4-7 and weights up to 10^6, the shape of the hard
+        # custom problems, with both level tests pruning
+        rng = random.Random(20261019)
+        checked = shorter = 0
+        while checked < 25:
+            dim, r = rng.randint(4, 7), rng.randint(1, 3)
+            A = [[rng.randint(-10, 10) for _ in range(dim + r)] for _ in range(r)]
+            if len(echelon_kernel(A)) != dim:
+                continue
+            weights = [rng.randint(1, 10**6) for _ in range(dim + r)]
+            shorter += check_against_oracle(A, weights)[1]
+            checked += 1
+        assert shorter >= 15
 
     @pytest.mark.parametrize(
         "A, weights",
