@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 precondition failure (for example a gate set below
 its semi-universality threshold), 3 input parse error (argparse usage errors
-too), 4 internal verification failure.  ``--format json`` output uses the
+too), 4 internal verification failure (a certificate that does not verify
+again, or an exactness check of the solver that raised ``ArithmeticError``).  ``--format json`` output uses the
 fixed key set {group, n, k, tmax, lower_bound, certificate, proven_exact,
 closed_form, agrees, ms}; infinite orders render as "infinity" in every format.
 """
@@ -463,6 +464,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # precondition failures, SemiUniversalityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ArithmeticError as exc:  # a failed exactness check of the solver
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Exact integer linear algebra: one incremental echelon, the only rank and
-kernel-basis routine, and the integral weighted LLL, which returns its integer
-Gram-Schmidt state (leading Gram minors ``d``, ``lam = mu * d``) for the
-solver's enumeration.  From that state :func:`integral_gso_vectors` gives the
-integral Gram-Schmidt vectors ``d[j] * b_j*`` by exact divisions, which the
-enumeration's Hölder level bound reads.
+kernel-basis routine, and one incremental integral weighted LLL.
+
+:class:`ReducedLattice` keeps an LLL-reduced basis with its integer
+Gram-Schmidt state (leading Gram minors ``d``, ``lam = mu * d``) and the
+integral Gram-Schmidt vectors ``d[j] * b_j*`` that the solver's enumeration
+and its Hölder level bound read.  It grows by one vector at a time, reduced
+from its new index on, and by coordinates on which every stored vector is
+zero, so the prefix scan keeps one lattice for all its kernels.
+:func:`lll_reduce` is the same loop fed a whole basis.
 
 Rows of ints, Fractions or floats become exact integer multiples through
 :func:`as_int_row`.  Entries of the charge matrices grow like binomial
@@ -15,8 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-Matrix = list[list[int]]
+from operator import mul
 
 
 def as_int_row(row) -> list[int]:
@@ -104,18 +107,6 @@ def rank_exact(rows) -> int:
 # ---------------------------------------------------------------------------
 
 
-def weighted_gram(basis, weights=None) -> Matrix:
-    """Integer Gram matrix of ``basis`` under ``<x, y> = sum w_i^2 x_i y_i``."""
-    if weights is None:
-        w2 = [1] * len(basis[0])
-    else:
-        # type(w) is int also rejects bool, whose True would pass for 1
-        if any(type(w) is not int for w in weights):
-            raise ValueError("weights must be integers")
-        w2 = [w * w for w in weights]
-    return [[sum(w * x * y for w, x, y in zip(w2, bi, bj)) for bj in basis] for bi in basis]
-
-
 def _exact_div(a: int, b: int) -> int:
     """``a / b`` for a division the theory says is exact; ``ArithmeticError`` if not."""
     q, r = divmod(a, b)
@@ -131,85 +122,141 @@ def _round_div(a: int, b: int) -> int:
     return q + 1 if r > b or (r == b and q & 1) else q
 
 
+class ReducedLattice:
+    """An LLL-reduced basis that grows one vector and one coordinate block at a time.
+
+    The metric is ``<x, y> = sum w_i^2 x_i y_i`` for positive integer weights
+    ``w``.  The state is the integral LLL's (Cohen, Alg. 2.6.7; de Weger
+    1987): the reduced ``basis``, its leading Gram minors ``d[0] = 1``,
+    ``d[i+1] = d[i] * |b_i*|^2`` and ``lam[i][j] = mu_ij * d[j+1]`` (j < i),
+    all integers, every division checked exact.  The moves are those of the
+    rational LLL with delta = 3/4, ``round(mu)`` tying to even.
+    """
+
+    def __init__(self, weights):
+        self.weights: list[int] = []
+        self._w2: list[int] = []
+        self.basis: list[list[int]] = []
+        self.d = [1]
+        self.lam: list[list[int]] = []
+        self._g: list[list[int]] = []  # the integral Gram-Schmidt vectors still valid
+        self.extend(weights)
+
+    def extend(self, weights):
+        """Append coordinates with the given weights, zero on every stored vector.
+
+        No inner product changes, so ``d``, ``lam`` and every ``b_j*`` stay.
+        """
+        weights = list(weights)
+        # type(w) is int also rejects bool, whose True would pass for 1
+        if any(type(w) is not int for w in weights):
+            raise ValueError("weights must be integers")
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        self.weights += weights
+        self._w2 += [w * w for w in weights]
+        pad = [0] * len(weights)
+        for v in self.basis + self._g:
+            v += pad
+
+    def insert(self, vec) -> None:
+        """Add ``vec`` to the lattice and LLL-reduce the basis again.
+
+        The basis before it is reduced, which is the state the batch algorithm
+        reaches when its index first gets to a new vector, so the loop starts
+        there.  ``vec`` must be independent of the basis (``ArithmeticError``
+        otherwise).
+        """
+        b, d, lam = self.basis, self.d, self.lam
+        v = list(vec)
+        if len(v) != len(self.weights):
+            raise ValueError("the vector and the weights differ in length")
+        wv = [w * x for w, x in zip(self._w2, v)]
+        n = len(b)
+        # the fraction-free Gram-Schmidt row of v from its inner products
+        lam_n: list[int] = []
+        for j in range(n + 1):
+            u = sum(map(mul, wv, b[j] if j < n else v))
+            lam_j = lam[j] if j < n else lam_n
+            for i in range(j):
+                u = _exact_div(d[i + 1] * u - lam_n[i] * lam_j[i], d[i])
+            if j < n:
+                lam_n.append(u)
+        if u <= 0:
+            raise ArithmeticError("basis vectors are not independent")
+        b.append(v)
+        d.append(u)
+        lam.append(lam_n)
+        n += 1
+
+        low = n - 1  # the lowest index whose b_j* may have changed
+        k = max(low, 1)
+        while k < n:
+            lam_k = lam[k]
+            for j in range(k - 1, -1, -1):
+                q = _round_div(lam_k[j], d[j + 1])
+                if q:
+                    b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                    lam_j = lam[j]
+                    for t in range(j):
+                        lam_k[t] -= q * lam_j[t]
+                    lam_k[j] -= q * d[j + 1]
+            m = lam_k[k - 1]
+            if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
+                k += 1
+                continue
+            # swap b[k-1] and b[k]: lam[k][k-1] and every d but d[k] stay put
+            b[k], b[k - 1] = b[k - 1], b[k]
+            lam_prev = lam[k - 1]
+            for t in range(k - 1):
+                lam_k[t], lam_prev[t] = lam_prev[t], lam_k[t]
+            d_lo, d_mid, d_hi = d[k - 1], d[k], d[k + 1]
+            new_mid = _exact_div(d_lo * d_hi + m * m, d_mid)
+            for i in range(k + 1, n):
+                lam_i = lam[i]
+                t = lam_i[k]
+                lam_i[k] = _exact_div(d_hi * lam_i[k - 1] - m * t, d_mid)
+                lam_i[k - 1] = _exact_div(new_mid * t + m * lam_i[k], d_hi)
+            d[k] = new_mid
+            low = min(low, k - 1)
+            k = max(k - 1, 1)
+        # size reduction never moves a b_j*, so only swapped indices go stale
+        del self._g[low:]
+
+    def gso_vectors(self) -> list[list[int]]:
+        """The integral Gram-Schmidt vectors ``g_j = d[j] * b_j*`` of the basis.
+
+        Only those from the lowest index a swap touched since the last call
+        are computed again.  From ``u = b_j`` the fraction-free recurrence
+        ``u <- (d[t+1] * u - lam[j][t] * g_t) / d[t]`` for ``t < j`` keeps
+        ``u`` equal to ``d[t+1]`` times the part of ``b_j`` orthogonal to
+        ``b_0 .. b_t``, an integer vector, so every division is exact
+        (``ArithmeticError`` otherwise) and ``u`` ends as ``g_j``.
+        """
+        g, d = self._g, self.d
+        for j in range(len(g), len(self.basis)):
+            u, lam_j = self.basis[j], self.lam[j]
+            for t in range(j):
+                a, c, e = d[t + 1], lam_j[t], d[t]
+                u = [_exact_div(a * x - c * y, e) for x, y in zip(u, g[t])]
+            g.append(list(u))
+        return g
+
+
 def lll_reduce(
     basis: list[list[int]], weights: list[int] | None = None
 ) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """Integral LLL of ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
 
-    Returns ``(reduced, d, lam)``: the leading Gram minors ``d[0] = 1``,
-    ``d[i+1] = d[i] * |b_i*|^2`` and ``lam[i][j] = mu_ij * d[j+1]`` (j < i) of
-    the reduced basis, all integers (Cohen, Alg. 2.6.7; de Weger 1987).  They
-    come once from the integer Gram matrix and are updated in place under size
-    reduction and swaps, every division checked exact.  The moves are those of
-    the rational LLL with delta = 3/4, ``round(mu)`` tying to even.  The vectors
-    must be independent (``ArithmeticError`` otherwise); the reduced ones span
-    the same lattice, so reduction never changes a solver answer.
+    Returns ``(reduced, d, lam)``, the state of a :class:`ReducedLattice`
+    that the vectors were inserted into in turn (unit weights when
+    ``weights`` is None).  The vectors must be independent
+    (``ArithmeticError`` otherwise); the reduced ones span the same lattice,
+    so reduction never changes a solver answer.
     """
-    b = [list(v) for v in basis]
-    n = len(b)
-    G = weighted_gram(b, weights) if n else []
-    d = [1]
-    lam: list[list[int]] = []
-    for k in range(n):
-        lam_k: list[int] = []
-        for j in range(k + 1):
-            u = G[k][j]
-            lam_j = lam[j] if j < k else lam_k
-            for i in range(j):
-                u = _exact_div(d[i + 1] * u - lam_k[i] * lam_j[i], d[i])
-            if j < k:
-                lam_k.append(u)
-        if u <= 0:
-            raise ArithmeticError("basis vectors are not independent")
-        d.append(u)
-        lam.append(lam_k)
-
-    k = 1
-    while k < n:
-        lam_k = lam[k]
-        for j in range(k - 1, -1, -1):
-            q = _round_div(lam_k[j], d[j + 1])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                lam_j = lam[j]
-                for t in range(j):
-                    lam_k[t] -= q * lam_j[t]
-                lam_k[j] -= q * d[j + 1]
-        m = lam_k[k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
-            k += 1
-            continue
-        # swap b[k-1] and b[k]: lam[k][k-1] and every d but d[k] stay put
-        b[k], b[k - 1] = b[k - 1], b[k]
-        lam_prev = lam[k - 1]
-        for t in range(k - 1):
-            lam_k[t], lam_prev[t] = lam_prev[t], lam_k[t]
-        d_lo, d_mid, d_hi = d[k - 1], d[k], d[k + 1]
-        new_mid = _exact_div(d_lo * d_hi + m * m, d_mid)
-        for i in range(k + 1, n):
-            lam_i = lam[i]
-            t = lam_i[k]
-            lam_i[k] = _exact_div(d_hi * lam_i[k - 1] - m * t, d_mid)
-            lam_i[k - 1] = _exact_div(new_mid * t + m * lam_i[k], d_hi)
-        d[k] = new_mid
-        k = max(k - 1, 1)
-    return b, d, lam
-
-
-def integral_gso_vectors(basis, d, lam) -> list[list[int]]:
-    """The integral Gram-Schmidt vectors ``g_j = d[j] * b_j*`` of an LLL result.
-
-    ``(basis, d, lam)`` is what :func:`lll_reduce` returns.  From ``u = b_j``
-    the fraction-free recurrence ``u <- (d[t+1] * u - lam[j][t] * g_t) / d[t]``
-    for ``t < j`` keeps ``u`` equal to ``d[t+1]`` times the part of ``b_j``
-    orthogonal to ``b_0 .. b_t``, an integer vector, so every division is
-    exact (``ArithmeticError`` otherwise) and ``u`` ends as ``g_j``.
-    """
-    g: list[list[int]] = []
-    for j, u in enumerate(basis):
-        lam_j = lam[j]
-        for t in range(j):
-            a, c, e = d[t + 1], lam_j[t], d[t]
-            u = [_exact_div(a * x - c * y, e) for x, y in zip(u, g[t])]
-        g.append(list(u))
-    return g
+    if weights is None:
+        weights = [1] * len(basis[0]) if basis else []
+    lattice = ReducedLattice(weights)
+    for v in basis:
+        lattice.insert(v)
+    return lattice.basis, lattice.d, lattice.lam

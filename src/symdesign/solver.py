@@ -12,10 +12,14 @@ trivial).  Two facts make this computable fast:
   one integer echelon extends the kernel basis by <= 1 vector per column;
 * within a prefix the problem is a small-dimensional weighted shortest-vector
   search: Schnorr-Euchner enumeration of the LLL-reduced basis over the
-  integer Gram-Schmidt state the integral LLL returns with it (the leading
+  integer Gram-Schmidt state the integral LLL keeps with it (the leading
   Gram minors ``d`` and ``lam = mu * d``), so every level test is an integer
-  comparison.  The Euclidean norm of the weight-rescaled vector lower bounds
-  the weighted one-norm, so the radius shrinks to each new incumbent.  Each
+  comparison.  The scan keeps one reduced lattice for all its prefixes: the
+  echelon never rewrites a relation, so at each kernel growth the lattice
+  takes the new coordinates (zero on its vectors) and the one new relation,
+  reduced from its index on, instead of reducing the whole basis again.
+  The Euclidean norm of the weight-rescaled vector lower bounds the
+  weighted one-norm, so the radius shrinks to each new incumbent.  Each
   level also keeps Hölder's bound ``|y| <= R * h_j``: the level value ``y``
   is the weighted inner product of the vector with the integral Gram-Schmidt
   vector ``g_j = d[j] * b_j*``, so it is at most the vector's weighted
@@ -44,7 +48,7 @@ from .charges import (
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, integral_gso_vectors, lll_reduce
+from .intlinalg import Echelon, ReducedLattice
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,14 @@ def _check_row_span(A: ChargeMatrix, table: SectorTable):
 
 
 def _prefix_scan(A: ChargeMatrix, length: int):
-    """Yield ``(idx, basis)`` per prefix: its kernel basis if column ``idx`` grew it, else None."""
+    """Yield ``(idx, relation)`` per prefix: the relation column ``idx`` added, else None.
+
+    The echelon never rewrites a relation, so the relations yielded so far,
+    zero-padded, are a basis of the prefix kernel.
+    """
     ech = Echelon()
     for idx in range(length):
-        yield idx, None if ech.add(A.column(idx)) else ech.kernel_basis()
+        yield idx, None if ech.add(A.column(idx)) else ech.relations[-1]
 
 
 def lower_bound(
@@ -169,8 +177,8 @@ def lower_bound(
     _check_canonical(table)
     _check_semiuniversal(A, assume_semiuniversal)
     _check_row_span(A, table)
-    for idx, basis in _prefix_scan(A, len(table)):
-        if basis is not None:
+    for idx, relation in _prefix_scan(A, len(table)):
+        if relation is not None:
             return LowerBoundResult(
                 ell=idx + 1,
                 bound=table.multiplicities[idx] - 1,
@@ -223,12 +231,18 @@ def min_weighted_l1(
     # type(x) is int also rejects bool, whose True would pass for 1
     if upper is not None and type(upper) is not int:
         raise ValueError("upper must be an integer")
-    weights = list(weights)
-    if any(type(w) is not int for w in weights):
-        raise ValueError("weights must be integers")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    basis, P, lam = lll_reduce(basis, weights)
+    lattice = ReducedLattice(weights)
+    for v in basis:
+        lattice.insert(v)
+    return _shortest(lattice, upper)
+
+
+def _shortest(lattice: ReducedLattice, upper: Optional[int]) -> Optional[Certificate]:
+    """:func:`min_weighted_l1` on the lattice's reduced basis (nonempty) and weights.
+
+    The answer depends on the lattice only, not on the basis that spans it.
+    """
+    basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
     d = len(basis)
 
     # Integer form of the quadratic form x^T G x = sum_i |b_i*|^2 (x_i +
@@ -242,7 +256,7 @@ def min_weighted_l1(
     # the level-i value y is the weighted inner product of the vector with
     # g_i = P[i] b_i*, whatever the coefficients below level i, so Hölder
     # bounds |y| by its weighted one-norm times h_i = max_t w_t |g_i,t|
-    h = [max(map(mul, weights, map(abs, g))) for g in integral_gso_vectors(basis, P, lam)]
+    h = [max(map(mul, weights, map(abs, g))) for g in lattice.gso_vectors()]
 
     best: Optional[int] = None
     best_q: Optional[tuple[int, ...]] = None
@@ -339,8 +353,9 @@ def tmax_exact(
 
     One scan over multiplicity-ordered sector prefixes: the first kernel
     growth gives the lower bound (as in :func:`lower_bound`), and each later
-    growth re-solves the restricted kernel, keeping the minimum weighted norm
-    ``B``.  The scan stops as soon as ``B <= 2 * m[next]``: any kernel vector
+    growth inserts its relation into the scan's reduced lattice and solves
+    the restricted kernel again, keeping the minimum weighted norm ``B``.
+    The scan stops as soon as ``B <= 2 * m[next]``: any kernel vector
     supported outside the prefix costs at least ``2 * m[next]`` because its
     positive and negative weighted parts are equal.
 
@@ -358,15 +373,16 @@ def tmax_exact(
     L = len(table)
     bound = INFINITE
     best: Optional[Certificate] = None
-    for idx, basis in _prefix_scan(A, L):
-        if basis is not None:
-            if best is None:  # the first kernel growth
+    lattice: Optional[ReducedLattice] = None
+    for idx, relation in _prefix_scan(A, L):
+        if relation is not None:
+            if lattice is None:  # the first kernel growth
                 bound = mults[idx] - 1
-            cand = min_weighted_l1(
-                basis,
-                mults[: idx + 1],
-                upper=None if best is None else best.weighted_norm,
-            )
+                lattice = ReducedLattice(mults[: idx + 1])
+            else:
+                lattice.extend(mults[len(lattice.weights) : idx + 1])
+            lattice.insert(relation)
+            cand = _shortest(lattice, None if best is None else best.weighted_norm)
             if cand is not None:
                 full_q = cand.q + (0,) * (L - len(cand.q))
                 norm = cand.weighted_norm

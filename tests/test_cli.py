@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from symdesign import cli
 from symdesign.cli import main
+from symdesign.intlinalg import Echelon, ReducedLattice
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,31 @@ def test_usage_errors_exit_3(capsys, argv):
     assert exc.value.code == 3
     assert captured.out == ""
     assert "usage:" in captured.err and "error:" in captured.err
+
+
+def _inexact(*args):
+    raise ArithmeticError("an integral Gram-Schmidt division is not exact")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["tmax", "--group", "u1", "--n", "6", "--k", "2"], (ReducedLattice, "insert")),
+        (["custom", "problem.json"], (ReducedLattice, "insert")),
+        (["lower-bound", "--group", "u1", "--n", "5", "--k", "2"], (Echelon, "add")),
+    ],
+    ids=["tmax", "custom", "lower-bound"],
+)
+def test_failed_exactness_check_exits_4(capsys, tmp_path, monkeypatch, argv, target):
+    # an exactness invariant that raises inside the solver is an internal
+    # verification failure, not a traceback with exit code 1
+    (tmp_path / "problem.json").write_text('{"m": [4, 4], "rows": []}')
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(*target, _inexact)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == "error: an integral Gram-Schmidt division is not exact\n"
 
 
 def test_help_exits_0(capsys):

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
 from symdesign import charge_matrix, rank_exact, sectors, U1, zp
 from symdesign.checks import kernel_vectors
-from symdesign.intlinalg import (
-    Echelon,
-    _exact_div,
-    integral_gso_vectors,
-    lll_reduce,
-    weighted_gram,
-)
+from symdesign.intlinalg import Echelon, ReducedLattice, _exact_div, lll_reduce
 
 
 small_matrix = st.integers(1, 6).flatmap(
@@ -212,6 +206,13 @@ def weighted_gso(basis, weights):
     return mu, norms, gs
 
 
+def reduced_lattice(basis, weights):
+    lattice = ReducedLattice(weights)
+    for v in basis:
+        lattice.insert(v)
+    return lattice
+
+
 def random_kernel_bases(seed, count, min_dim=2):
     """Seeded ``(A, basis, weights)``: random integer matrices and their kernel bases."""
     rng = random.Random(seed)
@@ -239,46 +240,62 @@ class TestIntegralGramSchmidt:
 
     def test_integral_vectors_match_vector_gram_schmidt(self):
         for _, basis, weights in random_kernel_bases(7, 40, min_dim=1):
-            reduced, d, lam = lll_reduce(basis, weights)
-            _, _, gs = weighted_gso(reduced, weights)
-            g = integral_gso_vectors(reduced, d, lam)
-            assert len(g) == len(reduced)
+            lattice = reduced_lattice(basis, weights)
+            _, _, gs = weighted_gso(lattice.basis, weights)
+            g = lattice.gso_vectors()
+            assert len(g) == len(lattice.basis)
             for j, (g_j, b_star) in enumerate(zip(g, gs)):
                 assert all(type(x) is int for x in g_j)
-                assert g_j == [d[j] * x for x in b_star]
+                assert g_j == [lattice.d[j] * x for x in b_star]
 
     def test_corrupted_lam_raises(self):
         # raising lam[j][j-1] by one moves the last step of g_j by -b*_{j-1},
         # so the division is inexact exactly when b*_{j-1} is not integral
         raised = 0
         for _, basis, weights in random_kernel_bases(7, 40, min_dim=2):
-            reduced, d, lam = lll_reduce(basis, weights)
-            _, _, gs = weighted_gso(reduced, weights)
-            for j in range(1, len(reduced)):
+            lattice = reduced_lattice(basis, weights)
+            _, _, gs = weighted_gso(lattice.basis, weights)
+            for j in range(1, len(basis)):
                 if all(x.denominator == 1 for x in gs[j - 1]):
                     continue
-                bad = [list(row) for row in lam]
-                bad[j][j - 1] += 1
+                bad = reduced_lattice(basis, weights)
+                bad.lam[j][j - 1] += 1
                 with pytest.raises(ArithmeticError):
-                    integral_gso_vectors(reduced, d, bad)
+                    bad.gso_vectors()
                 raised += 1
         assert raised >= 20
 
     def test_empty_basis(self):
         assert lll_reduce([]) == ([], [1], [])
-        assert integral_gso_vectors([], [1], []) == []
+        assert ReducedLattice([]).gso_vectors() == []
 
     def test_weighted_gram(self):
-        assert weighted_gram([[1, -1]], [2, 3]) == [[13]]
-        assert weighted_gram([[1, 2], [0, 1]]) == [[5, 2], [2, 1]]
+        # the Gram data come from <x, y> = sum w_i^2 x_i y_i: |(1, -1)|^2 = 4 + 9
+        lattice = ReducedLattice([2, 3])
+        lattice.insert([1, -1])
+        assert lattice.d == [1, 13]
+        # unit weights: <(1, 2), (0, 1)> = 2, then size reduction by 2 (0, 1)
+        assert lll_reduce([[0, 1], [1, 2]]) == ([[0, 1], [1, 0]], [1, 1, 1], [[], [0]])
 
     @pytest.mark.parametrize("weights", [[2.5, 2.5], [2.0, 2], [True, 2], [Fraction(2), 2]])
     def test_non_int_weights_raise(self, weights):
         # int(2.5) ** 2 would silently give the Gram matrix for weight 2
-        with pytest.raises(ValueError, match="integers"):
-            weighted_gram([[1, -1]], weights)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="weights must be integers"):
+            ReducedLattice(weights)
+        with pytest.raises(ValueError, match="weights must be integers"):
+            ReducedLattice([1]).extend(weights)
+        with pytest.raises(ValueError, match="weights must be integers"):
             lll_reduce([[1, -1]], weights)
+
+    @pytest.mark.parametrize("weights", [[0, 2], [3, -1]])
+    def test_non_positive_weights_raise(self, weights):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            ReducedLattice(weights)
+        lattice = ReducedLattice([1])
+        with pytest.raises(ValueError, match="weights must be positive"):
+            lattice.extend(weights)
+        # a rejected extension leaves the lattice as it was
+        assert lattice.weights == [1]
 
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
@@ -287,6 +304,135 @@ class TestIntegralGramSchmidt:
     def test_zero_vector_raises(self):
         with pytest.raises(ArithmeticError):
             lll_reduce([[0, 0, 0]])
+
+
+def lll_reduce_batch(basis, weights):
+    """The integral LLL as one batch (Cohen, Alg. 2.6.7), with ``g_j = d[j] * b_j*``.
+
+    The Gram-Schmidt state of the whole basis comes first from its weighted
+    Gram matrix and the loop then runs from index 1; the integral
+    Gram-Schmidt vectors are computed once at the end.  Inserting the vectors
+    one by one into a :class:`ReducedLattice` must give the same
+    ``(basis, d, lam, g)``.
+    """
+    b = [list(v) for v in basis]
+    n = len(b)
+    G = [[weighted_dot(x, y, weights) for y in b] for x in b]
+    d, lam = [1], []
+    for k in range(n):
+        lam_k = []
+        for j in range(k + 1):
+            u = G[k][j]
+            lam_j = lam[j] if j < k else lam_k
+            for i in range(j):
+                u = _exact_div(d[i + 1] * u - lam_k[i] * lam_j[i], d[i])
+            if j < k:
+                lam_k.append(u)
+        d.append(u)
+        lam.append(lam_k)
+    k = 1
+    while k < n:
+        lam_k = lam[k]
+        for j in range(k - 1, -1, -1):
+            q = round(Fraction(lam_k[j], d[j + 1]))
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for t in range(j):
+                    lam_k[t] -= q * lam[j][t]
+                lam_k[j] -= q * d[j + 1]
+        m = lam_k[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for t in range(k - 1):
+            lam_k[t], lam[k - 1][t] = lam[k - 1][t], lam_k[t]
+        d_lo, d_mid, d_hi = d[k - 1], d[k], d[k + 1]
+        new_mid = _exact_div(d_lo * d_hi + m * m, d_mid)
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = _exact_div(d_hi * lam[i][k - 1] - m * t, d_mid)
+            lam[i][k - 1] = _exact_div(new_mid * t + m * lam[i][k], d_hi)
+        d[k] = new_mid
+        k = max(k - 1, 1)
+    g = []
+    for j, u in enumerate(b):
+        for t in range(j):
+            u = [_exact_div(d[t + 1] * x - lam[j][t] * y, d[t]) for x, y in zip(u, g[t])]
+        g.append(list(u))
+    return b, d, lam, g
+
+
+def check_reduced_state(lattice):
+    """``d``, ``lam`` and ``g`` against the Fraction Gram-Schmidt; size reduction and Lovász."""
+    basis, d, lam = lattice.basis, lattice.d, lattice.lam
+    mu, norms, gs = weighted_gso(basis, lattice.weights)
+    assert len(d) == len(basis) + 1 and d[0] == 1
+    g = lattice.gso_vectors()
+    for i in range(len(basis)):
+        assert d[i + 1] == d[i] * norms[i]
+        assert lam[i] == [mu[i][j] * d[j + 1] for j in range(i)]
+        assert g[i] == [d[i] * x for x in gs[i]]
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        if i:
+            assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
+
+
+def hoelder_caps(lattice):
+    return [max(w * abs(x) for w, x in zip(lattice.weights, g)) for g in lattice.gso_vectors()]
+
+
+class TestReducedLattice:
+    def test_insertion_matches_batch_lll(self):
+        # 1,200 seeded bases of dimension 2..7 under weights up to 1000
+        for seed in range(30):
+            for _, basis, weights in random_kernel_bases(seed, 40):
+                lattice = reduced_lattice(basis, weights)
+                reduced, d, lam, g = lll_reduce_batch(basis, weights)
+                assert lll_reduce(basis, weights) == (reduced, d, lam)
+                assert (lattice.basis, lattice.d, lattice.lam) == (reduced, d, lam)
+                assert lattice.gso_vectors() == g
+
+    def test_every_insert_is_reduced(self):
+        for A, basis, weights in random_kernel_bases(20261018, 40):
+            lattice = ReducedLattice(weights)
+            for v in basis:
+                lattice.insert(v)
+                check_reduced_state(lattice)
+            assert is_kernel_basis(A, lattice.basis)
+
+    def test_extend_keeps_the_state(self):
+        rng = random.Random(11)
+        for _, basis, weights in random_kernel_bases(3, 40):
+            lattice = reduced_lattice(basis[:-1], weights)
+            d, lam, caps = list(lattice.d), [list(r) for r in lattice.lam], hoelder_caps(lattice)
+            more = [rng.randint(1, 1000) for _ in range(rng.randint(1, 3))]
+            lattice.extend(more)
+            pad = [0] * len(more)
+            assert lattice.weights == weights + more
+            assert lattice.d == d and lattice.lam == lam and hoelder_caps(lattice) == caps
+            assert all(len(v) == len(lattice.weights) for v in lattice.basis + lattice.gso_vectors())
+            check_reduced_state(lattice)
+            # the padded vectors have the same inner products, so the same moves
+            new = basis[-1] + [rng.randint(-5, 5) for _ in more]
+            lattice.insert(new)
+            cold = reduced_lattice([v + pad for v in basis[:-1]] + [new], weights + more)
+            assert (lattice.basis, lattice.d, lattice.lam) == (cold.basis, cold.d, cold.lam)
+            assert lattice.gso_vectors() == cold.gso_vectors()
+
+    @pytest.mark.parametrize("weights", [[1, 1, 1], [5, 1, 7]])
+    def test_dependent_insert_raises(self, weights):
+        lattice = reduced_lattice([[1, 2, 3], [0, 1, 1]], weights)
+        state = ([list(v) for v in lattice.basis], list(lattice.d), [list(r) for r in lattice.lam])
+        for v in ([1, 3, 4], [2, 4, 6], [0, 0, 0]):
+            with pytest.raises(ArithmeticError):
+                lattice.insert(v)
+        assert (lattice.basis, lattice.d, lattice.lam) == state
+
+    def test_length_mismatch_raises(self):
+        lattice = ReducedLattice([1, 2])
+        with pytest.raises(ValueError, match="length"):
+            lattice.insert([1, 2, 3])
 
 
 def lll_reduce_refactoring(basis, weights=None):

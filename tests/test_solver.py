@@ -34,7 +34,7 @@ from symdesign import (
 from symdesign import groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
-from symdesign.intlinalg import integral_gso_vectors, lll_reduce
+from symdesign.intlinalg import Echelon, ReducedLattice
 
 
 def aligned(group, n, k):
@@ -130,11 +130,13 @@ class TestMinWeightedL1:
         basis = [[-1, -2, 0, 0], [-1, 0, 1, 0], [-2, -1, 0, 1]]
         assert kernel_vectors(A, weights, 3) == []
         assert min(kernel_vectors(A, weights, 4)) == (0, 1, -1, 1)
-        reduced, d, lam = lll_reduce(basis, weights)
+        lattice = ReducedLattice(weights)
+        for v in basis:
+            lattice.insert(v)
         levels = [
             (abs(sum(w * w * x * y for w, x, y in zip(weights, (0, 1, -1, 1), g))),
              max(w * abs(y) for w, y in zip(weights, g)))
-            for g in integral_gso_vectors(reduced, d, lam)
+            for g in lattice.gso_vectors()
         ]
         assert any(y == 4 * h for y, h in levels)
         cert = min_weighted_l1(basis, weights)
@@ -375,6 +377,63 @@ class TestHardKernelCertificates:
         assert result.tmax == 17812250
         assert result.certificate.q == (22, 18, -1, -10, -6, -7, -6, 5, -7, 3, 3, 7)
         assert verify_certificate(result.certificate, matrix, table)
+
+
+def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
+    """Each warm-started enumeration of :func:`tmax_exact` against a cold solve.
+
+    The scan keeps one :class:`ReducedLattice` and inserts only the new
+    relation at each kernel growth; the cold solve reduces the whole padded
+    kernel basis of the same prefix from scratch under the same ``upper``.
+    The certificate is a property of the lattice, so they must agree.
+    Returns the number of enumerations compared.
+    """
+    calls = []
+    shortest = solver._shortest
+
+    def recording(lattice, upper):
+        cert = shortest(lattice, upper)
+        calls.append((len(lattice.weights), upper, cert))
+        return cert
+
+    monkeypatch.setattr(solver, "_shortest", recording)
+    result = tmax_exact(matrix, table, assume_semiuniversal=True)
+    monkeypatch.undo()
+    ech = Echelon()
+    growths = [
+        (idx + 1, ech.kernel_basis()) for idx in range(len(table)) if not ech.add(matrix.column(idx))
+    ]
+    assert [width for width, _, _ in calls] == [width for width, _ in growths[: len(calls)]]
+    for (width, upper, warm), (_, basis) in zip(calls, growths):
+        assert warm == min_weighted_l1(basis, table.multiplicities[:width], upper)
+    assert result.certificate is None or verify_certificate(result.certificate, matrix, table)
+    return len(calls)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4)], ids=str
+    )
+    def test_builtin_groups(self, monkeypatch, group):
+        warm = 0
+        for n in range(2, 17):
+            kmin = group.p if group.kind == "Zp" else 1
+            for k in range(kmin, n + 1):
+                matrix, table = aligned(group, n, k)
+                warm += max(check_warm_equals_cold(monkeypatch, matrix, table) - 1, 0)
+        # every Z_p scan stops at its first kernel growth, so nothing is warm there
+        assert warm > 0 or group.kind == "Zp"
+
+    @pytest.mark.parametrize("sectors_, rows", [(9, 3), (10, 4), (12, 4)])
+    def test_random_custom_problems(self, monkeypatch, sectors_, rows):
+        # shaped like the benchmark's seeded custom problems
+        rng = random.Random(f"warm:{sectors_}x{rows}")
+        for _ in range(10):
+            m = [rng.randint(1, 10**6) for _ in range(sectors_)]
+            charges = [[rng.randint(-50, 50) for _ in range(sectors_)] for _ in range(rows)]
+            table, matrix = load_custom_problem(json.dumps({"m": m, "rows": charges}))
+            table = canonical_order(table)
+            assert check_warm_equals_cold(monkeypatch, matrix.aligned_to(table), table) >= 2
 
 
 class TestVerifyCertificate:
