@@ -7,7 +7,7 @@ integral Gram-Schmidt vectors ``d[j] * b_j*`` that the solver's enumeration
 and its Hölder level bound read.  It grows by one vector at a time, reduced
 from its new index on, and by coordinates on which every stored vector is
 zero, so the prefix scan keeps one lattice for all its kernels.
-:func:`lll_reduce` is the same loop fed a whole basis.
+:func:`lll_reduce` builds one by inserting a whole basis in turn.
 
 Rows of ints, Fractions or floats become exact integer multiples through
 :func:`as_int_row`.  Entries of the charge matrices grow like binomial
@@ -243,20 +243,17 @@ class ReducedLattice:
         return g
 
 
-def lll_reduce(
-    basis: list[list[int]], weights: list[int] | None = None
-) -> tuple[list[list[int]], list[int], list[list[int]]]:
+def lll_reduce(basis: list[list[int]], weights: list[int] | None = None) -> ReducedLattice:
     """Integral LLL of ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
 
-    Returns ``(reduced, d, lam)``, the state of a :class:`ReducedLattice`
-    that the vectors were inserted into in turn (unit weights when
-    ``weights`` is None).  The vectors must be independent
-    (``ArithmeticError`` otherwise); the reduced ones span the same lattice,
-    so reduction never changes a solver answer.
+    Returns the :class:`ReducedLattice` that the vectors were inserted into
+    in turn (unit weights when ``weights`` is None).  The vectors must be
+    independent (``ArithmeticError`` otherwise); the reduced ones span the
+    same lattice, so reduction never changes a solver answer.
     """
     if weights is None:
         weights = [1] * len(basis[0]) if basis else []
     lattice = ReducedLattice(weights)
     for v in basis:
         lattice.insert(v)
-    return lattice.basis, lattice.d, lattice.lam
+    return lattice

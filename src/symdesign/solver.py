@@ -48,7 +48,7 @@ from .charges import (
 )
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
-from .intlinalg import Echelon, ReducedLattice
+from .intlinalg import Echelon, ReducedLattice, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,7 @@ def min_weighted_l1(
     # type(x) is int also rejects bool, whose True would pass for 1
     if upper is not None and type(upper) is not int:
         raise ValueError("upper must be an integer")
-    lattice = ReducedLattice(weights)
-    for v in basis:
-        lattice.insert(v)
-    return _shortest(lattice, upper)
+    return _shortest(lll_reduce(basis, weights), upper)
 
 
 def _shortest(lattice: ReducedLattice, upper: Optional[int]) -> Optional[Certificate]:
@@ -378,10 +375,10 @@ def tmax_exact(
         if relation is not None:
             if lattice is None:  # the first kernel growth
                 bound = mults[idx] - 1
-                lattice = ReducedLattice(mults[: idx + 1])
+                lattice = lll_reduce([relation], mults[: idx + 1])
             else:
                 lattice.extend(mults[len(lattice.weights) : idx + 1])
-            lattice.insert(relation)
+                lattice.insert(relation)
             cand = _shortest(lattice, None if best is None else best.weighted_norm)
             if cand is not None:
                 full_q = cand.q + (0,) * (L - len(cand.q))

@@ -206,13 +206,6 @@ def weighted_gso(basis, weights):
     return mu, norms, gs
 
 
-def reduced_lattice(basis, weights):
-    lattice = ReducedLattice(weights)
-    for v in basis:
-        lattice.insert(v)
-    return lattice
-
-
 def random_kernel_bases(seed, count, min_dim=2):
     """Seeded ``(A, basis, weights)``: random integer matrices and their kernel bases."""
     rng = random.Random(seed)
@@ -228,7 +221,8 @@ def random_kernel_bases(seed, count, min_dim=2):
 class TestIntegralGramSchmidt:
     def test_matches_vector_gram_schmidt(self):
         for _, basis, weights in random_kernel_bases(7, 40, min_dim=1):
-            reduced, d, lam = lll_reduce(basis, weights)
+            lattice = lll_reduce(basis, weights)
+            reduced, d, lam = lattice.basis, lattice.d, lattice.lam
             mu, norms, _ = weighted_gso(reduced, weights)
             assert len(d) == len(reduced) + 1 and d[0] == 1
             assert all(type(x) is int for x in d)
@@ -240,7 +234,7 @@ class TestIntegralGramSchmidt:
 
     def test_integral_vectors_match_vector_gram_schmidt(self):
         for _, basis, weights in random_kernel_bases(7, 40, min_dim=1):
-            lattice = reduced_lattice(basis, weights)
+            lattice = lll_reduce(basis, weights)
             _, _, gs = weighted_gso(lattice.basis, weights)
             g = lattice.gso_vectors()
             assert len(g) == len(lattice.basis)
@@ -253,12 +247,12 @@ class TestIntegralGramSchmidt:
         # so the division is inexact exactly when b*_{j-1} is not integral
         raised = 0
         for _, basis, weights in random_kernel_bases(7, 40, min_dim=2):
-            lattice = reduced_lattice(basis, weights)
+            lattice = lll_reduce(basis, weights)
             _, _, gs = weighted_gso(lattice.basis, weights)
             for j in range(1, len(basis)):
                 if all(x.denominator == 1 for x in gs[j - 1]):
                     continue
-                bad = reduced_lattice(basis, weights)
+                bad = lll_reduce(basis, weights)
                 bad.lam[j][j - 1] += 1
                 with pytest.raises(ArithmeticError):
                     bad.gso_vectors()
@@ -266,8 +260,9 @@ class TestIntegralGramSchmidt:
         assert raised >= 20
 
     def test_empty_basis(self):
-        assert lll_reduce([]) == ([], [1], [])
-        assert ReducedLattice([]).gso_vectors() == []
+        lattice = lll_reduce([])
+        assert (lattice.basis, lattice.d, lattice.lam, lattice.weights) == ([], [1], [], [])
+        assert lattice.gso_vectors() == []
 
     def test_weighted_gram(self):
         # the Gram data come from <x, y> = sum w_i^2 x_i y_i: |(1, -1)|^2 = 4 + 9
@@ -275,7 +270,8 @@ class TestIntegralGramSchmidt:
         lattice.insert([1, -1])
         assert lattice.d == [1, 13]
         # unit weights: <(1, 2), (0, 1)> = 2, then size reduction by 2 (0, 1)
-        assert lll_reduce([[0, 1], [1, 2]]) == ([[0, 1], [1, 0]], [1, 1, 1], [[], [0]])
+        lattice = lll_reduce([[0, 1], [1, 2]])
+        assert (lattice.basis, lattice.d, lattice.lam) == ([[0, 1], [1, 0]], [1, 1, 1], [[], [0]])
 
     @pytest.mark.parametrize("weights", [[2.5, 2.5], [2.0, 2], [True, 2], [Fraction(2), 2]])
     def test_non_int_weights_raise(self, weights):
@@ -387,9 +383,8 @@ class TestReducedLattice:
         # 1,200 seeded bases of dimension 2..7 under weights up to 1000
         for seed in range(30):
             for _, basis, weights in random_kernel_bases(seed, 40):
-                lattice = reduced_lattice(basis, weights)
+                lattice = lll_reduce(basis, weights)
                 reduced, d, lam, g = lll_reduce_batch(basis, weights)
-                assert lll_reduce(basis, weights) == (reduced, d, lam)
                 assert (lattice.basis, lattice.d, lattice.lam) == (reduced, d, lam)
                 assert lattice.gso_vectors() == g
 
@@ -404,7 +399,7 @@ class TestReducedLattice:
     def test_extend_keeps_the_state(self):
         rng = random.Random(11)
         for _, basis, weights in random_kernel_bases(3, 40):
-            lattice = reduced_lattice(basis[:-1], weights)
+            lattice = lll_reduce(basis[:-1], weights)
             d, lam, caps = list(lattice.d), [list(r) for r in lattice.lam], hoelder_caps(lattice)
             more = [rng.randint(1, 1000) for _ in range(rng.randint(1, 3))]
             lattice.extend(more)
@@ -416,13 +411,13 @@ class TestReducedLattice:
             # the padded vectors have the same inner products, so the same moves
             new = basis[-1] + [rng.randint(-5, 5) for _ in more]
             lattice.insert(new)
-            cold = reduced_lattice([v + pad for v in basis[:-1]] + [new], weights + more)
+            cold = lll_reduce([v + pad for v in basis[:-1]] + [new], weights + more)
             assert (lattice.basis, lattice.d, lattice.lam) == (cold.basis, cold.d, cold.lam)
             assert lattice.gso_vectors() == cold.gso_vectors()
 
     @pytest.mark.parametrize("weights", [[1, 1, 1], [5, 1, 7]])
     def test_dependent_insert_raises(self, weights):
-        lattice = reduced_lattice([[1, 2, 3], [0, 1, 1]], weights)
+        lattice = lll_reduce([[1, 2, 3], [0, 1, 1]], weights)
         state = ([list(v) for v in lattice.basis], list(lattice.d), [list(r) for r in lattice.lam])
         for v in ([1, 3, 4], [2, 4, 6], [0, 0, 0]):
             with pytest.raises(ArithmeticError):
@@ -492,7 +487,7 @@ def lll_reduce_refactoring(basis, weights=None):
 class TestLllReduce:
     def test_size_reduced_and_lovasz(self):
         for A, basis, weights in random_kernel_bases(20240901, 40):
-            reduced, _, _ = lll_reduce(basis, weights)
+            reduced = lll_reduce(basis, weights).basis
             assert is_kernel_basis(A, reduced)
             mu, norms, _ = weighted_gso(reduced, weights)
             for i in range(1, len(reduced)):
@@ -511,14 +506,14 @@ class TestLllReduce:
             if len(basis) != dim:
                 continue
             weights = None if count % 5 == 0 else [rng.randint(1, 10**6) for _ in range(c)]
-            assert lll_reduce(basis, weights)[0] == lll_reduce_refactoring(basis, weights)
+            assert lll_reduce(basis, weights).basis == lll_reduce_refactoring(basis, weights)
             count += 1
 
     def test_ties_round_to_even(self):
         # mu = 5/2 rounds to 2, as round(Fraction) does; rounding half up
         # would give [[-1, 1], [1, 1]]
         basis = [[2, 0], [5, 1]]
-        assert lll_reduce(basis)[0] == [[1, 1], [1, -1]]
+        assert lll_reduce(basis).basis == [[1, 1], [1, -1]]
         assert lll_reduce_refactoring(basis) == [[1, 1], [1, -1]]
 
     def test_dependent_vectors_raise(self):
@@ -537,11 +532,11 @@ class TestLllReduce:
         basis = echelon_kernel(A)
         if not basis:
             return
-        reduced, _, _ = lll_reduce(basis, [1] * len(A[0]))
+        reduced = lll_reduce(basis, [1] * len(A[0])).basis
         assert is_kernel_basis(A, reduced)
 
     def test_weighted_reduction_shortens(self):
         rows = charge_matrix(sectors(U1, 3), 1).rows
         basis = [[1, 0, -1, 2], [0, 1, -2, 3]]
-        reduced, _, _ = lll_reduce(basis, [1, 3, 3, 1])
+        reduced = lll_reduce(basis, [1, 3, 3, 1]).basis
         assert is_kernel_basis(rows, reduced)

@@ -34,7 +34,7 @@ from symdesign import (
 from symdesign import groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
-from symdesign.intlinalg import Echelon, ReducedLattice
+from symdesign.intlinalg import Echelon, lll_reduce
 
 
 def aligned(group, n, k):
@@ -130,9 +130,7 @@ class TestMinWeightedL1:
         basis = [[-1, -2, 0, 0], [-1, 0, 1, 0], [-2, -1, 0, 1]]
         assert kernel_vectors(A, weights, 3) == []
         assert min(kernel_vectors(A, weights, 4)) == (0, 1, -1, 1)
-        lattice = ReducedLattice(weights)
-        for v in basis:
-            lattice.insert(v)
+        lattice = lll_reduce(basis, weights)
         levels = [
             (abs(sum(w * w * x * y for w, x, y in zip(weights, (0, 1, -1, 1), g))),
              max(w * abs(y) for w, y in zip(weights, g)))
