@@ -383,9 +383,16 @@ def custom_matrix(
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(x) -> Fraction:
-    """A JSON int or a ``"p"`` / ``"p/q"`` string of decimal digits, read exactly."""
-    if type(x) is int or (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+def parse_rational(x) -> int | Fraction:
+    """A JSON int, returned as it is, or a ``"p"`` / ``"p/q"`` string of decimal digits, read exactly.
+
+    Keeping ints as ``int`` lets an all-integer row skip the ``Fraction``
+    path of :func:`~symdesign.intlinalg.as_int_row`.
+    """
+    # type(x) is int also rejects bool, whose True would pass for 1
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
             return Fraction(x)
         except ZeroDivisionError:

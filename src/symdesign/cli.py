@@ -56,8 +56,12 @@ def _group_from_flags(args) -> GroupSpec:
 
 
 def _parse_classes(text: str | None) -> list[CycleType] | None:
-    """Parse a class list such as ``id,2,3,2+2`` or ``(1),(12),(12)(34)``."""
-    if not text:
+    """Parse a class list such as ``id,2,3,2+2`` or ``(1),(12),(12)(34)``.
+
+    ``None`` (no ``--classes``) means every ``k``-local class; an empty list
+    is malformed like an empty entry.
+    """
+    if text is None:
         return None
     try:
         classes = [_parse_class(token) for token in text.split(",")]
@@ -71,6 +75,8 @@ def _parse_classes(text: str | None) -> list[CycleType] | None:
 
 def _parse_class(token: str) -> CycleType:
     token = token.strip().lower()
+    if not token:
+        raise ValueError("empty class")
     if token in ("id", "e", "1", "(1)"):
         return CycleType(())
     if token.startswith("("):

@@ -107,12 +107,9 @@ def rank_exact(rows) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exact_div(a: int, b: int) -> int:
-    """``a / b`` for a division the theory says is exact; ``ArithmeticError`` if not."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("an integral Gram-Schmidt division is not exact")
-    return q
+# every division of the integral Gram-Schmidt state is exact in theory; each
+# one checks its remainder and raises this if it is not
+_INEXACT = "an integral Gram-Schmidt division is not exact"
 
 
 def _round_div(a: int, b: int) -> int:
@@ -179,7 +176,9 @@ class ReducedLattice:
             u = sum(map(mul, wv, b[j] if j < n else v))
             lam_j = lam[j] if j < n else lam_n
             for i in range(j):
-                u = _exact_div(d[i + 1] * u - lam_n[i] * lam_j[i], d[i])
+                u, r = divmod(d[i + 1] * u - lam_n[i] * lam_j[i], d[i])
+                if r:
+                    raise ArithmeticError(_INEXACT)
             if j < n:
                 lam_n.append(u)
         if u <= 0:
@@ -211,12 +210,16 @@ class ReducedLattice:
             for t in range(k - 1):
                 lam_k[t], lam_prev[t] = lam_prev[t], lam_k[t]
             d_lo, d_mid, d_hi = d[k - 1], d[k], d[k + 1]
-            new_mid = _exact_div(d_lo * d_hi + m * m, d_mid)
+            new_mid, r = divmod(d_lo * d_hi + m * m, d_mid)
+            if r:
+                raise ArithmeticError(_INEXACT)
             for i in range(k + 1, n):
                 lam_i = lam[i]
                 t = lam_i[k]
-                lam_i[k] = _exact_div(d_hi * lam_i[k - 1] - m * t, d_mid)
-                lam_i[k - 1] = _exact_div(new_mid * t + m * lam_i[k], d_hi)
+                lam_i[k], r = divmod(d_hi * lam_i[k - 1] - m * t, d_mid)
+                lam_i[k - 1], r2 = divmod(new_mid * t + m * lam_i[k], d_hi)
+                if r or r2:
+                    raise ArithmeticError(_INEXACT)
             d[k] = new_mid
             low = min(low, k - 1)
             k = max(k - 1, 1)
@@ -238,7 +241,13 @@ class ReducedLattice:
             u, lam_j = self.basis[j], self.lam[j]
             for t in range(j):
                 a, c, e = d[t + 1], lam_j[t], d[t]
-                u = [_exact_div(a * x - c * y, e) for x, y in zip(u, g[t])]
+                v = []
+                for x, y in zip(u, g[t]):
+                    q, r = divmod(a * x - c * y, e)
+                    if r:
+                        raise ArithmeticError(_INEXACT)
+                    v.append(q)
+                u = v
             g.append(list(u))
         return g
 

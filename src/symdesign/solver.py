@@ -3,13 +3,20 @@
 The design order of the circuit distribution is ``B/2 - 1`` where ``B`` is the
 minimum multiplicity-weighted one-norm over nonzero integer vectors in the
 kernel of the problem's charge matrix (infinite order when the kernel is
-trivial).  Two facts make this computable fast:
+trivial).  Three facts make this computable fast:
 
 * sectors can be scanned in weakly increasing multiplicity order, and any
   kernel vector touching a sector outside the scanned prefix has weighted
   norm at least twice that sector's multiplicity (its positive and negative
   parts are equal because the multiplicity vector lies in the row span), and
   one integer echelon extends the kernel basis by <= 1 vector per column;
+* the prefix kernel changes only where it grows, and ``m`` never decreases,
+  so the cutoff ``B <= 2 * m[next]`` needs deciding once per window between
+  growths, at its end.  A bounded search with radius ``2 * m[next]``
+  decides it, and mostly returns at once: no vector is within the radius
+  when every Gram-Schmidt length ``|b_j*|`` exceeds it.  The shortest
+  reduced basis vector bounds ``B`` from above, so once it passes the
+  cutoff the scan stops with one full enumeration;
 * within a prefix the problem is a small-dimensional weighted shortest-vector
   search: Schnorr-Euchner enumeration of the LLL-reduced basis over the
   integer Gram-Schmidt state the integral LLL keeps with it (the leading
@@ -241,6 +248,11 @@ def _shortest(lattice: ReducedLattice, upper: Optional[int]) -> Optional[Certifi
     """
     basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
     d = len(basis)
+    # lambda_1 >= min_j |b_j*| and the weighted one-norm is at least the
+    # weighted two-norm, so no vector is within upper once every
+    # |b_j*|^2 = P[j+1] / P[j] exceeds upper^2
+    if upper is not None and all(P[j + 1] > upper * upper * P[j] for j in range(d)):
+        return None
 
     # Integer form of the quadratic form x^T G x = sum_i |b_i*|^2 (x_i +
     # sum_{t>i} mu[t][i] x_t)^2 of the reduced basis.  With the leading minors
@@ -350,16 +362,28 @@ def tmax_exact(
 
     One scan over multiplicity-ordered sector prefixes: the first kernel
     growth gives the lower bound (as in :func:`lower_bound`), and each later
-    growth inserts its relation into the scan's reduced lattice and solves
-    the restricted kernel again, keeping the minimum weighted norm ``B``.
-    The scan stops as soon as ``B <= 2 * m[next]``: any kernel vector
-    supported outside the prefix costs at least ``2 * m[next]`` because its
-    positive and negative weighted parts are equal.
+    one inserts its relation into the scan's reduced lattice.  The answer is
+    the minimum weighted norm ``B`` of the first prefix with
+    ``B <= 2 * m[next]`` (or of the whole table): any kernel vector supported
+    outside the prefix costs at least ``2 * m[next]`` because its positive
+    and negative weighted parts are equal.
+
+    The lattice stays fixed between growths and ``m`` never decreases, so
+    that cutoff fires somewhere in a window exactly when it fires at the
+    window's end.  A growth at ``idx`` therefore first runs a bounded search
+    with ``upper = 2 * m[idx]`` on the old lattice: a miss (mostly the
+    early exit of :func:`_shortest`) proves the scan goes on, and a hit is
+    the answer.  At each index the shortest reduced basis vector bounds
+    ``B`` from above; once that bound is at most ``2 * m[next]``, or at the
+    last index, one unbounded enumeration gives the answer.  So a finite
+    solve runs one full enumeration, on the prefix where the scan stops.
 
     Ties go to the lexicographically smallest optimum supported on the prefix
     where the scan stops (the first ``0..s`` holding an optimum with ``s``
     last or ``B <= 2 * m[s + 1]``), not to a smaller one needing a later
     sector: U(1) n=3 k=1 gives ``(2, 1, -1, 0)``, not ``(1, 2, 0, -1)``.
+    Every earlier prefix kernel lies in the stop-prefix lattice (zero-padded),
+    so this is the optimum that one enumeration of that lattice returns.
     """
     _check_alignment(A, table)
     _check_canonical(table)
@@ -369,7 +393,7 @@ def tmax_exact(
     mults = table.multiplicities
     L = len(table)
     bound = INFINITE
-    best: Optional[Certificate] = None
+    cert: Optional[Certificate] = None  # over the lattice's coordinates
     lattice: Optional[ReducedLattice] = None
     for idx, relation in _prefix_scan(A, L):
         if relation is not None:
@@ -377,34 +401,30 @@ def tmax_exact(
                 bound = mults[idx] - 1
                 lattice = lll_reduce([relation], mults[: idx + 1])
             else:
+                cert = _shortest(lattice, 2 * mults[idx])
+                if cert is not None:
+                    break
                 lattice.extend(mults[len(lattice.weights) : idx + 1])
                 lattice.insert(relation)
-            cand = _shortest(lattice, None if best is None else best.weighted_norm)
-            if cand is not None:
-                full_q = cand.q + (0,) * (L - len(cand.q))
-                norm = cand.weighted_norm
-                if (
-                    best is None
-                    or norm < best.weighted_norm
-                    or (norm == best.weighted_norm and full_q < best.q)
-                ):
-                    best = Certificate(
-                        q=full_q,
-                        weighted_norm=norm,
-                        support=tuple(table.ids[i] for i in cand.support),
-                    )
-        if best is not None and idx + 1 < L and best.weighted_norm <= 2 * mults[idx + 1]:
+            ub = min(_weighted_l1(b, lattice.weights) for b in lattice.basis)
+        if lattice is not None and (idx + 1 == L or ub <= 2 * mults[idx + 1]):
+            cert = _shortest(lattice, None)
             break
 
-    if best is None:
+    if cert is None:
         # trivial kernel: every symmetric Hamiltonian direction is reachable
         return TmaxResult(INFINITE, bound, None, True, assumed)
 
-    if best.weighted_norm % 2:
+    if cert.weighted_norm % 2:
         raise ArithmeticError("a kernel vector has an odd weighted norm")
-    tmax = best.weighted_norm // 2 - 1
+    tmax = cert.weighted_norm // 2 - 1
     if not (is_finite(bound) and bound <= tmax):
         raise ArithmeticError("the lower bound exceeds the certified design order")
+    best = Certificate(
+        q=cert.q + (0,) * (L - len(cert.q)),
+        weighted_norm=cert.weighted_norm,
+        support=tuple(table.ids[i] for i in cert.support),
+    )
     return TmaxResult(tmax, bound, best, True, assumed)
 
 

@@ -29,6 +29,7 @@ from symdesign.charges import (
     CycleType,
     T_GROUP_CLASSES,
     multiplicity_in_row_span,
+    parse_rational,
 )
 from symdesign.groups import CUSTOM, partitions_max_rows
 from symdesign.intlinalg import Echelon
@@ -534,6 +535,14 @@ class TestCustomJson:
         result = tmax_exact(matrix.aligned_to(table), table, assume_semiuniversal=True)
         assert result.tmax == 7
         assert result.certificate.q == (2, -8, 3) and result.certificate.weighted_norm == 16
+
+    def test_parse_rational_keeps_ints(self):
+        assert type(parse_rational(-7)) is int and parse_rational(-7) == -7
+        assert parse_rational("-6/4") == Fraction(-3, 2)
+        assert parse_rational("5") == 5
+        for bad in (True, 2.0, 0.5, "1/0", "0.5", "1e3", None):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
 
     def test_malformed(self):
         with pytest.raises(json.JSONDecodeError):

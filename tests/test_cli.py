@@ -73,14 +73,14 @@ class TestTmaxCommand:
         assert out == ""
         assert err == "error: certificate failed re-verification\n"
 
-    @pytest.mark.parametrize("classes", ["foo", "1+1", "id,,2", "(12)(3)"])
+    @pytest.mark.parametrize("classes", ["foo", "1+1", "id,,2", "(12)(3)", "", " "])
     def test_malformed_classes_exit_3(self, capsys, classes):
         code, _, err = run_cli(
             capsys, "tmax", "--group", "sud", "--d", "3", "--n", "15", "--k", "3",
             "--classes", classes,
         )
         assert code == 3
-        assert err.startswith("error:")
+        assert err.startswith("error: bad --classes entry") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "classes, label", [("id,2,3,id", "(1)"), ("2,3,2+2,(12)(34)", "(12)(34)")]
@@ -402,6 +402,8 @@ class TestCustomCommand:
                 ('{"m": []}', None),  # no sectors
                 ('{"m": [true, 2]}', None),  # boolean multiplicity
                 ('{"m": [1, 2], "rows": [[true, 1]]}', None),  # boolean row entry
+                ('{"m": [1, 2], "rows": [[0.5, 1]]}', None),  # float row entry
+                ('{"m": [1, 2], "rows": [[2.0, 1]]}', None),  # integral float row entry
                 ('{"m": [Infinity]}', None),  # infinite multiplicity
                 ('{"m": [1e400, 2]}', None),  # multiplicity that overflows to infinity
                 ('{"m": 5}', '"m"'),  # multiplicities not a list

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
 from symdesign import charge_matrix, rank_exact, sectors, U1, zp
 from symdesign.checks import kernel_vectors
-from symdesign.intlinalg import Echelon, ReducedLattice, _exact_div, lll_reduce
+from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
 
 small_matrix = st.integers(1, 6).flatmap(
@@ -294,12 +294,23 @@ class TestIntegralGramSchmidt:
         assert lattice.weights == [1]
 
     def test_inexact_division_raises(self):
-        with pytest.raises(ArithmeticError):
-            _exact_div(7, 2)
+        # with d[1] raised from 1 to 2, the last Gram-Schmidt step of the new
+        # row divides 1 by d[1]
+        lattice = lll_reduce([[1, 0, 0], [0, 1, 0]])
+        lattice.d[1] = 2
+        with pytest.raises(ArithmeticError, match="not exact"):
+            lattice.insert([1, 1, 1])
 
     def test_zero_vector_raises(self):
         with pytest.raises(ArithmeticError):
             lll_reduce([[0, 0, 0]])
+
+
+def exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("an integral Gram-Schmidt division is not exact")
+    return q
 
 
 def lll_reduce_batch(basis, weights):
@@ -321,7 +332,7 @@ def lll_reduce_batch(basis, weights):
             u = G[k][j]
             lam_j = lam[j] if j < k else lam_k
             for i in range(j):
-                u = _exact_div(d[i + 1] * u - lam_k[i] * lam_j[i], d[i])
+                u = exact_div(d[i + 1] * u - lam_k[i] * lam_j[i], d[i])
             if j < k:
                 lam_k.append(u)
         d.append(u)
@@ -344,17 +355,17 @@ def lll_reduce_batch(basis, weights):
         for t in range(k - 1):
             lam_k[t], lam[k - 1][t] = lam[k - 1][t], lam_k[t]
         d_lo, d_mid, d_hi = d[k - 1], d[k], d[k + 1]
-        new_mid = _exact_div(d_lo * d_hi + m * m, d_mid)
+        new_mid = exact_div(d_lo * d_hi + m * m, d_mid)
         for i in range(k + 1, n):
             t = lam[i][k]
-            lam[i][k] = _exact_div(d_hi * lam[i][k - 1] - m * t, d_mid)
-            lam[i][k - 1] = _exact_div(new_mid * t + m * lam[i][k], d_hi)
+            lam[i][k] = exact_div(d_hi * lam[i][k - 1] - m * t, d_mid)
+            lam[i][k - 1] = exact_div(new_mid * t + m * lam[i][k], d_hi)
         d[k] = new_mid
         k = max(k - 1, 1)
     g = []
     for j, u in enumerate(b):
         for t in range(j):
-            u = [_exact_div(d[t + 1] * x - lam[j][t] * y, d[t]) for x, y in zip(u, g[t])]
+            u = [exact_div(d[t + 1] * x - lam[j][t] * y, d[t]) for x, y in zip(u, g[t])]
         g.append(list(u))
     return b, d, lam, g
 

@@ -144,6 +144,18 @@ class TestMinWeightedL1:
         assert min_weighted_l1([[1, -1]], [4, 4], upper=1) is None
         assert min_weighted_l1([[1, -1], [5, 3]], [2, 2], upper=1) is None
 
+    def test_early_exit_skips_the_gram_schmidt_vectors(self):
+        # |b_0*|^2 = 32 and |b_1*|^2 = 24 in the weighted metric: no vector is
+        # within 4, and the search returns before building any g_j
+        lattice = lll_reduce([[1, -1, 0], [0, 1, -1]], [4, 4, 4])
+        assert lattice.d == [1, 32, 768]
+        assert solver._shortest(lattice, 4) is None
+        assert lattice._g == []
+        # at 5 (25 > 24) the search runs, and finds nothing below the optimum 8
+        assert solver._shortest(lattice, 5) is None
+        assert lattice._g != []
+        assert solver._shortest(lattice, 8).weighted_norm == 8
+
     # C * upper^2 is an integer for each of these (C = 32 here), so only a
     # type check rejects them
     @pytest.mark.parametrize("upper", [Fraction(1, 2), 0.5, 8.0])
@@ -208,6 +220,37 @@ def check_against_oracle(A, weights) -> tuple[bool, bool]:
 
 
 class TestMinWeightedL1Oracle:
+    def test_bounded_misses_against_oracle(self):
+        # a bounded search that returns None, by its early exit (every
+        # |b_j*| above upper) or by a full search, must leave the complete
+        # oracle nothing within upper
+        rng = random.Random(20261020)
+        early = searched = 0
+        for _ in range(60):
+            c = rng.randint(4, 7)
+            A = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(rng.randint(1, c - 2))]
+            weights = [rng.randint(1, 6) for _ in range(c)]
+            basis = echelon_kernel(A)
+            if not basis:
+                continue
+            lattice = lll_reduce(basis, weights)
+            best = min_weighted_l1(basis, weights).weighted_norm
+            for upper in {1, best // 4, best // 2, best - 2, best - 1, best, best + 3}:
+                if upper < 1:
+                    continue
+                cert = solver._shortest(lattice, upper)
+                if upper >= best:
+                    assert cert is not None and cert.weighted_norm == best
+                    continue
+                assert cert is None
+                assert kernel_vectors(A, weights, upper) == []
+                d = lattice.d
+                if all(d[j + 1] > upper * upper * d[j] for j in range(len(lattice.basis))):
+                    early += 1
+                else:
+                    searched += 1
+        assert early >= 100 and searched >= 50
+
     def test_matches_complete_oracle(self):
         rng = random.Random(20261018)
         checked = ties = shorter = 0
@@ -378,13 +421,17 @@ class TestHardKernelCertificates:
 
 
 def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
-    """Each warm-started enumeration of :func:`tmax_exact` against a cold solve.
+    """Each warm-started search of :func:`tmax_exact` against a cold solve.
 
     The scan keeps one :class:`ReducedLattice` and inserts only the new
-    relation at each kernel growth; the cold solve reduces the whole padded
-    kernel basis of the same prefix from scratch under the same ``upper``.
-    The certificate is a property of the lattice, so they must agree.
-    Returns the number of enumerations compared.
+    relation at each kernel growth.  Its calls are bounded searches, one per
+    growth after the first on the lattice before it, plus one final
+    enumeration; the cold solve reduces the whole padded kernel basis of the
+    same prefix from scratch under the same ``upper``.  The certificate is a
+    property of the lattice, so they must agree.  Every call but the last is
+    a bounded miss; the last gives the answer: it is the one unbounded
+    enumeration, unless a bounded search hit.  A trivial kernel makes no call.
+    Returns the number of searches compared.
     """
     calls = []
     shortest = solver._shortest
@@ -404,7 +451,15 @@ def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     assert [width for width, _, _ in calls] == [width for width, _ in growths[: len(calls)]]
     for (width, upper, warm), (_, basis) in zip(calls, growths):
         assert warm == min_weighted_l1(basis, table.multiplicities[:width], upper)
-    assert result.certificate is None or verify_certificate(result.certificate, matrix, table)
+    assert all(upper is not None and cert is None for _, upper, cert in calls[:-1])
+    unbounded = sum(upper is None for _, upper, _ in calls)
+    if result.certificate is None:
+        assert calls == []
+    else:
+        _, upper, cert = calls[-1]
+        assert unbounded == (upper is None)
+        assert cert.q + (0,) * (len(table) - len(cert.q)) == result.certificate.q
+        assert verify_certificate(result.certificate, matrix, table)
     return len(calls)
 
 
