@@ -84,12 +84,12 @@ print("\nstand-alone weighted SVP:", cert.q, "norm", cert.weighted_norm)
 
 ###############################################################################
 # Custom problems come from JSON: a multiplicity vector plus rational charge
-# rows.  The identity row is added automatically when missing, so kernel
-# vectors are always traceless.  Two sectors of multiplicity 4 with no
-# constraints beyond the identity reproduce the parity-symmetry answer 3.
+# rows, loaded with the sectors already in canonical order.  The identity row
+# is added automatically when missing, so kernel vectors are always
+# traceless.  Two sectors of multiplicity 4 with no constraints beyond the
+# identity reproduce the parity-symmetry answer 3.
 
 doc = '{"m": [4, 4], "rows": []}'
 custom_table, custom = load_custom_problem(doc)
-custom_sorted = canonical_order(custom_table)
-result = tmax_exact(custom.aligned_to(custom_sorted), custom_sorted, assume_semiuniversal=True)
+result = tmax_exact(custom, custom_table, assume_semiuniversal=True)
 print(f"\ncustom problem {doc}  ->  t_max = {result.tmax}")

@@ -35,6 +35,7 @@ from .groups import (
     Residue,
     SectorTable,
     TwiceSpin,
+    canonical_order,
     custom_table,
     sn_irrep_dim,
     su2_multiplicity,
@@ -205,6 +206,8 @@ class ChargeMatrix:
 
     def aligned_to(self, table: SectorTable) -> "ChargeMatrix":
         """The same matrix with its columns in ``table``'s sector order."""
+        # no caller in the package, as load_custom_problem returns canonical
+        # columns; kept while the benchmark workloads still call it
         if set(self.col_ids) != set(table.ids):
             raise ValueError("sector sets differ; cannot align")
         pos = {irrep: j for j, irrep in enumerate(self.col_ids)}
@@ -401,7 +404,12 @@ def parse_rational(x) -> int | Fraction:
 
 
 def load_custom_problem(text: str) -> tuple[SectorTable, ChargeMatrix]:
-    """Parse a custom problem document: ``{"m": [...], "rows": [[...]], "labels": [...]}``."""
+    """Parse a custom problem document: ``{"m": [...], "rows": [[...]], "labels": [...]}``.
+
+    The table comes back in canonical multiplicity order, with the matrix
+    built over its columns, ready for the solver.  Sector ``s{i}`` keeps the
+    document's index ``i``, so labels and certificates read in file terms.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "m" not in doc:
         raise ValueError('the problem document must be an object with an "m" key')
@@ -414,7 +422,11 @@ def load_custom_problem(text: str) -> tuple[SectorTable, ChargeMatrix]:
         not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
     ):
         raise ValueError('"labels" must be a list of strings')
-    table = custom_table(m)  # validates positive integers
+    table = canonical_order(custom_table(m))  # validates positive integers
+    order = [irrep.index for irrep in table.ids]
     rows = [[parse_rational(x) for x in row] for row in rows]
+    if any(len(row) != len(order) for row in rows):
+        raise ValueError("row length must equal the multiplicity vector length")
+    rows = [[row[i] for i in order] for row in rows]
     matrix = custom_matrix(table.multiplicities, rows, row_labels=labels, col_ids=table.ids)
     return table, matrix

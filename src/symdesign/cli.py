@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 
@@ -80,7 +81,12 @@ def _parse_class(token: str) -> CycleType:
     if token in ("id", "e", "1", "(1)"):
         return CycleType(())
     if token.startswith("("):
-        lengths = (len(part) for part in token.strip("()").split(")("))
+        # sites are single digits, each in at most one cycle; wider classes
+        # take the 10 or 5+5 form
+        digits = token.replace("(", "").replace(")", "")
+        if not re.fullmatch(r"(\([0-9]+\))+", token) or len(set(digits)) != len(digits):
+            raise ValueError(f"malformed cycle notation {token!r}")
+        lengths = map(len, token[1:-1].split(")("))
     else:
         lengths = (int(x) for x in token.split("+"))
     return CycleType(tuple(sorted(lengths, reverse=True)))
@@ -93,11 +99,7 @@ def _render_value(v):
 def _format_certificate(cert, table) -> list[str]:
     if cert is None:
         return []
-    out = []
-    for irrep, q in zip(table.ids, cert.q):
-        if q:
-            out.append(f"{irrep.label}: {q:+d}")
-    return out
+    return [f"{irrep.label}: {q:+d}" for irrep, q in zip(table.ids, cert.q) if q]
 
 
 def _closed_form_for(group, n, k, classes):
@@ -135,38 +137,39 @@ def _emit(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _solve_and_report(fmt, head, closed_form, solve) -> int:
+    """Time ``solve()``, verify its certificate again and print ``head`` and the other fixed keys."""
+    started = time.perf_counter()
+    result, table, matrix = solve()
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    cert = result.certificate
+    if cert is not None and not verify_certificate(cert, matrix, table):
+        print("error: certificate failed re-verification", file=sys.stderr)
+        return EXIT_VERIFY
+    report = {
+        **head,
+        "tmax": _render_value(result.tmax),
+        "lower_bound": _render_value(result.lower_bound),
+        "certificate": _format_certificate(cert, table),
+        "proven_exact": result.proven_exact,
+        "closed_form": _render_value(closed_form.value) if closed_form else None,
+        "agrees": (closed_form.value == result.tmax) if closed_form else None,
+        "ms": round(elapsed_ms, 3),
+    }
+    print(_emit(report, fmt))
+    return EXIT_OK
+
+
 def cmd_tmax(args) -> int:
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
-    started = time.perf_counter()
-    result, table, matrix = compute_tmax(
-        group,
-        args.n,
-        args.k,
-        assume_semiuniversal=args.assume_semiuniversal,
-        classes=classes,
+    semi = args.assume_semiuniversal
+    return _solve_and_report(
+        args.format,
+        {"group": str(group), "n": args.n, "k": args.k},
+        _closed_form_for(group, args.n, args.k, classes),
+        lambda: compute_tmax(group, args.n, args.k, assume_semiuniversal=semi, classes=classes),
     )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if result.certificate is not None and not verify_certificate(
-        result.certificate, matrix, table
-    ):
-        print("error: certificate failed re-verification", file=sys.stderr)
-        return EXIT_VERIFY
-    cf = _closed_form_for(group, args.n, args.k, classes)
-    report = {
-        "group": str(group),
-        "n": args.n,
-        "k": args.k,
-        "tmax": _render_value(result.tmax),
-        "lower_bound": _render_value(result.lower_bound),
-        "certificate": _format_certificate(result.certificate, table),
-        "proven_exact": result.proven_exact,
-        "closed_form": _render_value(cf.value) if cf else None,
-        "agrees": (cf.value == result.tmax) if cf else None,
-        "ms": round(elapsed_ms, 3),
-    }
-    print(_emit(report, args.format))
-    return EXIT_OK
 
 
 def cmd_lower_bound(args) -> int:
@@ -200,19 +203,8 @@ def cmd_smatrix(args) -> int:
         name = label.label if hasattr(label, "label") else str(label)
         rows.append((name, [str(x) for x in row]))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "group": str(group),
-                    "n": args.n,
-                    "k": args.k,
-                    "columns": cols,
-                    "rows": {name: vals for name, vals in rows},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        doc = {"group": str(group), "n": args.n, "k": args.k, "columns": cols, "rows": dict(rows)}
+        print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["row"] + cols)
@@ -253,31 +245,32 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
     else:
         raise ValueError(f"unknown table {which!r}")
 
-    kept = []
+    rows = []
     for group, n, k, classes in jobs:
         # None below the formula's validity threshold, which every tabulated
         # formula puts above k
         cf = _closed_form_for(group, n, k, classes)
-        if cf is not None:
-            kept.append((group, n, k, classes, cf))
-
-    def solve(job):
-        group, n, k, classes, cf = job
+        if cf is None:
+            continue
         result, _, _ = compute_tmax(group, n, k, classes=classes)
-        return {
-            "group": str(group) if classes is None else f"{group}+classes",
-            "formula": cf.formula_id,
-            "k": k,
-            "n": n,
-            "tmax": _render_value(result.tmax),
-            "closed_form": _render_value(cf.value),
-            "agrees": result.tmax == cf.value,
-        }
-
-    return [solve(job) for job in kept]
+        rows.append(
+            {
+                "group": str(group) if classes is None else f"{group}+classes",
+                "formula": cf.formula_id,
+                "k": k,
+                "n": n,
+                "tmax": _render_value(result.tmax),
+                "closed_form": _render_value(cf.value),
+                "agrees": result.tmax == cf.value,
+            }
+        )
+    return rows
 
 
 def cmd_table(args) -> int:
+    which = args.reproduce.lower()
+    if args.d is not None and which != "tablesud":
+        raise ParseError("--d applies to tableSUd only")
     try:
         lo_s, hi_s = args.n_range.split("..")
         n_lo, n_hi = int(lo_s), int(hi_s)
@@ -285,7 +278,7 @@ def cmd_table(args) -> int:
         raise ParseError("--n-range expects A..B") from None
     if not 1 <= n_lo <= n_hi:
         raise ParseError(f"--n-range {args.n_range} needs 1 <= A <= B")
-    rows = _table_rows(args.reproduce.lower(), n_lo, n_hi, args.d)
+    rows = _table_rows(which, n_lo, n_hi, 3 if args.d is None else args.d)
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
@@ -300,7 +293,7 @@ def cmd_custom(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -311,34 +304,16 @@ def cmd_custom(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    table_sorted = canonical_order(table)
-    matrix = matrix.aligned_to(table_sorted)
-    started = time.perf_counter()
     # running a custom problem is itself the assertion of semi-universality
-    result = tmax_exact(matrix, table_sorted, assume_semiuniversal=True)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if result.certificate is not None and not verify_certificate(
-        result.certificate, matrix, table_sorted
-    ):
-        print("error: certificate failed re-verification", file=sys.stderr)
-        return EXIT_VERIFY
-    report = {
-        "group": "custom",
-        "n": None,
-        "k": None,
-        "tmax": _render_value(result.tmax),
-        "lower_bound": _render_value(result.lower_bound),
-        "certificate": _format_certificate(result.certificate, table_sorted),
-        "proven_exact": result.proven_exact,
-        "closed_form": None,
-        "agrees": None,
-        "ms": round(elapsed_ms, 3),
-    }
-    print(_emit(report, args.format))
-    return EXIT_OK
+    return _solve_and_report(
+        args.format,
+        {"group": "custom", "n": None, "k": None},
+        None,
+        lambda: (tmax_exact(matrix, table, assume_semiuniversal=True), table, matrix),
+    )
 
 
 # each suite's function in symdesign.checks and the flags it reads
@@ -370,7 +345,12 @@ def cmd_verify(args) -> int:
         raise ParseError("--n-max must be at least 1")
     if kwargs.get("samples", 1) < 1:
         raise ParseError("--samples must be at least 1")
-    tally = getattr(checks, name)(**kwargs)
+    try:
+        tally = getattr(checks, name)(**kwargs)
+    except ModuleNotFoundError as exc:  # a precondition: only the dense oracle imports numpy
+        if exc.name != "numpy":
+            raise
+        raise ValueError(f"suite {suite} needs numpy: pip install 'symdesign[dense]'") from None
     failures = len(tally.failures)
     status = "pass" if failures == 0 else "FAIL"
     print(f"suite {suite}: {status} ({tally.checks - failures}/{tally.checks} checks)")
@@ -434,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("table", help="reproduce the headline tables")
     s.add_argument("--reproduce", required=True, choices=["table1", "table2", "tableSUd"])
     s.add_argument("--n-range", required=True, help="inclusive range A..B")
-    s.add_argument("--d", type=int, default=3, help="local dimension for tableSUd")
+    s.add_argument("--d", type=int, default=None, help="local dimension for tableSUd (default 3)")
     s.add_argument("--format", choices=["json", "csv"], default="csv")
     s.set_defaults(func=cmd_table)
 

@@ -7,6 +7,8 @@ per criterion with its runtime.
 import time
 from fractions import Fraction
 
+import pytest
+
 from symdesign import (
     INFINITE,
     SU2,
@@ -178,6 +180,7 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_dense_checks():
+    pytest.importorskip("numpy")  # the optional dense extra
     started = time.monotonic()
     _assert_passes(checks.oracle(), 227)
     _report("8 (dense oracle)", started, 180.0)

@@ -529,10 +529,12 @@ class TestCustomJson:
     def test_rational_strings(self):
         doc = {"m": [1, 2, 1], "rows": [["1/2", "-1/3", "0"]], "labels": ["h0"]}
         table, matrix = load_custom_problem(json.dumps(doc))
-        # stored scaled by the lcm of the denominators
-        assert matrix.rows[-1] == (3, -2, 0)
-        table = canonical_order(table)
-        result = tmax_exact(matrix.aligned_to(table), table, assume_semiuniversal=True)
+        # canonical order keeps the document's indices: s0, s2, then s1
+        assert [irrep.label for irrep in table.ids] == ["s0", "s2", "s1"]
+        assert table.multiplicities == (1, 1, 2) and matrix.col_ids == table.ids
+        # stored scaled by the lcm of the denominators, in the table's order
+        assert matrix.rows[-1] == (3, 0, -2)
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
         assert result.tmax == 7
         assert result.certificate.q == (2, -8, 3) and result.certificate.weighted_norm == 16
 

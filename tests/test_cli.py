@@ -73,7 +73,12 @@ class TestTmaxCommand:
         assert out == ""
         assert err == "error: certificate failed re-verification\n"
 
-    @pytest.mark.parametrize("classes", ["foo", "1+1", "id,,2", "(12)(3)", "", " "])
+    @pytest.mark.parametrize(
+        "classes",
+        # unbalanced parentheses, a repeated site, and a multi-digit site:
+        # a support of 10 or more takes the 10 or 5+5 form
+        ["foo", "1+1", "id,,2", "(12)(3)", "", " ", "(12)(34", "(11)", "(12345678910)"],
+    )
     def test_malformed_classes_exit_3(self, capsys, classes):
         code, _, err = run_cli(
             capsys, "tmax", "--group", "sud", "--d", "3", "--n", "15", "--k", "3",
@@ -297,6 +302,50 @@ class TestOptimizedInterpreter:
         assert plain == self.run("-O", *argv)
 
 
+class TestWithoutNumpy:
+    """numpy is an optional extra: only the dense oracle suite needs it."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    # None in sys.modules makes every import of numpy raise ModuleNotFoundError
+    BLOCKED = (
+        "import sys; sys.modules['numpy'] = None; import symdesign, symdesign.cli; "
+        "sys.exit(symdesign.cli.main(sys.argv[1:]))"
+    )
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-c", self.BLOCKED, *argv],
+            cwd=self.ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    @staticmethod
+    def without_ms(stdout):
+        return [line for line in stdout.splitlines() if not line.startswith("ms = ")]
+
+    def test_tmax_and_custom_match(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"m": [5, 1, 4, 2, 3, 6], "rows": [["1/2", -1, 0, 3, "2/3", 1]]}')
+        for argv in (("tmax", "--group", "u1", "--n", "8", "--k", "2"), ("custom", str(path))):
+            proc = self.run(*argv)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert self.without_ms(proc.stdout) == self.without_ms(out)
+
+    def test_oracle_suite_exits_2(self):
+        proc = self.run("verify", "--suite", "oracle")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error:") and "symdesign[dense]" in proc.stderr
+
+
 class TestTableCommand:
     def test_table2_u1_rows_agree(self, capsys):
         code, out, _ = run_cli(
@@ -326,6 +375,22 @@ class TestTableCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_tablesud_defaults_to_d3(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--reproduce", "tableSUd", "--n-range", "22..22", "--format", "json",
+        )
+        assert code == 0
+        assert {row["group"] for row in json.loads(out)} == {"sud(d=3)"}
+
+    @pytest.mark.parametrize("which", ["table1", "table2"])
+    def test_d_outside_tablesud_exits_3(self, capsys, which):
+        code, out, err = run_cli(
+            capsys, "table", "--reproduce", which, "--n-range", "13..14", "--d", "9",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: --d applies to tableSUd only\n"
 
     def test_empty_range(self, capsys):
         # an empty range would print a bare header, checking nothing
@@ -403,6 +468,7 @@ class TestCustomCommand:
                 ('{"m": [true, 2]}', None),  # boolean multiplicity
                 ('{"m": [1, 2], "rows": [[true, 1]]}', None),  # boolean row entry
                 ('{"m": [1, 2], "rows": [[0.5, 1]]}', None),  # float row entry
+                ('{"m": [1, 2], "rows": [[1]]}', "row length must equal"),  # short row
                 ('{"m": [1, 2], "rows": [[2.0, 1]]}', None),  # integral float row entry
                 ('{"m": [Infinity]}', None),  # infinite multiplicity
                 ('{"m": [1e400, 2]}', None),  # multiplicity that overflows to infinity
@@ -423,6 +489,19 @@ class TestCustomCommand:
         assert err.startswith("error:")
         if key is not None:
             assert key in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"m": [1, 2], "labels": ["\xff"]}', b"[" * 200_000],
+        ids=["not-utf8", "nested-200000"],
+    )
+    def test_unreadable_document_exits_3(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "custom", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "custom", str(tmp_path / "nope.json"))
@@ -485,6 +564,7 @@ class TestVerifyCommand:
         assert err.startswith("error:") and argv[1] in err
 
     def test_oracle_small(self, capsys):
+        pytest.importorskip("numpy")
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "oracle", "--n-max", "5", "--samples", "25",
             "--seed", "1",

@@ -1,7 +1,8 @@
 """Dense (floating-point) verification against the exact closed forms."""
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")  # the optional dense extra
 
 from symdesign import tr_f_c, u1_c_eigenvalue
 from symdesign.dense import (

@@ -32,7 +32,7 @@ from symdesign import (
     zp,
 )
 from symdesign import groups, solver
-from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, sn_character
+from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
 from symdesign.intlinalg import Echelon, lll_reduce
 
@@ -412,8 +412,6 @@ class TestHardKernelCertificates:
         m = [rng.randint(1, 10**6) for _ in range(12)]
         rows = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(3)]
         table, matrix = load_custom_problem(json.dumps({"m": m, "rows": rows}))
-        table = canonical_order(table)
-        matrix = matrix.aligned_to(table)
         result = tmax_exact(matrix, table, assume_semiuniversal=True)
         assert result.tmax == 17812250
         assert result.certificate.q == (22, 18, -1, -10, -6, -7, -6, 5, -7, 3, 3, 7)
@@ -485,8 +483,7 @@ class TestWarmStart:
             m = [rng.randint(1, 10**6) for _ in range(sectors_)]
             charges = [[rng.randint(-50, 50) for _ in range(sectors_)] for _ in range(rows)]
             table, matrix = load_custom_problem(json.dumps({"m": m, "rows": charges}))
-            table = canonical_order(table)
-            assert check_warm_equals_cold(monkeypatch, matrix.aligned_to(table), table) >= 2
+            assert check_warm_equals_cold(monkeypatch, matrix, table) >= 2
 
 
 class TestVerifyCertificate:
@@ -540,14 +537,21 @@ def _count_column_reads(monkeypatch) -> set:
     return read
 
 
+_CUSTOM_M = [5, 1, 4, 2, 3, 6]
+_CUSTOM_ROWS = [["1/2", -1, 0, 3, "2/3", 1], [1, 1, "-1/4", 0, 2, -3]]
+
+
 def _custom_problem():
-    doc = {"m": [5, 1, 4, 2, 3, 6], "rows": [["1/2", -1, 0, 3, "2/3", 1], [1, 1, "-1/4", 0, 2, -3]]}
-    return load_custom_problem(json.dumps(doc))
+    return load_custom_problem(json.dumps({"m": _CUSTOM_M, "rows": _CUSTOM_ROWS}))
+
+
+def _custom_file_order():
+    """The same problem with its columns in document order, as custom_matrix builds it."""
+    return custom_matrix(_CUSTOM_M, [list(map(parse_rational, row)) for row in _CUSTOM_ROWS])
 
 
 def _custom_aligned():
-    table, matrix = _custom_problem()
-    return matrix.aligned_to(canonical_order(table))
+    return _custom_file_order().aligned_to(_custom_problem()[0])
 
 
 LAZY_MATRICES = {
@@ -574,11 +578,14 @@ class TestLazyColumns:
         assert list(A) == by_row
 
     def test_aligned_columns_follow_the_table(self):
-        _, A = _custom_problem()
+        A = _custom_file_order()
         aligned = _custom_aligned()
         assert aligned.col_ids != A.col_ids
         for j, irrep in enumerate(aligned.col_ids):
             assert aligned.column(j) == A.column(A.col_ids.index(irrep))
+        # the loader's canonical matrix is the aligned one
+        _, loaded = _custom_problem()
+        assert loaded.col_ids == aligned.col_ids and loaded.rows == aligned.rows
 
     @pytest.mark.parametrize("group, n, k", [(U1, 40, 6), (SU2, 30, 4), (zp(4), 25, 4)])
     def test_entries_computed_once(self, group, n, k, monkeypatch):
@@ -720,10 +727,7 @@ class TestCustomProblems:
         from symdesign import custom_table, load_custom_problem
 
         table, matrix = load_custom_problem('{"m": [4, 4], "rows": []}')
-        table_sorted = canonical_order(table)
-        result = tmax_exact(
-            matrix.aligned_to(table_sorted), table_sorted, assume_semiuniversal=True
-        )
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
         assert result.tmax == 3
         assert result.certificate.q == (1, -1)
 
@@ -750,9 +754,6 @@ class TestCustomProblems:
 
         doc = '{"m": [1, 3, 3, 1], "rows": [["1/3", "1/3", "-1/3", "-1/3"]]}'
         table, matrix = load_custom_problem(doc)
-        table_sorted = canonical_order(table)
-        result = tmax_exact(
-            matrix.aligned_to(table_sorted), table_sorted, assume_semiuniversal=True
-        )
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
         assert result.tmax == 2
         assert result.certificate.weighted_norm == 6
