@@ -22,7 +22,7 @@ from symdesign import (
     tmax_exact,
     verify_certificate,
 )
-from symdesign.intlinalg import Echelon
+from symdesign.intlinalg import Echelon, lll_reduce
 
 ###############################################################################
 # Step 1-2: sectors of 5 qubits with U(1) symmetry, then the canonical order.
@@ -77,9 +77,10 @@ print("re-verified :", verify_certificate(cert, matrix, table))
 
 ###############################################################################
 # The same minimization, called directly on a lattice: the weighted
-# shortest-vector search is usable stand-alone.
+# shortest-vector search is usable stand-alone, on the LLL-reduced lattice of
+# any basis under the weights.
 
-cert = min_weighted_l1([[1, 0, -1, 2], [0, 1, -2, 3]], [1, 3, 3, 1])
+cert = min_weighted_l1(lll_reduce([[1, 0, -1, 2], [0, 1, -2, 3]], [1, 3, 3, 1]))
 print("\nstand-alone weighted SVP:", cert.q, "norm", cert.weighted_norm)
 
 ###############################################################################

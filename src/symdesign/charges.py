@@ -36,6 +36,7 @@ from .groups import (
     SectorTable,
     TwiceSpin,
     canonical_order,
+    check_multiplicities,
     custom_table,
     sn_irrep_dim,
     su2_multiplicity,
@@ -345,7 +346,7 @@ def custom_matrix(
     row_labels: list[str] | None = None,
     col_ids: tuple | None = None,
 ) -> ChargeMatrix:
-    """Charge matrix from user-supplied rational rows.
+    """Charge matrix from user-supplied rational rows and positive ``int`` multiplicities.
 
     Each row is stored scaled by the lcm of its denominators, which changes
     neither the kernel nor the row span.  Prepends the multiplicity vector
@@ -356,7 +357,8 @@ def custom_matrix(
     get the exact rational weights that this elimination found, so the
     solver's row-span check is one product.
     """
-    m = [int(x) for x in m]
+    m = list(m)
+    check_multiplicities(m)
     rows = list(map(as_int_row, rows))
     for row in rows:
         if len(row) != len(m):

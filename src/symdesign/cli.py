@@ -279,6 +279,8 @@ def cmd_table(args) -> int:
     if not 1 <= n_lo <= n_hi:
         raise ParseError(f"--n-range {args.n_range} needs 1 <= A <= B")
     rows = _table_rows(which, n_lo, n_hi, 3 if args.d is None else args.d)
+    if not rows:  # a table of no rows checks nothing
+        raise ParseError(f"--n-range {args.n_range} has no n where a tabulated formula holds")
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:

@@ -283,51 +283,45 @@ def closed_tmax(group: GroupSpec, n: int, k: int, variant: str = "full") -> Clos
     subgroup, ``"tgroup"`` for 3-local gates plus the product of two disjoint
     transpositions (``d >= 4``).
     """
+    if group.kind == "Custom":
+        raise ValueError("closed forms exist for built-in groups only")
+    if group.kind != "SUd" or variant == "full":
+        threshold = semiuniversal_min_locality(group)
+        if k < threshold:
+            raise ValueError(f"below the semi-universality threshold k >= {threshold}")
     if group.kind == "U1":
-        if k < semiuniversal_min_locality(group):
-            raise ValueError("below the semi-universality threshold k >= 2")
         return ClosedFormTmax(u1_f_norm(n, k + 1) // 2 - 1, u1_nbound(k), f"u1:k={k}")
     if group.kind == "SU2":
-        if k < 2:
-            raise ValueError("below the semi-universality threshold k >= 2")
         s = k // 2
         val = _as_int(2 ** (2 * s + 1) * binom_frac(Fraction(n - 1, 2), s + 1), "design order")
         return ClosedFormTmax(val - 1, su2_nbound(k), f"su2:k={k}")
     if group.kind == "Zp":
-        if k < group.p:
-            raise ValueError(f"below the semi-universality threshold k >= p = {group.p}")
         if group.p % 2 == 1:
             return ClosedFormTmax(INFINITE, k + 1, f"zp:odd,p={group.p}")
         if k >= n:
             raise ValueError("the cyclic-group formula applies to k < n")
         return ClosedFormTmax(2 ** (n - 1) - 1, k + 1, f"zp:even,p={group.p}")
-    if group.kind == "SUd":
-        d = group.d
-        if variant == "sv":
-            if k <= 1:
-                return ClosedFormTmax((n - 1) - 1, max(5, d + 1), "sud:k<=1+sv")
-            if k == 2:
-                return ClosedFormTmax(
-                    (n + 1) * (n - 2) // 2 - 1, max(15, d + 3), "sud:k=2+sv"
-                )
-            raise ValueError("the sv variant covers k <= 2 only")
-        if variant == "tgroup":
-            if d < 4:
-                raise ValueError("the tgroup variant requires d >= 4")
-            val = (n - 3) * (2 * n * n - 3 * n + 4)
-            if val % 6:
-                raise ArithmeticError("the tgroup closed form must be divisible by 6")
-            return ClosedFormTmax(val // 6 - 1, max(22, d + 4), "sud:tgroup")
-        if variant != "full":
-            raise ValueError(f"unknown variant {variant!r}")
-        if k == 3:
-            return ClosedFormTmax((n - 1) * (n - 3) - 1, max(15, d + 3), "sud:k=3")
-        if k == 4:
-            val = 2 * (n - 1) * (n - 3) * (n - 5)
-            if val % 3:
-                raise ArithmeticError("the k=4 closed form must be divisible by 3")
-            return ClosedFormTmax(val // 3 - 1, max(22, d + 4), "sud:k=4")
-        if k < 3:
-            raise ValueError("k-local SU(d)-invariant gates are semi-universal only for k >= 3")
-        raise ValueError(f"no tabulated formula for SU(d) with k={k}")
-    raise ValueError("closed forms exist for built-in groups only")
+    d = group.d
+    if variant == "sv":
+        if k <= 1:
+            return ClosedFormTmax((n - 1) - 1, max(5, d + 1), "sud:k<=1+sv")
+        if k == 2:
+            return ClosedFormTmax((n + 1) * (n - 2) // 2 - 1, max(15, d + 3), "sud:k=2+sv")
+        raise ValueError("the sv variant covers k <= 2 only")
+    if variant == "tgroup":
+        if d < 4:
+            raise ValueError("the tgroup variant requires d >= 4")
+        val = (n - 3) * (2 * n * n - 3 * n + 4)
+        if val % 6:
+            raise ArithmeticError("the tgroup closed form must be divisible by 6")
+        return ClosedFormTmax(val // 6 - 1, max(22, d + 4), "sud:tgroup")
+    if variant != "full":
+        raise ValueError(f"unknown variant {variant!r}")
+    if k == 3:
+        return ClosedFormTmax((n - 1) * (n - 3) - 1, max(15, d + 3), "sud:k=3")
+    if k == 4:
+        val = 2 * (n - 1) * (n - 3) * (n - 5)
+        if val % 3:
+            raise ArithmeticError("the k=4 closed form must be divisible by 3")
+        return ClosedFormTmax(val // 3 - 1, max(22, d + 4), "sud:k=4")
+    raise ValueError(f"no tabulated formula for SU(d) with k={k}")

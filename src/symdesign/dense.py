@@ -27,15 +27,8 @@ ATOL_PRODUCT = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _bit_parities(n: int) -> np.ndarray:
-    """parity[x] = popcount(x) mod 2 for x < 2**n."""
-    par = np.zeros(1 << n, dtype=np.int64)
-    for x in range(1, 1 << n):
-        par[x] = par[x >> 1] ^ (x & 1)
-    return par
-
-
 def _popcounts(n: int) -> np.ndarray:
+    """pc[x] = popcount(x) for x < 2**n; ``pc & 1`` are the bit parities."""
     pc = np.zeros(1 << n, dtype=np.int64)
     for x in range(1, 1 << n):
         pc[x] = pc[x >> 1] + (x & 1)
@@ -52,7 +45,7 @@ def u1_dense_c(n: int, l: int) -> np.ndarray:
         raise ValueError("dense diagonals are limited to n <= 14")
     if not 0 <= l <= n:
         raise ValueError("need 0 <= l <= n")
-    par = _bit_parities(n)
+    par = _popcounts(n) & 1
     b = np.arange(1 << n)
     out = np.zeros(1 << n, dtype=np.int64)
     for bits in combinations(range(n), l):
@@ -86,7 +79,7 @@ def u1_orthogonality_check(n: int, k: int) -> bool:
     """
     if n > 12:
         raise ValueError("orthogonality scan is limited to n <= 12")
-    par = _bit_parities(n)
+    par = _popcounts(n) & 1
     b = np.arange(1 << n)
     f = u1_dense_f(n, k)
     for wt in range(0, k):

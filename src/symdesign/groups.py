@@ -348,16 +348,17 @@ def semiuniversal_min_locality(group: GroupSpec) -> int:
     )
 
 
+def check_multiplicities(m) -> None:
+    """Raise ``ValueError`` unless every entry of ``m`` is a positive ``int``."""
+    # type(x) is int also rejects bool and integral floats such as 2.0
+    if not all(type(x) is int and x > 0 for x in m):
+        raise ValueError("multiplicities must be positive integers")
+
+
 def custom_table(multiplicities: list[int]) -> SectorTable:
     """Sector table for a user-supplied problem (irrep dimensions default to 1)."""
     if not multiplicities:
         raise ValueError("the multiplicity vector must list at least one sector")
-    for m in multiplicities:
-        try:
-            valid = not isinstance(m, bool) and int(m) == m and m > 0
-        except (OverflowError, ValueError):  # int() of an infinite or NaN float
-            valid = False
-        if not valid:
-            raise ValueError("multiplicities must be positive integers")
+    check_multiplicities(multiplicities)
     ids = tuple(map(CustomSector, range(len(multiplicities))))
-    return SectorTable(CUSTOM, len(ids), ids, tuple(map(int, multiplicities)), (1,) * len(ids))
+    return SectorTable(CUSTOM, len(ids), ids, tuple(multiplicities), (1,) * len(ids))

@@ -252,16 +252,14 @@ class ReducedLattice:
         return g
 
 
-def lll_reduce(basis: list[list[int]], weights: list[int] | None = None) -> ReducedLattice:
+def lll_reduce(basis: list[list[int]], weights: list[int]) -> ReducedLattice:
     """Integral LLL of ``basis`` in the metric ``<x, y> = sum w_i^2 x_i y_i``.
 
     Returns the :class:`ReducedLattice` that the vectors were inserted into
-    in turn (unit weights when ``weights`` is None).  The vectors must be
-    independent (``ArithmeticError`` otherwise); the reduced ones span the
-    same lattice, so reduction never changes a solver answer.
+    in turn.  The vectors must be independent (``ArithmeticError``
+    otherwise); the reduced ones span the same lattice, so reduction never
+    changes a solver answer.
     """
-    if weights is None:
-        weights = [1] * len(basis[0]) if basis else []
     lattice = ReducedLattice(weights)
     for v in basis:
         lattice.insert(v)

@@ -60,7 +60,12 @@ from .intlinalg import Echelon, ReducedLattice, lll_reduce
 
 @dataclass(frozen=True)
 class Certificate:
-    """Primitive integer kernel vector with its multiplicity-weighted one-norm."""
+    """Primitive integer kernel vector with its multiplicity-weighted one-norm.
+
+    ``support`` lists where ``q`` is nonzero: coordinate indices in a
+    certificate from :func:`min_weighted_l1`, sector ids in one from
+    :func:`tmax_exact`.
+    """
 
     q: tuple[int, ...]
     weighted_norm: int
@@ -92,18 +97,28 @@ class SemiUniversalityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# alignment and precondition helpers
+# preconditions
 # ---------------------------------------------------------------------------
 
 
-def _check_alignment(A: ChargeMatrix, table: SectorTable):
+def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> bool:
+    """Alignment, canonical order, semi-universality and row span, in that order.
+
+    Returns True when the caller's semi-universality override was needed.
+    """
     if A.col_ids != table.ids:
         raise ValueError("charge-matrix columns are not aligned with the sector table")
-
-
-def _check_canonical(table: SectorTable):
     if not table.is_canonical():
         raise ValueError("sector table must be canonically ordered (weakly increasing m)")
+    assumed = _check_semiuniversal(A, assume)
+    # the lower bound and the support cutoff of the scan rely on m lying in
+    # the row span; the witness reads only its rows of nonzero weight
+    if not multiplicity_in_row_span(table.multiplicities, A, A.witness):
+        raise ValueError(
+            "the multiplicity vector is outside the rational row span; add the "
+            "identity row (custom_matrix does this automatically)"
+        )
+    return assumed
 
 
 def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
@@ -116,10 +131,11 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
                 "pass assume_semiuniversal=True if it holds"
             )
         return True
+    threshold = semiuniversal_min_locality(group)
     if group.kind == "SUd":
         # semi-universal iff the realizable classes include every 3-local one
         have = {lbl.cycles for lbl in A.row_labels if isinstance(lbl, CycleType)}
-        needed = {c.cycles for c in conjugacy_classes(3)}
+        needed = {c.cycles for c in conjugacy_classes(threshold)}
         if needed <= have:
             return False
         if not assume:
@@ -129,7 +145,6 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
                 "assume_semiuniversal=True to model an amended gate set"
             )
         return True
-    threshold = semiuniversal_min_locality(group)
     if A.k is not None and A.k < threshold:
         if not assume:
             raise SemiUniversalityError(
@@ -139,16 +154,6 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
             )
         return True
     return False
-
-
-def _check_row_span(A: ChargeMatrix, table: SectorTable):
-    # the lower bound and the support cutoff of the scan rely on m lying in
-    # the row span; the witness reads only its rows of nonzero weight
-    if not multiplicity_in_row_span(table.multiplicities, A, A.witness):
-        raise ValueError(
-            "the multiplicity vector is outside the rational row span; add the "
-            "identity row (custom_matrix does this automatically)"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +185,7 @@ def lower_bound(
     semi-universal gate set (or ``assume_semiuniversal``) and the
     multiplicity vector in the rational row span of ``A``.
     """
-    _check_alignment(A, table)
-    _check_canonical(table)
-    _check_semiuniversal(A, assume_semiuniversal)
-    _check_row_span(A, table)
+    _check_problem(A, table, assume_semiuniversal)
     for idx, relation in _prefix_scan(A, len(table)):
         if relation is not None:
             return LowerBoundResult(
@@ -215,38 +217,28 @@ def _normalize_sign(q: list[int]) -> tuple[int, ...]:
     return tuple(q)
 
 
-def min_weighted_l1(
-    basis: list[list[int]],
-    weights,
-    upper: Optional[int] = None,
-) -> Optional[Certificate]:
-    """Nonzero lattice vector minimizing the weighted one-norm.
+def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Optional[Certificate]:
+    """Nonzero vector of ``lattice`` minimizing the weighted one-norm.
 
-    The lattice is spanned by ``basis`` (independent integer vectors); the
-    objective is ``sum(weights * abs(q))``.  Enumeration is branch-and-bound
-    over the weight-rescaled Euclidean norm, which never exceeds the weighted
-    one-norm, so the radius equal to the best norm found so far is sound.  A
-    level value must also pass the integer Hölder test ``|y| <= R * h_j``
-    against that norm ``R`` (see the module docstring); both tests are
-    non-strict, so every tied optimum reaches the tie-break.
+    The objective is ``sum(lattice.weights * abs(q))``, searched over the
+    reduced basis (build one with ``lll_reduce(basis, weights)``); the answer
+    depends on the lattice only, not on the basis that spans it.
+    Enumeration is branch-and-bound over the weight-rescaled Euclidean norm,
+    which never exceeds the weighted one-norm, so the radius equal to the
+    best norm found so far is sound.  A level value must also pass the
+    integer Hölder test ``|y| <= R * h_j`` against that norm ``R`` (see the
+    module docstring); both tests are non-strict, so every tied optimum
+    reaches the tie-break.
     Returns the primitive optimizer, sign-normalized (first nonzero entry
     positive), with lexicographically smallest ``q`` among ties; ``None`` if
     ``upper`` (an integer) is given and no vector has norm <= ``upper``.
     """
+    basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
     if not basis:
-        raise ValueError("basis must be nonempty")
+        raise ValueError("the lattice must be nonempty")
     # type(x) is int also rejects bool, whose True would pass for 1
     if upper is not None and type(upper) is not int:
         raise ValueError("upper must be an integer")
-    return _shortest(lll_reduce(basis, weights), upper)
-
-
-def _shortest(lattice: ReducedLattice, upper: Optional[int]) -> Optional[Certificate]:
-    """:func:`min_weighted_l1` on the lattice's reduced basis (nonempty) and weights.
-
-    The answer depends on the lattice only, not on the basis that spans it.
-    """
-    basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
     d = len(basis)
     # lambda_1 >= min_j |b_j*| and the weighted one-norm is at least the
     # weighted two-norm, so no vector is within upper once every
@@ -372,7 +364,7 @@ def tmax_exact(
     that cutoff fires somewhere in a window exactly when it fires at the
     window's end.  A growth at ``idx`` therefore first runs a bounded search
     with ``upper = 2 * m[idx]`` on the old lattice: a miss (mostly the
-    early exit of :func:`_shortest`) proves the scan goes on, and a hit is
+    early exit of :func:`min_weighted_l1`) proves the scan goes on, and a hit is
     the answer.  At each index the shortest reduced basis vector bounds
     ``B`` from above; once that bound is at most ``2 * m[next]``, or at the
     last index, one unbounded enumeration gives the answer.  So a finite
@@ -385,10 +377,7 @@ def tmax_exact(
     Every earlier prefix kernel lies in the stop-prefix lattice (zero-padded),
     so this is the optimum that one enumeration of that lattice returns.
     """
-    _check_alignment(A, table)
-    _check_canonical(table)
-    assumed = _check_semiuniversal(A, assume_semiuniversal)
-    _check_row_span(A, table)
+    assumed = _check_problem(A, table, assume_semiuniversal)
 
     mults = table.multiplicities
     L = len(table)
@@ -401,14 +390,14 @@ def tmax_exact(
                 bound = mults[idx] - 1
                 lattice = lll_reduce([relation], mults[: idx + 1])
             else:
-                cert = _shortest(lattice, 2 * mults[idx])
+                cert = min_weighted_l1(lattice, upper=2 * mults[idx])
                 if cert is not None:
                     break
                 lattice.extend(mults[len(lattice.weights) : idx + 1])
                 lattice.insert(relation)
             ub = min(_weighted_l1(b, lattice.weights) for b in lattice.basis)
         if lattice is not None and (idx + 1 == L or ub <= 2 * mults[idx + 1]):
-            cert = _shortest(lattice, None)
+            cert = min_weighted_l1(lattice)
             break
 
     if cert is None:

@@ -557,3 +557,11 @@ class TestCustomJson:
             load_custom_problem('{"m": [1.5, 2], "rows": []}')
         with pytest.raises(ValueError):
             load_custom_problem('{"m": [0, 2], "rows": []}')
+        # integral floats too: rows reject 2.0, and 1e3 must not pass for 1000
+        for doc in ('{"m": [2.0, 4]}', '{"m": [1e3, 4]}'):
+            with pytest.raises(ValueError, match="positive integers"):
+                load_custom_problem(doc)
+        # custom_matrix shares the check instead of truncating 2.5 to 2
+        for m in ([2.5, 4], [2.0, 4], [True, 4], [0, 4]):
+            with pytest.raises(ValueError, match="positive integers"):
+                custom_matrix(m, [])

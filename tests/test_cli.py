@@ -392,6 +392,21 @@ class TestTableCommand:
         assert out == ""
         assert err == "error: --d applies to tableSUd only\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tableSUd", "--n-range", "1..3"],
+            ["table2", "--n-range", "1..3", "--format", "json"],
+        ],
+        ids=["tableSUd-csv", "table2-json"],
+    )
+    def test_range_below_every_formula_exits_3(self, capsys, args):
+        # no row has a valid tabulated formula, so the table would check nothing
+        code, out, err = run_cli(capsys, "table", "--reproduce", *args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_empty_range(self, capsys):
         # an empty range would print a bare header, checking nothing
         code, out, err = run_cli(
@@ -466,6 +481,8 @@ class TestCustomCommand:
                 ('{"m": [1, 2, 3], "rows": [["1e3", "1", "-2"]]}', None),
                 ('{"m": []}', None),  # no sectors
                 ('{"m": [true, 2]}', None),  # boolean multiplicity
+                ('{"m": [2.0, 4]}', "positive integers"),  # integral float multiplicity
+                ('{"m": [1e3, 4]}', "positive integers"),  # float in exponent notation
                 ('{"m": [1, 2], "rows": [[true, 1]]}', None),  # boolean row entry
                 ('{"m": [1, 2], "rows": [[0.5, 1]]}', None),  # float row entry
                 ('{"m": [1, 2], "rows": [[1]]}', "row length must equal"),  # short row

@@ -6,12 +6,14 @@ from math import comb
 import pytest
 
 from symdesign import (
+    CUSTOM,
     INFINITE,
     SU2,
     U1,
     binom_frac,
     binom_int,
     closed_tmax,
+    semiuniversal_min_locality,
     su2_a_norm,
     su2_a_operator,
     su2_c_eigenvalue,
@@ -332,3 +334,15 @@ class TestClosedTmax:
             closed_tmax(sud(3), 30, 2)
         with pytest.raises(ValueError):
             closed_tmax(sud(3), 30, 4, variant="tgroup")
+
+    @pytest.mark.parametrize("group, k", [(SU2, 1), (zp(5), 3), (sud(3), 2)], ids=str)
+    def test_below_threshold_names_it(self, group, k):
+        threshold = semiuniversal_min_locality(group)
+        assert k < threshold
+        with pytest.raises(ValueError, match=f"threshold k >= {threshold}$"):
+            closed_tmax(group, 30, k)
+        assert closed_tmax(group, 30, threshold).valid_from_n > threshold
+
+    def test_custom_group_has_no_closed_form(self):
+        with pytest.raises(ValueError, match="built-in groups only"):
+            closed_tmax(CUSTOM, 10, 3)

@@ -1,6 +1,7 @@
-"""Every demo script runs cleanly in a fresh interpreter."""
+"""Every demo script runs cleanly in a fresh interpreter, and the README quick start holds."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,25 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def readme_quick_start() -> str:
+    """The python block under ``## Library quick start`` in the README."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start():
+    # each line runs in turn; a comment that opens with a value is checked
+    # against the repr of the line's expression
+    namespace: dict = {}
+    checked = []
+    for line in readme_quick_start().splitlines():
+        code, _, comment = line.partition("#")
+        expected = re.match(r"\s*(-?[0-9]+|True|False|INFINITE)\b", comment)
+        if expected is None:
+            exec(code, namespace)
+            continue
+        assert repr(eval(code, namespace)) == expected[1], line
+        checked.append(expected[1])
+    assert checked == ["119", "64", "True", "645", "INFINITE", "6117"]

@@ -260,7 +260,7 @@ class TestIntegralGramSchmidt:
         assert raised >= 20
 
     def test_empty_basis(self):
-        lattice = lll_reduce([])
+        lattice = lll_reduce([], [])
         assert (lattice.basis, lattice.d, lattice.lam, lattice.weights) == ([], [1], [], [])
         assert lattice.gso_vectors() == []
 
@@ -270,7 +270,7 @@ class TestIntegralGramSchmidt:
         lattice.insert([1, -1])
         assert lattice.d == [1, 13]
         # unit weights: <(1, 2), (0, 1)> = 2, then size reduction by 2 (0, 1)
-        lattice = lll_reduce([[0, 1], [1, 2]])
+        lattice = lll_reduce([[0, 1], [1, 2]], [1, 1])
         assert (lattice.basis, lattice.d, lattice.lam) == ([[0, 1], [1, 0]], [1, 1, 1], [[], [0]])
 
     @pytest.mark.parametrize("weights", [[2.5, 2.5], [2.0, 2], [True, 2], [Fraction(2), 2]])
@@ -296,14 +296,14 @@ class TestIntegralGramSchmidt:
     def test_inexact_division_raises(self):
         # with d[1] raised from 1 to 2, the last Gram-Schmidt step of the new
         # row divides 1 by d[1]
-        lattice = lll_reduce([[1, 0, 0], [0, 1, 0]])
+        lattice = lll_reduce([[1, 0, 0], [0, 1, 0]], [1, 1, 1])
         lattice.d[1] = 2
         with pytest.raises(ArithmeticError, match="not exact"):
             lattice.insert([1, 1, 1])
 
     def test_zero_vector_raises(self):
         with pytest.raises(ArithmeticError):
-            lll_reduce([[0, 0, 0]])
+            lll_reduce([[0, 0, 0]], [1, 1, 1])
 
 
 def exact_div(a: int, b: int) -> int:
@@ -516,7 +516,7 @@ class TestLllReduce:
             basis = echelon_kernel(A)
             if len(basis) != dim:
                 continue
-            weights = None if count % 5 == 0 else [rng.randint(1, 10**6) for _ in range(c)]
+            weights = [1] * c if count % 5 == 0 else [rng.randint(1, 10**6) for _ in range(c)]
             assert lll_reduce(basis, weights).basis == lll_reduce_refactoring(basis, weights)
             count += 1
 
@@ -524,14 +524,14 @@ class TestLllReduce:
         # mu = 5/2 rounds to 2, as round(Fraction) does; rounding half up
         # would give [[-1, 1], [1, 1]]
         basis = [[2, 0], [5, 1]]
-        assert lll_reduce(basis).basis == [[1, 1], [1, -1]]
+        assert lll_reduce(basis, [1, 1]).basis == [[1, 1], [1, -1]]
         assert lll_reduce_refactoring(basis) == [[1, 1], [1, -1]]
 
     def test_dependent_vectors_raise(self):
         with pytest.raises(ArithmeticError):
             lll_reduce([[1, 0, 2], [2, 0, 4]], [1, 2, 3])
 
-    @pytest.mark.parametrize("weights", [None, [5, 1, 7]])
+    @pytest.mark.parametrize("weights", [[1, 1, 1], [5, 1, 7]])
     def test_dependent_basis_raises(self, weights):
         # the third vector is the sum of the first two
         with pytest.raises(ArithmeticError):

@@ -34,7 +34,7 @@ from symdesign import (
 from symdesign import groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
-from symdesign.intlinalg import Echelon, lll_reduce
+from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
 
 def aligned(group, n, k):
@@ -103,7 +103,7 @@ class TestLowerBound:
 
 class TestMinWeightedL1:
     def test_single_vector(self):
-        cert = min_weighted_l1([[1, -1]], [4, 4])
+        cert = min_weighted_l1(lll_reduce([[1, -1]], [4, 4]))
         assert cert.q == (1, -1)
         assert cert.weighted_norm == 8
 
@@ -117,7 +117,7 @@ class TestMinWeightedL1:
         assert kernel_vectors(rows, weights, 5) == []
         winners = set(kernel_vectors(rows, weights, 6))
         assert winners == {(1, 0, -1, 2), (2, -1, 0, 1)}
-        cert = min_weighted_l1(basis, weights)
+        cert = min_weighted_l1(lll_reduce(basis, weights))
         assert cert.weighted_norm == 6
         assert cert.q == (1, 0, -1, 2)  # lexicographically smaller winner
 
@@ -137,59 +137,61 @@ class TestMinWeightedL1:
             for g in lattice.gso_vectors()
         ]
         assert any(y == 4 * h for y, h in levels)
-        cert = min_weighted_l1(basis, weights)
+        cert = min_weighted_l1(lll_reduce(basis, weights))
         assert cert.q == (0, 1, -1, 1) and cert.weighted_norm == 4
 
     def test_upper_cuts_off(self):
-        assert min_weighted_l1([[1, -1]], [4, 4], upper=1) is None
-        assert min_weighted_l1([[1, -1], [5, 3]], [2, 2], upper=1) is None
+        assert min_weighted_l1(lll_reduce([[1, -1]], [4, 4]), upper=1) is None
+        assert min_weighted_l1(lll_reduce([[1, -1], [5, 3]], [2, 2]), upper=1) is None
 
     def test_early_exit_skips_the_gram_schmidt_vectors(self):
         # |b_0*|^2 = 32 and |b_1*|^2 = 24 in the weighted metric: no vector is
         # within 4, and the search returns before building any g_j
         lattice = lll_reduce([[1, -1, 0], [0, 1, -1]], [4, 4, 4])
         assert lattice.d == [1, 32, 768]
-        assert solver._shortest(lattice, 4) is None
+        assert min_weighted_l1(lattice, upper=4) is None
         assert lattice._g == []
         # at 5 (25 > 24) the search runs, and finds nothing below the optimum 8
-        assert solver._shortest(lattice, 5) is None
+        assert min_weighted_l1(lattice, upper=5) is None
         assert lattice._g != []
-        assert solver._shortest(lattice, 8).weighted_norm == 8
+        assert min_weighted_l1(lattice, upper=8).weighted_norm == 8
 
     # C * upper^2 is an integer for each of these (C = 32 here), so only a
     # type check rejects them
-    @pytest.mark.parametrize("upper", [Fraction(1, 2), 0.5, 8.0])
+    @pytest.mark.parametrize("upper", [Fraction(1, 2), 0.5, 8.0, True, 2.0])
     def test_non_integer_upper_rejected(self, upper):
         with pytest.raises(ValueError):
-            min_weighted_l1([[1, -1]], [4, 4], upper=upper)
+            min_weighted_l1(lll_reduce([[1, -1]], [4, 4]), upper=upper)
 
     # truncating 2.5 to 2 would certify weighted norm 4 instead of 5
     @pytest.mark.parametrize("weight", [2.5, Fraction(5, 2), True])
     def test_non_integer_weights_rejected(self, weight):
         with pytest.raises(ValueError):
-            min_weighted_l1([[1, -1]], [weight, weight])
+            min_weighted_l1(lll_reduce([[1, -1]], [weight, weight]))
 
     def test_primitive_and_sign_normalized(self):
-        cert = min_weighted_l1([[-2, 2]], [1, 1])
+        cert = min_weighted_l1(lll_reduce([[-2, 2]], [1, 1]))
         assert cert.q == (1, -1)
         assert cert.weighted_norm == 2
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError):
-            min_weighted_l1([], [1])
+            min_weighted_l1(lll_reduce([], [1]))
+        with pytest.raises(ValueError):
+            min_weighted_l1(ReducedLattice([4, 4]), upper=8)
 
     def test_result_independent_of_basis_presentation(self):
         # any basis of the same lattice must yield the identical certificate
         basis = [[1, 0, -1, 2], [0, 1, -2, 3]]
         weights = [1, 3, 3, 1]
-        reference = min_weighted_l1(basis, weights)
+        reference = min_weighted_l1(lll_reduce(basis, weights))
         variants = [
             [basis[1], basis[0]],
             [[1, 1, -3, 5], [0, 1, -2, 3]],  # b0 + b1, b1
             [[-1, 0, 1, -2], [2, 1, -4, 7]],  # -b0, 2 b0 + b1
         ]
         for var in variants:
-            got = min_weighted_l1(var, weights)
+            got = min_weighted_l1(lll_reduce(var, weights))
             assert got.q == reference.q
             assert got.weighted_norm == reference.weighted_norm
 
@@ -211,11 +213,12 @@ def check_against_oracle(A, weights) -> tuple[bool, bool]:
         radius *= 2
     best = min(map(norm, found))
     optima = [q for q in found if norm(q) == best]
-    cert = min_weighted_l1(basis, weights)
+    lattice = lll_reduce(basis, weights)
+    cert = min_weighted_l1(lattice)
     assert cert.weighted_norm == best
     assert cert.q == min(optima)
-    assert min_weighted_l1(basis, weights, upper=best) == cert
-    assert min_weighted_l1(basis, weights, upper=best - 1) is None
+    assert min_weighted_l1(lattice, upper=best) == cert
+    assert min_weighted_l1(lattice, upper=best - 1) is None
     return len(optima) > 1, best < min(map(norm, basis))
 
 
@@ -234,11 +237,11 @@ class TestMinWeightedL1Oracle:
             if not basis:
                 continue
             lattice = lll_reduce(basis, weights)
-            best = min_weighted_l1(basis, weights).weighted_norm
+            best = min_weighted_l1(lattice).weighted_norm
             for upper in {1, best // 4, best // 2, best - 2, best - 1, best, best + 3}:
                 if upper < 1:
                     continue
-                cert = solver._shortest(lattice, upper)
+                cert = min_weighted_l1(lattice, upper=upper)
                 if upper >= best:
                     assert cert is not None and cert.weighted_norm == best
                     continue
@@ -422,9 +425,10 @@ def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     """Each warm-started search of :func:`tmax_exact` against a cold solve.
 
     The scan keeps one :class:`ReducedLattice` and inserts only the new
-    relation at each kernel growth.  Its calls are bounded searches, one per
-    growth after the first on the lattice before it, plus one final
-    enumeration; the cold solve reduces the whole padded kernel basis of the
+    relation at each kernel growth.  Every search it makes goes through the
+    public :func:`min_weighted_l1`, which records them: bounded searches, one
+    per growth after the first on the lattice before it, plus one final
+    enumeration with the default ``upper=None``; the cold solve reduces the whole padded kernel basis of the
     same prefix from scratch under the same ``upper``.  The certificate is a
     property of the lattice, so they must agree.  Every call but the last is
     a bounded miss; the last gives the answer: it is the one unbounded
@@ -432,14 +436,14 @@ def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     Returns the number of searches compared.
     """
     calls = []
-    shortest = solver._shortest
+    search = solver.min_weighted_l1
 
-    def recording(lattice, upper):
-        cert = shortest(lattice, upper)
+    def recording(lattice, upper=None):
+        cert = search(lattice, upper=upper)
         calls.append((len(lattice.weights), upper, cert))
         return cert
 
-    monkeypatch.setattr(solver, "_shortest", recording)
+    monkeypatch.setattr(solver, "min_weighted_l1", recording)
     result = tmax_exact(matrix, table, assume_semiuniversal=True)
     monkeypatch.undo()
     ech = Echelon()
@@ -448,7 +452,7 @@ def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     ]
     assert [width for width, _, _ in calls] == [width for width, _ in growths[: len(calls)]]
     for (width, upper, warm), (_, basis) in zip(calls, growths):
-        assert warm == min_weighted_l1(basis, table.multiplicities[:width], upper)
+        assert warm == min_weighted_l1(lll_reduce(basis, table.multiplicities[:width]), upper=upper)
     assert all(upper is not None and cert is None for _, upper, cert in calls[:-1])
     unbounded = sum(upper is None for _, upper, _ in calls)
     if result.certificate is None:
