@@ -31,15 +31,12 @@ from .groups import (
     CUSTOM,
     CustomSector,
     GroupSpec,
-    HammingWeight,
-    Residue,
     SectorTable,
-    TwiceSpin,
     canonical_order,
     check_multiplicities,
     custom_table,
+    sectors,
     sn_irrep_dim,
-    su2_multiplicity,
     zp_multiplicity,
 )
 from .intlinalg import Echelon, as_int_row
@@ -65,6 +62,11 @@ class CycleType:
     @property
     def support(self) -> int:
         return sum(self.cycles)
+
+    @property
+    def name(self) -> str:
+        """:attr:`label` up to 9 sites, the cycle lengths (``5+5``) beyond: short at any support."""
+        return self.label if self.support <= 9 else "+".join(map(str, self.cycles))
 
     @property
     def label(self) -> str:
@@ -241,17 +243,19 @@ def charge_matrix(
         raise ValueError("character matrices describe SU(d) problems")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    # U(1), SU(2) and Z_p entries count the ways the other n - k sites
-    # complete the gate's k-site irrep to the column's n-site irrep.  Each
-    # n-site sector decomposes over the k-site irreps, so the witness weights
-    # every row by the multiplicity of its k-site irrep: m = sum_v C(k, v) A[v]
-    # for U(1), sum_j' m_k(j') A[j'] for SU(2) and sum_a m_k(a) A[a] for Z_p.
-    # The identity class row of a character matrix is m itself.
+    # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
+    # ways the other n - k sites complete the row's k-site irrep to the
+    # column's n-site irrep.  Every n-site sector decomposes over the k-site
+    # irreps, so the witness weights each row by its k-site multiplicity:
+    # m = sum_v m_k(v) A[v].  sectors lists weights and residues from 0, so a
+    # U(1) or Z_p row's index is its label.  The identity class row of a
+    # character matrix is m itself.
     nk = n - k
     ids = table.ids
+    if group.kind in ("U1", "SU2", "Zp"):
+        gate = sectors(group, k)
+        labels, witness = gate.ids, gate.multiplicities
     if group.kind == "U1":
-        labels = tuple(map(HammingWeight, range(k + 1)))
-        witness = [comb(k, v) for v in range(k + 1)]
         ws = [irrep.w for irrep in ids]
 
         def entry(v, j):
@@ -259,9 +263,7 @@ def charge_matrix(
             return comb(nk, b) if b >= 0 else 0
 
     elif group.kind == "SU2":
-        jjps = range(k % 2, k + 1, 2)
-        labels = tuple(map(TwiceSpin, jjps))
-        witness = [su2_multiplicity(k, jjp) for jjp in jjps]
+        jjps = [irrep.jj for irrep in labels]
         jjs = [irrep.jj for irrep in ids]
 
         def entry(i, j):
@@ -273,12 +275,10 @@ def charge_matrix(
 
     elif group.kind == "Zp":
         p = group.p
-        labels = tuple(map(Residue, range(p)))
-        witness = [zp_multiplicity(k, p, alpha) for alpha in range(p)]
         betas = [irrep.beta for irrep in ids]
 
         def entry(alpha, j):
-            return sum(comb(nk, b) for b in range((betas[j] - alpha) % p, nk + 1, p))
+            return zp_multiplicity(nk, p, (betas[j] - alpha) % p)
 
     elif group.kind == "SUd":
         labels = tuple(conjugacy_classes(k) if classes is None else classes)
@@ -286,7 +286,7 @@ def charge_matrix(
         # checks on every entry; the entries call _char_rec directly
         for cls in labels:
             if cls.support > k:
-                raise ValueError(f"class {cls.label} needs support {cls.support} > k = {k}")
+                raise ValueError(f"class {cls.name} needs support {cls.support} > k = {k}")
         parts = [irrep.parts for irrep in ids]
         if any(sum(shape) != n for shape in parts):
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")

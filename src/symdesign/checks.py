@@ -303,8 +303,7 @@ def solver_brute() -> Tally:
     t = Tally()
     for group in (U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4)):
         for n in range(2, 9):
-            kmin = group.p if group.kind == "Zp" else 1
-            for k in range(kmin, n + 1):
+            for k in range(1, n + 1):
                 table = canonical_order(sectors(group, n))
                 matrix = charge_matrix(table, k)
                 exact = tmax_exact(matrix, table, assume_semiuniversal=True)

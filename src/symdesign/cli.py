@@ -70,7 +70,7 @@ def _parse_classes(text: str | None) -> list[CycleType] | None:
         raise ParseError(f"bad --classes entry: {exc}") from None
     for i, cls in enumerate(classes):
         if cls in classes[:i]:
-            raise ParseError(f"bad --classes entry: class {cls.label} is listed twice")
+            raise ParseError(f"bad --classes entry: class {cls.name} is listed twice")
     return classes
 
 

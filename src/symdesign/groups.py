@@ -303,9 +303,11 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
 
 
 # ties among equal multiplicities: ascending label, except descending 2j for
-# SU(2); every label is unique within its table, so the order is total
+# SU(2).  U(1) ties are the mirror pairs (w, n-w), so the low weight comes
+# first.  Every label is unique within its table, so the order is total.
 _LABEL_KEYS = {
-    "SU2": attrgetter("jj"),
+    "U1": attrgetter("w"),
+    "SU2": lambda irrep: -irrep.jj,
     "Zp": attrgetter("beta"),
     "SUd": attrgetter("parts"),
     "Custom": attrgetter("index"),
@@ -314,23 +316,11 @@ _LABEL_KEYS = {
 
 def canonical_order(table: SectorTable) -> SectorTable:
     """Sort sectors by weakly increasing multiplicity with deterministic ties."""
-    kind = table.group.kind
-    # whole (id, multiplicity, dim) rows are sorted, so each dim moves with its sector
-    rows = zip(table.ids, table.multiplicities, table.dims)
-    if kind == "U1":
-        n = table.n
-
-        def key(row):
-            # low-weight member of each mirror pair (w, n-w) first: 0, n, 1, n-1, ...
-            w = row[0].w
-            return (row[1], min(w, n - w), w)
-
-        order = sorted(rows, key=key)
-    else:
-        # two stable sorts: by label, then by multiplicity keeping label order
-        label = _LABEL_KEYS[kind]
-        order = sorted(rows, key=lambda row: label(row[0]), reverse=kind == "SU2")
-        order.sort(key=itemgetter(1))
+    label = _LABEL_KEYS[table.group.kind]
+    # whole (id, multiplicity, dim) rows are sorted, so each dim moves with
+    # its sector; two stable sorts: by label, then by multiplicity
+    order = sorted(zip(table.ids, table.multiplicities, table.dims), key=lambda row: label(row[0]))
+    order.sort(key=itemgetter(1))
     return SectorTable(table.group, table.n, *zip(*order))
 
 

@@ -124,36 +124,31 @@ def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> bool:
 def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
     """Returns True when the caller's override flag was needed."""
     group = A.group
+    shortfall = None
     if group.kind == "Custom":
-        if not assume:
-            raise SemiUniversalityError(
-                "custom gate sets carry no built-in semi-universality knowledge; "
-                "pass assume_semiuniversal=True if it holds"
-            )
-        return True
-    threshold = semiuniversal_min_locality(group)
-    if group.kind == "SUd":
+        shortfall = (
+            "custom gate sets carry no built-in semi-universality knowledge; "
+            "pass assume_semiuniversal=True if it holds"
+        )
+    elif group.kind == "SUd":
         # semi-universal iff the realizable classes include every 3-local one
         have = {lbl.cycles for lbl in A.row_labels if isinstance(lbl, CycleType)}
-        needed = {c.cycles for c in conjugacy_classes(threshold)}
-        if needed <= have:
-            return False
-        if not assume:
-            raise SemiUniversalityError(
+        needed = conjugacy_classes(semiuniversal_min_locality(group))
+        if not {c.cycles for c in needed} <= have:
+            shortfall = (
                 "the realizable permutation classes miss a 3-local class, so the "
                 "gate set is not even a 2-design source; pass "
                 "assume_semiuniversal=True to model an amended gate set"
             )
-        return True
-    if A.k is not None and A.k < threshold:
-        if not assume:
-            raise SemiUniversalityError(
-                f"{group} gates with locality k={A.k} are below the "
-                f"semi-universality threshold k >= {threshold}; pass "
-                "assume_semiuniversal=True to compute the formal kernel optimum"
-            )
-        return True
-    return False
+    elif A.k is not None and A.k < (threshold := semiuniversal_min_locality(group)):
+        shortfall = (
+            f"{group} gates with locality k={A.k} are below the "
+            f"semi-universality threshold k >= {threshold}; pass "
+            "assume_semiuniversal=True to compute the formal kernel optimum"
+        )
+    if shortfall is not None and not assume:
+        raise SemiUniversalityError(shortfall)
+    return shortfall is not None
 
 
 # ---------------------------------------------------------------------------

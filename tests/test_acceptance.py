@@ -175,7 +175,7 @@ def test_criterion_6_identity_suites():
 def test_criterion_7_oracle_equivalence():
     started = time.monotonic()
     tally = checks.solver_brute()
-    _assert_passes(tally, 3 * 214)  # tmax, exact certificate and lower bound on 214 instances
+    _assert_passes(tally, 3 * 280)  # tmax, exact certificate and lower bound on 280 instances
     _report(f"7 (exhaustive-oracle equivalence, {tally.checks // 3} instances)", started, 120.0)
 
 

@@ -277,6 +277,12 @@ class TestBuildChargeMatrix:
         m = charge_matrix(sectors(zp(2), 5), 2)
         assert all(x == 4 for row in m.rows for x in row)
 
+    def test_zp_rows_are_the_k_site_residues(self):
+        # 2 sites carry Hamming weights 0..2 only, so Z_5 gets no rows b=3, b=4
+        m = charge_matrix(sectors(zp(5), 4), 2)
+        assert [label.label for label in m.row_labels] == ["b=0", "b=1", "b=2"]
+        assert m.witness == (1, 2, 1)
+
     def test_sud_column_example(self):
         m = charge_matrix(sectors(sud(3), 15), 2)
         col = m.col_ids.index(next(i for i in m.col_ids if i.parts == (14, 1)))

@@ -99,6 +99,32 @@ class TestTmaxCommand:
         assert out == ""
         assert err.startswith("error:") and label in err
 
+    @pytest.mark.parametrize("classes, code", [("3000000", 2), ("3000000,3000000", 3)])
+    def test_huge_class_has_a_short_message(self, capsys, classes, code):
+        # the cycle-notation label of a 3,000,000-cycle runs to megabytes
+        got, out, err = run_cli(
+            capsys, "tmax", "--group", "sud", "--d", "3", "--n", "8", "--k", "4",
+            "--classes", classes,
+        )
+        assert got == code
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+        assert "3000000" in err
+
+    def test_zp_beyond_n_equals_u1(self, capsys):
+        # residues that n sites cannot reach drop out: Z_7 on 5 sites is U(1)
+        docs = {}
+        for group in (["zp", "--p", "7"], ["u1"]):
+            code, out, _ = run_cli(
+                capsys, "tmax", "--group", *group, "--n", "5", "--k", "2",
+                "--assume-semiuniversal", "--format", "json",
+            )
+            assert code == 0
+            docs[group[0]] = json.loads(out)
+        assert docs["zp"]["tmax"] == docs["u1"]["tmax"] == 7
+        zp_cert = [line.replace("b=", "w=") for line in docs["zp"]["certificate"]]
+        assert zp_cert == docs["u1"]["certificate"]
+
     def test_classes_on_non_sud_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "tmax", "--group", "u1", "--n", "6", "--k", "2", "--classes", "id,2",
@@ -537,10 +563,10 @@ class TestVerifyCommand:
         assert "pass" in out
 
     def test_solver_brute_suite(self, capsys):
-        # tmax, the exact certificate and the lower bound on 214 instances
+        # tmax, the exact certificate and the lower bound on 280 instances
         code, out, _ = run_cli(capsys, "verify", "--suite", "solver-brute")
         assert code == 0
-        assert out == "suite solver-brute: pass (642/642 checks)\n"
+        assert out == "suite solver-brute: pass (840/840 checks)\n"
 
     def test_identities_su2_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities-su2", "--n-max", "8")

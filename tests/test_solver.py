@@ -322,6 +322,21 @@ class TestTmaxExact:
         assert result.tmax + 1 == 12 * 10
         assert not result.semiuniversal_assumed
 
+    def test_zp_beyond_n_equals_u1(self):
+        # for p > n every residue is a Hamming weight, so Z_p is U(1), also
+        # below the semi-universality threshold k >= p
+        instances = 0
+        for p in range(3, 12):
+            for n in range(1, p):
+                for k in range(1, n + 1):
+                    a, _, _ = compute_tmax(zp(p), n, k, assume_semiuniversal=True)
+                    b, _, _ = compute_tmax(U1, n, k, assume_semiuniversal=True)
+                    assert (a.tmax, a.lower_bound) == (b.tmax, b.lower_bound), (p, n, k)
+                    qa = a.certificate and a.certificate.q
+                    assert qa == (b.certificate and b.certificate.q), (p, n, k)
+                    instances += 1
+        assert instances == 219
+
     def test_zp_odd_infinite(self):
         result, _, _ = compute_tmax(zp(3), 6, 3)
         assert result.tmax == INFINITE
@@ -465,6 +480,14 @@ def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     return len(calls)
 
 
+# custom problems where a window's bounded search finds the optimum, with their tmax
+BOUNDED_HITS = [
+    ({"m": [5, 6, 12, 13, 18, 24, 39, 200], "rows": [[2, 3, -1, 3, 0, 0, 0, -3]]}, 38),
+    ({"m": [2, 2, 5, 5, 16, 18, 30, 52, 100], "rows": [[-3, 3, 0, 2, -2, 2, -2, 0, 3]]}, 16),
+    ({"m": [12, 16, 30, 100, 200, 250], "rows": [[2, -3, -1, 0, 0, 3]]}, 199),
+]
+
+
 class TestWarmStart:
     @pytest.mark.parametrize(
         "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4)], ids=str
@@ -488,6 +511,26 @@ class TestWarmStart:
             charges = [[rng.randint(-50, 50) for _ in range(sectors_)] for _ in range(rows)]
             table, matrix = load_custom_problem(json.dumps({"m": m, "rows": charges}))
             assert check_warm_equals_cold(monkeypatch, matrix, table) >= 2
+
+
+    @pytest.mark.parametrize("doc, tmax", BOUNDED_HITS)
+    def test_bounded_search_hit_ends_the_scan(self, monkeypatch, doc, tmax):
+        table, matrix = load_custom_problem(json.dumps(doc))
+        assert check_warm_equals_cold(monkeypatch, matrix, table) >= 1
+        calls = []
+        search = solver.min_weighted_l1
+
+        def recording(lattice, upper=None):
+            calls.append((upper, search(lattice, upper=upper)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solver, "min_weighted_l1", recording)
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
+        assert result.tmax == tmax
+        # no unbounded enumeration: the last bounded search hit
+        assert all(upper is not None for upper, _ in calls)
+        assert calls[-1][1] is not None
+        assert result.certificate == exhaustive_certificate(matrix, table)
 
 
 class TestVerifyCertificate:
