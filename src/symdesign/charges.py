@@ -25,16 +25,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import add, eq, mul, sub
+from operator import eq, mul
 
 from .groups import (
     CUSTOM,
     CustomSector,
     GroupSpec,
+    PartitionId,
     SectorTable,
+    beta_set,
     canonical_order,
     check_multiplicities,
     custom_table,
+    frobenius_dim,
     sectors,
     sn_irrep_dim,
     zp_multiplicity,
@@ -101,7 +104,7 @@ T_GROUP_CLASSES = (IDENTITY_CLASS, CycleType((2,)), CycleType((3,)), CycleType((
 
 
 # ---------------------------------------------------------------------------
-# symmetric-group characters (border-strip recursion, memoized)
+# symmetric-group characters (border-strip recursion on beta-sets, memoized)
 # ---------------------------------------------------------------------------
 
 
@@ -110,48 +113,38 @@ def sn_character(parts, sigma) -> int:
 
     ``sigma`` may be a :class:`CycleType` or a bare tuple of cycle lengths
     >= 2; the missing points are fixed points.  Exact integer via the
-    border-strip recursion, with hook lengths resolving the fixed-point tail.
+    border-strip recursion on beta-sets, with the Frobenius formula resolving the fixed-point tail.
     """
-    parts = tuple(parts)
-    n = sum(parts)
-    if not parts or any(p <= 0 for p in parts):
-        raise ValueError("partition parts must be positive")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("partition parts must be weakly decreasing")
-    cycles = sigma.cycles if isinstance(sigma, CycleType) else tuple(sorted(sigma, reverse=True))
-    if any(c < 2 for c in cycles):
-        raise ValueError("cycle lengths must be >= 2")
-    if sum(cycles) > n:
+    parts = PartitionId(tuple(parts)).parts  # validates the shape
+    if not isinstance(sigma, CycleType):
+        sigma = CycleType(tuple(sorted(sigma, reverse=True)))  # validates the lengths
+    if sigma.support > sum(parts):
         raise ValueError("cycle support exceeds the number of points")
-    return _char_rec(parts, cycles)
+    return _char_rec(beta_set(parts), sigma.cycles)
 
 
 @lru_cache(maxsize=None)
-def _char_rec(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+def _char_rec(beta: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     if not cycles:
-        return sn_irrep_dim(parts) if parts else 1
+        return frobenius_dim(beta)
     c, rest = cycles[0], cycles[1:]
-    r = len(parts)
-    # first-column hook lengths: distinct and decreasing; removing a border
-    # strip of length c moves one of them, b, down to b - c
-    beta = list(map(add, parts, range(r - 1, -1, -1)))
-    beta_set = set(beta)
+    r = len(beta)
+    # removing a border strip of length c moves one hook length b down to a
+    # free e = b - c; the strip's height counts the hook lengths between them
     total = 0
     for idx, b in enumerate(beta):
         e = b - c
         if e < 0:
             break
-        if e in beta_set:
-            continue
-        # the rows idx+1 .. h-1 lie between e and b: the strip's height
         h = idx + 1
         while h < r and beta[h] > e:
             h += 1
-        new_beta = beta[:idx] + beta[idx + 1 : h] + [e] + beta[h:]
-        new_parts = tuple(map(sub, new_beta, range(r - 1, -1, -1)))
-        if not new_parts[-1]:  # only e == 0 in the last row leaves an empty row
-            new_parts = new_parts[:-1]
-        value = _char_rec(new_parts, rest)
+        if h < r and beta[h] == e:
+            continue
+        if e:
+            value = _char_rec(beta[:idx] + beta[idx + 1 : h] + (e,) + beta[h:], rest)
+        else:  # an emptied last row: drop it, which lowers every other hook length by one
+            value = _char_rec(tuple(x - 1 for x in beta if x != b), rest)
         total += -value if (h - idx) % 2 == 0 else value
     return total
 
@@ -282,8 +275,8 @@ def charge_matrix(
 
     elif group.kind == "SUd":
         labels = tuple(conjugacy_classes(k) if classes is None else classes)
-        # support <= k <= n and sectors of n boxes are what sn_character
-        # checks on every entry; the entries call _char_rec directly
+        # the entries skip sn_character's checks (support <= k <= n and sectors of
+        # n boxes, made here) and read the identity row from the cached f^lambda
         for cls in labels:
             if cls.support > k:
                 raise ValueError(f"class {cls.name} needs support {cls.support} > k = {k}")
@@ -294,7 +287,8 @@ def charge_matrix(
         witness = [int(cls == IDENTITY_CLASS) for cls in labels]
 
         def entry(i, j):
-            return _char_rec(parts[j], cycles[i])
+            cyc = cycles[i]
+            return _char_rec(beta_set(parts[j]), cyc) if cyc else sn_irrep_dim(parts[j])
 
     else:
         raise ValueError("use custom_matrix for user-supplied problems")

@@ -159,9 +159,13 @@ _CHARACTER_ROWS = {
 
 
 def characters() -> Tally:
-    """Symmetric-group characters against the tabulated polynomials, n = 15..20."""
+    """Symmetric-group characters against the tabulated polynomials, n = 15..60.
+
+    The polynomials hold for every n >= 15; going to 60 checks the
+    recursion at the sizes of SU(d) solves such as sud(5) with n = 50.
+    """
     t = Tally()
-    for n in range(15, 21):
+    for n in range(15, 61):
         for tail, formula in _CHARACTER_ROWS.items():
             parts = (n - sum(tail),) + tail
             for cycles, expected in zip([(), (2,), (3,), (2, 2), (4,)], formula(n)):

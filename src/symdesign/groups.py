@@ -13,8 +13,9 @@ Built-in symmetries:
 * ``SU2``  -- qubits, sectors labeled by total spin (stored as ``2j``).
 * ``Zp``   -- qubits, sectors labeled by a residue mod ``p``.
 * ``SUd``  -- qudits (``d >= 3``), sectors labeled by partitions of ``n`` with
-  at most ``d`` rows; multiplicities are symmetric-group irrep dimensions
-  (hook lengths), irrep dimensions come from the Weyl dimension formula.
+  at most ``d`` rows; multiplicities ``f^lambda`` come from the Frobenius
+  formula on the first-column hook lengths, irrep dimensions from the
+  hook-content formula (O(rows) whatever ``d`` is), both over one factorial table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, starmap
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
 
@@ -168,7 +169,7 @@ class SectorTable:
 
 
 # ---------------------------------------------------------------------------
-# partitions and symmetric-group dimensions (used for SUd sectors)
+# partitions, first-column hook lengths and the S_n / SU(d) dimensions
 # ---------------------------------------------------------------------------
 
 
@@ -202,50 +203,54 @@ def partitions_max_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
             a.append(r)
 
 
-@lru_cache(maxsize=None)
-def sn_irrep_dim(parts: tuple[int, ...]) -> int:
-    """Dimension of the symmetric-group irrep of shape ``parts`` (hook lengths)."""
-    n = sum(parts)
-    cols = _conjugate(parts)
-    hook_prod = 1
-    for i, row_len in enumerate(parts):
-        # the hook of cell (i, j) is row_len - j + cols[j] - i - 1
-        hook_prod *= prod(map(add, cols, range(row_len - i - 1, -i - 1, -1)))
-    dim, rem = divmod(factorial(n), hook_prod)
+_FACTORIALS = [1]  # n! at index n: one exact table for every formula, grown on demand
+
+
+def _factorials(m: int) -> list[int]:
+    for i in range(len(_FACTORIALS), m + 1):
+        _FACTORIALS.append(_FACTORIALS[-1] * i)
+    return _FACTORIALS
+
+
+def beta_set(parts) -> tuple[int, ...]:
+    """First-column hook lengths ``parts[i] + r - 1 - i`` of the ``r`` rows, strictly decreasing."""
+    return tuple(map(add, parts, range(len(parts) - 1, -1, -1)))
+
+
+def frobenius_dim(beta: tuple[int, ...]) -> int:
+    """``f^lambda`` by the Frobenius formula ``n! prod_{i<j} (beta_i - beta_j) / prod beta_i!``."""
+    n = sum(beta) - comb(len(beta), 2)
+    fact = _factorials(n)  # beta_0 = parts[0] + r - 1 <= n
+    vandermonde = prod(starmap(sub, combinations(beta, 2)))
+    dim, rem = divmod(fact[n] * vandermonde, prod(map(fact.__getitem__, beta)))
     if rem:
-        raise ArithmeticError(f"hook product of {parts} does not divide {n}!")
+        raise ArithmeticError(f"Frobenius formula for beta = {beta} is not an integer")
     return dim
 
 
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column lengths of the Young diagram of the partition ``parts``."""
-    cols = []
-    rows = len(parts)
-    for j in range(parts[0] if parts else 0):
-        while parts[rows - 1] <= j:
-            rows -= 1
-        cols.append(rows)
-    return tuple(cols)
-
-
 @lru_cache(maxsize=None)
-def _weyl_denominator(d: int) -> int:
-    """``prod_{i<j<d} (j - i)``, the Weyl dimension formula's denominator for SU(d)."""
-    return prod(factorial(i) for i in range(d))
+def sn_irrep_dim(parts: tuple[int, ...]) -> int:
+    """Dimension ``f^lambda`` of the symmetric-group irrep of shape ``parts``."""
+    return frobenius_dim(beta_set(parts))
 
 
 def sud_irrep_dim(parts: tuple[int, ...], d: int) -> int:
-    """Dimension of the SU(d) irrep with highest weight given by ``parts``.
+    """Dimension of the SU(d) irrep with highest weight ``parts``, by the hook-content formula.
 
-    A partition with more than ``d`` rows labels no SU(d) irrep: dimension 0.
+    ``f^lambda / n!`` times ``(d - i + parts[i] - 1)! / (d - i - 1)!`` per row ``i``: O(rows) for
+    any ``d``.  A partition with more than ``d`` rows labels no SU(d) irrep: dimension 0.
     """
     if len(parts) > d:
         return 0
-    # lam_i - lam_j + j - i == l_i - l_j for the shifted weights l_i = lam_i - i
-    ls = [*map(sub, parts, range(d)), *range(-len(parts), -d, -1)]
-    dim, rem = divmod(prod(starmap(sub, combinations(ls, 2))), _weyl_denominator(d))
+    n = sum(parts)
+    fact = _factorials(n + d)  # d - i + parts[i] - 1 < n + d
+    num, den = sn_irrep_dim(parts), fact[n]
+    for i, a in enumerate(parts):
+        num *= fact[d - i + a - 1]
+        den *= fact[d - i - 1]
+    dim, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"Weyl dimension of {parts} for SU({d}) is not an integer")
+        raise ArithmeticError(f"hook-content dimension of {parts} for SU({d}) is not an integer")
     return dim
 
 

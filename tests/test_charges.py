@@ -2,8 +2,10 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import add, sub
 
 import pytest
 
@@ -31,7 +33,7 @@ from symdesign.charges import (
     multiplicity_in_row_span,
     parse_rational,
 )
-from symdesign.groups import CUSTOM, partitions_max_rows
+from symdesign.groups import CUSTOM, partitions_max_rows, sn_irrep_dim
 from symdesign.intlinalg import Echelon
 
 
@@ -122,6 +124,43 @@ def character_table_bruteforce(n: int) -> dict[tuple[int, ...], dict[tuple[int, 
     return irreducibles
 
 
+# ---------------------------------------------------------------------------
+# character oracle for larger n: the border-strip recursion keyed on the
+# partition itself, converting parts -> beta -> parts at every level; its base
+# case f^lambda is checked against the hook-length formula in test_symmetry
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def char_parts_keyed(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    if not cycles:
+        return sn_irrep_dim(parts) if parts else 1
+    c, rest = cycles[0], cycles[1:]
+    r = len(parts)
+    # first-column hook lengths: distinct and decreasing; removing a border
+    # strip of length c moves one of them, b, down to b - c
+    beta = list(map(add, parts, range(r - 1, -1, -1)))
+    beta_set = set(beta)
+    total = 0
+    for idx, b in enumerate(beta):
+        e = b - c
+        if e < 0:
+            break
+        if e in beta_set:
+            continue
+        # the rows idx+1 .. h-1 lie between e and b: the strip's height
+        h = idx + 1
+        while h < r and beta[h] > e:
+            h += 1
+        new_beta = beta[:idx] + beta[idx + 1 : h] + [e] + beta[h:]
+        new_parts = tuple(map(sub, new_beta, range(r - 1, -1, -1)))
+        if not new_parts[-1]:  # only e == 0 in the last row leaves an empty row
+            new_parts = new_parts[:-1]
+        value = char_parts_keyed(new_parts, rest)
+        total += -value if (h - idx) % 2 == 0 else value
+    return total
+
+
 class TestSnCharacter:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_against_permutation_module_oracle(self, n):
@@ -129,6 +168,20 @@ class TestSnCharacter:
         for shape, chi in oracle.items():
             for ct, value in chi.items():
                 assert sn_character(shape, ct) == value, (shape, ct)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_matches_parts_keyed_oracle(self, n):
+        classes = conjugacy_classes(min(n, 6))
+        for parts in partitions_max_rows(n, n):
+            for cls in classes:
+                assert sn_character(parts, cls) == char_parts_keyed(parts, cls.cycles), (parts, cls)
+
+    def test_sud5_n50_rows_match_parts_keyed_oracle(self):
+        A = charge_matrix(sectors(sud(5), 50), 4)
+        assert A.shape == (5, 3765)
+        parts = [irrep.parts for irrep in A.col_ids]
+        oracle = tuple(tuple(char_parts_keyed(p, cls.cycles) for p in parts) for cls in A.row_labels)
+        assert A.rows == oracle
 
     def test_trivial_rep(self):
         for n in (5, 9, 16):

@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import comb, prod
-from operator import mul
+from math import comb, factorial, prod
+from operator import add, mul
 
 import pytest
 
@@ -24,10 +24,13 @@ from symdesign.groups import (
     Residue,
     SectorTable,
     TwiceSpin,
+    beta_set,
+    frobenius_dim,
     partitions_max_rows,
     sn_irrep_dim,
     sud_irrep_dim,
 )
+from symdesign import groups
 
 
 def partitions_reference(n: int, d: int):
@@ -43,6 +46,30 @@ def partitions_reference(n: int, d: int):
             yield from rec(rest - part, part, rows_left - 1, prefix + (part,))
 
     yield from rec(n, n, d, ())
+
+
+def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of the Young diagram of the partition ``parts``."""
+    cols = []
+    rows = len(parts)
+    for j in range(parts[0] if parts else 0):
+        while parts[rows - 1] <= j:
+            rows -= 1
+        cols.append(rows)
+    return tuple(cols)
+
+
+def hook_length_dim(parts: tuple[int, ...]) -> int:
+    """Oracle for ``f^lambda``: the hook-length formula ``n! / prod of hook lengths``."""
+    n = sum(parts)
+    cols = conjugate(parts)
+    hook_prod = 1
+    for i, row_len in enumerate(parts):
+        # the hook of cell (i, j) is row_len - j + cols[j] - i - 1
+        hook_prod *= prod(map(add, cols, range(row_len - i - 1, -i - 1, -1)))
+    dim, rem = divmod(factorial(n), hook_prod)
+    assert rem == 0, parts
+    return dim
 
 
 def tie_break_key(n, irrep):
@@ -228,9 +255,29 @@ class TestPartitionHelpers:
         assert sn_irrep_dim((3, 2)) == 5
         assert sn_irrep_dim((14, 1)) == 14
 
-    def test_dim_squares_sum_to_group_order(self):
-        from math import factorial
+    def test_frobenius_matches_hook_length_oracle(self):
+        for n in range(1, 31):
+            for parts in partitions_max_rows(n, n):
+                assert sn_irrep_dim(parts) == hook_length_dim(parts), parts
+        assert sn_irrep_dim(()) == frobenius_dim(()) == 1
 
+    def test_frobenius_remainder_raises(self, monkeypatch):
+        # (2, 2) has beta = (3, 2): 4! * 1 / (3! * 2!) = 2, and 25 is not divisible by 12
+        table = list(groups._factorials(4))
+        table[4] += 1
+        monkeypatch.setattr(groups, "_factorials", lambda m: table)
+        with pytest.raises(ArithmeticError):
+            frobenius_dim(beta_set((2, 2)))
+
+    def test_hook_content_remainder_raises(self, monkeypatch):
+        # [2, 2, 2] is the trivial SU(3) irrep: f = 5 and 5 * 144 / 6! = 1, while
+        # a wrong f = 6 leaves a remainder
+        assert sud_irrep_dim((2, 2, 2), 3) == 1
+        monkeypatch.setattr(groups, "sn_irrep_dim", lambda parts: 6)
+        with pytest.raises(ArithmeticError):
+            sud_irrep_dim((2, 2, 2), 3)
+
+    def test_dim_squares_sum_to_group_order(self):
         for n in range(1, 9):
             total = sum(sn_irrep_dim(p) ** 2 for p in partitions_max_rows(n, n))
             assert total == factorial(n)
@@ -246,10 +293,10 @@ class TestPartitionHelpers:
         assert list(partitions_max_rows(-1, 3)) == []
         assert list(partitions_max_rows(4, 2)) == [(4,), (3, 1), (2, 2)]
 
-    @pytest.mark.parametrize("d", range(3, 8))
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 12, 40, 300])
     def test_sud_dim_matches_hook_content_formula(self, d):
         # dim = prod over cells (d + j - i) / prod over cells of the hook length
-        for n in range(1, 21):
+        for n in range(1, 21 if d < 8 else 13):
             for parts in partitions_max_rows(n, d):
                 cols = [sum(1 for a in parts if a > j) for j in range(parts[0])]
                 cells = [(i, j) for i, a in enumerate(parts) for j in range(a)]
