@@ -143,8 +143,14 @@ def _char_rec(beta: tuple[int, ...], cycles: tuple[int, ...]) -> int:
             continue
         if e:
             value = _char_rec(beta[:idx] + beta[idx + 1 : h] + (e,) + beta[h:], rest)
-        else:  # an emptied last row: drop it, which lowers every other hook length by one
-            value = _char_rec(tuple(x - 1 for x in beta if x != b), rest)
+        else:
+            # emptied rows: the hook lengths 0, 1, ..., j - 1 at the bottom belong to
+            # empty rows, so drop them and lower the others by j to keep beta canonical
+            kept = beta[:idx] + beta[idx + 1 :]
+            j = 1
+            while j <= len(kept) and kept[-j] == j:
+                j += 1
+            value = _char_rec(tuple(x - j for x in kept[: len(kept) - j + 1]), rest)
         total += -value if (h - idx) % 2 == 0 else value
     return total
 

@@ -15,7 +15,7 @@ Built-in symmetries:
 * ``SUd``  -- qudits (``d >= 3``), sectors labeled by partitions of ``n`` with
   at most ``d`` rows; multiplicities ``f^lambda`` come from the Frobenius
   formula on the first-column hook lengths, irrep dimensions from the
-  hook-content formula (O(rows) whatever ``d`` is), both over one factorial table.
+  hook-content formula (O(rows) whatever ``d`` is).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, starmap
-from math import comb, prod
+from math import comb, factorial, perm, prod
 from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
 
@@ -203,15 +203,6 @@ def partitions_max_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
             a.append(r)
 
 
-_FACTORIALS = [1]  # n! at index n: one exact table for every formula, grown on demand
-
-
-def _factorials(m: int) -> list[int]:
-    for i in range(len(_FACTORIALS), m + 1):
-        _FACTORIALS.append(_FACTORIALS[-1] * i)
-    return _FACTORIALS
-
-
 def beta_set(parts) -> tuple[int, ...]:
     """First-column hook lengths ``parts[i] + r - 1 - i`` of the ``r`` rows, strictly decreasing."""
     return tuple(map(add, parts, range(len(parts) - 1, -1, -1)))
@@ -220,9 +211,8 @@ def beta_set(parts) -> tuple[int, ...]:
 def frobenius_dim(beta: tuple[int, ...]) -> int:
     """``f^lambda`` by the Frobenius formula ``n! prod_{i<j} (beta_i - beta_j) / prod beta_i!``."""
     n = sum(beta) - comb(len(beta), 2)
-    fact = _factorials(n)  # beta_0 = parts[0] + r - 1 <= n
     vandermonde = prod(starmap(sub, combinations(beta, 2)))
-    dim, rem = divmod(fact[n] * vandermonde, prod(map(fact.__getitem__, beta)))
+    dim, rem = divmod(factorial(n) * vandermonde, prod(map(factorial, beta)))
     if rem:
         raise ArithmeticError(f"Frobenius formula for beta = {beta} is not an integer")
     return dim
@@ -242,13 +232,10 @@ def sud_irrep_dim(parts: tuple[int, ...], d: int) -> int:
     """
     if len(parts) > d:
         return 0
-    n = sum(parts)
-    fact = _factorials(n + d)  # d - i + parts[i] - 1 < n + d
-    num, den = sn_irrep_dim(parts), fact[n]
+    num = sn_irrep_dim(parts)
     for i, a in enumerate(parts):
-        num *= fact[d - i + a - 1]
-        den *= fact[d - i - 1]
-    dim, rem = divmod(num, den)
+        num *= perm(d - i + a - 1, a)  # (d - i + a - 1)! / (d - i - 1)!
+    dim, rem = divmod(num, factorial(sum(parts)))
     if rem:
         raise ArithmeticError(f"hook-content dimension of {parts} for SU({d}) is not an integer")
     return dim

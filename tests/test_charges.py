@@ -193,6 +193,29 @@ class TestSnCharacter:
         for n in (3, 4, 5):
             assert sn_character((1,) * n, (2,)) == -1
 
+    def test_emptied_rows_keep_beta_canonical(self, monkeypatch):
+        # a strip that empties rows above an empty last row must drop every
+        # empty row, or the recursion reaches a beta-set of another length
+        # (hook lengths larger than n) and keys one partition twice
+        from symdesign import charges
+
+        charges._char_rec.cache_clear()
+        sn_irrep_dim.cache_clear()
+        rec, seen = charges._char_rec, []
+
+        def recording(beta, cycles):
+            seen.append(beta)
+            return rec(beta, cycles)
+
+        monkeypatch.setattr(charges, "_char_rec", recording)
+        assert sn_character((1, 1, 1), (2,)) == -1
+        assert sn_character((2, 1, 1), (2, 2)) == -1
+        for n in range(1, 11):
+            for parts in partitions_max_rows(n, n):
+                for cls in conjugacy_classes(min(n, 6)):
+                    sn_character(parts, cls)
+        assert all(beta[-1] > 0 for beta in seen if beta), sorted(set(seen))
+
     def test_tabulated_polynomials(self):
         n = 15
         assert sn_character((n - 2, 2), (2, 2)) == (n * n - 11 * n + 32) // 2 == 46
