@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -43,6 +42,7 @@ from .groups import (
     zp_multiplicity,
 )
 from .intlinalg import Echelon, as_int_row
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +50,23 @@ from .intlinalg import Echelon, as_int_row
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Value):
     """Conjugacy class given by its cycle lengths >= 2 (fixed points implicit)."""
 
-    cycles: tuple[int, ...]
+    __slots__ = ("cycles",)
 
-    def __post_init__(self):
-        if any(c < 2 for c in self.cycles):
+    def __init__(self, cycles: tuple[int, ...]):
+        # type(c) is int also rejects bool and integral floats such as 2.0
+        if not all(type(c) is int for c in cycles):
+            raise ValueError(f"cycle lengths must be ints, got {cycles!r}")
+        if any(c < 2 for c in cycles):
             raise ValueError("cycle lengths must be >= 2; fixed points are implicit")
-        if tuple(sorted(self.cycles, reverse=True)) != self.cycles:
+        if tuple(sorted(cycles, reverse=True)) != cycles:
             raise ValueError("cycles must be sorted in decreasing order")
+        object.__setattr__(self, "cycles", cycles)
+
+    def _fields(self):
+        return (self.cycles,)
 
     @property
     def support(self) -> int:

@@ -9,7 +9,6 @@ exhaustive oracle behind ``solver-brute`` (:func:`kernel_vectors`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Optional
@@ -33,12 +32,12 @@ from .infinity import INFINITE
 from .solver import Certificate, lower_bound, tmax_exact
 
 
-@dataclass
 class Tally:
     """Number of checks made and the location of every failed one."""
 
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = 0
+        self.failures = []
 
     def check(self, ok: bool, *where):
         self.checks += 1

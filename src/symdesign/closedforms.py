@@ -18,7 +18,6 @@ checked where a half-integer binomial appears in an intermediate step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -31,6 +30,7 @@ from .groups import (
     semiuniversal_min_locality,
 )
 from .infinity import INFINITE
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +83,7 @@ def double_factorial(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagOperator:
+class DiagOperator(Value):
     """Operator diagonal over sectors: one exact eigenvalue per sector.
 
     ``qvec`` holds the integer charge vector ``q`` with eigenvalue
@@ -92,9 +91,15 @@ class DiagOperator:
     one the eigenvalues and ``q`` coincide.
     """
 
-    table: SectorTable
-    values: tuple
-    qvec: tuple[int, ...]
+    __slots__ = ("table", "values", "qvec")
+
+    def __init__(self, table: SectorTable, values: tuple, qvec: tuple[int, ...]):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "qvec", qvec)
+
+    def _fields(self):
+        return (self.table, self.values, self.qvec)
 
     def reflected(self, sign: int = 1) -> "DiagOperator":
         """Weight reflection w -> n - w (conjugation by X on every qubit)."""
@@ -258,11 +263,16 @@ def tr_ctilde_sq(n: int, mm: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormTmax:
-    value: object  # int or INFINITE
-    valid_from_n: int
-    formula_id: str
+class ClosedFormTmax(Value):
+    __slots__ = ("value", "valid_from_n", "formula_id")
+
+    def __init__(self, value: object, valid_from_n: int, formula_id: str):  # value: int or INFINITE
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "valid_from_n", valid_from_n)
+        object.__setattr__(self, "formula_id", formula_id)
+
+    def _fields(self):
+        return (self.value, self.valid_from_n, self.formula_id)
 
 
 def u1_nbound(k: int) -> int:

@@ -20,12 +20,13 @@ Built-in symmetries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, starmap
 from math import comb, factorial, perm, prod
 from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
+
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -35,27 +36,34 @@ from typing import Iterator, Union
 _KINDS = ("U1", "SU2", "Zp", "SUd", "Custom")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """Tagged description of a symmetry group and its on-site representation."""
 
-    kind: str
-    p: int | None = None
-    d: int | None = None
+    __slots__ = ("kind", "p", "d")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == "Zp":
-            if self.p is None or self.p < 2:
+    def __init__(self, kind: str, p: int | None = None, d: int | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        # type(x) is int also rejects bool and integral floats such as 3.0
+        for name, x in (("p", p), ("d", d)):
+            if x is not None and type(x) is not int:
+                raise ValueError(f"{name} must be an int, got {x!r}")
+        if kind == "Zp":
+            if p is None or p < 2:
                 raise ValueError("Zp requires p >= 2")
-        elif self.p is not None:
+        elif p is not None:
             raise ValueError("p is only meaningful for Zp")
-        if self.kind == "SUd":
-            if self.d is None or self.d < 3:
+        if kind == "SUd":
+            if d is None or d < 3:
                 raise ValueError("SUd requires local dimension d >= 3")
-        elif self.d is not None:
+        elif d is not None:
             raise ValueError("d is only meaningful for SUd")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+
+    def _fields(self):
+        return (self.kind, self.p, self.d)
 
     @property
     def local_dim(self) -> int:
@@ -91,52 +99,74 @@ def sud(d: int) -> GroupSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HammingWeight:
-    w: int
+class HammingWeight(Value):
+    __slots__ = ("w",)
+
+    def __init__(self, w: int):
+        object.__setattr__(self, "w", w)
+
+    def _fields(self):
+        return (self.w,)
 
     @property
     def label(self) -> str:
         return f"w={self.w}"
 
 
-@dataclass(frozen=True)
-class TwiceSpin:
-    jj: int  # 2j, kept integral for both parities of n
+class TwiceSpin(Value):
+    __slots__ = ("jj",)
+
+    def __init__(self, jj: int):  # 2j, kept integral for both parities of n
+        object.__setattr__(self, "jj", jj)
+
+    def _fields(self):
+        return (self.jj,)
 
     @property
     def label(self) -> str:
         return f"2j={self.jj}"
 
 
-@dataclass(frozen=True)
-class Residue:
-    beta: int
+class Residue(Value):
+    __slots__ = ("beta",)
+
+    def __init__(self, beta: int):
+        object.__setattr__(self, "beta", beta)
+
+    def _fields(self):
+        return (self.beta,)
 
     @property
     def label(self) -> str:
         return f"b={self.beta}"
 
 
-@dataclass(frozen=True)
-class PartitionId:
-    parts: tuple[int, ...]
+class PartitionId(Value):
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = self.parts
+    def __init__(self, parts: tuple[int, ...]):
         if not parts or min(parts) <= 0:
             raise ValueError("partition parts must be positive")
         if any(map(lt, parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+
+    def _fields(self):
+        return (self.parts,)
 
     @property
     def label(self) -> str:
         return "[" + ",".join(str(a) for a in self.parts) + "]"
 
 
-@dataclass(frozen=True)
-class CustomSector:
-    index: int
+class CustomSector(Value):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
+
+    def _fields(self):
+        return (self.index,)
 
     @property
     def label(self) -> str:
@@ -146,19 +176,29 @@ class CustomSector:
 IrrepId = Union[HammingWeight, TwiceSpin, Residue, PartitionId, CustomSector]
 
 
-@dataclass(frozen=True)
-class SectorTable:
+class SectorTable(Value):
     """Irrep sectors as three aligned columns: ids, exact multiplicities, irrep dimensions."""
 
-    group: GroupSpec
-    n: int
-    ids: tuple[IrrepId, ...]
-    multiplicities: tuple[int, ...]
-    dims: tuple[int, ...]
+    __slots__ = ("group", "n", "ids", "multiplicities", "dims")
 
-    def __post_init__(self):
-        if not len(self.ids) == len(self.multiplicities) == len(self.dims):
+    def __init__(
+        self,
+        group: GroupSpec,
+        n: int,
+        ids: tuple[IrrepId, ...],
+        multiplicities: tuple[int, ...],
+        dims: tuple[int, ...],
+    ):
+        if not len(ids) == len(multiplicities) == len(dims):
             raise ValueError("ids, multiplicities and dims must have the same length")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "dims", dims)
+
+    def _fields(self):
+        return (self.group, self.n, self.ids, self.multiplicities, self.dims)
 
     def __len__(self):
         return len(self.ids)

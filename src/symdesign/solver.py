@@ -42,7 +42,6 @@ returned with ``proven_exact`` is self-certifying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
@@ -56,10 +55,10 @@ from .charges import (
 from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
 from .infinity import INFINITE, is_finite
 from .intlinalg import Echelon, ReducedLattice, lll_reduce
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Primitive integer kernel vector with its multiplicity-weighted one-norm.
 
     ``support`` lists where ``q`` is nonzero: coordinate indices in a
@@ -67,25 +66,59 @@ class Certificate:
     :func:`tmax_exact`.
     """
 
-    q: tuple[int, ...]
-    weighted_norm: int
-    support: tuple
+    __slots__ = ("q", "weighted_norm", "support")
+
+    def __init__(self, q: tuple[int, ...], weighted_norm: int, support: tuple):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "weighted_norm", weighted_norm)
+        object.__setattr__(self, "support", support)
+
+    def _fields(self):
+        return (self.q, self.weighted_norm, self.support)
 
 
-@dataclass(frozen=True)
-class LowerBoundResult:
-    ell: Optional[int]  # 1-based index into the canonical sector order, None if infinite
-    bound: object  # int or INFINITE
-    delta: tuple  # the full-rank sector prefix certifying the bound
+class LowerBoundResult(Value):
+    __slots__ = ("ell", "bound", "delta")
+
+    def __init__(
+        self,
+        ell: Optional[int],  # 1-based index into the canonical sector order, None if infinite
+        bound: object,  # int or INFINITE
+        delta: tuple,  # the full-rank sector prefix certifying the bound
+    ):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "delta", delta)
+
+    def _fields(self):
+        return (self.ell, self.bound, self.delta)
 
 
-@dataclass(frozen=True)
-class TmaxResult:
-    tmax: object  # int or INFINITE
-    lower_bound: object
-    certificate: Optional[Certificate]
-    proven_exact: bool
-    semiuniversal_assumed: bool
+class TmaxResult(Value):
+    __slots__ = ("tmax", "lower_bound", "certificate", "proven_exact", "semiuniversal_assumed")
+
+    def __init__(
+        self,
+        tmax: object,  # int or INFINITE
+        lower_bound: object,
+        certificate: Optional[Certificate],
+        proven_exact: bool,
+        semiuniversal_assumed: bool,
+    ):
+        object.__setattr__(self, "tmax", tmax)
+        object.__setattr__(self, "lower_bound", lower_bound)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "proven_exact", proven_exact)
+        object.__setattr__(self, "semiuniversal_assumed", semiuniversal_assumed)
+
+    def _fields(self):
+        return (
+            self.tmax,
+            self.lower_bound,
+            self.certificate,
+            self.proven_exact,
+            self.semiuniversal_assumed,
+        )
 
 
 class SemiUniversalityError(ValueError):

@@ -275,6 +275,14 @@ class TestSnCharacter:
         with pytest.raises(ValueError):
             sn_character((3,), (4,))
 
+    @pytest.mark.parametrize("cycles", [(2.0,), (3, 2.0), (True, True), ("2",)])
+    def test_non_int_cycle_lengths_fail_at_construction(self, cycles):
+        # (2.0,) used to construct and fail later, in label, with a TypeError
+        with pytest.raises(ValueError, match="cycle lengths must be ints"):
+            CycleType(cycles)
+        with pytest.raises(ValueError, match="cycle lengths must be ints"):
+            sn_character((4,), cycles)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_column_orthogonality(self, n):
         # sum over all irreps of chi(sigma) chi(tau) is the centralizer order

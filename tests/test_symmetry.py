@@ -168,6 +168,24 @@ class TestSectors:
         with pytest.raises(ValueError):
             GroupSpec("U1", p=3)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: zp(2.5),
+            lambda: zp(3.0),
+            lambda: zp(True),
+            lambda: zp("3"),
+            lambda: sud(3.0),
+            lambda: sud(4.5),
+            lambda: GroupSpec("SUd", d=3.5),
+            lambda: GroupSpec("Zp", p=3.0),
+        ],
+    )
+    def test_non_int_parameters_fail_at_construction(self, make):
+        # they used to construct and fail later, inside the solver, with a TypeError
+        with pytest.raises(ValueError, match="must be an int"):
+            make()
+
 
 # spec-tabulated i_max values for n = 3..20
 IMAX_TABLE = [0, 0, 1, 1, 2, 1, 2, 2, 3, 2, 4, 3, 4, 4, 5, 4, 6, 5]
