@@ -277,7 +277,7 @@ class TestSnCharacter:
 
     @pytest.mark.parametrize("cycles", [(2.0,), (3, 2.0), (True, True), ("2",)])
     def test_non_int_cycle_lengths_fail_at_construction(self, cycles):
-        # (2.0,) used to construct and fail later, in label, with a TypeError
+        # refused here, not later in label as a TypeError
         with pytest.raises(ValueError, match="cycle lengths must be ints"):
             CycleType(cycles)
         with pytest.raises(ValueError, match="cycle lengths must be ints"):

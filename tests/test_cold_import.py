@@ -1,7 +1,7 @@
 """A command-line start imports neither ``dataclasses`` nor ``inspect``.
 
 ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
-about a quarter of the package's import time, and every CLI call pays it.
+and every CLI call would pay for loading them.
 """
 
 import ast

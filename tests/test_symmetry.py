@@ -182,7 +182,7 @@ class TestSectors:
         ],
     )
     def test_non_int_parameters_fail_at_construction(self, make):
-        # they used to construct and fail later, inside the solver, with a TypeError
+        # refused here, not later inside the solver as a TypeError
         with pytest.raises(ValueError, match="must be an int"):
             make()
 
