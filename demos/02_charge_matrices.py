@@ -86,8 +86,7 @@ print("\nstand-alone weighted SVP:", cert.q, "norm", cert.weighted_norm)
 ###############################################################################
 # Custom problems come from JSON: a multiplicity vector plus rational charge
 # rows, loaded with the sectors already in canonical order.  The identity row
-# is added automatically when missing, so kernel vectors are always
-# traceless.  Two sectors of multiplicity 4 with no constraints beyond the
+# is always added first, so kernel vectors are always traceless.  Two sectors of multiplicity 4 with no constraints beyond the
 # identity reproduce the parity-symmetry answer 3.
 
 doc = '{"m": [4, 4], "rows": []}'

@@ -8,8 +8,8 @@ irrep sectors are constrained by one exact integer matrix per problem:
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
   classes realizable by ``k``-local permutations;
 * custom problems -- user-supplied rational charge rows, each stored as an
-  integer multiple, with the multiplicity row (the identity Hamiltonian)
-  added when missing so that tracelessness is implied by the kernel condition.
+  integer multiple, below the multiplicity row (the identity Hamiltonian)
+  so that tracelessness is implied by the kernel condition.
 
 An integer vector in the rational kernel of this matrix is exactly a
 symmetric Hamiltonian orthogonal to everything the gates generate; the solver
@@ -94,6 +94,8 @@ IDENTITY_CLASS = CycleType(())
 
 def conjugacy_classes(k: int) -> list[CycleType]:
     """All cycle types with support <= k: the classes reachable by k-local permutations."""
+    if type(k) is not int:  # also rejects bool and integral floats such as 3.0
+        raise ValueError(f"k must be an int, got {k!r}")
 
     def rec(rest: int, max_len: int):
         yield ()
@@ -174,7 +176,7 @@ class ChargeMatrix:
     scan pays only for the prefix it reads; ``A[i]`` computes row ``i``
     without building columns, and :attr:`rows` (or iteration) builds every
     column.  :func:`charge_matrix` and :func:`custom_matrix` construct it and
-    supply ``witness``, one exact weight per row chosen with the rows so
+    supply ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m`` when they can tell.  It is only a candidate:
     :func:`multiplicity_in_row_span` checks it and otherwise eliminates, so
     all-zero weights leave the decision to the echelon.  ``k`` is the gate
@@ -246,6 +248,8 @@ def charge_matrix(
     group, n = table.group, table.n
     if classes is not None and group.kind != "SUd":
         raise ValueError("character matrices describe SU(d) problems")
+    if type(k) is not int:  # also rejects bool and integral floats such as 2.0
+        raise ValueError(f"k must be an int, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
@@ -307,43 +311,29 @@ def charge_matrix(
     return ChargeMatrix(labels, ids, entry, group, k, witness)
 
 
-def multiplicity_in_row_span(m, rows, witness=None) -> bool:
-    """Exact test that the multiplicity vector ``m`` lies in the rational row span.
+def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
+    """Exact test that the multiplicity vector ``m`` lies in the rational row span of ``A``.
 
-    ``rows`` is a list of rows or a :class:`ChargeMatrix`.  When the
-    ``witness`` weights satisfy ``witness^T rows == m`` that product,
-    computed in O(rows * cols) from the rows of nonzero weight only, is the
-    proof.  Otherwise one exact echelon over all the rows decides.  A matrix
-    whose weights are all nonzero (U(1), SU(2), Z_p) is read by columns, so
-    the solver's scan reuses them instead of computing every entry again.
+    When ``A.witness`` satisfies ``witness^T A == m`` that product, computed
+    in O(rows * cols) from the rows of nonzero weight only, is the proof.  A
+    matrix whose weights are all nonzero (U(1), SU(2), Z_p) is read by
+    columns, so the solver's scan reuses them instead of computing every
+    entry again.  Otherwise (an SU(d) class set without the identity class,
+    or a hand-built matrix) one exact echelon decides: ``m`` is in the span
+    when it adds no rank to the rows.
     """
-    if witness is not None:
-        if isinstance(rows, ChargeMatrix) and all(witness):
-            cols = map(rows.column, range(len(m)))
-            products = (sum(map(mul, witness, col)) for col in cols)
-        else:
-            weighted = [(y, rows[i]) for i, y in enumerate(witness) if y]
-            products = (sum(y * row[j] for y, row in weighted) for j in range(len(m)))
-        if all(map(eq, products, m)):
-            return True
-    return _span_weights(as_int_row(m), list(map(as_int_row, rows))) is not None
-
-
-def _span_weights(m: list[int], rows: list[list[int]]):
-    """Exact weights ``y`` with ``sum_i y_i rows[i] == m``, or None if ``m`` is outside the span.
-
-    If ``m`` reduces to zero against the rows, the echelon's new relation
-    ``sum_i r_i rows[i] + r_last m = 0`` has ``r_last != 0`` (only ``m``'s own
-    transform entry starts nonzero there), so ``y = -r / r_last``.
-    """
+    witness = A.witness
+    if all(witness):
+        products = (sum(map(mul, witness, A.column(j))) for j in range(len(m)))
+    else:
+        weighted = [(y, A[i]) for i, y in enumerate(witness) if y]
+        products = (sum(y * row[j] for y, row in weighted) for j in range(len(m)))
+    if all(map(eq, products, m)):
+        return True
     ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    if ech.add(m):
-        return None
-    *r, last = ech.relations[-1]
-    weights = (Fraction(-x, last) for x in r)
-    return [y.numerator if y.denominator == 1 else y for y in weights]
+    for row in A.rows:
+        ech.add(as_int_row(row))
+    return not ech.add(as_int_row(m))
 
 
 def custom_matrix(
@@ -355,13 +345,12 @@ def custom_matrix(
     """Charge matrix from user-supplied rational rows and positive ``int`` multiplicities.
 
     Each row is stored scaled by the lcm of its denominators, which changes
-    neither the kernel nor the row span.  Prepends the multiplicity vector
-    (the charge row of the identity Hamiltonian) unless it is already in the
-    rational row span; global phases never change the design order, and this
-    makes every kernel vector automatically traceless.  The witness is 1 on
-    a prepended identity row and 0 elsewhere; rows that already span ``m``
-    get the exact rational weights that this elimination found, so the
-    solver's row-span check is one product.
+    neither the kernel nor the row span.  The multiplicity vector (the charge
+    row of the identity Hamiltonian) is always prepended as row
+    ``"identity"``: global phases never change the design order, and this
+    makes every kernel vector traceless.  If the rows already span ``m`` it
+    changes neither the row space nor the kernel.  The witness
+    ``(1, 0, ..., 0)`` proves the solver's row-span check from that row alone.
     """
     m = list(m)
     check_multiplicities(m)
@@ -374,15 +363,12 @@ def custom_matrix(
     ]
     if len(labels) != len(rows):
         raise ValueError("row_labels length must match rows")
-    witness = _span_weights(m, rows)
-    if witness is None:
-        witness = [1] + [0] * len(rows)
-        rows = [m] + rows
-        labels = ["identity"] + labels
     if col_ids is None:
         col_ids = tuple(CustomSector(i) for i in range(len(m)))
     elif len(col_ids) != len(m):
         raise ValueError("col_ids length must equal the multiplicity vector length")
+    witness = [1] + [0] * len(rows)
+    rows, labels = [m, *rows], ["identity", *labels]
     return ChargeMatrix(labels, col_ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
 
 

@@ -15,6 +15,8 @@ too), 4 internal verification failure (a certificate that does not verify
 again, or an exactness check of the solver that raised ``ArithmeticError``).  ``--format json`` output uses the
 fixed key set {group, n, k, tmax, lower_bound, certificate, proven_exact,
 closed_form, agrees, ms}; infinite orders render as "infinity" in every format.
+A reader that closes stdout early (``symdesign smatrix ... | head -1``) stops
+only the output: the command ran, so it exits 0 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 import time
@@ -124,17 +127,19 @@ def _closed_form_for(group, n, k, classes):
     return cf
 
 
-def _emit(report: dict, fmt: str) -> str:
+def _emit(report, fmt: str) -> str:
+    """``report``, one dict or a list of row dicts, as JSON, CSV or ``key = value`` text."""
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "csv":
+        rows = [report] if isinstance(report, dict) else report
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, list(report), lineterminator="\n")
+        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerow({k: ";".join(v) if isinstance(v, list) else v for k, v in report.items()})
+        for row in rows:
+            writer.writerow({k: ";".join(v) if isinstance(v, list) else v for k, v in row.items()})
         return buf.getvalue().rstrip("\n")
-    lines = [f"{key} = {value}" for key, value in report.items()]
-    return "\n".join(lines)
+    return "\n".join(f"{key} = {value}" for key, value in report.items())
 
 
 def _solve_and_report(fmt, head, closed_form, solve) -> int:
@@ -204,17 +209,15 @@ def cmd_smatrix(args) -> int:
         rows.append((name, [str(x) for x in row]))
     if args.format == "json":
         doc = {"group": str(group), "n": args.n, "k": args.k, "columns": cols, "rows": dict(rows)}
-        print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["row"] + cols)
-        for name, vals in rows:
-            writer.writerow([name] + vals)
+        doc = [{"row": name, **dict(zip(cols, vals))} for name, vals in rows]
     else:
         width = max(len(c) for c in cols + [name for name, _ in rows]) + 1
         print(" " * width + " ".join(c.rjust(width) for c in cols))
         for name, vals in rows:
             print(name.rjust(width) + " ".join(v.rjust(width) for v in vals))
+        return EXIT_OK
+    print(_emit(doc, args.format))
     return EXIT_OK
 
 
@@ -281,13 +284,7 @@ def cmd_table(args) -> int:
     rows = _table_rows(which, n_lo, n_hi, 3 if args.d is None else args.d)
     if not rows:  # a table of no rows checks nothing
         raise ParseError(f"--n-range {args.n_range} has no n where a tabulated formula holds")
-    if args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        columns = ["group", "formula", "k", "n", "tmax", "closed_form", "agrees"]
-        writer = csv.DictWriter(sys.stdout, columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    print(_emit(rows, args.format))
     return EXIT_OK
 
 
@@ -444,8 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, not the command; stdout goes to devnull so
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

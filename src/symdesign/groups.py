@@ -145,10 +145,14 @@ class PartitionId(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        if not parts or min(parts) <= 0:
-            raise ValueError("partition parts must be positive")
+        # exactly int also rejects bool and 2.0; one set of types is cheaper
+        # than a generator per part, and sectors makes one id per sector
+        if parts and {*map(type, parts)} != {int}:
+            raise ValueError(f"partition parts must be ints, got {parts!r}")
         if any(map(lt, parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
+        if not parts or parts[-1] <= 0:  # the last part is the least
+            raise ValueError("partition parts must be positive")
         object.__setattr__(self, "parts", parts)
 
     def _fields(self):
@@ -306,6 +310,8 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
     ascending ``2j``, ascending residue, descending-lex partitions); see
     :func:`canonical_order` for the multiplicity-sorted order the solver uses.
     """
+    if type(n) is not int:  # also rejects bool and integral floats such as 3.0
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if group.kind == "U1":

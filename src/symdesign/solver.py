@@ -146,7 +146,7 @@ def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> bool:
     assumed = _check_semiuniversal(A, assume)
     # the lower bound and the support cutoff of the scan rely on m lying in
     # the row span; the witness reads only its rows of nonzero weight
-    if not multiplicity_in_row_span(table.multiplicities, A, A.witness):
+    if not multiplicity_in_row_span(table.multiplicities, A):
         raise ValueError(
             "the multiplicity vector is outside the rational row span; add the "
             "identity row (custom_matrix does this automatically)"

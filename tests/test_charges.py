@@ -1,6 +1,7 @@
 """Charge matrices, symmetric-group characters, and custom problems."""
 
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -33,7 +34,8 @@ from symdesign.charges import (
     multiplicity_in_row_span,
     parse_rational,
 )
-from symdesign.groups import CUSTOM, partitions_max_rows, sn_irrep_dim
+from symdesign.checks import exhaustive_certificate
+from symdesign.groups import CUSTOM, CustomSector, partitions_max_rows, sn_irrep_dim
 from symdesign.intlinalg import Echelon
 
 
@@ -516,8 +518,10 @@ class TestMatrixInvariants:
         table = sectors(group, n)
         kmin = group.p if group.kind == "Zp" else 1
         for k in range(kmin, n + 1):
-            m = charge_matrix(table, k)
-            assert multiplicity_in_row_span(table.multiplicities, m.rows)
+            A = charge_matrix(table, k)
+            assert multiplicity_in_row_span(table.multiplicities, A)
+            # with no witness to read, the elimination reaches the same answer
+            assert multiplicity_in_row_span(table.multiplicities, _without_witness(A))
 
     @pytest.mark.parametrize("group", [U1, SU2] + [zp(p) for p in range(2, 8)], ids=str)
     def test_structural_witness(self, group):
@@ -544,14 +548,6 @@ class TestMatrixInvariants:
         A = custom_matrix(m, [[1, Fraction(1, 2), Fraction(-1, 2), -1]])
         assert A.row_labels[0] == "identity" and A.witness == (1, 0)
         assert dot_rows(list(zip(*A.rows)), A.witness) == m
-        # rows that already span m keep the weights their elimination found
-        A = custom_matrix(m, [[1, 1, 1, 1], [0, 2, 2, 0]])
-        assert A.row_labels == ("H0", "H1") and A.witness == (1, 1)
-        assert dot_rows(list(zip(*A.rows)), A.witness) == m
-        # the weights are rational when the rows are scaled past m
-        A = custom_matrix(m, [[2, 2, 2, 2], [0, 2, 2, 0]])
-        assert A.witness == (Fraction(1, 2), 1)
-        assert dot_rows(list(zip(*A.rows)), A.witness) == m
 
     def test_custom_row_span_is_not_eliminated_again(self, monkeypatch):
         # the solve checks the builder's witness by one product: its only
@@ -577,9 +573,24 @@ class TestMatrixInvariants:
 
     def test_row_span_falls_back_to_elimination(self):
         # a witness that does not reproduce m leaves the decision to the echelon
-        assert multiplicity_in_row_span([2, 3], [[4, 6]], witness=[1])
-        assert not multiplicity_in_row_span([1, 2], [[1, 1]], witness=[1])
-        assert not multiplicity_in_row_span([1, 2], [])
+        assert multiplicity_in_row_span([2, 3], _hand_built([[4, 6]], [1]))
+        assert multiplicity_in_row_span([2, 3], _hand_built([[Fraction(1, 2), Fraction(3, 4)]], [0]))
+        assert not multiplicity_in_row_span([1, 2], _hand_built([[1, 1]], [1]))
+        assert not multiplicity_in_row_span([1, 2], _hand_built([], []))
+
+
+def _hand_built(rows, witness, width=2):
+    """A custom-group matrix over ``rows`` as given, with no identity row added."""
+    ids = tuple(map(CustomSector, range(width)))
+    labels = [f"H{i}" for i in range(len(rows))]
+    return ChargeMatrix(labels, ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
+
+
+def _without_witness(A):
+    """``A`` with all-zero weights, so the row-span check must eliminate."""
+    return ChargeMatrix(
+        A.row_labels, A.col_ids, lambda i, j: A.column(j)[i], A.group, A.k, [0] * A.shape[0]
+    )
 
 
 class TestCustomMatrix:
@@ -588,21 +599,40 @@ class TestCustomMatrix:
         assert m.rows == ((1, 1),)
         assert m.row_labels == ("identity",)
 
-    def test_no_prepend_when_in_span(self):
-        m = custom_matrix([2, 3], [[Fraction(4), Fraction(6)]])
-        assert len(m.rows) == 1
-
     def test_sud_k2_sv_rows(self):
-        n = 15
-        table = sectors(sud(3), n)
+        # the identity class row already equals the multiplicities; the
+        # prepended identity row repeats it and changes no answer
+        table = canonical_order(sectors(sud(3), 15))
         chi = charge_matrix(table, 2)
-        m = custom_matrix(
-            table.multiplicities,
-            chi.rows,
-            col_ids=table.ids,
-        )
-        # identity row already equals the multiplicities: nothing prepended
-        assert len(m.rows) == 2
+        A = custom_matrix(table.multiplicities, chi.rows, col_ids=table.ids)
+        assert len(A.rows) == 3 and A.rows[0] == chi.rows[0]
+        ours = tmax_exact(A, table, assume_semiuniversal=True)
+        theirs = tmax_exact(chi, table, assume_semiuniversal=True)
+        assert ours == theirs and ours.tmax == 103
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_spanning_m_give_the_same_certificate(self, seed):
+        # rows that already span m: a multiple scale*m split as
+        # (scale*m - r) + r, and possibly one more random row.  The prepended
+        # identity row changes neither the row space nor the kernel
+        rng = random.Random(f"span:{seed}")
+        c = rng.randint(4, 6)
+        m = sorted(rng.randint(1, 12) for _ in range(c))
+        scale = rng.randint(1, 3)
+        r = [rng.randint(-3, 3) for _ in range(c)]
+        rows = [[scale * x - y for x, y in zip(m, r)], r]
+        weights = [Fraction(1, scale)] * 2
+        if rng.random() < 0.5:
+            rows.append([rng.randint(-3, 3) for _ in range(c)])
+            weights.append(0)
+        table = custom_table(m)
+        A = custom_matrix(m, rows, col_ids=table.ids)
+        assert A.row_labels[0] == "identity" and A.witness == (1,) + (0,) * len(rows)
+        B = _hand_built(rows, weights, width=c)
+        assert dot_rows(list(zip(*B.rows)), B.witness) == m
+        ours = tmax_exact(A, table, assume_semiuniversal=True)
+        assert ours.certificate == exhaustive_certificate(A, table)
+        assert ours == tmax_exact(B, table, assume_semiuniversal=True)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -328,6 +328,32 @@ class TestOptimizedInterpreter:
         assert plain == self.run("-O", *argv)
 
 
+class TestClosedPipe:
+    """A reader that stops early (``| head -1``) ends the output, not the command."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_smatrix_reader_closing_early(self):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = ["smatrix", "--group", "sud", "--d", "5", "--n", "50", "--k", "4"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symdesign.cli", *argv],
+            cwd=self.ROOT,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # the header line alone is well over a pipe buffer, so the writer is
+        # still blocked on the rest when the pipe closes
+        header = proc.stdout.readline()
+        assert len(header) > 65536
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
+
+
 class TestWithoutNumpy:
     """numpy is an optional extra: only the dense oracle suite needs it."""
 

@@ -11,6 +11,9 @@ from symdesign import (
     SU2,
     U1,
     canonical_order,
+    charge_matrix,
+    compute_tmax,
+    conjugacy_classes,
     sectors,
     semiuniversal_min_locality,
     su2_multiplicity,
@@ -185,6 +188,37 @@ class TestSectors:
         # refused here, not later inside the solver as a TypeError
         with pytest.raises(ValueError, match="must be an int"):
             make()
+
+
+class TestIntSizes:
+    """Sizes and partition parts must be ``int``: no bool, and no integral float."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sectors(U1, 3.0),
+            lambda: sectors(sud(3), 4.5),
+            lambda: sectors(SU2, True),
+            lambda: compute_tmax(U1, 6, 2.0),
+            lambda: compute_tmax(U1, True, 1),
+            lambda: compute_tmax(sud(3), 6, 3.0),
+            lambda: charge_matrix(sectors(zp(3), 6), 3.0),
+            lambda: conjugacy_classes(2.5),
+            lambda: conjugacy_classes(True),
+            lambda: PartitionId((2.0, 1)),
+            lambda: PartitionId((True,)),
+            lambda: PartitionId(("2", "1")),
+        ],
+    )
+    def test_non_int_is_rejected_at_the_entry_point(self, call):
+        # refused here, not as a TypeError from range or comb further in
+        with pytest.raises(ValueError, match="must be an int|must be ints"):
+            call()
+
+    def test_ints_still_pass(self):
+        assert PartitionId((2, 1)).parts == (2, 1)
+        assert len(conjugacy_classes(3)) == 3
+        assert compute_tmax(U1, 6, 2)[0].tmax == 9
 
 
 # spec-tabulated i_max values for n = 3..20
