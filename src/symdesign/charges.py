@@ -6,14 +6,15 @@ irrep sectors are constrained by one exact integer matrix per problem:
 * U(1), SU(2), Z_p -- the overlap matrix between ``k``-site and ``n``-site
   irreps (binomial expressions, one row per ``k``-site irrep);
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
-  classes realizable by ``k``-local permutations;
+  classes realizable by ``k``-local permutations, always with the identity class;
 * custom problems -- user-supplied rational charge rows, each stored as an
   integer multiple, below the multiplicity row (the identity Hamiltonian)
   so that tracelessness is implied by the kernel condition.
 
 An integer vector in the rational kernel of this matrix is exactly a
 symmetric Hamiltonian orthogonal to everything the gates generate; the solver
-minimizes its multiplicity-weighted one-norm.
+minimizes its multiplicity-weighted one-norm.  Each builder's integer
+witness, ``witness^T A = m``, proves every kernel vector traceless.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .groups import (
     sn_irrep_dim,
     zp_multiplicity,
 )
-from .intlinalg import Echelon, as_int_row
+from .intlinalg import as_int_row
 from .values import Value
 
 
@@ -105,6 +106,21 @@ def conjugacy_classes(k: int) -> list[CycleType]:
 
     types = sorted(set(rec(k, k)), key=lambda t: (sum(t), t))
     return [CycleType(t) for t in types]
+
+
+def gate_classes(k: int, classes: list[CycleType] | None = None) -> list[CycleType]:
+    """The SU(d) row classes of ``k``-local gates: by default every class of support <= k.
+
+    Given ``classes`` come back in their order, with :data:`IDENTITY_CLASS`
+    prepended when absent: a global phase never changes a design's moments,
+    so every gate set realizes it, and ``2,3`` is the gate set ``id,2,3``.
+    """
+    if classes is None:
+        return conjugacy_classes(k)
+    for cls in classes:
+        if cls.support > k:
+            raise ValueError(f"class {cls.name} needs support {cls.support} > k = {k}")
+    return list(classes) if IDENTITY_CLASS in classes else [IDENTITY_CLASS, *classes]
 
 
 # 3-local classes plus the product of two disjoint transpositions
@@ -177,10 +193,9 @@ class ChargeMatrix:
     without building columns, and :attr:`rows` (or iteration) builds every
     column.  :func:`charge_matrix` and :func:`custom_matrix` construct it and
     supply ``witness``, one integer weight per row chosen with the rows so
-    that ``witness^T A = m`` when they can tell.  It is only a candidate:
-    :func:`multiplicity_in_row_span` checks it and otherwise eliminates, so
-    all-zero weights leave the decision to the echelon.  ``k`` is the gate
-    locality, or None for a custom problem.
+    that ``witness^T A = m``: the proof that ``m`` lies in the row span,
+    which :func:`multiplicity_in_row_span` checks by one product.  ``k`` is
+    the gate locality, or None for a custom problem.
     """
 
     def __init__(self, row_labels, col_ids, entry, group, k, witness):
@@ -239,8 +254,8 @@ def charge_matrix(
     """Charge matrix of ``k``-local symmetric gates over ``table``'s columns, in its order.
 
     ``table`` lists the sectors of a built-in group on ``n`` sites, in any
-    order.  SU(d) rows are the S_n characters on ``classes``, by default every
-    cycle type with support <= k.  Restricting ``classes`` models gate sets
+    order.  SU(d) rows are the S_n characters on ``gate_classes(k, classes)``: every
+    cycle type with support <= k by default.  Restricting ``classes`` models gate sets
     generating only part of the ``k``-local permutations (for example dropping
     the 4-cycle row realizes 3-local gates amended by a product of two
     disjoint transpositions); it is an error for any other group.
@@ -258,7 +273,7 @@ def charge_matrix(
     # irreps, so the witness weights each row by its k-site multiplicity:
     # m = sum_v m_k(v) A[v].  sectors lists weights and residues from 0, so a
     # U(1) or Z_p row's index is its label.  The identity class row of a
-    # character matrix is m itself.
+    # character matrix is m itself, so it alone carries weight 1.
     nk = n - k
     ids = table.ids
     if group.kind in ("U1", "SU2", "Zp"):
@@ -290,17 +305,15 @@ def charge_matrix(
             return zp_multiplicity(nk, p, (betas[j] - alpha) % p)
 
     elif group.kind == "SUd":
-        labels = tuple(conjugacy_classes(k) if classes is None else classes)
+        labels = tuple(gate_classes(k, classes))
         # the entries skip sn_character's checks (support <= k <= n and sectors of
         # n boxes, made here) and read the identity row from the cached f^lambda
-        for cls in labels:
-            if cls.support > k:
-                raise ValueError(f"class {cls.name} needs support {cls.support} > k = {k}")
         parts = [irrep.parts for irrep in ids]
         if any(sum(shape) != n for shape in parts):
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
         cycles = [cls.cycles for cls in labels]
-        witness = [int(cls == IDENTITY_CLASS) for cls in labels]
+        witness = [0] * len(labels)
+        witness[labels.index(IDENTITY_CLASS)] = 1
 
         def entry(i, j):
             cyc = cycles[i]
@@ -312,15 +325,14 @@ def charge_matrix(
 
 
 def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
-    """Exact test that the multiplicity vector ``m`` lies in the rational row span of ``A``.
+    """Exact proof that the multiplicity vector ``m`` lies in the rational row span of ``A``.
 
-    When ``A.witness`` satisfies ``witness^T A == m`` that product, computed
-    in O(rows * cols) from the rows of nonzero weight only, is the proof.  A
-    matrix whose weights are all nonzero (U(1), SU(2), Z_p) is read by
-    columns, so the solver's scan reuses them instead of computing every
-    entry again.  Otherwise (an SU(d) class set without the identity class,
-    or a hand-built matrix) one exact echelon decides: ``m`` is in the span
-    when it adds no rank to the rows.
+    The proof is ``witness^T A == m`` for the builder's ``A.witness``,
+    computed in O(rows * cols).  A matrix whose weights are all nonzero
+    (U(1), SU(2), Z_p) is read by columns, so the solver's scan reuses them
+    instead of computing every entry again; otherwise only the rows of
+    nonzero weight are read.  False means the witness does not reproduce
+    ``m``, whether or not ``m`` is in the span.
     """
     witness = A.witness
     if all(witness):
@@ -328,12 +340,7 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
     else:
         weighted = [(y, A[i]) for i, y in enumerate(witness) if y]
         products = (sum(y * row[j] for y, row in weighted) for j in range(len(m)))
-    if all(map(eq, products, m)):
-        return True
-    ech = Echelon()
-    for row in A.rows:
-        ech.add(as_int_row(row))
-    return not ech.add(as_int_row(m))
+    return all(map(eq, products, m))
 
 
 def custom_matrix(

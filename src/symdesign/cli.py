@@ -33,7 +33,7 @@ import time
 from .charges import (
     CycleType,
     charge_matrix,
-    conjugacy_classes,
+    gate_classes,
     load_custom_problem,
 )
 from .closedforms import closed_tmax
@@ -108,18 +108,17 @@ def _format_certificate(cert, table) -> list[str]:
 def _closed_form_for(group, n, k, classes):
     """Closed-form value when the instance is inside a tabulated regime."""
     try:
-        if group.kind == "SUd" and classes is not None:
-            cycle_sets = {c.cycles for c in classes}
+        variant = "full"
+        if group.kind == "SUd":
+            # the class set the charge matrix gets, so equal gate sets agree
+            cycle_sets = {c.cycles for c in gate_classes(k, classes)}
             if cycle_sets == {(), (2,), (3,), (2, 2)}:
-                cf = closed_tmax(group, n, k, variant="tgroup")
+                variant = "tgroup"
             elif cycle_sets == {(), (2,)}:
-                cf = closed_tmax(group, n, k, variant="sv")
-            elif cycle_sets == {c.cycles for c in conjugacy_classes(k)}:
-                cf = closed_tmax(group, n, k)
-            else:
+                variant = "sv"
+            elif cycle_sets != {c.cycles for c in gate_classes(k)}:
                 return None
-        else:
-            cf = closed_tmax(group, n, k)
+        cf = closed_tmax(group, n, k, variant=variant)
     except ValueError:
         return None
     if n < cf.valid_from_n:
@@ -363,18 +362,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_instance_flags(sub, with_classes=True):
+def _add_instance_flags(sub):
     sub.add_argument("--group", required=True, choices=list(_GROUP_KINDS))
     sub.add_argument("--p", type=int, default=None, help="cyclic order (zp only)")
     sub.add_argument("--d", type=int, default=None, help="local dimension (sud only)")
     sub.add_argument("--n", type=int, required=True, help="number of sites")
     sub.add_argument("--k", type=int, required=True, help="gate locality")
-    if with_classes:
-        sub.add_argument(
-            "--classes",
-            default=None,
-            help="sud only: comma list of cycle types, e.g. id,2,3,2+2",
-        )
+    sub.add_argument(
+        "--classes",
+        default=None,
+        help="sud only: comma list of cycle types, e.g. id,2,3,2+2 (id is always included)",
+    )
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
 

@@ -59,7 +59,7 @@ from .values import Value
 
 
 class Certificate(Value):
-    """Primitive integer kernel vector with its multiplicity-weighted one-norm.
+    """Integer lattice vector with its weighted one-norm; primitive when from :func:`tmax_exact`.
 
     ``support`` lists where ``q`` is nonzero: coordinate indices in a
     certificate from :func:`min_weighted_l1`, sector ids in one from
@@ -145,11 +145,11 @@ def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> bool:
         raise ValueError("sector table must be canonically ordered (weakly increasing m)")
     assumed = _check_semiuniversal(A, assume)
     # the lower bound and the support cutoff of the scan rely on m lying in
-    # the row span; the witness reads only its rows of nonzero weight
+    # the row span, which the builder's witness proves
     if not multiplicity_in_row_span(table.multiplicities, A):
         raise ValueError(
-            "the multiplicity vector is outside the rational row span; add the "
-            "identity row (custom_matrix does this automatically)"
+            f"the row-span witness {A.witness} does not reproduce the multiplicity "
+            "vector, so m is not proven to lie in the row span"
         )
     return assumed
 
@@ -234,9 +234,6 @@ def _weighted_l1(q, weights) -> int:
 
 
 def _normalize_sign(q: list[int]) -> tuple[int, ...]:
-    g = math.gcd(*q)
-    if g > 1:
-        q = [x // g for x in q]
     for x in q:
         if x > 0:
             return tuple(q)
@@ -257,8 +254,8 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
     integer Hölder test ``|y| <= R * h_j`` against that norm ``R`` (see the
     module docstring); both tests are non-strict, so every tied optimum
     reaches the tie-break.
-    Returns the primitive optimizer, sign-normalized (first nonzero entry
-    positive), with lexicographically smallest ``q`` among ties; ``None`` if
+    Returns the optimizer, sign-normalized (first nonzero entry positive),
+    with lexicographically smallest ``q`` among ties; ``None`` if
     ``upper`` (an integer) is given and no vector has norm <= ``upper``.
     """
     basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
@@ -295,13 +292,10 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
     def consider(vec):
         nonlocal best, best_q, cap, hcap
         norm = _weighted_l1(vec, weights)
-        # a vector longer than the incumbent (or the cap) cannot win, not even
-        # divided by its content: that primitive vector is enumerated itself
         limit = upper if best is None else best
-        if norm == 0 or (limit is not None and norm > limit):
+        if limit is not None and norm > limit:
             return
         q = _normalize_sign(vec)
-        norm = _weighted_l1(q, weights)
         if best is None or norm < best or (norm == best and q < best_q):
             best, best_q = norm, q
             cap = C * norm * norm

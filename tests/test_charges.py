@@ -10,7 +10,7 @@ from operator import add, sub
 
 import pytest
 
-from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis
+from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
 from symdesign import (
     SU2,
     U1,
@@ -520,8 +520,11 @@ class TestMatrixInvariants:
         for k in range(kmin, n + 1):
             A = charge_matrix(table, k)
             assert multiplicity_in_row_span(table.multiplicities, A)
-            # with no witness to read, the elimination reaches the same answer
-            assert multiplicity_in_row_span(table.multiplicities, _without_witness(A))
+            # an independent cross-check: m adds no rank to the rows
+            rows = list(A.rows)
+            assert rank_rational(rows + [table.multiplicities]) == rank_rational(rows)
+            # the witness is the proof: all-zero weights prove nothing
+            assert not multiplicity_in_row_span(table.multiplicities, _without_witness(A))
 
     @pytest.mark.parametrize("group", [U1, SU2] + [zp(p) for p in range(2, 8)], ids=str)
     def test_structural_witness(self, group):
@@ -534,11 +537,21 @@ class TestMatrixInvariants:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_structural_witness_sud(self, d):
+        # class lists without the identity class get it prepended, so the
+        # witness reproduces m for every class set
+        swap, cycle3, double = CycleType((2,)), CycleType((3,)), CycleType((2, 2))
+        idless = [[swap], [cycle3, swap], [swap, cycle3, double]]
         for n in range(1, 16):
             m = list(sectors(sud(d), n).multiplicities)
             matrices = [charge_matrix(sectors(sud(d), n), k) for k in range(1, min(n, 5) + 1)]
             if n >= 4:
                 matrices.append(charge_matrix(sectors(sud(d), n), 4, list(T_GROUP_CLASSES)))
+            for classes in idless:
+                k = max(cls.support for cls in classes)
+                if k <= n:
+                    A = charge_matrix(sectors(sud(d), n), k, classes)
+                    assert A.row_labels == (CycleType(()), *classes)
+                    matrices.append(A)
             for A in matrices:
                 assert dot_rows(list(zip(*A.rows)), A.witness) == m, (n, A.row_labels)
 
@@ -571,10 +584,15 @@ class TestMatrixInvariants:
         with pytest.raises(ValueError, match="row span"):
             tmax_exact(A, table, assume_semiuniversal=True)
 
-    def test_row_span_falls_back_to_elimination(self):
-        # a witness that does not reproduce m leaves the decision to the echelon
-        assert multiplicity_in_row_span([2, 3], _hand_built([[4, 6]], [1]))
-        assert multiplicity_in_row_span([2, 3], _hand_built([[Fraction(1, 2), Fraction(3, 4)]], [0]))
+    def test_witness_not_reproducing_m_is_refused_inside_the_span(self):
+        # m = (2, 3) is half the row (4, 6), but weight 1 gives 2m: the
+        # witness is the only proof, so the check and the solve refuse it
+        A = _hand_built([[4, 6]], [1])
+        assert not multiplicity_in_row_span([2, 3], A)
+        table = custom_table([2, 3])
+        with pytest.raises(ValueError, match="witness"):
+            tmax_exact(A, table, assume_semiuniversal=True)
+        assert multiplicity_in_row_span([2, 3], _hand_built([[4, 6]], [Fraction(1, 2)]))
         assert not multiplicity_in_row_span([1, 2], _hand_built([[1, 1]], [1]))
         assert not multiplicity_in_row_span([1, 2], _hand_built([], []))
 
@@ -587,7 +605,7 @@ def _hand_built(rows, witness, width=2):
 
 
 def _without_witness(A):
-    """``A`` with all-zero weights, so the row-span check must eliminate."""
+    """``A`` with all-zero weights, a witness that proves nothing."""
     return ChargeMatrix(
         A.row_labels, A.col_ids, lambda i, j: A.column(j)[i], A.group, A.k, [0] * A.shape[0]
     )

@@ -55,6 +55,19 @@ class TestTmaxCommand:
         assert code == 2
         assert "semi" in err.lower() or "2-design" in err
 
+    def test_default_sv_classes_have_the_sv_closed_form(self, capsys):
+        # the default 2-local classes are id,2: both name the sv formula
+        docs = []
+        for extra in ([], ["--classes", "id,2"]):
+            code, out, _ = run_cli(
+                capsys, "tmax", "--group", "sud", "--d", "3", "--n", "15", "--k", "2",
+                *extra, "--assume-semiuniversal", "--format", "json",
+            )
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["closed_form"] == docs[1]["closed_form"] == 16 * 13 // 2 - 1
+        assert docs[0]["agrees"] is docs[1]["agrees"] is True
+
     def test_sud_amended_with_classes(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -237,6 +250,15 @@ class TestSmatrixCommand:
         assert doc["rows"]["w=0"] == ["1", "2", "1", "0"]
         assert doc["rows"]["w=1"] == ["0", "1", "2", "1"]
 
+    def test_identity_class_listed_first(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "smatrix", "--group", "sud", "--d", "3", "--n", "5", "--k", "3",
+            "--classes", "3,2", "--format", "csv",
+        )
+        assert code == 0
+        rows = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert rows == ["(1)", "(123)", "(12)"]
+
     def test_csv_has_labels(self, capsys):
         code, out, _ = run_cli(
             capsys, "smatrix", "--group", "zp", "--p", "2", "--n", "5", "--k", "2",
@@ -258,20 +280,27 @@ class TestLowerBoundCommand:
         doc = json.loads(out)
         assert doc["ell"] == 4 and doc["bound"] == 4 and doc["sector"] == "w=4"
 
-    def test_outside_row_span_exits_2(self, capsys):
-        # without the identity class the bound m[ell] - 1 does not hold, as
-        # for tmax --assume-semiuniversal on the same instance
-        for argv in (
-            ["lower-bound", "--assume-semiuniversal"],
-            ["tmax", "--assume-semiuniversal"],
-        ):
-            code, out, err = run_cli(
-                capsys, *argv, "--group", "sud", "--d", "3", "--n", "6", "--k", "3",
-                "--classes", "2,3",
-            )
-            assert code == 2
-            assert out == ""
-            assert "row span" in err
+    def test_classes_without_id_equal_classes_with_id(self, capsys):
+        # a global phase is free, so every class list carries the identity
+        # class: 2,3 is the gate set id,2,3, semi-universal at k = 3
+        for n in ("6", "16"):
+            for argv in (
+                ["lower-bound"],
+                ["lower-bound", "--assume-semiuniversal"],
+                ["tmax"],
+                ["tmax", "--assume-semiuniversal"],
+            ):
+                docs = []
+                for classes in ("2,3", "id,2,3"):
+                    code, out, err = run_cli(
+                        capsys, *argv, "--group", "sud", "--d", "3", "--n", n, "--k", "3",
+                        "--classes", classes, "--format", "json",
+                    )
+                    assert code == 0 and err == ""
+                    doc = json.loads(out)
+                    del doc["ms"]
+                    docs.append(doc)
+                assert docs[0] == docs[1], (n, argv)
 
     @pytest.mark.parametrize("command", ["lower-bound", "tmax"])
     @pytest.mark.parametrize(
@@ -279,7 +308,7 @@ class TestLowerBoundCommand:
         [
             ("--group", "u1", "--n", "6", "--k", "1"),
             ("--group", "zp", "--p", "3", "--n", "6", "--k", "2"),
-            ("--group", "sud", "--d", "3", "--n", "6", "--k", "3", "--classes", "2,3"),
+            ("--group", "sud", "--d", "3", "--n", "6", "--k", "3", "--classes", "2"),
         ],
         ids=" ".join,
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_ref import echelon_kernel
+from kernel_ref import echelon_kernel, rank_rational
 from symdesign import (
     INFINITE,
     SU2,
@@ -40,6 +40,21 @@ from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 def aligned(group, n, k):
     table = canonical_order(sectors(group, n))
     return charge_matrix(table, k), table
+
+
+def without_identity_row(A, m):
+    """``A`` with its leading identity-class row dropped and all-zero weights.
+
+    ``charge_matrix`` always gives an SU(d) class set the identity class, so
+    this builds by hand a matrix whose rows must not span ``m``, checked by
+    an independent rank.
+    """
+    rows, _ = A.shape
+    bare = ChargeMatrix(
+        A.row_labels[1:], A.col_ids, lambda i, j: A.column(j)[i + 1], A.group, A.k, [0] * (rows - 1)
+    )
+    assert rank_rational(list(bare.rows) + [m]) > rank_rational(list(bare.rows))
+    return bare
 
 
 def cert_by_label(cert, table) -> dict[str, int]:
@@ -72,11 +87,22 @@ class TestLowerBound:
         # needs m in the row span: (2) and (3) alone do not constrain traces
         table = canonical_order(sectors(sud(3), 6))
         chi = charge_matrix(table, 3, [CycleType((2,)), CycleType((3,))])
+        bare = without_identity_row(chi, table.multiplicities)
+        assert bare.row_labels == (CycleType((2,)), CycleType((3,)))
         with pytest.raises(ValueError, match="row span"):
-            lower_bound(chi, table, assume_semiuniversal=True)
+            lower_bound(bare, table, assume_semiuniversal=True)
         # without the flag the missing identity class fails semi-universality first
         with pytest.raises(SemiUniversalityError):
-            lower_bound(chi, table)
+            lower_bound(bare, table)
+
+    @pytest.mark.parametrize("assume", [False, True])
+    def test_classes_without_id_match_classes_with_id(self, assume):
+        # a global phase is free: charge_matrix prepends the identity class
+        table = canonical_order(sectors(sud(3), 6))
+        swap, cycle3 = CycleType((2,)), CycleType((3,))
+        ours = lower_bound(charge_matrix(table, 3, [swap, cycle3]), table, assume)
+        theirs = charge_matrix(table, 3, [CycleType(()), swap, cycle3])
+        assert ours == lower_bound(theirs, table, assume)
 
     @pytest.mark.parametrize("group, k", [(U1, 1), (SU2, 1), (zp(3), 2)])
     def test_below_semiuniversality_threshold_rejected(self, group, k):
@@ -170,9 +196,27 @@ class TestMinWeightedL1:
             min_weighted_l1(lll_reduce([[1, -1]], [weight, weight]))
 
     def test_primitive_and_sign_normalized(self):
+        # the answer is a vector of the lattice: (1, -1) is not in Z(-2, 2)
         cert = min_weighted_l1(lll_reduce([[-2, 2]], [1, 1]))
-        assert cert.q == (1, -1)
-        assert cert.weighted_norm == 2
+        assert cert.q == (2, -2)
+        assert cert.weighted_norm == 4
+        # the saturated lattice Z(1, -1) has the primitive minimum
+        cert = min_weighted_l1(lll_reduce([[-1, 1]], [1, 1]))
+        assert cert.q == (1, -1) and cert.weighted_norm == 2
+
+    @pytest.mark.parametrize(
+        "basis, weights, q, norm",
+        [
+            ([[2, 0]], [1, 1], (2, 0), 2),
+            ([[2, 0], [1, 3]], [1, 1], (2, 0), 2),
+            ([[1, 1], [0, 5]], [5, 1], (0, 5), 5),  # index 5 in Z^2
+        ],
+        ids=str,
+    )
+    def test_answer_lies_in_the_lattice(self, basis, weights, q, norm):
+        # dividing a lattice vector by its content can leave the lattice
+        cert = min_weighted_l1(lll_reduce(basis, weights))
+        assert (cert.q, cert.weighted_norm) == (q, norm)
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError):
@@ -368,12 +412,23 @@ class TestTmaxExact:
             compute_tmax(zp(5), 8, 3)
 
     def test_multiplicities_outside_row_span_rejected(self):
-        # a transposition-only class set does not constrain traces, so the
-        # solver demands the identity row before it will trust the cutoff rule
+        # a transposition-only row does not constrain traces, so the solver
+        # demands a witness for m before it will trust the cutoff rule
         table = canonical_order(sectors(sud(3), 9))
-        chi = charge_matrix(table, 2, [CycleType((2,))])
+        bare = without_identity_row(charge_matrix(table, 2, [CycleType((2,))]), table.multiplicities)
         with pytest.raises(ValueError, match="row span"):
-            tmax_exact(chi, table, assume_semiuniversal=True)
+            tmax_exact(bare, table, assume_semiuniversal=True)
+
+    @pytest.mark.parametrize(
+        "k, classes", [(2, [(2,)]), (3, [(3,), (2,)]), (4, [(2,), (3,), (2, 2)])], ids=str
+    )
+    def test_classes_without_id_match_classes_with_id(self, k, classes):
+        # the id-less list is the same gate set, so the same answer and certificate
+        table = canonical_order(sectors(sud(4), 9))
+        classes = [CycleType(c) for c in classes]
+        ours = tmax_exact(charge_matrix(table, k, classes), table, assume_semiuniversal=True)
+        theirs = charge_matrix(table, k, [CycleType(()), *classes])
+        assert ours == tmax_exact(theirs, table, assume_semiuniversal=True)
 
     def test_requires_canonical_order(self):
         table = sectors(U1, 6)  # natural order: multiplicities not sorted
