@@ -6,7 +6,12 @@ irrep sectors are constrained by one exact integer matrix per problem:
 * U(1), SU(2), Z_p -- the overlap matrix between ``k``-site and ``n``-site
   irreps (binomial expressions, one row per ``k``-site irrep);
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
-  classes realizable by ``k``-local permutations, always with the identity class;
+  classes realizable by ``k``-local permutations, always with the identity class.
+  The identity row is ``f^lambda``; a class of support 2..4 takes its entries
+  from its central character, a polynomial in ``n`` and the content power sums
+  of ``lambda`` (Ingram 1950; Corteel, Goupil and Schaeffer 2004, "Content
+  evaluation and class symmetric functions"); a class of support >= 5 takes
+  them from the Murnaghan--Nakayama border-strip recursion;
 * custom problems -- user-supplied rational charge rows, each stored as an
   integer multiple, below the multiplicity row (the identity Hamiltonian)
   so that tracelessness is implied by the kernel condition.
@@ -128,7 +133,8 @@ T_GROUP_CLASSES = (IDENTITY_CLASS, CycleType((2,)), CycleType((3,)), CycleType((
 
 
 # ---------------------------------------------------------------------------
-# symmetric-group characters (border-strip recursion on beta-sets, memoized)
+# symmetric-group characters: the border-strip recursion on beta-sets
+# (memoized) for any class, content power sums for support 2..4
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +183,41 @@ def _char_rec(beta: tuple[int, ...], cycles: tuple[int, ...]) -> int:
             value = _char_rec(tuple(x - j for x in kept[: len(kept) - j + 1]), rest)
         total += -value if (h - idx) % 2 == 0 else value
     return total
+
+
+# The central character omega_mu(lambda) = |C_mu| chi^lambda(mu) / f^lambda of
+# each class of support 2..4, as a polynomial in n and the content power sums
+# (p_1, p_2, p_3) of lambda (Ingram 1950; Corteel, Goupil and Schaeffer 2004),
+# paired with the class size |C_mu|.  The (2,2) pair is doubled on both sides,
+# (p_1^2 - 3 p_2 + n(n - 1)) / 2 over 3 C(n, 4), so that it needs no division
+# of its own.
+_CENTRAL_CHARACTERS = {
+    (2,): (lambda n, p1, p2, p3: p1, lambda n: comb(n, 2)),
+    (3,): (lambda n, p1, p2, p3: p2 - comb(n, 2), lambda n: 2 * comb(n, 3)),
+    (2, 2): (lambda n, p1, p2, p3: p1 * p1 - 3 * p2 + n * (n - 1), lambda n: 6 * comb(n, 4)),
+    (4,): (lambda n, p1, p2, p3: p3 - (2 * n - 3) * p1, lambda n: 6 * comb(n, 4)),
+}
+
+
+def _content_power_sums(parts: tuple[int, ...]) -> tuple[int, int, int]:
+    """``p_e``, the sum of ``(j - i)^e`` over the boxes ``(i, j)`` of ``parts``, for e = 1, 2, 3.
+
+    Row ``i`` holds the contents ``-i .. parts[i] - 1 - i``, so its sum
+    telescopes as ``P_e(parts[i] - 1 - i) - P_e(-1 - i)`` through the Faulhaber
+    polynomials ``2 P_1 = x(x + 1)``, ``6 P_2 = x(x + 1)(2x + 1)`` and
+    ``4 P_3 = x^2 (x + 1)^2``, which telescope for negative ``x`` too.
+    """
+    s1 = s2 = s3 = 0
+    for i, a in enumerate(parts):
+        hi, lo = a - 1 - i, -1 - i
+        t_hi, t_lo = hi * (hi + 1), lo * (lo + 1)
+        s1 += t_hi - t_lo
+        s2 += t_hi * (2 * hi + 1) - t_lo * (2 * lo + 1)
+        s3 += t_hi * t_hi - t_lo * t_lo
+    (p1, r1), (p2, r2), (p3, r3) = divmod(s1, 2), divmod(s2, 6), divmod(s3, 4)
+    if r1 or r2 or r3:
+        raise ArithmeticError(f"content power sums of {parts} are not integers")
+    return p1, p2, p3
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +296,13 @@ def charge_matrix(
 
     ``table`` lists the sectors of a built-in group on ``n`` sites, in any
     order.  SU(d) rows are the S_n characters on ``gate_classes(k, classes)``: every
-    cycle type with support <= k by default.  Restricting ``classes`` models gate sets
-    generating only part of the ``k``-local permutations (for example dropping
-    the 4-cycle row realizes 3-local gates amended by a product of two
-    disjoint transpositions); it is an error for any other group.
+    cycle type with support <= k by default.  A class of support 2..4 reads
+    ``f^lambda`` and the column's content power sums, computed once per column;
+    a class of larger support goes through the border-strip recursion.
+    Restricting ``classes`` models gate sets generating only part of the
+    ``k``-local permutations (for example dropping the 4-cycle row realizes
+    3-local gates amended by a product of two disjoint transpositions); it is
+    an error for any other group.
     """
     group, n = table.group, table.n
     if classes is not None and group.kind != "SUd":
@@ -312,12 +356,28 @@ def charge_matrix(
         if any(sum(shape) != n for shape in parts):
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
         cycles = [cls.cycles for cls in labels]
+        central = [_CENTRAL_CHARACTERS.get(cyc) for cyc in cycles]
+        sizes = [pair[1](n) if pair else None for pair in central]
         witness = [0] * len(labels)
         witness[labels.index(IDENTITY_CLASS)] = 1
 
+        # a column reads its entries in turn, so one slot holds its sums
+        @lru_cache(maxsize=1)
+        def column_sums(j):
+            return (sn_irrep_dim(parts[j]), *_content_power_sums(parts[j]))
+
         def entry(i, j):
             cyc = cycles[i]
-            return _char_rec(beta_set(parts[j]), cyc) if cyc else sn_irrep_dim(parts[j])
+            if not cyc:
+                return sn_irrep_dim(parts[j])
+            pair = central[i]
+            if pair is None:
+                return _char_rec(beta_set(parts[j]), cyc)
+            f, p1, p2, p3 = column_sums(j)
+            chi, rem = divmod(f * pair[0](n, p1, p2, p3), sizes[i])
+            if rem:
+                raise ArithmeticError(f"character of {parts[j]} on {cyc} is not an integer")
+            return chi
 
     else:
         raise ValueError("use custom_matrix for user-supplied problems")

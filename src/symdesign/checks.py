@@ -158,10 +158,14 @@ _CHARACTER_ROWS = {
 
 
 def characters() -> Tally:
-    """Symmetric-group characters against the tabulated polynomials, n = 15..60.
+    """Symmetric-group characters by both routes the package computes them.
 
-    The polynomials hold for every n >= 15; going to 60 checks the
-    recursion at the sizes of SU(d) solves such as sud(5) with n = 50.
+    ``sn_character`` (the border-strip recursion) is checked against the
+    tabulated polynomials for n = 15..60: they hold for every n >= 15, and
+    going to 60 reaches the sizes of SU(d) solves such as sud(5) with n = 50.
+    The solver's matrix ``charge_matrix(sectors(sud(n), n), 4)``, whose rows
+    come from content power sums, is then checked entry by entry against
+    ``sn_character`` on every partition of n = 4..20.
     """
     t = Tally()
     for n in range(15, 61):
@@ -169,6 +173,11 @@ def characters() -> Tally:
             parts = (n - sum(tail),) + tail
             for cycles, expected in zip([(), (2,), (3,), (2, 2), (4,)], formula(n)):
                 t.check(sn_character(parts, cycles) == expected, parts, cycles)
+    for n in range(4, 21):
+        A = charge_matrix(sectors(sud(n), n), 4)
+        for j, irrep in enumerate(A.col_ids):
+            for cls, value in zip(A.row_labels, A.column(j)):
+                t.check(value == sn_character(irrep.parts, cls), "charge_matrix", irrep.parts, cls)
     return t
 
 

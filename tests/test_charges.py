@@ -473,6 +473,106 @@ class TestBuildChargeMatrix:
                     assert entry == expect, (n, k, jjp, jj)
 
 
+def _characters_of(A: ChargeMatrix) -> tuple:
+    """``A``'s rows as ``sn_character`` computes them, entry by entry."""
+    return tuple(
+        tuple(sn_character(irrep.parts, cls) for irrep in A.col_ids) for cls in A.row_labels
+    )
+
+
+def _record_char_rec(monkeypatch) -> list:
+    """Route ``charges._char_rec`` through a recorder of its outermost calls' classes."""
+    from symdesign import charges
+
+    rec, seen, depth = charges._char_rec, [], 0
+
+    def recording(beta, cycles):
+        nonlocal depth
+        if not depth:
+            seen.append(cycles)
+        depth += 1
+        try:
+            return rec(beta, cycles)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(charges, "_char_rec", recording)
+    return seen
+
+
+class TestCentralCharacterColumns:
+    # classes of support 2..4 take their entries from content power sums, the
+    # others from the border-strip recursion; sn_character is the oracle
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_every_partition_matches_the_recursion(self, n):
+        A = charge_matrix(sectors(sud(n), n), 4)
+        assert len(A.col_ids) == sum(1 for _ in partitions_max_rows(n, n))
+        assert A.rows == _characters_of(A), n
+
+    @pytest.mark.parametrize(
+        "k, classes",
+        [(3, [CycleType((3,)), CycleType((2,))]), (4, list(T_GROUP_CLASSES)), (5, None), (6, None)],
+        ids=["3,2", "tgroup", "k5", "k6"],
+    )
+    def test_class_sets(self, k, classes):
+        # a reordered list keeps its row order, rows (1), (123), (12) for 3,2;
+        # at k >= 5 the recursion's rows sit in the same matrix as the formula's
+        for n in (k, 9, 16):
+            A = charge_matrix(sectors(sud(5), n), k, classes)
+            if classes is None:
+                assert max(cls.support for cls in A.row_labels) == k
+            else:
+                assert A.row_labels == (CycleType(()), *(cls for cls in classes if cls.support))
+            assert A.rows == _characters_of(A), (n, k)
+
+    def test_default_k4_columns_never_recurse(self, monkeypatch):
+        seen = _record_char_rec(monkeypatch)
+        A = charge_matrix(sectors(sud(5), 50), 4)
+        assert A.shape == (5, 3765)
+        A.rows
+        assert seen == []
+
+    def test_k5_recurses_only_on_support_5_rows(self, monkeypatch):
+        seen = _record_char_rec(monkeypatch)
+        A = charge_matrix(sectors(sud(5), 20), 5)
+        A.rows
+        assert sorted(set(seen)) == [(3, 2), (5,)]
+        assert len(seen) == 2 * len(A.col_ids)
+
+    def test_perturbed_dimension_raises(self, monkeypatch):
+        from symdesign import charges
+
+        table = sectors(sud(3), 5)
+        j = [irrep.parts for irrep in table.ids].index((4, 1))
+        monkeypatch.setattr(charges, "sn_irrep_dim", lambda parts: sn_irrep_dim(parts) + 1)
+        # f = 5 instead of 4 makes the transposition entry 5 * 5 / 10
+        with pytest.raises(ArithmeticError, match="character of"):
+            charge_matrix(table, 2).column(j)
+
+    def test_perturbed_content_sum_raises(self, monkeypatch):
+        from symdesign import charges
+
+        table = sectors(sud(3), 6)
+        j = [irrep.parts for irrep in table.ids].index((6,))
+        sums = charges._content_power_sums
+        monkeypatch.setattr(
+            charges, "_content_power_sums", lambda parts: (sums(parts)[0] + 1, *sums(parts)[1:])
+        )
+        # the trivial irrep's transposition entry becomes (15 + 1) / 15
+        with pytest.raises(ArithmeticError, match="character of"):
+            charge_matrix(table, 2).column(j)
+
+    def test_content_power_sums(self):
+        from symdesign import charges
+
+        for n in range(1, 13):
+            for parts in partitions_max_rows(n, n):
+                contents = [j - i for i, a in enumerate(parts) for j in range(a)]
+                expected = tuple(sum(c**e for c in contents) for e in (1, 2, 3))
+                assert charges._content_power_sums(parts) == expected, parts
+
+
 GROUPS_FOR_INVARIANTS = [U1, SU2, zp(2), zp(3), zp(4), sud(3)]
 
 
