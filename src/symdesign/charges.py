@@ -4,7 +4,8 @@ For ``k``-local gates on ``n`` sites, the reachable relative phases between
 irrep sectors are constrained by one exact integer matrix per problem:
 
 * U(1), SU(2), Z_p -- the overlap matrix between ``k``-site and ``n``-site
-  irreps (binomial expressions, one row per ``k``-site irrep);
+  irreps, one row per ``k``-site irrep, every column built whole from the one
+  binomial row ``C(n - k, .)``;
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
   classes realizable by ``k``-local permutations, always with the identity class.
   The identity row is ``f^lambda``; a class of support 2..4 takes its entries
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import eq, mul
+from operator import add, eq, mul, sub
 
 from .groups import (
     CUSTOM,
@@ -39,6 +40,7 @@ from .groups import (
     PartitionId,
     SectorTable,
     beta_set,
+    binomial_row,
     canonical_order,
     check_multiplicities,
     custom_table,
@@ -230,10 +232,11 @@ class ChargeMatrix:
 
     Entries come from one exact function ``entry(i, j)``.  A column is
     computed the first time it is read and kept, so the multiplicity-ordered
-    scan pays only for the prefix it reads; ``A[i]`` computes row ``i``
-    without building columns, and :attr:`rows` (or iteration) builds every
-    column.  :func:`charge_matrix` and :func:`custom_matrix` construct it and
-    supply ``witness``, one integer weight per row chosen with the rows so
+    scan pays only for the prefix it reads (U(1), SU(2) and Z_p matrices
+    come with every column built).  ``A[i]`` computes row ``i`` without
+    building columns, and :attr:`rows` (or iteration) builds every column.
+    :func:`charge_matrix` and :func:`custom_matrix` construct it and supply
+    ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m``: the proof that ``m`` lies in the row span,
     which :func:`multiplicity_in_row_span` checks by one product.  ``k`` is
     the gate locality, or None for a custom problem.
@@ -311,44 +314,8 @@ def charge_matrix(
         raise ValueError(f"k must be an int, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
-    # ways the other n - k sites complete the row's k-site irrep to the
-    # column's n-site irrep.  Every n-site sector decomposes over the k-site
-    # irreps, so the witness weights each row by its k-site multiplicity:
-    # m = sum_v m_k(v) A[v].  sectors lists weights and residues from 0, so a
-    # U(1) or Z_p row's index is its label.  The identity class row of a
-    # character matrix is m itself, so it alone carries weight 1.
-    nk = n - k
     ids = table.ids
-    if group.kind in ("U1", "SU2", "Zp"):
-        gate = sectors(group, k)
-        labels, witness = gate.ids, gate.multiplicities
-    if group.kind == "U1":
-        ws = [irrep.w for irrep in ids]
-
-        def entry(v, j):
-            b = ws[j] - v
-            return comb(nk, b) if b >= 0 else 0
-
-    elif group.kind == "SU2":
-        jjps = [irrep.jj for irrep in labels]
-        jjs = [irrep.jj for irrep in ids]
-
-        def entry(i, j):
-            jj, jjp = jjs[j], jjps[i]
-            if (nk + jj + jjp) % 2:
-                return 0
-            lo = (nk + jj - jjp) // 2
-            return (comb(nk, lo) if lo >= 0 else 0) - comb(nk, lo + jjp + 1)
-
-    elif group.kind == "Zp":
-        p = group.p
-        betas = [irrep.beta for irrep in ids]
-
-        def entry(alpha, j):
-            return zp_multiplicity(nk, p, (betas[j] - alpha) % p)
-
-    elif group.kind == "SUd":
+    if group.kind == "SUd":
         labels = tuple(gate_classes(k, classes))
         # the entries skip sn_character's checks (support <= k <= n and sectors of
         # n boxes, made here) and read the identity row from the cached f^lambda
@@ -358,6 +325,7 @@ def charge_matrix(
         cycles = [cls.cycles for cls in labels]
         central = [_CENTRAL_CHARACTERS.get(cyc) for cyc in cycles]
         sizes = [pair[1](n) if pair else None for pair in central]
+        # the identity class row is m itself, so it alone carries weight 1
         witness = [0] * len(labels)
         witness[labels.index(IDENTITY_CLASS)] = 1
 
@@ -379,9 +347,41 @@ def charge_matrix(
                 raise ArithmeticError(f"character of {parts[j]} on {cyc} is not an integer")
             return chi
 
-    else:
+        return ChargeMatrix(labels, ids, entry, group, k, witness)
+    if group.kind not in ("U1", "SU2", "Zp"):
         raise ValueError("use custom_matrix for user-supplied problems")
-    return ChargeMatrix(labels, ids, entry, group, k, witness)
+    # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
+    # ways the other n - k sites complete the row's k-site irrep to the
+    # column's n-site irrep, read off the one row C(n - k, .).  Every n-site
+    # sector decomposes over the k-site irreps, so the witness weights each
+    # row by its k-site multiplicity: m = sum_v m_k(v) A[v].
+    gate = sectors(group, k)
+    labels, rows, nk = gate.ids, len(gate), n - k
+    binomials = binomial_row(nk)
+    padded = [0] * (k + 2) + binomials + [0] * (k + 2)  # C(n - k, b) at b + k + 2
+    if group.kind == "U1":
+        if not all(0 <= irrep.w <= n for irrep in ids):
+            raise ValueError(f"U(1) sectors on n={n} sites have weights 0..{n}")
+        # row v of column w is C(n - k, w - v), for v = 0..k
+        columns = [tuple(padded[irrep.w + k + 2 : irrep.w + 1 : -1]) for irrep in ids]
+    elif group.kind == "SU2":
+        # row 2j' = k % 2 + 2t of column 2j is C(n - k, lo - t) - C(n - k, lo + k % 2 + 1 + t)
+        # with lo = (n - k + 2j - k % 2) / 2, exact as 2j has the parity of n
+        columns = []
+        for irrep in ids:
+            if not 0 <= irrep.jj <= n or (n - irrep.jj) % 2:
+                raise ValueError(f"2j={irrep.jj} labels no spin sector of n={n} qubits")
+            lo = (nk + irrep.jj - k % 2) // 2 + k + 2
+            hi = lo + k % 2 + 1
+            columns.append(tuple(map(sub, padded[lo : lo - rows : -1], padded[hi : hi + rows])))
+    else:
+        # row alpha of column beta is the residue sum of C(n - k, .) at beta - alpha mod p
+        p = group.p
+        sums = [zp_multiplicity(binomials, p, beta) for beta in range(p)]
+        columns = [tuple(sums[(irrep.beta - a) % p] for a in range(rows)) for irrep in ids]
+    A = ChargeMatrix(labels, ids, lambda i, j: columns[j][i], group, k, gate.multiplicities)
+    A._columns = dict(enumerate(columns))  # built whole: the witness reads every column
+    return A
 
 
 def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
@@ -389,18 +389,20 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
 
     The proof is ``witness^T A == m`` for the builder's ``A.witness``,
     computed in O(rows * cols).  A matrix whose weights are all nonzero
-    (U(1), SU(2), Z_p) is read by columns, so the solver's scan reuses them
-    instead of computing every entry again; otherwise only the rows of
-    nonzero weight are read.  False means the witness does not reproduce
-    ``m``, whether or not ``m`` is in the span.
+    (U(1), SU(2), Z_p) is read by columns, which it holds built; otherwise
+    each row of nonzero weight (the identity row of SU(d) and custom
+    matrices) is read once and added whole.  False means the witness does
+    not reproduce ``m``, whether or not ``m`` is in the span.
     """
     witness = A.witness
     if all(witness):
         products = (sum(map(mul, witness, A.column(j))) for j in range(len(m)))
     else:
-        weighted = [(y, A[i]) for i, y in enumerate(witness) if y]
-        products = (sum(y * row[j] for y, row in weighted) for j in range(len(m)))
-    return all(map(eq, products, m))
+        products = [0] * len(m)
+        for i, y in enumerate(witness):
+            if y:
+                products = list(map(add, products, map(mul, repeat(y), A[i])))
+    return len(m) == len(A.col_ids) and all(map(eq, products, m))
 
 
 def custom_matrix(

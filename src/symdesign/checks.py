@@ -45,8 +45,34 @@ class Tally:
             self.failures.append(where)
 
 
+def _charge_matrix_entries(t: Tally, group, n_max: int, formula) -> None:
+    """Every entry of ``charge_matrix(sectors(group, n), k)`` for n <= ``n_max`` and every k.
+
+    ``formula(n - k, row, col)`` gives the entry from the row's ``k``-site
+    and the column's ``n``-site irrep.
+    """
+    for n in range(1, n_max + 1):
+        table = sectors(group, n)
+        for k in range(1, n + 1):
+            A = charge_matrix(table, k)
+            for row, values in zip(A.row_labels, A.rows):
+                for col, value in zip(table.ids, values):
+                    t.check(value == formula(n - k, row, col), "charge_matrix", n, k, row, col)
+
+
+def _su2_entry(nk: int, row, col) -> int:
+    if (nk + col.jj + row.jj) % 2:
+        return 0
+    lo = (nk + col.jj - row.jj) // 2
+    return (comb(nk, lo) if lo >= 0 else 0) - comb(nk, lo + row.jj + 1)
+
+
 def identities_u1(n_max: int = 30) -> Tally:
-    """U(1) operator identities: orthogonality, mirror symmetries, pairings, norms."""
+    """U(1) operator identities: orthogonality, mirror symmetries, pairings, norms.
+
+    Every entry of the solver's charge matrices, built from one binomial row
+    per matrix, is then checked against ``math.comb`` for n <= ``n_max``.
+    """
     t = Tally()
     for n in range(1, n_max + 1):
         cvals = [[u1_c_eigenvalue(n, l, w) for w in range(n + 1)] for l in range(n + 1)]
@@ -77,11 +103,16 @@ def identities_u1(n_max: int = 30) -> Tally:
             t.check(u1_f_norm(n, k) == f_direct, "f norm", n, k)
             a_direct = sum(comb(n - w, k - w) * comb(n, w) for w in range(k + 1))
             t.check(u1_a_norm(n, k) == a_direct == 2**k * comb(n, k), "a norm", n, k)
+    _charge_matrix_entries(t, U1, n_max, lambda nk, v, w: comb(nk, w.w - v.w) if w.w >= v.w else 0)
     return t
 
 
 def identities_su2(n_max: int = 30) -> Tally:
-    """SU(2) total-spin basis: orthogonality, pairings with the A family, norms."""
+    """SU(2) total-spin basis: orthogonality, pairings with the A family, norms.
+
+    Every entry of the solver's charge matrices is then checked against its
+    difference of two ``math.comb`` values for n <= ``n_max``.
+    """
     t = Tally()
     for n in range(1, n_max + 1):
         for k in range(0, n + 1, 2):
@@ -112,6 +143,7 @@ def identities_su2(n_max: int = 30) -> Tally:
                 direct = sum(op.values[i] * cvals[mm][jj] * traces[jj] for i, jj in enumerate(jjs))
                 # compare against the unit-normalized pairing
                 t.check(direct == tr_a_ctilde(n, ss, mm) * scale, "pairing", n, ss, mm)
+    _charge_matrix_entries(t, SU2, n_max, _su2_entry)
     return t
 
 

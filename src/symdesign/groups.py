@@ -15,15 +15,15 @@ Built-in symmetries:
 * ``SUd``  -- qudits (``d >= 3``), sectors labeled by partitions of ``n`` with
   at most ``d`` rows; multiplicities ``f^lambda`` come from the Frobenius
   formula on the first-column hook lengths, irrep dimensions from the
-  hook-content formula (O(rows) whatever ``d`` is).
+  hook-content formula over one rising-factorial row per diagram row.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, starmap
-from math import comb, factorial, perm, prod
-from operator import add, attrgetter, itemgetter, le, lt, mul, sub
+from itertools import accumulate, combinations, starmap
+from math import comb, factorial, prod
+from operator import add, attrgetter, getitem, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
 
 from .values import Value
@@ -268,26 +268,39 @@ def sn_irrep_dim(parts: tuple[int, ...]) -> int:
     return frobenius_dim(beta_set(parts))
 
 
-def sud_irrep_dim(parts: tuple[int, ...], d: int) -> int:
-    """Dimension of the SU(d) irrep with highest weight ``parts``, by the hook-content formula.
+def rising_row(x: int, length: int) -> list[int]:
+    """The rising factorials ``[1, x, x (x + 1), ...]``, ``length`` of them."""
+    return list(accumulate(range(x, x + length - 1), mul, initial=1))
 
-    ``f^lambda / n!`` times ``(d - i + parts[i] - 1)! / (d - i - 1)!`` per row ``i``: O(rows) for
-    any ``d``.  A partition with more than ``d`` rows labels no SU(d) irrep: dimension 0.
-    """
-    if len(parts) > d:
-        return 0
-    num = sn_irrep_dim(parts)
-    for i, a in enumerate(parts):
-        num *= perm(d - i + a - 1, a)  # (d - i + a - 1)! / (d - i - 1)!
-    dim, rem = divmod(num, factorial(sum(parts)))
-    if rem:
-        raise ArithmeticError(f"hook-content dimension of {parts} for SU({d}) is not an integer")
-    return dim
+
+def sud_irrep_dims(shapes, n: int, d: int) -> tuple[int, ...]:
+    """SU(d) dimensions of partitions of ``n``: ``f^lambda / n!`` times ``R_i[parts[i]]``."""
+    # rows R_i once per table; R_d = [1, 0, ...] zeroes a shape of more than d rows
+    rising = [rising_row(d - i, n // (i + 1) + 1) for i in range(min(n, d + 1))]
+    n_fact = factorial(n)
+    dims = []
+    for parts in shapes:
+        dim, rem = divmod(prod(map(getitem, rising, parts), start=sn_irrep_dim(parts)), n_fact)
+        if rem:
+            raise ArithmeticError(f"SU({d}) dimension of {parts} is not an integer")
+        dims.append(dim)
+    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------
 # sector enumeration
 # ---------------------------------------------------------------------------
+
+
+def binomial_row(m: int) -> list[int]:
+    """``C(m, 0..m)`` by ``C(m, b + 1) = C(m, b) (m - b) / (b + 1)``, each remainder checked."""
+    half = [1]
+    for b in range(m // 2):
+        c, rem = divmod(half[-1] * (m - b), b + 1)
+        if rem:
+            raise ArithmeticError(f"C({m}, {b + 1}) is not an integer")
+        half.append(c)
+    return half + half[m % 2 - 2 :: -1]  # the mirror image C(m, m - b) = C(m, b)
 
 
 def su2_multiplicity(n: int, jj: int) -> int:
@@ -298,9 +311,9 @@ def su2_multiplicity(n: int, jj: int) -> int:
     return comb(n, i) - (comb(n, i - 1) if i >= 1 else 0)
 
 
-def zp_multiplicity(n: int, p: int, beta: int) -> int:
-    """Number of ``n``-bit strings whose Hamming weight is ``beta`` mod ``p``."""
-    return sum(comb(n, beta + p * l) for l in range((n - beta) // p + 1)) if beta <= n else 0
+def zp_multiplicity(row: list[int], p: int, beta: int) -> int:
+    """Number of ``m``-bit strings of Hamming weight ``beta`` mod ``p``, from ``row = C(m, .)``."""
+    return sum(row[beta::p])
 
 
 def sectors(group: GroupSpec, n: int) -> SectorTable:
@@ -316,23 +329,26 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
         raise ValueError("n must be >= 1")
     if group.kind == "U1":
         ids = tuple(map(HammingWeight, range(n + 1)))
-        mults = tuple(comb(n, w) for w in range(n + 1))
+        mults = tuple(binomial_row(n))
         dims = (1,) * len(ids)
     elif group.kind == "SU2":
         jjs = range(n % 2, n + 1, 2)
         ids = tuple(map(TwiceSpin, jjs))
-        mults = tuple(su2_multiplicity(n, jj) for jj in jjs)
+        # 2j = n - 2i has C(n, i) - C(n, i - 1), and i falls from n // 2 to 0 as 2j rises
+        half = binomial_row(n)[n // 2 :: -1]
+        mults = tuple(map(sub, half, [*half[1:], 0]))
         dims = tuple(jj + 1 for jj in jjs)
     elif group.kind == "Zp":
         betas = range(min(group.p, n + 1))  # residues beyond n do not appear for n < p - 1
         ids = tuple(map(Residue, betas))
-        mults = tuple(zp_multiplicity(n, group.p, beta) for beta in betas)
+        row = binomial_row(n)
+        mults = tuple(zp_multiplicity(row, group.p, beta) for beta in betas)
         dims = (1,) * len(ids)
     elif group.kind == "SUd":
         shapes = tuple(partitions_max_rows(n, group.d))
         ids = tuple(map(PartitionId, shapes))
         mults = tuple(map(sn_irrep_dim, shapes))
-        dims = tuple(sud_irrep_dim(parts, group.d) for parts in shapes)
+        dims = sud_irrep_dims(shapes, n, group.d)
     else:
         raise ValueError("custom groups carry their own sector tables")
     if sum(map(mul, mults, dims)) != group.local_dim**n:

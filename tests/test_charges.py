@@ -312,13 +312,14 @@ class TestSnCharacter:
     def test_schur_weyl_trace_consistency(self, d, n):
         # the permutation operator on n qudits has trace d**(number of cycles,
         # fixed points included); Schur-Weyl splits it over sectors
-        from symdesign.groups import sud_irrep_dim
+        from symdesign.groups import sud_irrep_dims
 
         parts_list = list(partitions_max_rows(n, d))
+        dims = sud_irrep_dims(parts_list, n, d)
         for cls in conjugacy_classes(n):
             n_cycles = len(cls.cycles) + (n - cls.support)
             total = sum(
-                sud_irrep_dim(p, d) * sn_character(p, cls.cycles) for p in parts_list
+                dim * sn_character(p, cls.cycles) for p, dim in zip(parts_list, dims)
             )
             assert total == d**n_cycles, (d, n, cls.cycles)
 

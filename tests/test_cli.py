@@ -615,9 +615,11 @@ class TestVerifyCommand:
         assert out == "suite characters: pass (15145/15145 checks)\n"
 
     def test_identities_u1_n16(self, capsys):
+        # 11,008 operator identities, then every entry of the U(1) charge
+        # matrices for n <= 16 and every k against math.comb (12,444 entries)
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities-u1", "--n-max", "16")
         assert code == 0
-        assert "pass" in out
+        assert out == "suite identities-u1: pass (23452/23452 checks)\n"
 
     def test_solver_brute_suite(self, capsys):
         # tmax, the exact certificate and the lower bound on 280 instances
@@ -626,8 +628,11 @@ class TestVerifyCommand:
         assert out == "suite solver-brute: pass (840/840 checks)\n"
 
     def test_identities_su2_small(self, capsys):
+        # 190 total-spin identities, then the 330 entries of the SU(2) charge
+        # matrices for n <= 8 and every k
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities-su2", "--n-max", "8")
         assert code == 0
+        assert out == "suite identities-su2: pass (520/520 checks)\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,7 +3,6 @@
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,7 @@ from symdesign import (
     verify_certificate,
     zp,
 )
-from symdesign import groups, solver
+from symdesign import charges, groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
@@ -701,27 +700,20 @@ class TestLazyColumns:
 
     @pytest.mark.parametrize("group, n, k", [(U1, 40, 6), (SU2, 30, 4), (zp(4), 25, 4)])
     def test_entries_computed_once(self, group, n, k, monkeypatch):
-        # the row-span witness reads the columns that the scan and the
-        # certificate check then reuse
-        counts = Counter()
-        build = solver.charge_matrix
-
-        def counting(table, k, classes=None):
-            A = build(table, k, classes)
-            entry = A._entry
-
-            def counted(i, j):
-                counts[i, j] += 1
-                return entry(i, j)
-
-            A._entry = counted
-            return A
-
-        monkeypatch.setattr(solver, "charge_matrix", counting)
+        # the builder makes every column from one binomial row C(n - k, .),
+        # with no comb per entry; the row-span witness, the scan and the
+        # certificate check then read those same tuples
+        combs, rows = [], []
+        for module in (charges, groups):
+            monkeypatch.setattr(module, "comb", lambda *a: combs.append(a) or math.comb(*a))
+        binomial_row = charges.binomial_row
+        monkeypatch.setattr(charges, "binomial_row", lambda m: rows.append(m) or binomial_row(m))
         result, table, A = compute_tmax(group, n, k)
+        built = [A.column(j) for j in range(A.shape[1])]
         assert verify_certificate(result.certificate, A, table)
-        assert len(counts) == A.shape[0] * A.shape[1]
-        assert max(counts.values()) == 1
+        assert not combs
+        assert rows == [n - k]
+        assert all(A.column(j) is col for j, col in enumerate(built))
 
 
 class TestLazyCharacterColumns:

@@ -31,9 +31,14 @@ from symdesign.groups import (
     frobenius_dim,
     partitions_max_rows,
     sn_irrep_dim,
-    sud_irrep_dim,
+    sud_irrep_dims,
 )
 from symdesign import groups
+
+
+def sud_irrep_dim(parts, d):
+    """The SU(d) dimension of one shape, from the table-wide hook-content helper."""
+    return sud_irrep_dims((parts,), sum(parts), d)[0]
 
 
 def partitions_reference(n: int, d: int):
