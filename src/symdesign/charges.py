@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import add, eq, mul, sub
+from operator import add, attrgetter, eq, mul, sub
 
 from .groups import (
     CUSTOM,
@@ -319,8 +319,8 @@ def charge_matrix(
         labels = tuple(gate_classes(k, classes))
         # the entries skip sn_character's checks (support <= k <= n and sectors of
         # n boxes, made here) and read the identity row from the cached f^lambda
-        parts = [irrep.parts for irrep in ids]
-        if any(sum(shape) != n for shape in parts):
+        parts = [*map(attrgetter("parts"), ids)]
+        if {*map(sum, parts)} - {n}:
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
         cycles = [cls.cycles for cls in labels]
         central = [_CENTRAL_CHARACTERS.get(cyc) for cyc in cycles]
@@ -360,10 +360,11 @@ def charge_matrix(
     binomials = binomial_row(nk)
     padded = [0] * (k + 2) + binomials + [0] * (k + 2)  # C(n - k, b) at b + k + 2
     if group.kind == "U1":
-        if not all(0 <= irrep.w <= n for irrep in ids):
+        ws = [*map(attrgetter("w"), ids)]
+        if min(ws, default=0) < 0 or max(ws, default=0) > n:
             raise ValueError(f"U(1) sectors on n={n} sites have weights 0..{n}")
         # row v of column w is C(n - k, w - v), for v = 0..k
-        columns = [tuple(padded[irrep.w + k + 2 : irrep.w + 1 : -1]) for irrep in ids]
+        columns = [tuple(padded[w + k + 2 : w + 1 : -1]) for w in ws]
     elif group.kind == "SU2":
         # row 2j' = k % 2 + 2t of column 2j is C(n - k, lo - t) - C(n - k, lo + k % 2 + 1 + t)
         # with lo = (n - k + 2j - k % 2) / 2, exact as 2j has the parity of n
@@ -389,14 +390,17 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
 
     The proof is ``witness^T A == m`` for the builder's ``A.witness``,
     computed in O(rows * cols).  A matrix whose weights are all nonzero
-    (U(1), SU(2), Z_p) is read by columns, which it holds built; otherwise
-    each row of nonzero weight (the identity row of SU(d) and custom
-    matrices) is read once and added whole.  False means the witness does
-    not reproduce ``m``, whether or not ``m`` is in the span.
+    (U(1), SU(2), Z_p) is read by columns, which it holds built; a single
+    unit weight (the identity row of SU(d) and custom matrices) selects a
+    row that is compared with ``m`` as it is; otherwise each row of nonzero
+    weight is read once and added whole.  False means the witness does not
+    reproduce ``m``, whether or not ``m`` is in the span.
     """
     witness = A.witness
     if all(witness):
         products = (sum(map(mul, witness, A.column(j))) for j in range(len(m)))
+    elif witness.count(0) == len(witness) - 1 and 1 in witness:
+        products = A[witness.index(1)]
     else:
         products = [0] * len(m)
         for i, y in enumerate(witness):

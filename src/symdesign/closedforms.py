@@ -12,14 +12,15 @@ Three families of operators span the center of the symmetric Hamiltonians on
   ends of the weight range; orthogonal to every ``(k-1)``-local operator.
   Halved one-norms of these give the exact design orders.
 
-Everything is exact: integers and ``Fraction``s only, with final integrality
-checked where a half-integer binomial appears in an intermediate step.
+Everything is exact: integers and ``Fraction``s only.  The norms and design
+orders built on half-integer binomials ``2^a C(x/2, s)`` stay in integers
+(:func:`half_binom_int`), with the one division's remainder checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .groups import (
     GroupSpec,
@@ -59,12 +60,15 @@ def binom_frac(alpha, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if isinstance(x, int):
-        return x
-    if x.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer: {x}")
-    return x.numerator
+def half_binom_int(x: int, s: int, a: int) -> int:
+    """``2^a · x (x - 2) ... (x - 2s + 2) / s!``, that is ``2^(a+s) · C(x/2, s)``, in integers.
+
+    Raises ``ArithmeticError`` when ``s!`` leaves a remainder.
+    """
+    out, rem = divmod(prod(range(x, x - 2 * s, -2)) << a, factorial(s))
+    if rem:
+        raise ArithmeticError(f"2^{a} * prod(x - 2i, i < {s}) / {s}! is not an integer at x={x}")
+    return out
 
 
 def double_factorial(n: int) -> int:
@@ -152,9 +156,8 @@ def u1_f_norm(n: int, k: int) -> int:
     """Trace norm of the edge-supported operator; integer for every parity."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if k % 2 == 0:
-        return _as_int(2**k * binom_frac(Fraction(n, 2), k // 2), "edge-operator norm")
-    return _as_int(2**k * binom_frac(Fraction(n - 1, 2), (k - 1) // 2), "edge-operator norm")
+    # 2^k C(x/2, s) with x = n - k % 2 and s = k // 2
+    return half_binom_int(n - k % 2, k // 2, k - k // 2)
 
 
 def u1_a_norm(n: int, k: int) -> int:
@@ -240,7 +243,7 @@ def su2_a_operator(n: int, k: int) -> DiagOperator:
 def su2_a_norm(n: int, k: int) -> int:
     if k % 2:
         raise ValueError("k must be even")
-    return _as_int(2**k * binom_frac(Fraction(n - 1, 2), k // 2), "high-spin operator norm")
+    return half_binom_int(n - 1, k // 2, k // 2)  # 2^k C((n - 1)/2, k/2)
 
 
 def tr_a_ctilde(n: int, ss: int, mm: int) -> int:
@@ -302,8 +305,8 @@ def closed_tmax(group: GroupSpec, n: int, k: int, variant: str = "full") -> Clos
     if group.kind == "U1":
         return ClosedFormTmax(u1_f_norm(n, k + 1) // 2 - 1, u1_nbound(k), f"u1:k={k}")
     if group.kind == "SU2":
-        s = k // 2
-        val = _as_int(2 ** (2 * s + 1) * binom_frac(Fraction(n - 1, 2), s + 1), "design order")
+        # 2^(2s+1) C((n - 1)/2, s + 1) with s = k // 2
+        val = half_binom_int(n - 1, k // 2 + 1, k // 2)
         return ClosedFormTmax(val - 1, su2_nbound(k), f"su2:k={k}")
     if group.kind == "Zp":
         if group.p % 2 == 1:

@@ -20,8 +20,9 @@ Built-in symmetries:
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
-from itertools import accumulate, combinations, starmap
+from itertools import accumulate, chain, combinations, repeat, starmap
 from math import comb, factorial, prod
 from operator import add, attrgetter, getitem, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
@@ -141,18 +142,31 @@ class Residue(Value):
         return f"b={self.beta}"
 
 
+def check_partitions(shapes, n: int | None = None) -> None:
+    """Raise ``ValueError`` unless every shape has exact-``int``, weakly decreasing, positive parts.
+
+    With ``n`` given, every shape must also have ``n`` boxes.  Each test is
+    one pass over the whole list of shapes, so a table is checked at once.
+    """
+    parts = [*chain.from_iterable(shapes)]
+    # exactly int also rejects bool and 2.0
+    if {*map(type, parts)} - {int}:
+        bad = next(x for x in parts if type(x) is not int)
+        raise ValueError(f"partition parts must be ints, got {bad!r}")
+    # each shape against itself shifted by one part
+    if any(map(any, map(map, repeat(lt), shapes, map(itemgetter(slice(1, None)), shapes)))):
+        raise ValueError("partition parts must be weakly decreasing")
+    if not all(shapes) or min(parts, default=1) <= 0:
+        raise ValueError("partition parts must be positive")
+    if n is not None and {*map(sum, shapes)} - {n}:
+        raise ValueError(f"partitions must have n={n} boxes")
+
+
 class PartitionId(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        # exactly int also rejects bool and 2.0; one set of types is cheaper
-        # than a generator per part, and sectors makes one id per sector
-        if parts and {*map(type, parts)} != {int}:
-            raise ValueError(f"partition parts must be ints, got {parts!r}")
-        if any(map(lt, parts, parts[1:])):
-            raise ValueError("partition parts must be weakly decreasing")
-        if not parts or parts[-1] <= 0:  # the last part is the least
-            raise ValueError("partition parts must be positive")
+        check_partitions((parts,))
         object.__setattr__(self, "parts", parts)
 
     def _fields(self):
@@ -346,7 +360,9 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
         dims = (1,) * len(ids)
     elif group.kind == "SUd":
         shapes = tuple(partitions_max_rows(n, group.d))
-        ids = tuple(map(PartitionId, shapes))
+        check_partitions(shapes, n)  # once per table, so the ids skip PartitionId's own check
+        ids = tuple(map(object.__new__, repeat(PartitionId, len(shapes))))
+        deque(map(object.__setattr__, ids, repeat("parts"), shapes), maxlen=0)
         mults = tuple(map(sn_irrep_dim, shapes))
         dims = sud_irrep_dims(shapes, n, group.d)
     else:
@@ -370,12 +386,13 @@ _LABEL_KEYS = {
 
 def canonical_order(table: SectorTable) -> SectorTable:
     """Sort sectors by weakly increasing multiplicity with deterministic ties."""
-    label = _LABEL_KEYS[table.group.kind]
-    # whole (id, multiplicity, dim) rows are sorted, so each dim moves with
-    # its sector; two stable sorts: by label, then by multiplicity
-    order = sorted(zip(table.ids, table.multiplicities, table.dims), key=lambda row: label(row[0]))
-    order.sort(key=itemgetter(1))
-    return SectorTable(table.group, table.n, *zip(*order))
+    if len(table) < 2:  # in order already; itemgetter of one index would not return a tuple
+        return table
+    keys = [*zip(table.multiplicities, map(_LABEL_KEYS[table.group.kind], table.ids))]
+    # one permutation takes every column, so each dim moves with its sector
+    take = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    columns = (table.ids, table.multiplicities, table.dims)
+    return SectorTable(table.group, table.n, *map(take, columns))
 
 
 def semiuniversal_min_locality(group: GroupSpec) -> int:

@@ -42,7 +42,8 @@ returned with ``proven_exact`` is self-certifying.
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Optional
 
 from .charges import (
@@ -442,31 +443,35 @@ def tmax_exact(
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:
     """Re-derive every certificate property from scratch.
 
-    ``A q = 0`` is checked as the sum of ``q_j`` times column ``j`` over the
-    support of ``q``: the other columns are multiplied by zero.
+    ``q`` must be a nonzero, primitive vector of the table's length with
+    ``A q = 0`` and ``m · q = 0`` (its positive and negative weighted parts
+    balance), whose weighted one-norm is ``cert.weighted_norm``, even and
+    positive, and whose nonzero entries sit exactly on ``cert.support``'s
+    sector ids.  Each of these reads only the support of ``q``: columns,
+    multiplicities and ids are taken where ``q`` is nonzero, as every other
+    term is multiplied by zero.
     """
-    q = list(cert.q)
+    q = cert.q
     rows, cols = A.shape
     if len(q) != len(table) or cols != len(table):
         return False
-    if all(x == 0 for x in q):
+    nonzero = [*compress(q, q)]
+    if not nonzero:
         return False
     Aq = [0] * rows
-    for j, x in enumerate(q):
-        if x:
-            Aq = [acc + x * a for acc, a in zip(Aq, A.column(j))]
+    for x, col in zip(nonzero, map(A.column, compress(range(cols), q))):
+        Aq = [*map(add, Aq, map(mul, repeat(x), col))]
     if any(Aq):
         return False
-    mults = table.multiplicities
-    if sum(m * x for m, x in zip(mults, q)) != 0:
+    mults = [*compress(table.multiplicities, q)]
+    if sum(map(mul, mults, nonzero)) != 0:
         return False
-    if math.gcd(*q) != 1:
+    if math.gcd(*nonzero) != 1:
         return False
-    norm = _weighted_l1(q, mults)
+    norm = _weighted_l1(nonzero, mults)
     if norm != cert.weighted_norm or norm % 2 or norm <= 0:
         return False
-    support = tuple(table.ids[i] for i, x in enumerate(q) if x)
-    return support == tuple(cert.support)
+    return tuple(compress(table.ids, q)) == tuple(cert.support)
 
 
 def compute_tmax(

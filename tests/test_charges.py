@@ -697,6 +697,24 @@ class TestMatrixInvariants:
         assert not multiplicity_in_row_span([1, 2], _hand_built([[1, 1]], [1]))
         assert not multiplicity_in_row_span([1, 2], _hand_built([], []))
 
+    def test_unit_weight_row_is_compared_entry_by_entry(self):
+        # one weight of 1 selects its row, which must equal m in every entry
+        m = [1, 3, 3, 1, 5]
+        for j in range(len(m)):
+            off = m[:j] + [m[j] + 1] + m[j + 1 :]
+            assert not multiplicity_in_row_span(m, _hand_built([off, m], [1, 0], width=5))
+            assert not multiplicity_in_row_span(m, _hand_built([m, off], [0, 1], width=5))
+        assert multiplicity_in_row_span(m, _hand_built([[0] * 5, m], [0, 1], width=5))
+        assert not multiplicity_in_row_span(m[:4], _hand_built([m], [1], width=5))
+
+    def test_weight_two_row_takes_the_general_path(self):
+        # a weight of 2 doubles its row: m itself then fails and m / 2 passes
+        m = [2, 4, 6]
+        half = [1, 2, 3]
+        assert not multiplicity_in_row_span(m, _hand_built([m, half], [2, 0], width=3))
+        assert multiplicity_in_row_span(m, _hand_built([half, m], [2, 0], width=3))
+        assert multiplicity_in_row_span(m, _hand_built([half, [0, 0, 0]], [2, 1], width=3))
+
 
 def _hand_built(rows, witness, width=2):
     """A custom-group matrix over ``rows`` as given, with no identity row added."""

@@ -30,7 +30,7 @@ from symdesign import (
     u1_f_operator,
     zp,
 )
-from symdesign.closedforms import double_factorial, u1_f_values
+from symdesign.closedforms import double_factorial, half_binom_int, u1_f_values
 
 
 class TestBinomials:
@@ -44,6 +44,56 @@ class TestBinomials:
         assert binom_frac(Fraction(3, 2), 1) == Fraction(3, 2)
         assert binom_frac(Fraction(7, 2), 2) == Fraction(35, 8)
         assert binom_frac(4, 2) == 6
+
+
+def _integral(x: Fraction) -> int:
+    assert x.denominator == 1, x
+    return x.numerator
+
+
+def u1_f_norm_ref(n, k):
+    """``2^k C(n/2, k/2)`` for even ``k``, ``2^k C((n-1)/2, (k-1)/2)`` for odd, in ``Fraction``s."""
+    return _integral(2**k * binom_frac(Fraction(n - k % 2, 2), k // 2))
+
+
+def su2_tmax_ref(n, k):
+    s = k // 2
+    return _integral(2 ** (2 * s + 1) * binom_frac(Fraction(n - 1, 2), s + 1)) - 1
+
+
+class TestHalfBinomials:
+    """The integer closed forms against the rational ``binom_frac`` for n <= 300, k <= 20."""
+
+    def test_u1_f_norm(self):
+        for n in range(301):
+            for k in range(min(n, 20) + 1):
+                assert u1_f_norm(n, k) == u1_f_norm_ref(n, k), (n, k)
+
+    def test_su2_a_norm(self):
+        for n in range(301):
+            for k in range(0, 21, 2):
+                expect = _integral(2**k * binom_frac(Fraction(n - 1, 2), k // 2))
+                assert su2_a_norm(n, k) == expect, (n, k)
+
+    def test_closed_tmax(self):
+        for n in range(3, 301):
+            for k in range(2, min(n - 1, 20) + 1):
+                assert closed_tmax(U1, n, k).value == u1_f_norm_ref(n, k + 1) // 2 - 1, (n, k)
+                assert closed_tmax(SU2, n, k).value == su2_tmax_ref(n, k), (n, k)
+
+    def test_helper_is_2_to_the_a_times_a_half_binomial(self):
+        for x in range(-7, 40):
+            for s in range(6):
+                for a in range(s, s + 3):  # 2^s clears the halves of C(x/2, s)
+                    expect = 2 ** (a + s) * binom_frac(Fraction(x, 2), s)
+                    assert half_binom_int(x, s, a) == expect, (x, s, a)
+
+    @pytest.mark.parametrize("x, s, a", [(1, 2, 0), (3, 2, 0), (5, 3, 0), (7, 4, 2)])
+    def test_helper_raises_on_a_remainder(self, x, s, a):
+        # x (x - 2) ... over s! times 2^a is not an integer here
+        assert (2 ** (a + s) * binom_frac(Fraction(x, 2), s)).denominator != 1
+        with pytest.raises(ArithmeticError):
+            half_binom_int(x, s, a)
 
 
 class TestU1COperators:

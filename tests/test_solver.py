@@ -633,6 +633,20 @@ class TestVerifyCertificate:
         )
         assert not verify_certificate(bad, matrix, table)
 
+    @pytest.mark.parametrize("group, n, k", [(U1, 12, 3), (SU2, 13, 4), (sud(4), 14, 4)], ids=str)
+    def test_each_property_is_read_from_the_support(self, group, n, k):
+        result, table, A = compute_tmax(group, n, k)
+        q, norm, support = result.certificate._fields()
+        assert verify_certificate(result.certificate, A, table) and len(support) >= 2
+        bad = [
+            Certificate(tuple(2 * x for x in q), 2 * norm, support),  # not primitive
+            Certificate(q, norm, support[::-1]),  # support ids out of order
+            Certificate(q, norm, support[:-1]),  # one support id missing
+            Certificate(q[:-1], norm, support),  # one sector short
+        ]
+        for cert in bad:
+            assert not verify_certificate(cert, A, table), cert
+
     def test_non_kernel_vector_rejected(self):
         matrix, table = aligned(U1, 4, 2)
         q = (1, -1, 0, 0, 0)
@@ -773,6 +787,24 @@ class TestLazyCharacterColumns:
         )
         assert not verify_certificate(cert, A, table)
         assert {j1, j2} <= read
+
+
+class TestPerTableChecks:
+    def test_warm_sud_solve_checks_no_partition_per_sector(self, monkeypatch):
+        # sectors checks its generated shapes once per table; the solve and
+        # the certificate check then build no checked PartitionId per sector
+        compute_tmax(sud(4), 30, 4)
+        calls = []
+        init = groups.PartitionId.__init__
+        monkeypatch.setattr(
+            groups.PartitionId, "__init__", lambda self, parts: calls.append(parts) or init(self, parts)
+        )
+        result, table, A = compute_tmax(sud(4), 30, 4)
+        assert verify_certificate(result.certificate, A, table)
+        assert len(table) == 297 and not calls
+        with pytest.raises(ValueError):
+            groups.PartitionId((1, 2))
+        assert calls == [(1, 2)]
 
 
 class TestBruteForce:

@@ -28,6 +28,7 @@ from symdesign.groups import (
     SectorTable,
     TwiceSpin,
     beta_set,
+    custom_table,
     frobenius_dim,
     partitions_max_rows,
     sn_irrep_dim,
@@ -230,6 +231,25 @@ class TestIntSizes:
 IMAX_TABLE = [0, 0, 1, 1, 2, 1, 2, 2, 3, 2, 4, 3, 4, 4, 5, 4, 6, 5]
 
 
+def _check_reference_sort(natural, rng):
+    """``canonical_order`` equals one sort by ``(m, tie key)``, from natural and shuffled order.
+
+    The (id, m, dim) triples are sorted whole, so each dim moves with its
+    sector; the shuffled copy shows the order does not lean on the input's.
+    """
+
+    def columns(table):
+        return (table.ids, table.multiplicities, table.dims)
+
+    n = natural.n
+    triples = list(zip(*columns(natural)))
+    expect = tuple(zip(*sorted(triples, key=lambda t: (t[1],) + tie_break_key(n, t[0]))))
+    assert columns(canonical_order(natural)) == expect
+    rng.shuffle(triples)
+    table = SectorTable(natural.group, n, *zip(*triples))
+    assert columns(canonical_order(table)) == expect
+
+
 class TestCanonicalOrder:
     def test_u1_interleaving_n5(self):
         table = canonical_order(sectors(U1, 5))
@@ -260,23 +280,17 @@ class TestCanonicalOrder:
         "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4), sud(6)], ids=str
     )
     def test_matches_reference_sort(self, group):
-        # sorted from a shuffled copy too: the order must not lean on the input's;
-        # the (id, m, dim) triples are sorted whole, so each dim moves with its sector
         rng = random.Random(7)
-
-        def columns(table):
-            return (table.ids, table.multiplicities, table.dims)
-
         for n in range(1, 31):
-            natural = sectors(group, n)
-            triples = list(zip(*columns(natural)))
-            expect = tuple(
-                zip(*sorted(triples, key=lambda t: (t[1],) + tie_break_key(n, t[0])))
-            )
-            assert columns(canonical_order(natural)) == expect
-            rng.shuffle(triples)
-            table = SectorTable(group, n, *zip(*triples))
-            assert columns(canonical_order(table)) == expect
+            _check_reference_sort(sectors(group, n), rng)
+
+    def test_custom_tables_match_reference_sort(self):
+        # tied multiplicities order by sector index; one-sector tables included
+        rng = random.Random(11)
+        for size in [1] * 5 + list(range(2, 40)):
+            m = [rng.randint(1, max(1, size // 4)) for _ in range(size)]
+            _check_reference_sort(custom_table(m), rng)
+            _check_reference_sort(custom_table([7] * size), rng)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_su2_imax_matches_table(self, n):
@@ -375,7 +389,32 @@ class TestPartitionHelpers:
         # the factor d + 0 - d = 0 at cell (d, 0)
         assert sud_irrep_dim(parts, d) == 0
 
-    @pytest.mark.parametrize("parts", [(0,), (1, 2), (), (-1,), (2, 0), (3, 1, 2)])
+    @pytest.mark.parametrize(
+        "parts", [(0,), (1, 2), (), (-1,), (2, 0), (3, 1, 2), (2.0,), (True,), (3, 1.0)]
+    )
     def test_partition_id_rejects_invalid_parts(self, parts):
         with pytest.raises(ValueError):
             PartitionId(parts)
+
+
+class TestSudTableCheckedOnce:
+    @pytest.mark.parametrize(
+        "bad",
+        [(4, 2.0), (5, True), (1, 5), (6, 0), (), (3, 2)],
+        ids=["float-part", "bool-part", "increasing", "zero-part", "empty", "n-1-boxes"],
+    )
+    def test_generated_bad_shape_is_rejected(self, bad, monkeypatch):
+        # the generated shapes are checked as one table, before any id is built
+        shapes = list(partitions_max_rows(6, 3))
+        monkeypatch.setattr(
+            groups, "partitions_max_rows", lambda n, d: iter(shapes[:3] + [bad] + shapes[4:])
+        )
+        with pytest.raises(ValueError, match="partition"):
+            sectors(sud(3), 6)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_ids_equal_checked_partition_ids(self, d):
+        for n in range(1, 31):
+            ids = sectors(sud(d), n).ids
+            assert ids == tuple(map(PartitionId, partitions_max_rows(n, d))), (d, n)
+            assert {type(irrep) for irrep in ids} == {PartitionId}
