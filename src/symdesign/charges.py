@@ -390,17 +390,14 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
 
     The proof is ``witness^T A == m`` for the builder's ``A.witness``,
     computed in O(rows * cols).  A matrix whose weights are all nonzero
-    (U(1), SU(2), Z_p) is read by columns, which it holds built; a single
-    unit weight (the identity row of SU(d) and custom matrices) selects a
-    row that is compared with ``m`` as it is; otherwise each row of nonzero
-    weight is read once and added whole.  False means the witness does not
-    reproduce ``m``, whether or not ``m`` is in the span.
+    (U(1), SU(2), Z_p) is read by columns, which it holds built; otherwise
+    each row of nonzero weight (the identity row of SU(d) and custom
+    matrices) is read once and added whole.  False means the witness does
+    not reproduce ``m``, whether or not ``m`` is in the span.
     """
     witness = A.witness
     if all(witness):
         products = (sum(map(mul, witness, A.column(j))) for j in range(len(m)))
-    elif witness.count(0) == len(witness) - 1 and 1 in witness:
-        products = A[witness.index(1)]
     else:
         products = [0] * len(m)
         for i, y in enumerate(witness):

@@ -169,6 +169,13 @@ class PartitionId(Value):
         check_partitions((parts,))
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _from_checked(cls, shapes) -> tuple[PartitionId, ...]:
+        """Ids for shapes that ``check_partitions`` has passed, without a check per shape."""
+        ids = tuple(map(object.__new__, repeat(cls, len(shapes))))
+        deque(map(object.__setattr__, ids, repeat("parts"), shapes), maxlen=0)
+        return ids
+
     def _fields(self):
         return (self.parts,)
 
@@ -361,8 +368,7 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
     elif group.kind == "SUd":
         shapes = tuple(partitions_max_rows(n, group.d))
         check_partitions(shapes, n)  # once per table, so the ids skip PartitionId's own check
-        ids = tuple(map(object.__new__, repeat(PartitionId, len(shapes))))
-        deque(map(object.__setattr__, ids, repeat("parts"), shapes), maxlen=0)
+        ids = PartitionId._from_checked(shapes)
         mults = tuple(map(sn_irrep_dim, shapes))
         dims = sud_irrep_dims(shapes, n, group.d)
     else:
@@ -386,13 +392,11 @@ _LABEL_KEYS = {
 
 def canonical_order(table: SectorTable) -> SectorTable:
     """Sort sectors by weakly increasing multiplicity with deterministic ties."""
-    if len(table) < 2:  # in order already; itemgetter of one index would not return a tuple
-        return table
     keys = [*zip(table.multiplicities, map(_LABEL_KEYS[table.group.kind], table.ids))]
     # one permutation takes every column, so each dim moves with its sector
-    take = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     columns = (table.ids, table.multiplicities, table.dims)
-    return SectorTable(table.group, table.n, *map(take, columns))
+    return SectorTable(table.group, table.n, *(tuple(map(c.__getitem__, order)) for c in columns))
 
 
 def semiuniversal_min_locality(group: GroupSpec) -> int:

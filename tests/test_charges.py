@@ -698,7 +698,7 @@ class TestMatrixInvariants:
         assert not multiplicity_in_row_span([1, 2], _hand_built([], []))
 
     def test_unit_weight_row_is_compared_entry_by_entry(self):
-        # one weight of 1 selects its row, which must equal m in every entry
+        # a witness of one 1 and zeros reproduces just its row, which must equal m in every entry
         m = [1, 3, 3, 1, 5]
         for j in range(len(m)):
             off = m[:j] + [m[j] + 1] + m[j + 1 :]
