@@ -45,6 +45,7 @@ from .groups import (
     check_multiplicities,
     custom_table,
     frobenius_dim,
+    partitions_max_rows,
     sectors,
     sn_irrep_dim,
     zp_multiplicity,
@@ -101,37 +102,33 @@ IDENTITY_CLASS = CycleType(())
 
 
 def conjugacy_classes(k: int) -> list[CycleType]:
-    """All cycle types with support <= k: the classes reachable by k-local permutations."""
+    """All cycle types with support <= k, the classes of k-local permutations, identity first.
+
+    They are the partitions of 0..k with no part 1, in increasing order.
+    """
     if type(k) is not int:  # also rejects bool and integral floats such as 3.0
         raise ValueError(f"k must be an int, got {k!r}")
-
-    def rec(rest: int, max_len: int):
-        yield ()
-        for c in range(min(rest, max_len), 1, -1):
-            for tail in rec(rest - c, c):
-                yield (c,) + tail
-
-    types = sorted(set(rec(k, k)), key=lambda t: (sum(t), t))
-    return [CycleType(t) for t in types]
+    shapes = (p for s in range(k + 1) for p in reversed([*partitions_max_rows(s, s)]))
+    return [CycleType(p) for p in shapes if 1 not in p]
 
 
 def gate_classes(k: int, classes: list[CycleType] | None = None) -> list[CycleType]:
     """The SU(d) row classes of ``k``-local gates: by default every class of support <= k.
 
-    Given ``classes`` come back in their order, with :data:`IDENTITY_CLASS`
-    prepended when absent: a global phase never changes a design's moments,
-    so every gate set realizes it, and ``2,3`` is the gate set ``id,2,3``.
+    :data:`IDENTITY_CLASS` leads, and given ``classes`` follow in their order:
+    a global phase never changes a design's moments, so every gate set
+    realizes it, and ``2,3`` and ``2,id,3`` are the gate set ``id,2,3``.
     """
     if classes is None:
         return conjugacy_classes(k)
     for cls in classes:
         if cls.support > k:
             raise ValueError(f"class {cls.name} needs support {cls.support} > k = {k}")
-    return list(classes) if IDENTITY_CLASS in classes else [IDENTITY_CLASS, *classes]
+    return [IDENTITY_CLASS, *(cls for cls in classes if cls != IDENTITY_CLASS)]
 
 
 # 3-local classes plus the product of two disjoint transpositions
-T_GROUP_CLASSES = (IDENTITY_CLASS, CycleType((2,)), CycleType((3,)), CycleType((2, 2)))
+T_GROUP_CLASSES = (*conjugacy_classes(3), CycleType((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +295,10 @@ def charge_matrix(
     """Charge matrix of ``k``-local symmetric gates over ``table``'s columns, in its order.
 
     ``table`` lists the sectors of a built-in group on ``n`` sites, in any
-    order.  SU(d) rows are the S_n characters on ``gate_classes(k, classes)``: every
-    cycle type with support <= k by default.  A class of support 2..4 reads
-    ``f^lambda`` and the column's content power sums, computed once per column;
+    order.  SU(d) rows are the S_n characters on ``gate_classes(k, classes)``,
+    so row 0, the identity class, is ``f^lambda`` and the witness is
+    ``(1, 0, ..., 0)``.  A class of support 2..4 reads ``f^lambda`` and the
+    column's content power sums, computed once per column;
     a class of larger support goes through the border-strip recursion.
     Restricting ``classes`` models gate sets generating only part of the
     ``k``-local permutations (for example dropping the 4-cycle row realizes
@@ -325,9 +323,8 @@ def charge_matrix(
         cycles = [cls.cycles for cls in labels]
         central = [_CENTRAL_CHARACTERS.get(cyc) for cyc in cycles]
         sizes = [pair[1](n) if pair else None for pair in central]
-        # the identity class row is m itself, so it alone carries weight 1
-        witness = [0] * len(labels)
-        witness[labels.index(IDENTITY_CLASS)] = 1
+        # row 0, the identity class, is m itself, so it alone carries weight 1
+        witness = [1] + [0] * (len(labels) - 1)
 
         # a column reads its entries in turn, so one slot holds its sums
         @lru_cache(maxsize=1)
@@ -391,7 +388,7 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
     The proof is ``witness^T A == m`` for the builder's ``A.witness``,
     computed in O(rows * cols).  A matrix whose weights are all nonzero
     (U(1), SU(2), Z_p) is read by columns, which it holds built; otherwise
-    each row of nonzero weight (the identity row of SU(d) and custom
+    each row of nonzero weight (row 0, the identity row of SU(d) and custom
     matrices) is read once and added whole.  False means the witness does
     not reproduce ``m``, whether or not ``m`` is in the span.
     """
@@ -468,7 +465,7 @@ def parse_rational(x) -> int | Fraction:
 
 
 def load_custom_problem(text: str) -> tuple[SectorTable, ChargeMatrix]:
-    """Parse a custom problem document: ``{"m": [...], "rows": [[...]], "labels": [...]}``.
+    """Parse a custom document: ``{"m": [...], "rows": [[...]], "labels": [...]}``, no other key.
 
     The table comes back in canonical multiplicity order, with the matrix
     built over its columns, ready for the solver.  Sector ``s{i}`` keeps the
@@ -477,6 +474,8 @@ def load_custom_problem(text: str) -> tuple[SectorTable, ChargeMatrix]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "m" not in doc:
         raise ValueError('the problem document must be an object with an "m" key')
+    if unknown := sorted(doc.keys() - {"m", "rows", "labels"}):
+        raise ValueError(f'unknown keys {unknown}; a problem has only "m", "rows" and "labels"')
     m, rows, labels = doc["m"], doc.get("rows", []), doc.get("labels")
     if not isinstance(m, list):
         raise ValueError('"m" must be a list of positive integers')

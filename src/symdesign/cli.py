@@ -31,8 +31,10 @@ import sys
 import time
 
 from .charges import (
+    T_GROUP_CLASSES,
     CycleType,
     charge_matrix,
+    conjugacy_classes,
     gate_classes,
     load_custom_problem,
 )
@@ -111,12 +113,12 @@ def _closed_form_for(group, n, k, classes):
         variant = "full"
         if group.kind == "SUd":
             # the class set the charge matrix gets, so equal gate sets agree
-            cycle_sets = {c.cycles for c in gate_classes(k, classes)}
-            if cycle_sets == {(), (2,), (3,), (2, 2)}:
+            class_set = set(gate_classes(k, classes))
+            if class_set == set(T_GROUP_CLASSES):
                 variant = "tgroup"
-            elif cycle_sets == {(), (2,)}:
+            elif class_set == set(conjugacy_classes(2)):
                 variant = "sv"
-            elif cycle_sets != {c.cycles for c in gate_classes(k)}:
+            elif class_set != set(conjugacy_classes(k)):
                 return None
         cf = closed_tmax(group, n, k, variant=variant)
     except ValueError:
@@ -240,8 +242,6 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
             for n in range(n_lo, n_hi + 1):
                 jobs.append((group, n, k, None))
         if d >= 4:
-            from .charges import T_GROUP_CLASSES
-
             for n in range(n_lo, n_hi + 1):
                 jobs.append((group, n, 4, list(T_GROUP_CLASSES)))
     else:

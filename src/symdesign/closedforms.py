@@ -305,9 +305,7 @@ def closed_tmax(group: GroupSpec, n: int, k: int, variant: str = "full") -> Clos
     if group.kind == "U1":
         return ClosedFormTmax(u1_f_norm(n, k + 1) // 2 - 1, u1_nbound(k), f"u1:k={k}")
     if group.kind == "SU2":
-        # 2^(2s+1) C((n - 1)/2, s + 1) with s = k // 2
-        val = half_binom_int(n - 1, k // 2 + 1, k // 2)
-        return ClosedFormTmax(val - 1, su2_nbound(k), f"su2:k={k}")
+        return ClosedFormTmax(su2_a_norm(n, k // 2 * 2 + 2) // 2 - 1, su2_nbound(k), f"su2:k={k}")
     if group.kind == "Zp":
         if group.p % 2 == 1:
             return ClosedFormTmax(INFINITE, k + 1, f"zp:odd,p={group.p}")

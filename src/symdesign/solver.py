@@ -166,9 +166,7 @@ def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
         )
     elif group.kind == "SUd":
         # semi-universal iff the realizable classes include every 3-local one
-        have = {lbl.cycles for lbl in A.row_labels if isinstance(lbl, CycleType)}
-        needed = conjugacy_classes(semiuniversal_min_locality(group))
-        if not {c.cycles for c in needed} <= have:
+        if not set(conjugacy_classes(semiuniversal_min_locality(group))) <= set(A.row_labels):
             shortfall = (
                 "the realizable permutation classes miss a 3-local class, so the "
                 "gate set is not even a 2-design source; pass "

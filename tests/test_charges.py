@@ -1,5 +1,6 @@
 """Charge matrices, symmetric-group characters, and custom problems."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from symdesign import (
 from symdesign.charges import (
     ChargeMatrix,
     CycleType,
+    IDENTITY_CLASS,
     T_GROUP_CLASSES,
     multiplicity_in_row_span,
     parse_rational,
@@ -332,6 +334,26 @@ class TestConjugacyClasses:
         labels = [c.label for c in conjugacy_classes(4)]
         assert labels == ["(1)", "(12)", "(123)", "(12)(34)", "(1234)"]
 
+    def test_matches_the_recursive_enumeration(self):
+        def rec(rest, max_len):
+            yield ()
+            for c in range(min(rest, max_len), 1, -1):
+                for tail in rec(rest - c, c):
+                    yield (c,) + tail
+
+        for k in range(13):
+            expected = sorted(set(rec(k, k)), key=lambda t: (sum(t), t))
+            assert [c.cycles for c in conjugacy_classes(k)] == expected, k
+
+    def test_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            conjugacy_classes(8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_tgroup_is_s4_minus_4cycle(self):
         all4 = {c.cycles for c in conjugacy_classes(4)}
         assert {c.cycles for c in T_GROUP_CLASSES} == all4 - {(4,)}
@@ -513,18 +535,26 @@ class TestCentralCharacterColumns:
 
     @pytest.mark.parametrize(
         "k, classes",
-        [(3, [CycleType((3,)), CycleType((2,))]), (4, list(T_GROUP_CLASSES)), (5, None), (6, None)],
-        ids=["3,2", "tgroup", "k5", "k6"],
+        [
+            (3, [CycleType((3,)), CycleType((2,))]),
+            (3, [CycleType((2,)), IDENTITY_CLASS, CycleType((3,))]),
+            (4, list(T_GROUP_CLASSES)),
+            (5, None),
+            (6, None),
+        ],
+        ids=["3,2", "2,id,3", "tgroup", "k5", "k6"],
     )
     def test_class_sets(self, k, classes):
-        # a reordered list keeps its row order, rows (1), (123), (12) for 3,2;
-        # at k >= 5 the recursion's rows sit in the same matrix as the formula's
+        # a reordered list keeps its row order after the identity row, rows
+        # (1), (123), (12) for 3,2 and (1), (12), (123) for 2,id,3; at k >= 5
+        # the recursion's rows sit in the same matrix as the formula's
         for n in (k, 9, 16):
             A = charge_matrix(sectors(sud(5), n), k, classes)
             if classes is None:
                 assert max(cls.support for cls in A.row_labels) == k
             else:
                 assert A.row_labels == (CycleType(()), *(cls for cls in classes if cls.support))
+            assert A.witness == (1,) + (0,) * (len(A.row_labels) - 1)
             assert A.rows == _characters_of(A), (n, k)
 
     def test_default_k4_columns_never_recurse(self, monkeypatch):
@@ -808,6 +838,9 @@ class TestCustomJson:
             load_custom_problem("{not json")
         with pytest.raises(ValueError):
             load_custom_problem('{"rows": []}')
+        # a mistyped "rows" is named, not read as a problem without rows
+        with pytest.raises(ValueError, match="'row'"):
+            load_custom_problem('{"m": [2, 2], "row": [[1, -1]]}')
 
     def test_rejects_nonintegral_multiplicities(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,20 @@ class TestTmaxCommand:
         zp_cert = [line.replace("b=", "w=") for line in docs["zp"]["certificate"]]
         assert zp_cert == docs["u1"]["certificate"]
 
+    def test_tgroup_in_any_order_gets_its_closed_form(self, capsys):
+        # the gate set, not the order its classes are listed in, picks the formula
+        reports = set()
+        for classes in ("id,2,3,2+2", "2+2,3,2", "3,id,2+2,2"):
+            code, out, _ = run_cli(
+                capsys, "tmax", "--group", "sud", "--d", "4", "--n", "24", "--k", "4",
+                "--classes", classes, "--format", "json",
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["closed_form"] == 3793 and doc["agrees"] is True, classes
+            reports.add(re.sub(r'"ms": [0-9.]+', '"ms": 0', out))
+        assert len(reports) == 1
+
     def test_classes_on_non_sud_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "tmax", "--group", "u1", "--n", "6", "--k", "2", "--classes", "id,2",
@@ -251,13 +265,18 @@ class TestSmatrixCommand:
         assert doc["rows"]["w=1"] == ["0", "1", "2", "1"]
 
     def test_identity_class_listed_first(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "smatrix", "--group", "sud", "--d", "3", "--n", "5", "--k", "3",
-            "--classes", "3,2", "--format", "csv",
-        )
-        assert code == 0
-        rows = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
-        assert rows == ["(1)", "(123)", "(12)"]
+        # the other classes keep their order, wherever id is listed
+        for classes, expected in [
+            ("3,2", ["(1)", "(123)", "(12)"]),
+            ("2,id,3", ["(1)", "(12)", "(123)"]),
+        ]:
+            code, out, _ = run_cli(
+                capsys, "smatrix", "--group", "sud", "--d", "3", "--n", "5", "--k", "3",
+                "--classes", classes, "--format", "csv",
+            )
+            assert code == 0
+            rows = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+            assert rows == expected, classes
 
     def test_csv_has_labels(self, capsys):
         code, out, _ = run_cli(
@@ -575,6 +594,8 @@ class TestCustomCommand:
                 ('{"m": [1, 2], "rows": "ab"}', '"rows"'),  # rows not a list
                 ('{"m": [1, 2], "labels": 5}', '"labels"'),  # labels not a list
                 ('{"m": [1, 2], "rows": [[1, 1]], "labels": [7]}', '"labels"'),  # not strings
+                # a mistyped "rows" would otherwise solve the problem without its rows
+                ('{"m": [2, 2], "row": [[1, -1]]}', "'row'"),
             ]
         ],
     )
@@ -584,7 +605,7 @@ class TestCustomCommand:
         code, out, err = run_cli(capsys, "custom", str(path))
         assert code == 3
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         if key is not None:
             assert key in err
 
