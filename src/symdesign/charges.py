@@ -35,7 +35,6 @@ from operator import add, attrgetter, eq, mul, sub
 
 from .groups import (
     CUSTOM,
-    CustomSector,
     GroupSpec,
     PartitionId,
     SectorTable,
@@ -73,9 +72,6 @@ class CycleType(Value):
         if tuple(sorted(cycles, reverse=True)) != cycles:
             raise ValueError("cycles must be sorted in decreasing order")
         object.__setattr__(self, "cycles", cycles)
-
-    def _fields(self):
-        return (self.cycles,)
 
     @property
     def support(self) -> int:
@@ -231,7 +227,7 @@ class ChargeMatrix:
     computed the first time it is read and kept, so the multiplicity-ordered
     scan pays only for the prefix it reads (U(1), SU(2) and Z_p matrices
     come with every column built).  ``A[i]`` computes row ``i`` without
-    building columns, and :attr:`rows` (or iteration) builds every column.
+    building columns, and :attr:`rows` builds every column.
     :func:`charge_matrix` and :func:`custom_matrix` construct it and supply
     ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m``: the proof that ``m`` lies in the row span,
@@ -266,9 +262,6 @@ class ChargeMatrix:
     @property
     def rows(self) -> tuple[tuple, ...]:
         return tuple(zip(*map(self.column, range(len(self.col_ids)))))
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def aligned_to(self, table: SectorTable) -> "ChargeMatrix":
         """The same matrix with its columns in ``table``'s sector order."""
@@ -403,23 +396,21 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
     return len(m) == len(A.col_ids) and all(map(eq, products, m))
 
 
-def custom_matrix(
-    m,
-    rows,
-    row_labels: list[str] | None = None,
-    col_ids: tuple | None = None,
-) -> ChargeMatrix:
-    """Charge matrix from user-supplied rational rows and positive ``int`` multiplicities.
+def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None) -> ChargeMatrix:
+    """Charge matrix from user-supplied rational rows over ``table``'s columns, in its order.
 
-    Each row is stored scaled by the lcm of its denominators, which changes
-    neither the kernel nor the row span.  The multiplicity vector (the charge
-    row of the identity Hamiltonian) is always prepended as row
-    ``"identity"``: global phases never change the design order, and this
-    makes every kernel vector traceless.  If the rows already span ``m`` it
-    changes neither the row space nor the kernel.  The witness
-    ``(1, 0, ..., 0)`` proves the solver's row-span check from that row alone.
+    Every multiplicity in ``m = table.multiplicities`` must be a positive
+    ``int``, and each row lists one rational per column.  Each row is stored
+    scaled by the lcm of its denominators, which changes neither the kernel
+    nor the row span.  The multiplicity vector (the charge row of the
+    identity Hamiltonian) is always prepended as row ``"identity"``: global
+    phases never change the design order, and this makes every kernel vector
+    traceless.  If the rows already span ``m`` it changes neither the row
+    space nor the kernel.  The witness ``(1, 0, ..., 0)`` proves the solver's
+    row-span check from that row alone.  The group is :data:`CUSTOM` whatever
+    ``table``'s group.
     """
-    m = list(m)
+    m = table.multiplicities
     check_multiplicities(m)
     rows = list(map(as_int_row, rows))
     for row in rows:
@@ -429,14 +420,10 @@ def custom_matrix(
         f"H{i}" for i in range(len(rows))
     ]
     if len(labels) != len(rows):
-        raise ValueError("row_labels length must match rows")
-    if col_ids is None:
-        col_ids = tuple(CustomSector(i) for i in range(len(m)))
-    elif len(col_ids) != len(m):
-        raise ValueError("col_ids length must equal the multiplicity vector length")
+        raise ValueError(f"{len(labels)} row labels for {len(rows)} rows")
     witness = [1] + [0] * len(rows)
     rows, labels = [m, *rows], ["identity", *labels]
-    return ChargeMatrix(labels, col_ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
+    return ChargeMatrix(labels, table.ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -491,5 +478,5 @@ def load_custom_problem(text: str) -> tuple[SectorTable, ChargeMatrix]:
     if any(len(row) != len(order) for row in rows):
         raise ValueError("row length must equal the multiplicity vector length")
     rows = [[row[i] for i in order] for row in rows]
-    matrix = custom_matrix(table.multiplicities, rows, row_labels=labels, col_ids=table.ids)
+    matrix = custom_matrix(table, rows, labels)
     return table, matrix

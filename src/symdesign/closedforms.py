@@ -102,9 +102,6 @@ class DiagOperator(Value):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "qvec", qvec)
 
-    def _fields(self):
-        return (self.table, self.values, self.qvec)
-
     def reflected(self, sign: int = 1) -> "DiagOperator":
         """Weight reflection w -> n - w (conjugation by X on every qubit)."""
         ids = self.table.ids
@@ -273,9 +270,6 @@ class ClosedFormTmax(Value):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "valid_from_n", valid_from_n)
         object.__setattr__(self, "formula_id", formula_id)
-
-    def _fields(self):
-        return (self.value, self.valid_from_n, self.formula_id)
 
 
 def u1_nbound(k: int) -> int:

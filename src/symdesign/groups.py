@@ -63,9 +63,6 @@ class GroupSpec(Value):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
 
-    def _fields(self):
-        return (self.kind, self.p, self.d)
-
     @property
     def local_dim(self) -> int:
         if self.kind == "SUd":
@@ -106,9 +103,6 @@ class HammingWeight(Value):
     def __init__(self, w: int):
         object.__setattr__(self, "w", w)
 
-    def _fields(self):
-        return (self.w,)
-
     @property
     def label(self) -> str:
         return f"w={self.w}"
@@ -120,9 +114,6 @@ class TwiceSpin(Value):
     def __init__(self, jj: int):  # 2j, kept integral for both parities of n
         object.__setattr__(self, "jj", jj)
 
-    def _fields(self):
-        return (self.jj,)
-
     @property
     def label(self) -> str:
         return f"2j={self.jj}"
@@ -133,9 +124,6 @@ class Residue(Value):
 
     def __init__(self, beta: int):
         object.__setattr__(self, "beta", beta)
-
-    def _fields(self):
-        return (self.beta,)
 
     @property
     def label(self) -> str:
@@ -176,9 +164,6 @@ class PartitionId(Value):
         deque(map(object.__setattr__, ids, repeat("parts"), shapes), maxlen=0)
         return ids
 
-    def _fields(self):
-        return (self.parts,)
-
     @property
     def label(self) -> str:
         return "[" + ",".join(str(a) for a in self.parts) + "]"
@@ -189,9 +174,6 @@ class CustomSector(Value):
 
     def __init__(self, index: int):
         object.__setattr__(self, "index", index)
-
-    def _fields(self):
-        return (self.index,)
 
     @property
     def label(self) -> str:
@@ -221,9 +203,6 @@ class SectorTable(Value):
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "dims", dims)
-
-    def _fields(self):
-        return (self.group, self.n, self.ids, self.multiplicities, self.dims)
 
     def __len__(self):
         return len(self.ids)

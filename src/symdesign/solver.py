@@ -74,9 +74,6 @@ class Certificate(Value):
         object.__setattr__(self, "weighted_norm", weighted_norm)
         object.__setattr__(self, "support", support)
 
-    def _fields(self):
-        return (self.q, self.weighted_norm, self.support)
-
 
 class LowerBoundResult(Value):
     __slots__ = ("ell", "bound", "delta")
@@ -90,9 +87,6 @@ class LowerBoundResult(Value):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "delta", delta)
-
-    def _fields(self):
-        return (self.ell, self.bound, self.delta)
 
 
 class TmaxResult(Value):
@@ -111,15 +105,6 @@ class TmaxResult(Value):
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "proven_exact", proven_exact)
         object.__setattr__(self, "semiuniversal_assumed", semiuniversal_assumed)
-
-    def _fields(self):
-        return (
-            self.tmax,
-            self.lower_bound,
-            self.certificate,
-            self.proven_exact,
-            self.semiuniversal_assumed,
-        )
 
 
 class SemiUniversalityError(ValueError):
@@ -441,17 +426,21 @@ def tmax_exact(
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:
     """Re-derive every certificate property from scratch.
 
-    ``q`` must be a nonzero, primitive vector of the table's length with
-    ``A q = 0`` and ``m · q = 0`` (its positive and negative weighted parts
-    balance), whose weighted one-norm is ``cert.weighted_norm``, even and
-    positive, and whose nonzero entries sit exactly on ``cert.support``'s
-    sector ids.  Each of these reads only the support of ``q``: columns,
-    multiplicities and ids are taken where ``q`` is nonzero, as every other
-    term is multiplied by zero.
+    ``q`` must be a nonzero, primitive vector of exact ``int`` entries, of
+    the table's length, with ``A q = 0`` and ``m · q = 0`` (its positive and
+    negative weighted parts balance), whose weighted one-norm is
+    ``cert.weighted_norm``, an even and positive ``int``, and whose nonzero
+    entries sit exactly on ``cert.support``'s sector ids.  Past the types,
+    each of these reads only the support of ``q``: columns, multiplicities
+    and ids are taken where ``q`` is nonzero, as every other term is
+    multiplied by zero.
     """
     q = cert.q
     rows, cols = A.shape
     if len(q) != len(table) or cols != len(table):
+        return False
+    # exactly int: a bool or a float such as 6.0 would compare equal to one
+    if {*map(type, q)} - {int} or type(cert.weighted_norm) is not int:
         return False
     nonzero = [*compress(q, q)]
     if not nonzero:

@@ -7,10 +7,12 @@ and field tuple, the hash of that tuple, a ``Name(field=value, ...)`` repr,
 ``AttributeError`` on assignment or deletion, and pickling and copying through
 the constructor.
 
-A subclass lists its fields in ``__slots__`` in constructor order, sets each
-one in ``__init__`` with ``object.__setattr__``, and returns them in that
-order from ``_fields``.
+A subclass lists its fields in a tuple ``__slots__``, in constructor order,
+and sets each one in ``__init__`` with ``object.__setattr__``; ``_fields``
+reads them back from there.
 """
+
+from itertools import repeat
 
 
 class Value:
@@ -19,13 +21,8 @@ class Value:
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        """The field values in ``__slots__`` order.
-
-        Each class writes the tuple out: plain attribute reads, not a generic
-        walk over ``__slots__``, keep equality and hashing about as cheap as a
-        frozen dataclass's.
-        """
-        raise NotImplementedError
+        """The field values in ``__slots__`` order."""
+        return tuple(map(getattr, repeat(self), self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

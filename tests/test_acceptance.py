@@ -143,7 +143,7 @@ def test_criterion_5_lower_bound_soundness():
     # the bound is n-2 and it is attained
     for n in range(5, 17):
         table = canonical_order(sectors(SU2, n))
-        matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
+        matrix = custom_matrix(table, [])
         lb = lower_bound(matrix, table, assume_semiuniversal=True)
         assert lb.bound == n - 2
         result = tmax_exact(matrix, table, assume_semiuniversal=True)

@@ -37,7 +37,7 @@ from symdesign.charges import (
     parse_rational,
 )
 from symdesign.checks import exhaustive_certificate
-from symdesign.groups import CUSTOM, CustomSector, partitions_max_rows, sn_irrep_dim
+from symdesign.groups import CUSTOM, CustomSector, SectorTable, partitions_max_rows, sn_irrep_dim
 from symdesign.intlinalg import Echelon
 
 
@@ -436,8 +436,6 @@ class TestBuildChargeMatrix:
 
     def test_sud_table_partitions_must_have_n_boxes(self):
         # a lazy column skips sn_character, so the table is checked up front
-        from symdesign import SectorTable
-
         four = sectors(sud(3), 4)
         table = SectorTable(sud(3), 5, four.ids, four.multiplicities, four.dims)
         with pytest.raises(ValueError, match="partitions of n"):
@@ -689,7 +687,7 @@ class TestMatrixInvariants:
     def test_structural_witness_custom(self):
         # a prepended identity row is m itself: weight 1 on it, 0 elsewhere
         m = [1, 3, 3, 1]
-        A = custom_matrix(m, [[1, Fraction(1, 2), Fraction(-1, 2), -1]])
+        A = custom_matrix(custom_table(m), [[1, Fraction(1, 2), Fraction(-1, 2), -1]])
         assert A.row_labels[0] == "identity" and A.witness == (1, 0)
         assert dot_rows(list(zip(*A.rows)), A.witness) == m
 
@@ -697,7 +695,7 @@ class TestMatrixInvariants:
         # the solve checks the builder's witness by one product: its only
         # echelon steps are the prefix scan's, one per column it reads
         m = [1, 3, 3, 1]
-        A = custom_matrix(m, [[1, 1, 1, 1], [0, 2, 2, 0]])
+        A = custom_matrix(custom_table(m), [[1, 1, 1, 1], [0, 2, 2, 0]])
         table = canonical_order(custom_table(m))
         A = A.aligned_to(table)
         calls = []
@@ -762,7 +760,7 @@ def _without_witness(A):
 
 class TestCustomMatrix:
     def test_identity_prepend(self):
-        m = custom_matrix([1, 1], [])
+        m = custom_matrix(custom_table([1, 1]), [])
         assert m.rows == ((1, 1),)
         assert m.row_labels == ("identity",)
 
@@ -771,7 +769,7 @@ class TestCustomMatrix:
         # prepended identity row repeats it and changes no answer
         table = canonical_order(sectors(sud(3), 15))
         chi = charge_matrix(table, 2)
-        A = custom_matrix(table.multiplicities, chi.rows, col_ids=table.ids)
+        A = custom_matrix(table, chi.rows)
         assert len(A.rows) == 3 and A.rows[0] == chi.rows[0]
         ours = tmax_exact(A, table, assume_semiuniversal=True)
         theirs = tmax_exact(chi, table, assume_semiuniversal=True)
@@ -793,7 +791,7 @@ class TestCustomMatrix:
             rows.append([rng.randint(-3, 3) for _ in range(c)])
             weights.append(0)
         table = custom_table(m)
-        A = custom_matrix(m, rows, col_ids=table.ids)
+        A = custom_matrix(table, rows)
         assert A.row_labels[0] == "identity" and A.witness == (1,) + (0,) * len(rows)
         B = _hand_built(rows, weights, width=c)
         assert dot_rows(list(zip(*B.rows)), B.witness) == m
@@ -802,8 +800,8 @@ class TestCustomMatrix:
         assert ours == tmax_exact(B, table, assume_semiuniversal=True)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            custom_matrix([1, 2], [[1, 2, 3]])
+        with pytest.raises(ValueError, match="row length"):
+            custom_matrix(custom_table([1, 2]), [[1, 2, 3]])
 
 
 class TestCustomJson:
@@ -841,6 +839,9 @@ class TestCustomJson:
         # a mistyped "rows" is named, not read as a problem without rows
         with pytest.raises(ValueError, match="'row'"):
             load_custom_problem('{"m": [2, 2], "row": [[1, -1]]}')
+        # a label count that misses the rows is told in the document's terms
+        with pytest.raises(ValueError, match="^1 row labels for 0 rows$"):
+            load_custom_problem('{"m": [1, 1], "labels": ["a"]}')
 
     def test_rejects_nonintegral_multiplicities(self):
         with pytest.raises(ValueError):
@@ -851,7 +852,9 @@ class TestCustomJson:
         for doc in ('{"m": [2.0, 4]}', '{"m": [1e3, 4]}'):
             with pytest.raises(ValueError, match="positive integers"):
                 load_custom_problem(doc)
-        # custom_matrix shares the check instead of truncating 2.5 to 2
-        for m in ([2.5, 4], [2.0, 4], [True, 4], [0, 4]):
+        # custom_matrix checks a hand-built table's multiplicities instead of
+        # truncating 2.5 to 2
+        ids = (CustomSector(0), CustomSector(1))
+        for m in ((2.5, 4), (2.0, 4), (True, 4), (0, 4), (2, -1)):
             with pytest.raises(ValueError, match="positive integers"):
-                custom_matrix(m, [])
+                custom_matrix(SectorTable(CUSTOM, 2, ids, m, (1, 1)), [])

@@ -596,6 +596,7 @@ class TestCustomCommand:
                 ('{"m": [1, 2], "rows": [[1, 1]], "labels": [7]}', '"labels"'),  # not strings
                 # a mistyped "rows" would otherwise solve the problem without its rows
                 ('{"m": [2, 2], "row": [[1, -1]]}', "'row'"),
+                ('{"m": [1, 1], "labels": ["a"]}', "1 row labels for 0 rows"),  # label count
             ]
         ],
     )

@@ -77,7 +77,7 @@ class TestLowerBound:
     @pytest.mark.parametrize("n", range(5, 16))
     def test_su2_identity_row_only(self, n):
         table = canonical_order(sectors(SU2, n))
-        matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
+        matrix = custom_matrix(table, [])
         lb = lower_bound(matrix, table, assume_semiuniversal=True)
         assert lb.bound == n - 2
 
@@ -115,7 +115,7 @@ class TestLowerBound:
 
     def test_custom_needs_override(self):
         table = canonical_order(sectors(SU2, 6))
-        matrix = custom_matrix(table.multiplicities, [], col_ids=table.ids)
+        matrix = custom_matrix(table, [])
         with pytest.raises(SemiUniversalityError, match="custom"):
             lower_bound(matrix, table)
 
@@ -644,6 +644,15 @@ class TestVerifyCertificate:
             Certificate(q, norm, support[:-1]),  # one support id missing
             Certificate(q[:-1], norm, support),  # one sector short
         ]
+        # exact ints only: each of these compares equal to a valid certificate
+        pos = q if 1 in q else tuple(-x for x in q)
+        assert verify_certificate(Certificate(pos, norm, support), A, table)
+        one = pos.index(1)
+        bad += [
+            Certificate(q, float(norm), support),  # a float norm such as 6.0
+            Certificate(pos[:one] + (True,) + pos[one + 1 :], norm, support),  # True for a 1
+            Certificate((float(q[0]), *q[1:]), norm, support),  # a float entry, not a TypeError
+        ]
         for cert in bad:
             assert not verify_certificate(cert, A, table), cert
 
@@ -672,7 +681,8 @@ def _custom_problem():
 
 def _custom_file_order():
     """The same problem with its columns in document order, as custom_matrix builds it."""
-    return custom_matrix(_CUSTOM_M, [list(map(parse_rational, row)) for row in _CUSTOM_ROWS])
+    rows = [list(map(parse_rational, row)) for row in _CUSTOM_ROWS]
+    return custom_matrix(custom_table(_CUSTOM_M), rows)
 
 
 def _custom_aligned():
@@ -700,7 +710,6 @@ class TestLazyColumns:
         by_col = [A.column(j) for j in range(c)]
         assert by_row == [tuple(col[i] for col in by_col) for i in range(r)]
         assert A.rows == tuple(by_row)
-        assert list(A) == by_row
 
     def test_aligned_columns_follow_the_table(self):
         A = _custom_file_order()
@@ -845,7 +854,7 @@ class TestRandomizedCrossValidation:
     def test_random_custom_problems_against_direct_enumeration(self, problem):
         m, rows = problem
         table = custom_table(m)
-        matrix = custom_matrix(m, rows, col_ids=table.ids)
+        matrix = custom_matrix(table, rows)
         result = tmax_exact(matrix, table, assume_semiuniversal=True)
         oracle = exhaustive_certificate(matrix, table)
         if result.tmax == INFINITE:

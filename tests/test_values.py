@@ -6,10 +6,13 @@ expected reprs below are the ones these classes printed as frozen dataclasses.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import symdesign
 from symdesign import INFINITE, U1
 from symdesign.charges import CycleType
 from symdesign.closedforms import ClosedFormTmax, DiagOperator
@@ -23,6 +26,7 @@ from symdesign.groups import (
     TwiceSpin,
 )
 from symdesign.solver import Certificate, LowerBoundResult, TmaxResult
+from symdesign.values import Value
 
 _IDS = (HammingWeight(0), HammingWeight(1))
 _TABLE = SectorTable(U1, 1, _IDS, (1, 1), (1, 1))
@@ -163,3 +167,28 @@ def test_documented_keyword_forms():
     assert cert == Certificate((1, -1), 2, _IDS)
     assert GroupSpec("Zp", p=3) == GroupSpec(kind="Zp", p=3, d=None)
     assert GroupSpec("SUd", d=4).local_dim == 4
+
+
+def _value_classes() -> set[type]:
+    """Every subclass of ``Value``, once each module of the package is imported."""
+    for info in pkgutil.iter_modules(symdesign.__path__):
+        try:
+            importlib.import_module(f"symdesign.{info.name}")
+        except ModuleNotFoundError as exc:  # the dense checks need the optional numpy
+            if exc.name != "numpy":
+                raise
+    found, todo = set(), [Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found.update(subclasses)
+        todo += subclasses
+    return found
+
+
+def test_every_record_states_its_fields_once_in_slots():
+    # _fields reads the tuple __slots__, so no class writes its fields out again
+    classes = _value_classes()
+    assert classes == {cls for cls, *_ in CASES}
+    for cls in classes:
+        assert type(cls.__dict__.get("__slots__")) is tuple, cls
+        assert "_fields" not in cls.__dict__, cls
