@@ -66,5 +66,4 @@ print(f"  top-spin projector at n = 4: trace {pr.trace().real:.6f}"
 # cannot generate.  This is the smallest instance of the general fact that a
 # finite design order always comes with an explicit commutant witness.
 
-print("\ntwo-qubit parity witness (500 Haar samples, seed 0):",
-      z2_witness_check(samples=500, seed=0))
+print("\ntwo-qubit parity witness (500 Haar samples, seed 0):", z2_witness_check())

@@ -400,12 +400,12 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
     """Charge matrix from user-supplied rational rows over ``table``'s columns, in its order.
 
     Every multiplicity in ``m = table.multiplicities`` must be a positive
-    ``int``, and each row lists one rational per column.  Each row is stored
-    scaled by the lcm of its denominators, which changes neither the kernel
-    nor the row span.  The multiplicity vector (the charge row of the
-    identity Hamiltonian) is always prepended as row ``"identity"``: global
-    phases never change the design order, and this makes every kernel vector
-    traceless.  If the rows already span ``m`` it changes neither the row
+    ``int``, and each row lists one rational per column (not a ``bool``).
+    Each row is stored scaled by the lcm of its denominators, which changes
+    neither the kernel nor the row span.  The multiplicity vector (the charge
+    row of the identity Hamiltonian) is always prepended as row
+    ``"identity"``: global phases never change the design order, and this
+    makes every kernel vector traceless.  If the rows already span ``m`` it changes neither the row
     space nor the kernel.  The witness ``(1, 0, ..., 0)`` proves the solver's
     row-span check from that row alone.  The group is :data:`CUSTOM` whatever
     ``table``'s group.

@@ -45,13 +45,13 @@ class Tally:
             self.failures.append(where)
 
 
-def _charge_matrix_entries(t: Tally, group, n_max: int, formula) -> None:
-    """Every entry of ``charge_matrix(sectors(group, n), k)`` for n <= ``n_max`` and every k.
+def _charge_matrix_entries(t: Tally, group, formula) -> None:
+    """Every entry of ``charge_matrix(sectors(group, n), k)`` for n <= 30 and every k.
 
     ``formula(n - k, row, col)`` gives the entry from the row's ``k``-site
     and the column's ``n``-site irrep.
     """
-    for n in range(1, n_max + 1):
+    for n in range(1, 31):
         table = sectors(group, n)
         for k in range(1, n + 1):
             A = charge_matrix(table, k)
@@ -67,14 +67,14 @@ def _su2_entry(nk: int, row, col) -> int:
     return (comb(nk, lo) if lo >= 0 else 0) - comb(nk, lo + row.jj + 1)
 
 
-def identities_u1(n_max: int = 30) -> Tally:
+def identities_u1() -> Tally:
     """U(1) operator identities: orthogonality, mirror symmetries, pairings, norms.
 
     Every entry of the solver's charge matrices, built from one binomial row
-    per matrix, is then checked against ``math.comb`` for n <= ``n_max``.
+    per matrix, is then checked against ``math.comb``.  Both run for n <= 30.
     """
     t = Tally()
-    for n in range(1, n_max + 1):
+    for n in range(1, 31):
         cvals = [[u1_c_eigenvalue(n, l, w) for w in range(n + 1)] for l in range(n + 1)]
         for l in range(n + 1):
             for lp in range(n + 1):
@@ -103,18 +103,18 @@ def identities_u1(n_max: int = 30) -> Tally:
             t.check(u1_f_norm(n, k) == f_direct, "f norm", n, k)
             a_direct = sum(comb(n - w, k - w) * comb(n, w) for w in range(k + 1))
             t.check(u1_a_norm(n, k) == a_direct == 2**k * comb(n, k), "a norm", n, k)
-    _charge_matrix_entries(t, U1, n_max, lambda nk, v, w: comb(nk, w.w - v.w) if w.w >= v.w else 0)
+    _charge_matrix_entries(t, U1, lambda nk, v, w: comb(nk, w.w - v.w) if w.w >= v.w else 0)
     return t
 
 
-def identities_su2(n_max: int = 30) -> Tally:
+def identities_su2() -> Tally:
     """SU(2) total-spin basis: orthogonality, pairings with the A family, norms.
 
     Every entry of the solver's charge matrices is then checked against its
-    difference of two ``math.comb`` values for n <= ``n_max``.
+    difference of two ``math.comb`` values.  Both run for n <= 30.
     """
     t = Tally()
-    for n in range(1, n_max + 1):
+    for n in range(1, 31):
         for k in range(0, n + 1, 2):
             op = su2_a_operator(n, k)
             direct = sum(
@@ -143,7 +143,7 @@ def identities_su2(n_max: int = 30) -> Tally:
                 direct = sum(op.values[i] * cvals[mm][jj] * traces[jj] for i, jj in enumerate(jjs))
                 # compare against the unit-normalized pairing
                 t.check(direct == tr_a_ctilde(n, ss, mm) * scale, "pairing", n, ss, mm)
-    _charge_matrix_entries(t, SU2, n_max, _su2_entry)
+    _charge_matrix_entries(t, SU2, _su2_entry)
     return t
 
 
@@ -213,26 +213,28 @@ def characters() -> Tally:
     return t
 
 
-def oracle(n_max: int = 12, samples: int = 500, seed: int = 0) -> Tally:
+def oracle() -> Tally:
     """Dense (numpy) reconstructions against the exact formulas.
 
-    The dense matrices grow like ``2**n``: U(1) checks stop at n = 12 and
-    SU(2) checks at n = 8 whatever ``n_max`` is.
+    The dense matrices grow like ``2**n``, so the sizes are fixed: U(1)
+    orthogonality for n <= 12, ``tr_f_c`` at n = 10, the SU(2) Casimir and
+    projectors for n <= 8, and the two-qubit parity witness on 500 Haar
+    samples drawn with seed 0.
     """
     from . import dense  # the only suite that needs numpy
 
     t = Tally()
-    for n in range(1, min(n_max, 12) + 1):
+    for n in range(1, 13):
         for k in range(n + 1):
             t.check(dense.u1_orthogonality_check(n, k), "u1 orthogonality", n, k)
     for k in range(11):
         for l in range(11):
             t.check(dense.dense_tr_f_c(10, k, l) == tr_f_c(10, k, l), "tr_f_c", 10, k, l)
-    for n in range(1, min(n_max, 8) + 1):
+    for n in range(1, 9):
         t.check(dense.su2_c2_check(n), "su2 casimir", n)
         if n >= 2:
             t.check(dense.su2_projector_checks(n), "su2 projectors", n)
-    t.check(dense.z2_witness_check(samples=samples, seed=seed), "z2 witness", samples, seed)
+    t.check(dense.z2_witness_check(), "z2 witness")
     return t
 
 

@@ -314,37 +314,17 @@ def cmd_custom(args) -> int:
     )
 
 
-# each suite's function in symdesign.checks and the flags it reads
-_SUITES = {
-    "identities-u1": ("identities_u1", ("n_max",)),
-    "identities-su2": ("identities_su2", ("n_max",)),
-    "characters": ("characters", ()),
-    "oracle": ("oracle", ("n_max", "samples", "seed")),
-    "solver-brute": ("solver_brute", ()),
-}
+# each suite is the function of symdesign.checks named after it
+_SUITES = ("identities-u1", "identities-su2", "characters", "oracle", "solver-brute")
 
 
 def cmd_verify(args) -> int:
+    """Run one suite at its fixed size; print its tally and the first 10 failures (exit 4 on any)."""
     from . import checks  # only this subcommand needs the suites
 
     suite = args.suite
-    name, reads = _SUITES[suite]
-    kwargs = {}
-    for flag in ("n_max", "samples", "seed"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        # a flag the suite does not read would be silently ignored
-        if flag not in reads:
-            raise ParseError(f"--{flag.replace('_', '-')} does not apply to suite {suite}")
-        kwargs[flag] = value
-    # a suite run on no instances would report a pass for checking nothing
-    if kwargs.get("n_max", 1) < 1:
-        raise ParseError("--n-max must be at least 1")
-    if kwargs.get("samples", 1) < 1:
-        raise ParseError("--samples must be at least 1")
     try:
-        tally = getattr(checks, name)(**kwargs)
+        tally = getattr(checks, suite.replace("-", "_"))()
     except ModuleNotFoundError as exc:  # a precondition: only the dense oracle imports numpy
         if exc.name != "numpy":
             raise
@@ -416,16 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_table)
 
     s = subs.add_parser("verify", help="run a named verification suite")
-    s.add_argument(
-        "--suite",
-        required=True,
-        choices=list(_SUITES),
-    )
-    s.add_argument(
-        "--n-max", type=int, default=None, help="largest n (default 30; 12 for oracle)"
-    )
-    s.add_argument("--samples", type=int, default=None, help="oracle only (default 500)")
-    s.add_argument("--seed", type=int, default=None, help="oracle only (default 0)")
+    s.add_argument("--suite", required=True, choices=_SUITES)
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("custom", help="solve a custom problem from JSON")

@@ -208,7 +208,7 @@ def _haar_su2(rng: np.random.Generator) -> np.ndarray:
     return q / np.sqrt(det)
 
 
-def z2_witness_check(samples: int = 500, seed: int = 0) -> bool:
+def z2_witness_check() -> bool:
     """Two-qubit parity symmetry: a rank-one operator separating the gate group.
 
     The even-parity sector is spanned by |00>, |11> and the odd one by
@@ -216,9 +216,10 @@ def z2_witness_check(samples: int = 500, seed: int = 0) -> bool:
     those sectors commutes with W (x) W for every block unitary
     W = v0 (+) v1 with v0, v1 special unitary, but picks up the phase
     exp(4 i theta) under V = exp(i theta Z (x) Z), which is symmetric yet not
-    generated by the special blocks.
+    generated by the special blocks.  The invariance is checked on 500 Haar
+    samples drawn with seed 0, the phase on 100 angles.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # two-copy index (a, b) -> 4*a + b over the 2-qubit basis 00,01,10,11
     s0 = np.zeros(16, dtype=complex)
     s0[4 * 0 + 3] = 1 / np.sqrt(2)
@@ -228,7 +229,7 @@ def z2_witness_check(samples: int = 500, seed: int = 0) -> bool:
     s1[4 * 2 + 1] = -1 / np.sqrt(2)
     witness = np.outer(s0, s1.conj())
 
-    for _ in range(samples):
+    for _ in range(500):
         v0 = _haar_su2(rng)
         v1 = _haar_su2(rng)
         w = np.zeros((4, 4), dtype=complex)

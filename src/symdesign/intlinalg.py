@@ -26,10 +26,13 @@ def as_int_row(row) -> list[int]:
     """``row`` read exactly (floats too) and scaled by the lcm of its denominators.
 
     Scaling a vector by a positive integer changes neither the span it adds
-    to nor the kernel of a matrix it is a row of.
+    to nor the kernel of a matrix it is a row of.  A ``bool`` entry raises
+    ``ValueError``: its True would pass for 1.
     """
     if all(type(x) is int for x in row):
         return list(row)
+    if bool in map(type, row):
+        raise ValueError(f"row entries must be numbers, not bool: {list(row)!r}")
     fracs = [Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fracs))
     return [int(x * scale) for x in fracs]

@@ -426,8 +426,9 @@ def tmax_exact(
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:
     """Re-derive every certificate property from scratch.
 
-    ``q`` must be a nonzero, primitive vector of exact ``int`` entries, of
-    the table's length, with ``A q = 0`` and ``m · q = 0`` (its positive and
+    ``A``'s columns must be the table's sectors in its order.  ``q`` must
+    be a nonzero, primitive vector of exact ``int`` entries, of the table's
+    length, with ``A q = 0`` and ``m · q = 0`` (its positive and
     negative weighted parts balance), whose weighted one-norm is
     ``cert.weighted_norm``, an even and positive ``int``, and whose nonzero
     entries sit exactly on ``cert.support``'s sector ids.  Past the types,
@@ -437,7 +438,8 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
     """
     q = cert.q
     rows, cols = A.shape
-    if len(q) != len(table) or cols != len(table):
+    # a kernel vector of columns in another order is no certificate for this table
+    if A.col_ids != table.ids or len(q) != cols:
         return False
     # exactly int: a bool or a float such as 6.0 would compare equal to one
     if {*map(type, q)} - {int} or type(cert.weighted_norm) is not int:

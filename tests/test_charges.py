@@ -858,3 +858,11 @@ class TestCustomJson:
         for m in ((2.5, 4), (2.0, 4), (True, 4), (0, 4), (2, -1)):
             with pytest.raises(ValueError, match="positive integers"):
                 custom_matrix(SectorTable(CUSTOM, 2, ids, m, (1, 1)), [])
+
+    def test_rejects_bool_row_entries(self):
+        # True would pass for 1, as it would in m; exact and float rows still read
+        for row in ([True, False, 1], [1, 0, True]):
+            with pytest.raises(ValueError, match="not bool"):
+                custom_matrix(custom_table([1, 1, 2]), [row])
+        A = custom_matrix(custom_table([1, 1, 2]), [[Fraction(1, 2), 0.5, 1]])
+        assert A[1] == (1, 1, 2)

@@ -1,17 +1,19 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symdesign import cli
+from symdesign import checks, cli
 from symdesign.cli import main
 from symdesign.intlinalg import Echelon, ReducedLattice
 
@@ -636,12 +638,12 @@ class TestVerifyCommand:
         assert code == 0
         assert out == "suite characters: pass (15145/15145 checks)\n"
 
-    def test_identities_u1_n16(self, capsys):
-        # 11,008 operator identities, then every entry of the U(1) charge
-        # matrices for n <= 16 and every k against math.comb (12,444 entries)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "identities-u1", "--n-max", "16")
+    def test_identities_u1_suite(self, capsys):
+        # the operator identities, then every entry of the U(1) charge
+        # matrices for n <= 30 and every k against math.comb
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities-u1")
         assert code == 0
-        assert out == "suite identities-u1: pass (23452/23452 checks)\n"
+        assert out == "suite identities-u1: pass (182569/182569 checks)\n"
 
     def test_solver_brute_suite(self, capsys):
         # tmax, the exact certificate and the lower bound on 280 instances
@@ -649,54 +651,60 @@ class TestVerifyCommand:
         assert code == 0
         assert out == "suite solver-brute: pass (840/840 checks)\n"
 
-    def test_identities_su2_small(self, capsys):
-        # 190 total-spin identities, then the 330 entries of the SU(2) charge
-        # matrices for n <= 8 and every k
-        code, out, _ = run_cli(capsys, "verify", "--suite", "identities-su2", "--n-max", "8")
+    def test_identities_su2_suite(self, capsys):
+        # the total-spin identities, then every entry of the SU(2) charge
+        # matrices for n <= 30 and every k
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities-su2")
         assert code == 0
-        assert out == "suite identities-su2: pass (520/520 checks)\n"
+        assert out == "suite identities-su2: pass (39603/39603 checks)\n"
+
+    def test_oracle_suite(self, capsys):
+        pytest.importorskip("numpy")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
+        assert code == 0
+        assert out == "suite oracle: pass (227/227 checks)\n"
 
     @pytest.mark.parametrize(
         "argv",
         [
+            *(
+                (suite, *flag)
+                for suite in cli._SUITES
+                for flag in (("--n-max", "16"), ("--samples", "5"), ("--seed", "1"))
+            ),
+            # zero, negative and small values too: no value is read as a size
             ("identities-u1", "--n-max", "0"),
             ("identities-su2", "--n-max", "-1"),
             ("oracle", "--n-max", "2", "--samples", "-3"),
             ("oracle", "--n-max", "2", "--samples", "0"),
-        ],
-        ids=" ".join,
-    )
-    def test_checking_nothing_exits_3(self, capsys, argv):
-        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error:")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             ("characters", "--n-max", "3"),
             ("solver-brute", "--n-max", "3"),
-            ("characters", "--samples", "5"),
-            ("identities-u1", "--samples", "5"),
-            ("identities-su2", "--seed", "1"),
             ("solver-brute", "--seed", "0"),
         ],
         ids=" ".join,
     )
     def test_flag_the_suite_ignores_exits_3(self, capsys, argv):
-        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error:") and argv[1] in err
+        # every suite runs at its one size: a size or seed flag is malformed input
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 3
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
-    def test_oracle_small(self, capsys):
-        pytest.importorskip("numpy")
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "oracle", "--n-max", "5", "--samples", "25",
-            "--seed", "1",
-        )
-        assert code == 0
+    def test_every_offered_suite_is_a_checks_function(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        offered = re.search(r"--suite \{([^}]*)\}", out).group(1).split(",")
+        assert offered == list(cli._SUITES)
+        for suite in offered:
+            func = getattr(checks, suite.replace("-", "_"))
+            assert not inspect.signature(func).parameters
+            assert get_type_hints(func)["return"] is checks.Tally
+        # --suite is the only option besides --help
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help", "--suite"}
 
 
 # arbitrary JSON, and custom documents whose m, rows and labels are either

@@ -662,6 +662,19 @@ class TestVerifyCertificate:
         cert = Certificate(q=q, weighted_norm=2, support=(table.ids[0], table.ids[1]))
         assert not verify_certificate(cert, matrix, table)
 
+    def test_misaligned_columns_rejected(self):
+        # w = 0, 1, 2, 3 against the canonical order w = 0, 3, 1, 2: q is a
+        # kernel vector of the matrix as built, not of the table's columns
+        natural = sectors(U1, 3)
+        table = canonical_order(natural)
+        q = (1, -1, 1, -1)
+        cert = Certificate(q=q, weighted_norm=8, support=table.ids)
+        assert not verify_certificate(cert, charge_matrix(natural, 1), table)
+        assert not verify_certificate(cert, charge_matrix(table, 1), table)
+        # the same q over the table it was built for
+        own = Certificate(q=q, weighted_norm=8, support=natural.ids)
+        assert verify_certificate(own, charge_matrix(natural, 1), natural)
+
 
 def _count_column_reads(monkeypatch) -> set:
     """Record every column index a charge matrix is asked for."""
