@@ -8,7 +8,9 @@ irrep sectors are constrained by one exact integer matrix per problem:
   binomial row ``C(n - k, .)``;
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
   classes realizable by ``k``-local permutations, always with the identity class.
-  The identity row is ``f^lambda``; a class of support 2..4 takes its entries
+  The identity row is ``f^lambda``, read whole in one pass over the columns'
+  partitions through the ``f^lambda`` memo of :mod:`symdesign.groups` (which
+  computes a missing shape from its parts); a class of support 2..4 takes its entries
   from its central character, a polynomial in ``n`` and the content power sums
   of ``lambda`` (Ingram 1950; Corteel, Goupil and Schaeffer 2004, "Content
   evaluation and class symmetric functions"); a class of support >= 5 takes
@@ -46,7 +48,7 @@ from .groups import (
     frobenius_dim,
     partitions_max_rows,
     sectors,
-    sn_irrep_dim,
+    sn_irrep_dims,
     zp_multiplicity,
 )
 from .intlinalg import as_int_row
@@ -223,11 +225,12 @@ def _content_power_sums(parts: tuple[int, ...]) -> tuple[int, int, int]:
 class ChargeMatrix:
     """Exact matrix with one row per gate charge vector and one column per sector.
 
-    Entries come from one exact function ``entry(i, j)``.  A column is
-    computed the first time it is read and kept, so the multiplicity-ordered
-    scan pays only for the prefix it reads (U(1), SU(2) and Z_p matrices
-    come with every column built).  ``A[i]`` computes row ``i`` without
-    building columns, and :attr:`rows` builds every column.
+    Entries come from one exact function ``entry(i, j)``, except those of
+    ``first_row``, row 0 built whole when given (the SU(d) identity row).  A
+    column is computed the first time it is read and kept, so the
+    multiplicity-ordered scan pays only for the prefix it reads (U(1), SU(2)
+    and Z_p matrices come with every column built).  ``A[i]`` computes row
+    ``i`` without building columns, and :attr:`rows` builds every column.
     :func:`charge_matrix` and :func:`custom_matrix` construct it and supply
     ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m``: the proof that ``m`` lies in the row span,
@@ -235,13 +238,14 @@ class ChargeMatrix:
     the gate locality, or None for a custom problem.
     """
 
-    def __init__(self, row_labels, col_ids, entry, group, k, witness):
+    def __init__(self, row_labels, col_ids, entry, group, k, witness, first_row=None):
         self.row_labels = tuple(row_labels)
         self.col_ids = tuple(col_ids)
         self.group: GroupSpec = group
         self.k: int | None = k
         self.witness = tuple(witness)
         self._entry = entry
+        self._first_row: tuple | None = first_row
         self._columns: dict[int, tuple] = {}
 
     @property
@@ -251,11 +255,17 @@ class ChargeMatrix:
     def column(self, j: int) -> tuple:
         col = self._columns.get(j)
         if col is None:
-            rows = len(self.row_labels)
-            col = self._columns[j] = tuple(map(self._entry, range(rows), repeat(j, rows)))
+            rows, first = len(self.row_labels), self._first_row
+            if first is None:
+                col = tuple(map(self._entry, range(rows), repeat(j, rows)))
+            else:
+                col = (first[j], *map(self._entry, range(1, rows), repeat(j, rows - 1)))
+            self._columns[j] = col
         return col
 
     def __getitem__(self, i: int) -> tuple:
+        if i == 0 and self._first_row is not None:
+            return self._first_row
         cols = len(self.col_ids)
         return tuple(map(self._entry, repeat(i, cols), range(cols)))
 
@@ -290,7 +300,10 @@ def charge_matrix(
     ``table`` lists the sectors of a built-in group on ``n`` sites, in any
     order.  SU(d) rows are the S_n characters on ``gate_classes(k, classes)``,
     so row 0, the identity class, is ``f^lambda`` and the witness is
-    ``(1, 0, ..., 0)``.  A class of support 2..4 reads ``f^lambda`` and the
+    ``(1, 0, ..., 0)``.  That row is read whole, in one pass over the columns'
+    partitions through the ``f^lambda`` memo of :func:`~symdesign.groups.sn_irrep_dims`
+    (a shape the memo lacks is computed there from its parts, never taken
+    from ``table.multiplicities``).  A class of support 2..4 reads ``f^lambda`` and the
     column's content power sums, computed once per column;
     a class of larger support goes through the border-strip recursion.
     Restricting ``classes`` models gate sets generating only part of the
@@ -309,10 +322,11 @@ def charge_matrix(
     if group.kind == "SUd":
         labels = tuple(gate_classes(k, classes))
         # the entries skip sn_character's checks (support <= k <= n and sectors of
-        # n boxes, made here) and read the identity row from the cached f^lambda
+        # n boxes, made here) and read f^lambda from the identity row
         parts = [*map(attrgetter("parts"), ids)]
         if {*map(sum, parts)} - {n}:
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
+        f_row = tuple(sn_irrep_dims(parts))
         cycles = [cls.cycles for cls in labels]
         central = [_CENTRAL_CHARACTERS.get(cyc) for cyc in cycles]
         sizes = [pair[1](n) if pair else None for pair in central]
@@ -322,12 +336,12 @@ def charge_matrix(
         # a column reads its entries in turn, so one slot holds its sums
         @lru_cache(maxsize=1)
         def column_sums(j):
-            return (sn_irrep_dim(parts[j]), *_content_power_sums(parts[j]))
+            return (f_row[j], *_content_power_sums(parts[j]))
 
         def entry(i, j):
             cyc = cycles[i]
             if not cyc:
-                return sn_irrep_dim(parts[j])
+                return f_row[j]
             pair = central[i]
             if pair is None:
                 return _char_rec(beta_set(parts[j]), cyc)
@@ -337,7 +351,7 @@ def charge_matrix(
                 raise ArithmeticError(f"character of {parts[j]} on {cyc} is not an integer")
             return chi
 
-        return ChargeMatrix(labels, ids, entry, group, k, witness)
+        return ChargeMatrix(labels, ids, entry, group, k, witness, f_row)
     if group.kind not in ("U1", "SU2", "Zp"):
         raise ValueError("use custom_matrix for user-supplied problems")
     # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
@@ -380,10 +394,13 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
 
     The proof is ``witness^T A == m`` for the builder's ``A.witness``,
     computed in O(rows * cols).  A matrix whose weights are all nonzero
-    (U(1), SU(2), Z_p) is read by columns, which it holds built; otherwise
-    each row of nonzero weight (row 0, the identity row of SU(d) and custom
-    matrices) is read once and added whole.  False means the witness does
-    not reproduce ``m``, whether or not ``m`` is in the span.
+    (U(1), SU(2), Z_p) is read by columns, which it holds built, one column
+    product each; otherwise each row of nonzero weight (row 0, the identity
+    row of SU(d) and custom matrices) is read once and added whole.  The
+    SU(d) identity row comes built: ``charge_matrix`` read it in one pass
+    over the columns' partitions through the ``f^lambda`` memo, so this
+    check makes no ``entry`` call.  False means the witness does not
+    reproduce ``m``, whether or not ``m`` is in the span.
     """
     witness = A.witness
     if all(witness):

@@ -248,13 +248,17 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
         raise ValueError(f"unknown table {which!r}")
 
     rows = []
+    tables = {}  # one canonical sector table per (group, n), shared by its localities
     for group, n, k, classes in jobs:
         # None below the formula's validity threshold, which every tabulated
         # formula puts above k
         cf = _closed_form_for(group, n, k, classes)
         if cf is None:
             continue
-        result, _, _ = compute_tmax(group, n, k, classes=classes)
+        table = tables.get((group, n))
+        if table is None:
+            table = tables[group, n] = canonical_order(sectors(group, n))
+        result = tmax_exact(charge_matrix(table, k, classes), table)
         rows.append(
             {
                 "group": str(group) if classes is None else f"{group}+classes",

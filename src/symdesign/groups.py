@@ -16,15 +16,21 @@ Built-in symmetries:
   at most ``d`` rows; multiplicities ``f^lambda`` come from the Frobenius
   formula on the first-column hook lengths, irrep dimensions from the
   hook-content formula over one rising-factorial row per diagram row.
+
+An SU(d) table is built in column passes: its shapes are transposed once
+into zero-padded part rows (as many as the longest shape has parts), and
+the partition check, ``f^lambda`` and the dimensions each run one pass per
+row or pair of rows rather than one step per shape.  ``f^lambda`` is kept in
+one per-shape memo, filled a whole table at a time on a miss; every
+division ends in a remainder check that raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
-from itertools import accumulate, chain, combinations, repeat, starmap
+from itertools import accumulate, chain, combinations, repeat, starmap, zip_longest
 from math import comb, factorial, prod
-from operator import add, attrgetter, getitem, itemgetter, le, lt, mul, sub
+from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
 
 from .values import Value
@@ -130,24 +136,36 @@ class Residue(Value):
         return f"b={self.beta}"
 
 
-def check_partitions(shapes, n: int | None = None) -> None:
+def part_rows(shapes) -> list[tuple[int, ...]]:
+    """The shapes transposed: row ``i`` holds part ``i`` of every shape, 0 past a shape's end.
+
+    There are as many rows as the longest shape has parts, and at least one,
+    so a table of empty shapes is one row of zeros.
+    """
+    return [*zip_longest(*shapes, fillvalue=0)] or [(0,) * len(shapes)]
+
+
+def check_partitions(shapes, n: int | None = None) -> list[tuple[int, ...]]:
     """Raise ``ValueError`` unless every shape has exact-``int``, weakly decreasing, positive parts.
 
     With ``n`` given, every shape must also have ``n`` boxes.  Each test is
-    one pass over the whole list of shapes, so a table is checked at once.
+    one pass over the whole list of shapes, or over its :func:`part_rows`,
+    so a table is checked at once; the part rows are returned.
     """
+    rows = part_rows(shapes)
     parts = [*chain.from_iterable(shapes)]
     # exactly int also rejects bool and 2.0
     if {*map(type, parts)} - {int}:
         bad = next(x for x in parts if type(x) is not int)
         raise ValueError(f"partition parts must be ints, got {bad!r}")
-    # each shape against itself shifted by one part
-    if any(map(any, map(map, repeat(lt), shapes, map(itemgetter(slice(1, None)), shapes)))):
+    # each part row against the next; a 0 past a shape's end is below every positive part
+    if any(map(any, map(map, repeat(lt), rows, rows[1:]))):
         raise ValueError("partition parts must be weakly decreasing")
     if not all(shapes) or min(parts, default=1) <= 0:
         raise ValueError("partition parts must be positive")
     if n is not None and {*map(sum, shapes)} - {n}:
         raise ValueError(f"partitions must have n={n} boxes")
+    return rows
 
 
 class PartitionId(Value):
@@ -262,29 +280,86 @@ def frobenius_dim(beta: tuple[int, ...]) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
-def sn_irrep_dim(parts: tuple[int, ...]) -> int:
-    """Dimension ``f^lambda`` of the symmetric-group irrep of shape ``parts``."""
-    return frobenius_dim(beta_set(parts))
-
-
 def rising_row(x: int, length: int) -> list[int]:
     """The rising factorials ``[1, x, x (x + 1), ...]``, ``length`` of them."""
     return list(accumulate(range(x, x + length - 1), mul, initial=1))
 
 
-def sud_irrep_dims(shapes, n: int, d: int) -> tuple[int, ...]:
-    """SU(d) dimensions of partitions of ``n``: ``f^lambda / n!`` times ``R_i[parts[i]]``."""
-    # rows R_i once per table; R_d = [1, 0, ...] zeroes a shape of more than d rows
-    rising = [rising_row(d - i, n // (i + 1) + 1) for i in range(min(n, d + 1))]
-    n_fact = factorial(n)
-    dims = []
-    for parts in shapes:
-        dim, rem = divmod(prod(map(getitem, rising, parts), start=sn_irrep_dim(parts)), n_fact)
-        if rem:
-            raise ArithmeticError(f"SU({d}) dimension of {parts} is not an integer")
-        dims.append(dim)
-    return tuple(dims)
+def _divide_exactly(numer, denom, rows, what: str) -> list[int]:
+    """``numer // denom`` per shape of the part rows; a remainder raises ``ArithmeticError``."""
+    quotients = [*map(divmod, numer, denom)]
+    rems = [*map(itemgetter(1), quotients)]
+    if any(rems):
+        j = [*map(bool, rems)].index(True)
+        shape = tuple(filter(None, map(itemgetter(j), rows)))
+        raise ArithmeticError(f"{what} of {shape} is not an integer")
+    return [*map(itemgetter(0), quotients)]
+
+
+def frobenius_dims(rows) -> list[int]:
+    """``f^lambda`` of every shape of the part rows, by the Frobenius formula in column passes.
+
+    Row ``i`` of ``r`` rows gives the first-column hook lengths
+    ``beta_i = parts[i] + r - 1 - i``; the zeros past a shape's end are empty
+    rows, which leave the formula unchanged.  Each pass runs over one row
+    or one pair of rows, and one checked ``divmod`` per shape ends it.
+    """
+    r = len(rows)
+    betas = [[*map(add, row, repeat(r - 1 - i))] for i, row in enumerate(rows)]
+    ns = rows[0]  # each shape's boxes, summed down its column
+    for row in rows[1:]:
+        ns = [*map(add, ns, row)]
+    if min(chain(ns, *betas)) < 0:  # a negative index would wrap around the factorial row
+        raise ValueError("the Frobenius formula needs non-negative hook lengths and sizes")
+    facts = rising_row(1, max(ns) + r)  # 0!, 1!, ... up to the largest hook length
+    numer = [*map(facts.__getitem__, ns)]
+    denom = [*map(facts.__getitem__, betas[0])]
+    for i, beta in enumerate(betas):
+        if i:
+            denom = [*map(mul, denom, map(facts.__getitem__, beta))]
+        for later in betas[i + 1 :]:
+            numer = [*map(mul, numer, map(sub, beta, later))]
+    return _divide_exactly(numer, denom, rows, "Frobenius formula")
+
+
+# f^lambda per shape, filled a whole table at a time by frobenius_dims
+_SN_DIMS: dict[tuple[int, ...], int] = {}
+
+
+def sn_irrep_dims(shapes, rows=None) -> list[int]:
+    """``f^lambda`` of every shape, read from the memo in one pass.
+
+    On a miss, every shape's ``f^lambda`` is computed by :func:`frobenius_dims`
+    over ``rows``, the shapes' :func:`part_rows` (built here when not given),
+    and stored.
+    """
+    try:
+        return [*map(_SN_DIMS.__getitem__, shapes)]
+    except KeyError:
+        pass
+    dims = frobenius_dims(part_rows(shapes) if rows is None else rows)
+    _SN_DIMS.update(zip(shapes, dims))
+    return dims
+
+
+def sn_irrep_dim(parts: tuple[int, ...]) -> int:
+    """Dimension ``f^lambda`` of the symmetric-group irrep of shape ``parts``."""
+    return sn_irrep_dims((parts,))[0]
+
+
+def sud_irrep_dims(rows, f, n: int, d: int) -> tuple[int, ...]:
+    """SU(d) dimensions of partitions of ``n``: ``f^lambda / n!`` times ``R_i[parts[i]]``.
+
+    ``rows`` are the shapes' :func:`part_rows` and ``f`` their ``f^lambda``;
+    each row is one pass, and one checked ``divmod`` per shape ends it.
+    """
+    dims = f
+    for i, row in enumerate(rows):
+        # R_i once per table; R_d = [1, 0, ...] zeroes a shape of more than d rows,
+        # and R_i[0] = 1 leaves the zeros past a shape's end out of the product
+        rising = rising_row(d - i, n // (i + 1) + 1)
+        dims = [*map(mul, dims, map(rising.__getitem__, row))]
+    return tuple(_divide_exactly(dims, repeat(factorial(n)), rows, f"SU({d}) dimension"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +421,11 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
         dims = (1,) * len(ids)
     elif group.kind == "SUd":
         shapes = tuple(partitions_max_rows(n, group.d))
-        check_partitions(shapes, n)  # once per table, so the ids skip PartitionId's own check
+        # once per table, so the ids skip PartitionId's own check; the rows feed every pass
+        rows = check_partitions(shapes, n)
         ids = PartitionId._from_checked(shapes)
-        mults = tuple(map(sn_irrep_dim, shapes))
-        dims = sud_irrep_dims(shapes, n, group.d)
+        mults = tuple(sn_irrep_dims(shapes, rows))
+        dims = sud_irrep_dims(rows, mults, n, group.d)
     else:
         raise ValueError("custom groups carry their own sector tables")
     if sum(map(mul, mults, dims)) != group.local_dim**n:

@@ -201,10 +201,10 @@ class TestSnCharacter:
         # a strip that empties rows above an empty last row must drop every
         # empty row, or the recursion reaches a beta-set of another length
         # (hook lengths larger than n) and keys one partition twice
-        from symdesign import charges
+        from symdesign import charges, groups
 
         charges._char_rec.cache_clear()
-        sn_irrep_dim.cache_clear()
+        groups._SN_DIMS.clear()
         rec, seen = charges._char_rec, []
 
         def recording(beta, cycles):
@@ -314,10 +314,10 @@ class TestSnCharacter:
     def test_schur_weyl_trace_consistency(self, d, n):
         # the permutation operator on n qudits has trace d**(number of cycles,
         # fixed points included); Schur-Weyl splits it over sectors
-        from symdesign.groups import sud_irrep_dims
+        from symdesign.groups import part_rows, sn_irrep_dims, sud_irrep_dims
 
         parts_list = list(partitions_max_rows(n, d))
-        dims = sud_irrep_dims(parts_list, n, d)
+        dims = sud_irrep_dims(part_rows(parts_list), sn_irrep_dims(parts_list), n, d)
         for cls in conjugacy_classes(n):
             n_cycles = len(cls.cycles) + (n - cls.support)
             total = sum(
@@ -574,7 +574,8 @@ class TestCentralCharacterColumns:
 
         table = sectors(sud(3), 5)
         j = [irrep.parts for irrep in table.ids].index((4, 1))
-        monkeypatch.setattr(charges, "sn_irrep_dim", lambda parts: sn_irrep_dim(parts) + 1)
+        dims = charges.sn_irrep_dims
+        monkeypatch.setattr(charges, "sn_irrep_dims", lambda shapes: [f + 1 for f in dims(shapes)])
         # f = 5 instead of 4 makes the transposition entry 5 * 5 / 10
         with pytest.raises(ArithmeticError, match="character of"):
             charge_matrix(table, 2).column(j)

@@ -468,6 +468,25 @@ class TestTableCommand:
         rows = json.loads(out)
         assert rows and all(r["agrees"] for r in rows)
 
+    @pytest.mark.parametrize(
+        "which, d", [("table1", None), ("table2", None), ("tablesud", 4)], ids=str
+    )
+    def test_one_sector_table_per_group_and_n(self, which, d, monkeypatch):
+        # every locality of a (group, n) solves against one canonical table
+        calls = []
+        enumerate_sectors = cli.sectors
+
+        def counting(group, n):
+            calls.append((group, n))
+            return enumerate_sectors(group, n)
+
+        monkeypatch.setattr(cli, "sectors", counting)
+        rows = cli._table_rows(which, 22, 24, d)
+        assert len(rows) > len(calls) and len(calls) == len(set(calls))
+        assert {(row["group"].removesuffix("+classes"), row["n"]) for row in rows} == {
+            (str(group), n) for group, n in calls
+        }
+
     @pytest.mark.parametrize("d", ["0", "1"])
     def test_tablesud_small_d_exits_2(self, capsys, d):
         # d = 0 must not fall back to the default d = 3

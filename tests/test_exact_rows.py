@@ -110,7 +110,24 @@ def test_perturbed_rising_row_raises(monkeypatch):
 
     assert sectors(sud(3), 4).dims[0] == 15
     monkeypatch.setattr(groups, "rising_row", perturbed)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"SU\(3\) dimension"):
+        sectors(sud(3), 4)
+
+
+def test_perturbed_factorial_row_raises(monkeypatch):
+    # the Frobenius pass reads n! and the beta_i! from the rising row of 1; with
+    # 4! = 25, [4] (beta = 6, 1, 0) gets 25 * 30 / (720 * 1 * 1), no integer
+    rising_row = groups.rising_row
+
+    def perturbed(x, length):
+        row = rising_row(x, length)
+        if x == 1:
+            row[4] += 1
+        return row
+
+    monkeypatch.setattr(groups, "_SN_DIMS", {})  # a miss, so the f^lambda are computed
+    monkeypatch.setattr(groups, "rising_row", perturbed)
+    with pytest.raises(ArithmeticError, match=r"Frobenius formula of \(4,\)"):
         sectors(sud(3), 4)
 
 

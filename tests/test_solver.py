@@ -33,6 +33,7 @@ from symdesign import (
 from symdesign import charges, groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
+from symdesign.groups import SectorTable
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
 
@@ -827,6 +828,38 @@ class TestPerTableChecks:
         with pytest.raises(ValueError):
             groups.PartitionId((1, 2))
         assert calls == [(1, 2)]
+
+
+    def test_warm_sud_solve_reads_the_identity_row_whole(self, monkeypatch):
+        # charge_matrix reads row 0, f^lambda, in one pass over the memo; the
+        # row-span check and the scan's columns then make no entry call for it
+        compute_tmax(sud(4), 30, 4)
+        rows_read = []
+        init = ChargeMatrix.__init__
+
+        def counting(self, labels, ids, entry, *rest):
+            init(self, labels, ids, lambda i, j: rows_read.append(i) or entry(i, j), *rest)
+
+        monkeypatch.setattr(ChargeMatrix, "__init__", counting)
+        result, table, A = compute_tmax(sud(4), 30, 4)
+        assert verify_certificate(result.certificate, A, table)
+        assert rows_read and 0 not in rows_read
+        assert A[0] == table.multiplicities == A.rows[0]
+
+    @pytest.mark.parametrize("memo", ["warm", "empty"])
+    def test_sud_multiplicity_off_by_one_is_outside_the_row_span(self, memo, monkeypatch):
+        # the identity row comes from the partitions, so a hand-built table whose
+        # multiplicity is one too large no longer matches it (with the memo
+        # warm, or empty so that f^lambda is computed again)
+        table = canonical_order(sectors(sud(3), 12))
+        m = list(table.multiplicities)
+        m[-1] += 1  # still weakly increasing
+        bad = SectorTable(table.group, table.n, table.ids, tuple(m), table.dims)
+        if memo == "empty":
+            monkeypatch.setattr(groups, "_SN_DIMS", {})
+        with pytest.raises(ValueError, match="row span"):
+            tmax_exact(charge_matrix(bad, 4), bad)
+        assert tmax_exact(charge_matrix(table, 4), table).proven_exact
 
 
 class TestBruteForce:

@@ -6,6 +6,8 @@ from math import comb, factorial, prod
 from operator import add, mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symdesign import (
     SU2,
@@ -28,18 +30,22 @@ from symdesign.groups import (
     SectorTable,
     TwiceSpin,
     beta_set,
+    check_partitions,
     custom_table,
     frobenius_dim,
+    part_rows,
     partitions_max_rows,
     sn_irrep_dim,
+    sn_irrep_dims,
     sud_irrep_dims,
 )
 from symdesign import groups
 
 
 def sud_irrep_dim(parts, d):
-    """The SU(d) dimension of one shape, from the table-wide hook-content helper."""
-    return sud_irrep_dims((parts,), sum(parts), d)[0]
+    """The SU(d) dimension of one shape, from the table-wide column pass."""
+    shapes = (parts,)
+    return sud_irrep_dims(part_rows(shapes), sn_irrep_dims(shapes), sum(parts), d)[0]
 
 
 def partitions_reference(n: int, d: int):
@@ -77,6 +83,16 @@ def hook_length_dim(parts: tuple[int, ...]) -> int:
         # the hook of cell (i, j) is row_len - j + cols[j] - i - 1
         hook_prod *= prod(map(add, cols, range(row_len - i - 1, -i - 1, -1)))
     dim, rem = divmod(factorial(n), hook_prod)
+    assert rem == 0, parts
+    return dim
+
+
+def hook_content_dim(parts: tuple[int, ...], d: int) -> int:
+    """Oracle for the SU(d) dimension: the product over cells of ``d + content`` over the hook lengths."""
+    cols = conjugate(parts)
+    cells = [(i, j) for i, a in enumerate(parts) for j in range(a)]
+    num = prod(d + j - i for i, j in cells)
+    dim, rem = divmod(num, prod(parts[i] - j + cols[j] - i - 1 for i, j in cells))
     assert rem == 0, parts
     return dim
 
@@ -338,13 +354,13 @@ class TestPartitionHelpers:
         with pytest.raises(ArithmeticError):
             frobenius_dim(beta_set((2, 2)))
 
-    def test_hook_content_remainder_raises(self, monkeypatch):
+    def test_hook_content_remainder_raises(self):
         # [2, 2, 2] is the trivial SU(3) irrep: f = 5 and 5 * 144 / 6! = 1, while
         # a wrong f = 6 leaves a remainder
-        assert sud_irrep_dim((2, 2, 2), 3) == 1
-        monkeypatch.setattr(groups, "sn_irrep_dim", lambda parts: 6)
-        with pytest.raises(ArithmeticError):
-            sud_irrep_dim((2, 2, 2), 3)
+        rows = part_rows(((2, 2, 2),))
+        assert sud_irrep_dims(rows, [5], 6, 3) == (1,)
+        with pytest.raises(ArithmeticError, match=r"SU\(3\) dimension of \(2, 2, 2\)"):
+            sud_irrep_dims(rows, [6], 6, 3)
 
     def test_dim_squares_sum_to_group_order(self):
         for n in range(1, 9):
@@ -364,15 +380,9 @@ class TestPartitionHelpers:
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 12, 40, 300])
     def test_sud_dim_matches_hook_content_formula(self, d):
-        # dim = prod over cells (d + j - i) / prod over cells of the hook length
         for n in range(1, 21 if d < 8 else 13):
             for parts in partitions_max_rows(n, d):
-                cols = [sum(1 for a in parts if a > j) for j in range(parts[0])]
-                cells = [(i, j) for i, a in enumerate(parts) for j in range(a)]
-                num = prod(d + j - i for i, j in cells)
-                hooks = prod(parts[i] - j + cols[j] - i - 1 for i, j in cells)
-                assert num % hooks == 0
-                assert sud_irrep_dim(parts, d) == num // hooks, (parts, d)
+                assert sud_irrep_dim(parts, d) == hook_content_dim(parts, d), (parts, d)
 
     @pytest.mark.parametrize(
         "parts, d",
@@ -418,3 +428,95 @@ class TestSudTableCheckedOnce:
             ids = sectors(sud(d), n).ids
             assert ids == tuple(map(PartitionId, partitions_max_rows(n, d))), (d, n)
             assert {type(irrep) for irrep in ids} == {PartitionId}
+
+
+def rejected_per_shape(shapes, n) -> bool:
+    """Reference for ``check_partitions``: each shape tested on its own parts."""
+    for parts in shapes:
+        if any(type(x) is not int for x in parts):
+            return True
+        if any(a < b for a, b in zip(parts, parts[1:])) or not parts or min(parts) <= 0:
+            return True
+        if n is not None and sum(parts) != n:
+            return True
+    return False
+
+
+class TestSudColumnPasses:
+    """Whole-table f^lambda and SU(d) dimensions against the per-shape oracles."""
+
+    @pytest.mark.parametrize("rows", ["3", "4", "6", "n"])
+    def test_tables_equal_per_shape_oracles(self, rows, monkeypatch):
+        # an empty memo: each n brings new shapes, so every table takes the column passes
+        monkeypatch.setattr(groups, "_SN_DIMS", {})
+        for n in range(1, 31):
+            d = max(n, 3) if rows == "n" else int(rows)
+            table = sectors(sud(d), n)
+            shapes = [irrep.parts for irrep in table.ids]
+            assert table.multiplicities == tuple(map(hook_length_dim, shapes)), (d, n)
+            assert table.multiplicities == tuple(frobenius_dim(beta_set(p)) for p in shapes)
+            assert table.dims == tuple(hook_content_dim(p, d) for p in shapes), (d, n)
+
+    def test_sud300_pads_only_to_the_longest_shape(self, monkeypatch):
+        monkeypatch.setattr(groups, "_SN_DIMS", {})
+        table = sectors(sud(300), 12)
+        shapes = [irrep.parts for irrep in table.ids]
+        assert len(shapes) == 77
+        assert len(check_partitions(shapes, 12)) == 12  # the rows of (1,) * 12, not 300
+        assert table.multiplicities == tuple(map(hook_length_dim, shapes))
+        assert table.dims == tuple(hook_content_dim(p, 300) for p in shapes)
+
+    @pytest.mark.parametrize("d, n", [(3, 25), (4, 30), (6, 14), (300, 12)])
+    def test_table_from_empty_memo_equals_warm_table(self, d, n, monkeypatch):
+        warm = sectors(sud(d), n)
+        assert sectors(sud(d), n) == warm
+        monkeypatch.setattr(groups, "_SN_DIMS", {})
+        assert sectors(sud(d), n) == warm
+        shapes = [irrep.parts for irrep in warm.ids]
+        assert groups._SN_DIMS == dict(zip(shapes, warm.multiplicities))
+
+    def test_warm_table_reads_f_from_the_memo(self, monkeypatch):
+        warm = sectors(sud(4), 30)
+
+        def unexpected(rows):
+            raise AssertionError("a warm table recomputed f^lambda")
+
+        monkeypatch.setattr(groups, "frobenius_dims", unexpected)
+        assert sectors(sud(4), 30) == warm
+        assert sn_irrep_dims([irrep.parts for irrep in warm.ids]) == list(warm.multiplicities)
+
+    def test_part_rows_pad_with_zeros(self):
+        assert part_rows([(3, 1), (2, 1, 1), (4,)]) == [(3, 2, 4), (1, 1, 0), (0, 1, 0)]
+        assert part_rows([(), ()]) == [(0, 0)]
+        assert sn_irrep_dim(()) == 1
+
+    @pytest.mark.parametrize("parts", [(-1,), (3, -1), (-1, 0)])
+    def test_negative_hook_length_is_refused(self, parts, monkeypatch):
+        # the factorial row would wrap round at a negative index
+        monkeypatch.setattr(groups, "_SN_DIMS", {})
+        with pytest.raises(ValueError, match="non-negative"):
+            sn_irrep_dim(parts)
+        assert groups._SN_DIMS == {}
+
+    @given(
+        st.lists(st.lists(st.integers(-2, 4), max_size=4).map(tuple), max_size=5),
+        st.sampled_from([None, 3, 4]),
+    )
+    def test_check_partitions_rejects_what_a_per_shape_check_rejects(self, shapes, n):
+        try:
+            check_partitions(shapes, n)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == rejected_per_shape(shapes, n)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(3, 1), (-1,)], [(2, 2), (4, 0)], [(1, 1, 1, 1), (5, -1)], [(2, 1, 1), (2, 2, 0)]],
+        ids=["negative-short", "zero-last", "negative-last", "zero-under-longer"],
+    )
+    def test_padding_hides_no_bad_part(self, shapes):
+        # a part of 0 or below sits where a shorter shape's padding would
+        with pytest.raises(ValueError, match="partition"):
+            check_partitions(shapes)
+        assert rejected_per_shape(shapes, None)
