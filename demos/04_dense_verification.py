@@ -1,23 +1,23 @@
-"""Dense cross-checks: rebuild the operators explicitly and compare.
+"""Exact cross-checks: rebuild the operators over the full basis and compare.
 
-The solver path is exact, so these floating-point reconstructions serve as an
-independent desk check rather than part of any computation: diagonal
-operators are rebuilt entry by entry over all 2^n bitstrings, spin projectors
-by Lagrange interpolation in the dense total-spin operator, and the two-qubit
-parity witness by sampling Haar-random block unitaries.
+The closed forms are checked against operators rebuilt over all 2^n
+bitstrings, in integers: diagonal operators through one Walsh-Hadamard
+transform, the spin sectors through Lagrange interpolation in the exchange
+sum, and the two-qubit parity witness through the generators of the block
+unitaries it must commute with.
 
 Run:  python demos/04_dense_verification.py
 """
 
-import numpy as np
+from operator import mul
 
 from symdesign import tr_f_c, u1_c_eigenvalue
-from symdesign.dense import (
-    dense_tr_f_c,
-    su2_c2_check,
-    su2_projector,
-    su2_projector_checks,
-    u1_dense_c,
+from symdesign.checks import (
+    su2_casimir_check,
+    su2_projector_check,
+    su2_projector_traces,
+    u1_c_diagonal,
+    u1_f_diagonal,
     u1_orthogonality_check,
     z2_witness_check,
 )
@@ -27,8 +27,8 @@ from symdesign.groups import su2_multiplicity
 # The sum of single-qubit Z operators on 3 qubits, entry by entry: weights
 # 0..3 give eigenvalues 3, 1, -1, -3.
 
-print("dense diagonal of the total-Z operator on 3 qubits:")
-print(" ", u1_dense_c(3, 1).tolist())
+print("diagonal of the total-Z operator on 3 qubits:")
+print(" ", u1_c_diagonal(3, 1))
 print("  closed form per weight:", [u1_c_eigenvalue(3, 1, w) for w in range(4)])
 
 ###############################################################################
@@ -36,28 +36,30 @@ print("  closed form per weight:", [u1_c_eigenvalue(3, 1, w) for w in range(4)])
 
 n = 10
 k, l = 4, 6
-print(f"\ndense Tr(f_{k} c_{l}) at n = {n}: {dense_tr_f_c(n, k, l)}"
+direct = sum(map(mul, u1_f_diagonal(n, k), u1_c_diagonal(n, l)))
+print(f"\nTr(f_{k} c_{l}) over all bitstrings at n = {n}: {direct}"
       f" vs closed form {tr_f_c(n, k, l)}")
 
 ###############################################################################
 # The edge-supported operator ignores every interaction on fewer than k
-# qubits but detects k-body terms; checked against all Z-strings densely.
+# qubits but detects k-body terms; checked against every Z-string.
 
 print("\northogonality scans (True = orthogonal below k, detecting at k):")
 for nn, kk in [(8, 4), (10, 5), (12, 6)]:
-    print(f"  n = {nn:>2}, k = {kk}: {u1_orthogonality_check(nn, kk)}")
+    print(f"  n = {nn:>2}, k = {kk}: {u1_orthogonality_check(u1_f_diagonal(nn, kk), kk)}")
 
 ###############################################################################
-# Spin sector projectors: idempotent, orthogonal, correct traces, and they
-# resolve the identity.  The two-qubit exchange sum equals 2 J^2 - (3/2) n.
+# Spin sector projectors: the exchange sum equals 2 J^2 - (3/2) n and takes
+# only the closed-form eigenvalues, so its Lagrange projectors are
+# idempotent, orthogonal and resolve the identity; their traces count the
+# states of each spin.
 
 print("\nspin projector families:")
 for nn in (4, 6, 8):
-    print(f"  n = {nn}: projector checks {su2_projector_checks(nn)},"
-          f" exchange-sum identity {su2_c2_check(nn)}")
+    print(f"  n = {nn}: projector checks {su2_projector_check(nn)},"
+          f" exchange-sum identity {su2_casimir_check(nn)}")
 
-pr = su2_projector(4, 4)
-print(f"  top-spin projector at n = 4: trace {pr.trace().real:.6f}"
+print(f"  top-spin projector at n = 4: trace {su2_projector_traces(4)[4]}"
       f" (expected {5 * su2_multiplicity(4, 4)})")
 
 ###############################################################################
@@ -66,4 +68,4 @@ print(f"  top-spin projector at n = 4: trace {pr.trace().real:.6f}"
 # cannot generate.  This is the smallest instance of the general fact that a
 # finite design order always comes with an explicit commutant witness.
 
-print("\ntwo-qubit parity witness (500 Haar samples, seed 0):", z2_witness_check())
+print("\ntwo-qubit parity witness (six block generators, phase 4):", z2_witness_check())

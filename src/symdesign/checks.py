@@ -4,13 +4,17 @@ Each suite re-derives exact identities (or solver answers) by an independent
 route and returns a :class:`Tally` of the checks it made and the ones that
 failed, so the command line and the test suite run the same checks.  The
 exhaustive oracle behind ``solver-brute`` (:func:`kernel_vectors`,
-:func:`exhaustive_certificate`) shares no code with the solve path.
+:func:`exhaustive_certificate`) shares no code with the solve path, and the
+``oracle`` suite rebuilds operators over the full computational basis, in
+integers like everything else here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from itertools import combinations, product
+from math import comb, lcm, prod
+from operator import mul
 from typing import Optional
 
 from .charges import charge_matrix, sn_character
@@ -213,28 +217,241 @@ def characters() -> Tally:
     return t
 
 
-def oracle() -> Tally:
-    """Dense (numpy) reconstructions against the exact formulas.
+def walsh_hadamard(v: list[int]) -> list[int]:
+    """``out[m] = sum_x v[x] * (-1)**popcount(x & m)`` for a list of length ``2**n``.
 
-    The dense matrices grow like ``2**n``, so the sizes are fixed: U(1)
-    orthogonality for n <= 12, ``tr_f_c`` at n = 10, the SU(2) Casimir and
-    projectors for n <= 8, and the two-qubit parity witness on 500 Haar
-    samples drawn with seed 0.
+    For the diagonal ``v`` of an operator on ``n`` qubits (bit ``a`` of ``x``
+    is the excitation on qubit ``a``), ``out[m]`` is its trace pairing with
+    the Z-string on the qubits set in ``m``.
     """
-    from . import dense  # the only suite that needs numpy
+    v = list(v)
+    h = 1
+    while h < len(v):
+        for i in range(0, len(v), 2 * h):
+            for j in range(i, i + h):
+                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+        h *= 2
+    return v
 
+
+def u1_c_diagonal(n: int, l: int) -> list[int]:
+    """Diagonal of the sum of every weight-``l`` Z-string on ``n`` qubits."""
+    return walsh_hadamard([int(x.bit_count() == l) for x in range(1 << n)])
+
+
+def u1_f_diagonal(n: int, k: int) -> list[int]:
+    """Diagonal of the edge-supported operator: :func:`u1_f_values` at each bitstring's weight."""
+    values = u1_f_values(n, k)
+    return [values[x.bit_count()] for x in range(1 << n)]
+
+
+def u1_orthogonality_check(f: list[int], k: int) -> bool:
+    """The diagonal ``f`` ignores sub-``k``-local terms but detects ``k``-body ones.
+
+    True iff its pairing with every Z-string on fewer than ``k`` qubits
+    vanishes and, for ``k >= 1``, its pairing with the Z-string on qubits
+    ``0..k-1`` does not.  A Pauli string with an X or a Y pairs to zero with
+    any diagonal operator, so no string is skipped.
+    """
+    pairings = walsh_hadamard(f)
+    if any(p for m, p in enumerate(pairings) if m.bit_count() < k):
+        return False
+    return k == 0 or pairings[(1 << k) - 1] != 0
+
+
+# X, Y and Z on a qubit holding bit v: (bit flip, p) with the phase i**p
+_PAULI = (lambda v: (1, 0), lambda v: (1, 1 + 2 * v), lambda v: (0, 2 * v))
+
+
+def su2_exchange(n: int) -> list[dict[int, int]]:
+    """``E = sum_{a<b} (X_a X_b + Y_a Y_b + Z_a Z_b)`` as an integer operator.
+
+    Entry ``x`` maps each bitstring ``y`` to ``<y|E|x>``.  Each pair
+    ``P_a P_b`` sends ``|x>`` to one bitstring with the phase ``i**p``, and
+    ``p`` is even for every pair (Y (x) Y is real).
+    """
+    columns = []
+    for x in range(1 << n):
+        col = {}
+        for a, b in combinations(range(n), 2):
+            for pauli in _PAULI:
+                (flip_a, pa), (flip_b, pb) = pauli((x >> a) & 1), pauli((x >> b) & 1)
+                y = x ^ (flip_a << a) ^ (flip_b << b)
+                col[y] = col.get(y, 0) + (-1) ** ((pa + pb) // 2)
+        columns.append({y: c for y, c in col.items() if c})
+    return columns
+
+
+def su2_spin_squared(n: int) -> list[dict[int, int]]:
+    """``4 J^2 = (2 J_z)^2 + 2 (J_+ J_- + J_- J_+)``, laid out as :func:`su2_exchange`.
+
+    The ladder operators move one qubit up or down with coefficient 1, and
+    ``2 J_z`` is ``n - 2w`` on a bitstring of weight ``w``.
+    """
+
+    def moves(x, bit):  # set one qubit of x that is not at bit to bit
+        return [x ^ (1 << a) for a in range(n) if (x >> a) & 1 != bit]
+
+    columns = []
+    for x in range(1 << n):
+        col = {x: (n - 2 * x.bit_count()) ** 2}
+        for bit in (0, 1):
+            for y in moves(x, bit):
+                for z in moves(y, 1 - bit):
+                    col[z] = col.get(z, 0) + 2
+        columns.append(col)
+    return columns
+
+
+def su2_exchange_blocks(n: int) -> list[list[list[int]]]:
+    """The exchange sum on each Hamming-weight block, ``w = 0..n``, over its bitstrings in order."""
+    E = su2_exchange(n)
+    blocks = []
+    for w in range(n + 1):
+        basis = [x for x in range(1 << n) if x.bit_count() == w]
+        blocks.append([[E[x].get(y, 0) for x in basis] for y in basis])
+    return blocks
+
+
+def _matmul(A, B):
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def _powers(block, top: int):
+    """``[block**0, ..., block**top]``."""
+    powers = [[[int(r == c) for c in range(len(block))] for r in range(len(block))]]
+    for _ in range(top):
+        powers.append(_matmul(powers[-1], block))
+    return powers
+
+
+def _roots_poly(roots) -> list[int]:
+    """Coefficients, constant first, of ``prod (x - r)`` over ``roots``."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _su2_eigenvalues(n: int) -> dict[int, int]:
+    return {jj: su2_c_eigenvalue(n, 2, jj) for jj in range(n % 2, n + 1, 2)}
+
+
+def su2_casimir_check(n: int) -> bool:
+    """The exchange sum is ``(4 J^2 - 3n) / 2`` and takes only the values ``e_j``.
+
+    ``e_j`` is :func:`su2_c_eigenvalue` on spin ``j``.  Each Hamming-weight
+    block of the sum must be annihilated by ``prod_j (E - e_j)``; the roots
+    are distinct, so ``E`` is diagonalizable with its eigenvalues among them.
+    """
+    for x, (col, spin) in enumerate(zip(su2_exchange(n), su2_spin_squared(n))):
+        doubled = {y: 2 * c for y, c in col.items()}
+        doubled[x] = doubled.get(x, 0) + 3 * n
+        if {y: c for y, c in doubled.items() if c} != spin:
+            return False
+    annihilator = _roots_poly(_su2_eigenvalues(n).values())
+    for block in su2_exchange_blocks(n):
+        powers = _powers(block, len(annihilator) - 1)
+        for r, c in product(range(len(block)), repeat=2):
+            if sum(a * P[r][c] for a, P in zip(annihilator, powers)):
+                return False
+    return True
+
+
+def su2_projector_traces(n: int) -> dict[int, Fraction]:
+    """Trace of each Lagrange projector of the exchange sum ``E``, keyed by ``2j``.
+
+    The projector is ``prod_{j' != j} (E - e_j') / (e_j - e_j')``, with
+    ``e_j`` as in :func:`su2_casimir_check`; its trace is a combination of
+    the traces of the powers of ``E``.
+    """
+    eigenvalues = _su2_eigenvalues(n)
+    power_traces = [0] * len(eigenvalues)
+    for block in su2_exchange_blocks(n):
+        for i, P in enumerate(_powers(block, len(eigenvalues) - 1)):
+            power_traces[i] += sum(P[r][r] for r in range(len(block)))
+    traces = {}
+    for jj, e in eigenvalues.items():
+        others = [o for j, o in eigenvalues.items() if j != jj]
+        numerator = sum(map(mul, _roots_poly(others), power_traces))
+        traces[jj] = Fraction(numerator, prod(e - o for o in others))
+    return traces
+
+
+def su2_projector_check(n: int) -> bool:
+    """Each Lagrange projector has trace ``(2j + 1) m_j``, the dimension of its spin sector."""
+    traces = su2_projector_traces(n)
+    return all(tr == (jj + 1) * su2_multiplicity(n, jj) for jj, tr in traces.items())
+
+
+def _matrix4(entries: dict) -> list[list[int]]:
+    return [[entries.get((r, c), 0) for c in range(4)] for r in range(4)]
+
+
+# the even block spans |00>, |11> (indices 0, 3) and the odd one |01>, |10>
+# (1, 2); E, F and H of each block span its complexified special Lie algebra
+_BLOCK_GENERATORS = [
+    _matrix4(entries)
+    for i, j in ((0, 3), (1, 2))
+    for entries in ({(i, j): 1}, {(j, i): 1}, {(i, i): 1, (j, j): -1})
+]
+_ZZ = _matrix4({(0, 0): 1, (1, 1): -1, (2, 2): -1, (3, 3): 1})
+# |s0><s1| on the two-copy index 4*a + b, from the two-copy singlets
+# |00,11> - |11,00> and |01,10> - |10,01> of the two blocks
+Z2_WITNESS = tuple(
+    tuple({3: 1, 12: -1}.get(r, 0) * {6: 1, 9: -1}.get(c, 0) for c in range(16)) for r in range(16)
+)
+
+
+def z2_witness_check(witness=Z2_WITNESS, phase: int = 4) -> bool:
+    """Two-qubit parity symmetry: a nonzero operator that separates the gate group.
+
+    Every special block unitary ``v0 (+) v1`` conjugates the ``witness`` to
+    itself on two copies: it commutes with ``G (x) 1 + 1 (x) G`` for the six
+    real block generators ``G``, and the group is connected.  Under
+    ``G = Z (x) Z`` it satisfies ``[G (x) 1 + 1 (x) G, W] = phase * W``, so
+    ``exp(i theta Z (x) Z)``, symmetric yet not generated by the special
+    blocks, multiplies it by ``exp(i phase theta)``.  ``Z2_WITNESS`` has
+    phase 4.
+    """
+
+    def ad(op):
+        G = [
+            [op[r // 4][c // 4] * (r % 4 == c % 4) + op[r % 4][c % 4] * (r // 4 == c // 4)
+             for c in range(16)]
+            for r in range(16)
+        ]
+        GW, WG = _matmul(G, witness), _matmul(witness, G)
+        return [[x - y for x, y in zip(r, s)] for r, s in zip(GW, WG)]
+
+    if not any(map(any, witness)) or any(any(map(any, ad(g))) for g in _BLOCK_GENERATORS):
+        return False
+    return ad(_ZZ) == [[phase * x for x in row] for row in witness]
+
+
+def oracle() -> Tally:
+    """Operators rebuilt over the computational basis, exactly, against the closed forms.
+
+    The operators grow like ``2**n``, so the sizes are fixed: U(1)
+    orthogonality for n <= 12, ``tr_f_c`` at n = 10, the SU(2) Casimir and
+    projectors for n <= 8, and the two-qubit parity witness.
+    """
     t = Tally()
     for n in range(1, 13):
         for k in range(n + 1):
-            t.check(dense.u1_orthogonality_check(n, k), "u1 orthogonality", n, k)
+            t.check(u1_orthogonality_check(u1_f_diagonal(n, k), k), "u1 orthogonality", n, k)
     for k in range(11):
+        # Tr(f c_l) sums the pairings of f with the Z-strings of weight l
+        pairings = walsh_hadamard(u1_f_diagonal(10, k))
         for l in range(11):
-            t.check(dense.dense_tr_f_c(10, k, l) == tr_f_c(10, k, l), "tr_f_c", 10, k, l)
+            direct = sum(p for m, p in enumerate(pairings) if m.bit_count() == l)
+            t.check(direct == tr_f_c(10, k, l), "tr_f_c", 10, k, l)
     for n in range(1, 9):
-        t.check(dense.su2_c2_check(n), "su2 casimir", n)
+        t.check(su2_casimir_check(n), "su2 casimir", n)
         if n >= 2:
-            t.check(dense.su2_projector_checks(n), "su2 projectors", n)
-    t.check(dense.z2_witness_check(), "z2 witness")
+            t.check(su2_projector_check(n), "su2 projectors", n)
+    t.check(z2_witness_check(), "z2 witness")
     return t
 
 

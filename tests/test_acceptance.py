@@ -7,8 +7,6 @@ per criterion with its runtime.
 import time
 from fractions import Fraction
 
-import pytest
-
 from symdesign import (
     INFINITE,
     SU2,
@@ -179,11 +177,10 @@ def test_criterion_7_oracle_equivalence():
     _report(f"7 (exhaustive-oracle equivalence, {tally.checks // 3} instances)", started, 120.0)
 
 
-def test_criterion_8_dense_checks():
-    pytest.importorskip("numpy")  # the optional dense extra
+def test_criterion_8_exact_oracle():
     started = time.monotonic()
     _assert_passes(checks.oracle(), 227)
-    _report("8 (dense oracle)", started, 180.0)
+    _report("8 (exact operator oracle)", started, 180.0)
 
 
 def test_criterion_9_small_case_confirmations():

@@ -1,4 +1,4 @@
-"""A command-line start imports neither ``dataclasses`` nor ``inspect``.
+"""A command-line start imports neither ``dataclasses`` nor ``inspect``; no module imports numpy.
 
 ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
 and every CLI call would pay for loading them.
@@ -36,6 +36,12 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported_modules(path)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_numpy(path):
+    # every check is exact, so the package has no float code and no optional dependency
+    assert "numpy" not in imported_modules(path)
 
 
 def test_cli_and_checks_start_without_dataclasses_or_inspect():

@@ -14,7 +14,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 def test_every_module_is_scanned():
     names = {path.stem for path in MODULES}
-    assert {"charges", "cli", "dense", "infinity", "solver", "values"} <= names
+    assert {"charges", "checks", "cli", "infinity", "solver", "values"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"symdesign.{path.stem}")

@@ -172,11 +172,7 @@ def test_documented_keyword_forms():
 def _value_classes() -> set[type]:
     """Every subclass of ``Value``, once each module of the package is imported."""
     for info in pkgutil.iter_modules(symdesign.__path__):
-        try:
-            importlib.import_module(f"symdesign.{info.name}")
-        except ModuleNotFoundError as exc:  # the dense checks need the optional numpy
-            if exc.name != "numpy":
-                raise
+        importlib.import_module(f"symdesign.{info.name}")
     found, todo = set(), [Value]
     while todo:
         subclasses = todo.pop().__subclasses__()
