@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb
@@ -51,7 +50,6 @@ from .groups import (
     sn_irrep_dims,
     zp_multiplicity,
 )
-from .intlinalg import as_int_row
 from .values import Value
 
 
@@ -427,6 +425,8 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
     row-span check from that row alone.  The group is :data:`CUSTOM` whatever
     ``table``'s group.
     """
+    from .intlinalg import as_int_row  # an SU(d) or Abelian matrix never needs it
+
     m = table.multiplicities
     check_multiplicities(m)
     rows = list(map(as_int_row, rows))
@@ -451,16 +451,20 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(x) -> int | Fraction:
+def parse_rational(x):
     """A JSON int, returned as it is, or a ``"p"`` / ``"p/q"`` string of decimal digits, read exactly.
 
-    Keeping ints as ``int`` lets an all-integer row skip the ``Fraction``
-    path of :func:`~symdesign.intlinalg.as_int_row`.
+    A string comes back as a ``Fraction``.  Keeping ints as ``int`` lets an
+    all-integer row skip the ``Fraction`` path of
+    :func:`~symdesign.intlinalg.as_int_row`, and such a document never loads
+    :mod:`fractions`.
     """
     # type(x) is int also rejects bool, whose True would pass for 1
     if type(x) is int:
         return x
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        from fractions import Fraction
+
         try:
             return Fraction(x)
         except ZeroDivisionError:

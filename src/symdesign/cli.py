@@ -17,31 +17,25 @@ fixed key set {group, n, k, tmax, lower_bound, certificate, proven_exact,
 closed_form, agrees, ms}; infinite orders render as "infinity" in every format.
 A reader that closes stdout early (``symdesign smatrix ... | head -1``) stops
 only the output: the command ran, so it exits 0 with nothing on stderr.
+
+Importing this module loads the standard library it parses and prints with
+and :mod:`symdesign.infinity`, nothing else of the package.  Each function
+imports the submodules it calls at its start, so a command loads only what
+it runs: ``smatrix`` loads neither the solver nor its linear algebra,
+``lower-bound`` and ``custom`` skip the closed forms, and only ``--format
+csv`` loads :mod:`csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
 import sys
 import time
 
-from .charges import (
-    T_GROUP_CLASSES,
-    CycleType,
-    charge_matrix,
-    conjugacy_classes,
-    gate_classes,
-    load_custom_problem,
-)
-from .closedforms import closed_tmax
-from .groups import GroupSpec, canonical_order, sectors, sud, zp, U1, SU2
 from .infinity import is_finite
-from .solver import compute_tmax, lower_bound, tmax_exact, verify_certificate
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -57,11 +51,13 @@ class ParseError(ValueError):
 _GROUP_KINDS = {"u1": "U1", "su2": "SU2", "zp": "Zp", "sud": "SUd"}
 
 
-def _group_from_flags(args) -> GroupSpec:
+def _group_from_flags(args):
+    from .groups import GroupSpec
+
     return GroupSpec(_GROUP_KINDS[args.group], p=args.p, d=args.d)
 
 
-def _parse_classes(text: str | None) -> list[CycleType] | None:
+def _parse_classes(text: str | None) -> list | None:
     """Parse a class list such as ``id,2,3,2+2`` or ``(1),(12),(12)(34)``.
 
     ``None`` (no ``--classes``) means every ``k``-local class; an empty list
@@ -79,7 +75,9 @@ def _parse_classes(text: str | None) -> list[CycleType] | None:
     return classes
 
 
-def _parse_class(token: str) -> CycleType:
+def _parse_class(token: str):
+    from .charges import CycleType
+
     token = token.strip().lower()
     if not token:
         raise ValueError("empty class")
@@ -109,6 +107,9 @@ def _format_certificate(cert, table) -> list[str]:
 
 def _closed_form_for(group, n, k, classes):
     """Closed-form value when the instance is inside a tabulated regime."""
+    from .charges import T_GROUP_CLASSES, conjugacy_classes, gate_classes
+    from .closedforms import closed_tmax
+
     try:
         variant = "full"
         if group.kind == "SUd":
@@ -133,6 +134,9 @@ def _emit(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "csv":
+        import csv
+        import io
+
         rows = [report] if isinstance(report, dict) else report
         buf = io.StringIO()
         writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
@@ -145,6 +149,8 @@ def _emit(report, fmt: str) -> str:
 
 def _solve_and_report(fmt, head, closed_form, solve) -> int:
     """Time ``solve()``, verify its certificate again and print ``head`` and the other fixed keys."""
+    from .solver import verify_certificate
+
     started = time.perf_counter()
     result, table, matrix = solve()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -167,6 +173,8 @@ def _solve_and_report(fmt, head, closed_form, solve) -> int:
 
 
 def cmd_tmax(args) -> int:
+    from .solver import compute_tmax
+
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
     semi = args.assume_semiuniversal
@@ -179,6 +187,10 @@ def cmd_tmax(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
+    from .charges import charge_matrix
+    from .groups import canonical_order, sectors
+    from .solver import lower_bound
+
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
     table = canonical_order(sectors(group, args.n))
@@ -200,6 +212,9 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
+    from .charges import charge_matrix
+    from .groups import sectors
+
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
     matrix = charge_matrix(sectors(group, args.n), args.k, classes)
@@ -224,6 +239,10 @@ def cmd_smatrix(args) -> int:
 
 def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
     """(group label, k, n, solver, closed form) rows for the requested table."""
+    from .charges import T_GROUP_CLASSES, charge_matrix
+    from .groups import SU2, U1, canonical_order, sectors, sud, zp
+    from .solver import tmax_exact
+
     jobs = []
     if which == "table1":
         for p in (2, 3, 4, 5):
@@ -292,6 +311,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_custom(args) -> int:
+    from .charges import load_custom_problem
+    from .solver import tmax_exact
+
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

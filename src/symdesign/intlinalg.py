@@ -17,7 +17,6 @@ arithmetic is used anywhere in this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -33,6 +32,8 @@ def as_int_row(row) -> list[int]:
         return list(row)
     if bool in map(type, row):
         raise ValueError(f"row entries must be numbers, not bool: {list(row)!r}")
+    from fractions import Fraction  # an all-integer row never loads it
+
     fracs = [Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in fracs))
     return [int(x * scale) for x in fracs]
@@ -50,11 +51,15 @@ class Echelon:
     Each relation ends at the index of the vector that made it, so reducing a
     new one by the others from the last index down keeps a basis, and keeps
     its entries small instead of compounding.
+
+    Every vector has the length of the first one added; a vector of another
+    length raises ``ValueError`` (the steps would otherwise drop its tail).
     """
 
     def __init__(self):
         self.pivots: list[tuple[int, list[int], list[int]]] = []
         self.relations: list[list[int]] = []
+        self.length: int | None = None  # of every vector, set by the first one added
 
     @property
     def rank(self) -> int:
@@ -63,6 +68,10 @@ class Echelon:
     def add(self, vec) -> bool:
         """Reduce the integer vector ``vec``; True if the rank grew, else it gave a relation."""
         v = list(vec)
+        if self.length is None:
+            self.length = len(v)
+        elif len(v) != self.length:
+            raise ValueError(f"vector of length {len(v)} added to an echelon of length {self.length}")
         w = [0] * (len(self.pivots) + len(self.relations)) + [1]
         for slot, (i, h, u) in enumerate(self.pivots):
             if v[i]:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symdesign import checks, cli
+import symdesign
+from symdesign import checks, cli, groups, solver
 from symdesign.cli import main
 from symdesign.intlinalg import Echelon, ReducedLattice
 
@@ -82,7 +83,7 @@ class TestTmaxCommand:
         assert doc["agrees"] is True
 
     def test_failed_reverification_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_certificate", lambda *args: False)
+        monkeypatch.setattr(solver, "verify_certificate", lambda *args: False)
         code, out, err = run_cli(capsys, "tmax", "--group", "u1", "--n", "6", "--k", "2")
         assert code == 4
         assert out == ""
@@ -404,6 +405,58 @@ class TestClosedPipe:
         assert stderr == b""
 
 
+class TestFreshProcessOutput:
+    """A fresh ``python -S`` start, which loads each submodule on first use, prints what a warm process does."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    SUD = ("--group", "sud", "--d", "3", "--n", "15", "--k", "2", "--classes", "id,2")
+    CASES = [
+        ("tmax", "--group", "u1", "--n", "8", "--k", "2"),
+        ("tmax", *SUD, "--assume-semiuniversal"),  # an SU(d) closed form
+        ("tmax", "--group", "zp", "--p", "3", "--n", "9", "--k", "3"),  # infinite
+        ("lower-bound", "--group", "sud", "--d", "4", "--n", "8", "--k", "3"),
+        ("smatrix", "--group", "sud", "--d", "3", "--n", "6", "--k", "3"),
+        ("custom", "problem.json"),
+    ]
+
+    @staticmethod
+    def without_ms(fmt, out):
+        lines = out.splitlines()
+        if fmt == "csv" and lines and lines[0].endswith(",ms"):  # ms is the last column
+            return [line.rsplit(",", 1)[0] for line in lines]
+        return [line for line in lines if not re.match(r'(ms = |\s*"ms": )', line)]
+
+    def check(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "problem.json").write_text('{"m": [5, 1, 4, 2, 3, 6], "rows": [["1/2", -1, 0, 3, "2/3", 1]]}')
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "symdesign.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        for name in symdesign.__all__:  # every submodule loaded before the in-process run
+            getattr(symdesign, name)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        fmt = argv[argv.index("--format") + 1]
+        assert self.without_ms(fmt, proc.stdout) == self.without_ms(fmt, out)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_instance_commands(self, capsys, tmp_path, monkeypatch, argv, fmt):
+        self.check(capsys, tmp_path, monkeypatch, [*argv, "--format", fmt])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table(self, capsys, tmp_path, monkeypatch, fmt):
+        self.check(capsys, tmp_path, monkeypatch, ["table", "--reproduce", "table1", "--n-range", "7..8", "--format", fmt])
+
+
 class TestWithoutNumpy:
     """The package has no optional dependency: every command runs with numpy blocked."""
 
@@ -473,13 +526,13 @@ class TestTableCommand:
     def test_one_sector_table_per_group_and_n(self, which, d, monkeypatch):
         # every locality of a (group, n) solves against one canonical table
         calls = []
-        enumerate_sectors = cli.sectors
+        enumerate_sectors = groups.sectors
 
         def counting(group, n):
             calls.append((group, n))
             return enumerate_sectors(group, n)
 
-        monkeypatch.setattr(cli, "sectors", counting)
+        monkeypatch.setattr(groups, "sectors", counting)
         rows = cli._table_rows(which, 22, 24, d)
         assert len(rows) > len(calls) and len(calls) == len(set(calls))
         assert {(row["group"].removesuffix("+classes"), row["n"]) for row in rows} == {
@@ -573,7 +626,7 @@ class TestCustomCommand:
         assert doc["certificate"] == ["s0: +1", "s1: -1"]
 
     def test_failed_reverification_exits_4(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "verify_certificate", lambda *args: False)
+        monkeypatch.setattr(solver, "verify_certificate", lambda *args: False)
         path = tmp_path / "problem.json"
         path.write_text('{"m": [4, 4], "rows": []}')
         code, out, err = run_cli(capsys, "custom", str(path))

@@ -58,6 +58,12 @@ class TestRank:
         assert rank_exact([[0.5]]) == 1
         assert rank_exact([[0.5, 0.25], [2, 1]]) == 1
 
+    @pytest.mark.parametrize("m", [[[1, 2], [1]], [[1], [1, 2]], [[0, 0], [1]]], ids=str)
+    def test_ragged_rows_raise(self, m):
+        # reduced by a zip to the shorter row, [[1, 2], [1]] read as rank 1
+        with pytest.raises(ValueError, match="length"):
+            rank_exact(m)
+
 
 def check_echelon(A):
     """Feed the columns of ``A`` to one echelon, checking it after every column.
@@ -125,6 +131,17 @@ class TestEchelonKernel:
             hadamard = isqrt(prod(sum(x * x for x in row) for row in A))
             bits = max(abs(x) for b in ech.relations for x in b).bit_length()
             assert bits <= hadamard.bit_length()
+
+    @pytest.mark.parametrize("first", [[1, 2], [0, 0]], ids=str)
+    def test_vector_of_another_length_raises(self, first):
+        # the length is fixed by the first vector, a zero one included
+        ech = Echelon()
+        ech.add(first)
+        for other in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="length"):
+                ech.add(other)
+        assert ech.rank + len(ech.relations) == 1  # the refused vectors left no trace
+        assert ech.add([3, 4])
 
     def test_previous_basis_is_kept(self):
         ech = Echelon()
