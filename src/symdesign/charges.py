@@ -10,14 +10,16 @@ irrep sectors are constrained by one exact integer matrix per problem:
   classes realizable by ``k``-local permutations, always with the identity class.
   The identity row is ``f^lambda``, read whole in one pass over the columns'
   partitions through the ``f^lambda`` memo of :mod:`symdesign.groups` (which
-  computes a missing shape from its parts); a class of support 2..4 takes its entries
-  from its central character, a polynomial in ``n`` and the content power sums
-  of ``lambda`` (Ingram 1950; Corteel, Goupil and Schaeffer 2004, "Content
-  evaluation and class symmetric functions"); a class of support >= 5 takes
-  them from the Murnaghan--Nakayama border-strip recursion;
+  computes a missing shape from its parts); in a column, a class of support 2..4
+  takes its entry from its central character, a polynomial in ``n`` and the
+  column's content power sums (Ingram 1950; Corteel, Goupil and Schaeffer 2004,
+  "Content evaluation and class symmetric functions"); a class of support >= 5
+  takes it from the Murnaghan--Nakayama border-strip recursion;
 * custom problems -- user-supplied rational charge rows, each stored as an
   integer multiple, below the multiplicity row (the identity Hamiltonian)
   so that tracelessness is implied by the kernel condition.
+
+Each builder makes whole columns, never a single entry.
 
 An integer vector in the rational kernel of this matrix is exactly a
 symmetric Hamiltonian orthogonal to everything the gates generate; the solver
@@ -32,7 +34,7 @@ import re
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import add, attrgetter, eq, mul, sub
+from operator import add, attrgetter, eq, itemgetter, mul, sub
 
 from .groups import (
     CUSTOM,
@@ -44,9 +46,9 @@ from .groups import (
     canonical_order,
     check_multiplicities,
     custom_table,
-    frobenius_dim,
     partitions_max_rows,
     sectors,
+    sn_irrep_dim,
     sn_irrep_dims,
     zp_multiplicity,
 )
@@ -138,7 +140,7 @@ def sn_character(parts, sigma) -> int:
 
     ``sigma`` may be a :class:`CycleType` or a bare tuple of cycle lengths
     >= 2; the missing points are fixed points.  Exact integer via the
-    border-strip recursion on beta-sets, with the Frobenius formula resolving the fixed-point tail.
+    border-strip recursion on beta-sets, with the ``f^lambda`` memo resolving the fixed-point tail.
     """
     parts = PartitionId(tuple(parts)).parts  # validates the shape
     if not isinstance(sigma, CycleType):
@@ -151,7 +153,8 @@ def sn_character(parts, sigma) -> int:
 @lru_cache(maxsize=None)
 def _char_rec(beta: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     if not cycles:
-        return frobenius_dim(beta)
+        # f^lambda from the memo, on the shape of the hook lengths beta
+        return sn_irrep_dim(tuple(filter(None, map(sub, beta, range(len(beta) - 1, -1, -1)))))
     c, rest = cycles[0], cycles[1:]
     r = len(beta)
     # removing a border strip of length c moves one hook length b down to a
@@ -223,12 +226,13 @@ def _content_power_sums(parts: tuple[int, ...]) -> tuple[int, int, int]:
 class ChargeMatrix:
     """Exact matrix with one row per gate charge vector and one column per sector.
 
-    Entries come from one exact function ``entry(i, j)``, except those of
-    ``first_row``, row 0 built whole when given (the SU(d) identity row).  A
-    column is computed the first time it is read and kept, so the
+    ``column(j)`` returns the whole column ``j`` as a tuple.  It runs the
+    first time the column is read and its result is kept, so the
     multiplicity-ordered scan pays only for the prefix it reads (U(1), SU(2)
-    and Z_p matrices come with every column built).  ``A[i]`` computes row
-    ``i`` without building columns, and :attr:`rows` builds every column.
+    and Z_p builders pass columns they have already built).  ``A[i]`` reads
+    row ``i`` from the columns, except row 0 when ``first_row`` is given: that
+    row, built whole (the identity row of SU(d) and custom matrices), is read
+    without building a column.  :attr:`rows` builds every column.
     :func:`charge_matrix` and :func:`custom_matrix` construct it and supply
     ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m``: the proof that ``m`` lies in the row span,
@@ -236,13 +240,13 @@ class ChargeMatrix:
     the gate locality, or None for a custom problem.
     """
 
-    def __init__(self, row_labels, col_ids, entry, group, k, witness, first_row=None):
+    def __init__(self, row_labels, col_ids, column, group, k, witness, first_row=None):
         self.row_labels = tuple(row_labels)
         self.col_ids = tuple(col_ids)
         self.group: GroupSpec = group
         self.k: int | None = k
         self.witness = tuple(witness)
-        self._entry = entry
+        self._build_column = column
         self._first_row: tuple | None = first_row
         self._columns: dict[int, tuple] = {}
 
@@ -253,19 +257,13 @@ class ChargeMatrix:
     def column(self, j: int) -> tuple:
         col = self._columns.get(j)
         if col is None:
-            rows, first = len(self.row_labels), self._first_row
-            if first is None:
-                col = tuple(map(self._entry, range(rows), repeat(j, rows)))
-            else:
-                col = (first[j], *map(self._entry, range(1, rows), repeat(j, rows - 1)))
-            self._columns[j] = col
+            col = self._columns[j] = self._build_column(j)
         return col
 
     def __getitem__(self, i: int) -> tuple:
         if i == 0 and self._first_row is not None:
             return self._first_row
-        cols = len(self.col_ids)
-        return tuple(map(self._entry, repeat(i, cols), range(cols)))
+        return tuple(map(itemgetter(i), map(self.column, range(len(self.col_ids)))))
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -279,14 +277,15 @@ class ChargeMatrix:
             raise ValueError("sector sets differ; cannot align")
         pos = {irrep: j for j, irrep in enumerate(self.col_ids)}
         perm = [pos[irrep] for irrep in table.ids]
-        entry = self._entry
+        column, first = self.column, self._first_row
         return ChargeMatrix(
             self.row_labels,
             table.ids,
-            lambda i, j: entry(i, perm[j]),
+            lambda j: column(perm[j]),
             self.group,
             self.k,
             self.witness,
+            None if first is None else tuple(map(first.__getitem__, perm)),
         )
 
 
@@ -319,37 +318,35 @@ def charge_matrix(
     ids = table.ids
     if group.kind == "SUd":
         labels = tuple(gate_classes(k, classes))
-        # the entries skip sn_character's checks (support <= k <= n and sectors of
+        # the columns skip sn_character's checks (support <= k <= n and sectors of
         # n boxes, made here) and read f^lambda from the identity row
         parts = [*map(attrgetter("parts"), ids)]
         if {*map(sum, parts)} - {n}:
             raise ValueError(f"SU(d) sectors on n={n} sites must be partitions of n")
         f_row = tuple(sn_irrep_dims(parts))
-        cycles = [cls.cycles for cls in labels]
-        central = [_CENTRAL_CHARACTERS.get(cyc) for cyc in cycles]
-        sizes = [pair[1](n) if pair else None for pair in central]
+        later = []  # rows 1..: cycles, central character and class size (None past support 4)
+        for cls in labels[1:]:
+            omega, size = _CENTRAL_CHARACTERS.get(cls.cycles, (None, None))
+            later.append((cls.cycles, omega, size and size(n)))
+        needs_sums = any(omega for _, omega, _ in later)
         # row 0, the identity class, is m itself, so it alone carries weight 1
         witness = [1] + [0] * (len(labels) - 1)
 
-        # a column reads its entries in turn, so one slot holds its sums
-        @lru_cache(maxsize=1)
-        def column_sums(j):
-            return (f_row[j], *_content_power_sums(parts[j]))
+        def column(j):
+            lam, f = parts[j], f_row[j]
+            sums = _content_power_sums(lam) if needs_sums else None
+            col = [f]
+            for cyc, omega, size in later:
+                if omega is None:
+                    col.append(_char_rec(beta_set(lam), cyc))
+                    continue
+                chi, rem = divmod(f * omega(n, *sums), size)
+                if rem:
+                    raise ArithmeticError(f"character of {lam} on {cyc} is not an integer")
+                col.append(chi)
+            return tuple(col)
 
-        def entry(i, j):
-            cyc = cycles[i]
-            if not cyc:
-                return f_row[j]
-            pair = central[i]
-            if pair is None:
-                return _char_rec(beta_set(parts[j]), cyc)
-            f, p1, p2, p3 = column_sums(j)
-            chi, rem = divmod(f * pair[0](n, p1, p2, p3), sizes[i])
-            if rem:
-                raise ArithmeticError(f"character of {parts[j]} on {cyc} is not an integer")
-            return chi
-
-        return ChargeMatrix(labels, ids, entry, group, k, witness, f_row)
+        return ChargeMatrix(labels, ids, column, group, k, witness, f_row)
     if group.kind not in ("U1", "SU2", "Zp"):
         raise ValueError("use custom_matrix for user-supplied problems")
     # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
@@ -382,9 +379,8 @@ def charge_matrix(
         p = group.p
         sums = [zp_multiplicity(binomials, p, beta) for beta in range(p)]
         columns = [tuple(sums[(irrep.beta - a) % p] for a in range(rows)) for irrep in ids]
-    A = ChargeMatrix(labels, ids, lambda i, j: columns[j][i], group, k, gate.multiplicities)
-    A._columns = dict(enumerate(columns))  # built whole: the witness reads every column
-    return A
+    # built whole: the witness reads every column
+    return ChargeMatrix(labels, ids, columns.__getitem__, group, k, gate.multiplicities)
 
 
 def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
@@ -397,7 +393,7 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
     row of SU(d) and custom matrices) is read once and added whole.  The
     SU(d) identity row comes built: ``charge_matrix`` read it in one pass
     over the columns' partitions through the ``f^lambda`` memo, so this
-    check makes no ``entry`` call.  False means the witness does not
+    check builds no column.  False means the witness does not
     reproduce ``m``, whether or not ``m`` is in the span.
     """
     witness = A.witness
@@ -439,8 +435,8 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
     if len(labels) != len(rows):
         raise ValueError(f"{len(labels)} row labels for {len(rows)} rows")
     witness = [1] + [0] * len(rows)
-    rows, labels = [m, *rows], ["identity", *labels]
-    return ChargeMatrix(labels, table.ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
+    columns, labels = [*zip(m, *rows)], ["identity", *labels]
+    return ChargeMatrix(labels, table.ids, columns.__getitem__, CUSTOM, None, witness, tuple(m))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ division ends in a remainder check that raises ``ArithmeticError``.
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, chain, combinations, repeat, starmap, zip_longest
-from math import comb, factorial, prod
+from itertools import accumulate, chain, repeat, zip_longest
+from math import comb, factorial
 from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
 
@@ -268,16 +268,6 @@ def partitions_max_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
 def beta_set(parts) -> tuple[int, ...]:
     """First-column hook lengths ``parts[i] + r - 1 - i`` of the ``r`` rows, strictly decreasing."""
     return tuple(map(add, parts, range(len(parts) - 1, -1, -1)))
-
-
-def frobenius_dim(beta: tuple[int, ...]) -> int:
-    """``f^lambda`` by the Frobenius formula ``n! prod_{i<j} (beta_i - beta_j) / prod beta_i!``."""
-    n = sum(beta) - comb(len(beta), 2)
-    vandermonde = prod(starmap(sub, combinations(beta, 2)))
-    dim, rem = divmod(factorial(n) * vandermonde, prod(map(factorial, beta)))
-    if rem:
-        raise ArithmeticError(f"Frobenius formula for beta = {beta} is not an integer")
-    return dim
 
 
 def rising_row(x: int, length: int) -> list[int]:

@@ -426,7 +426,8 @@ def tmax_exact(
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:
     """Re-derive every certificate property from scratch.
 
-    ``A``'s columns must be the table's sectors in its order.  ``q`` must
+    ``A``'s columns must be the table's sectors in its order, and ``q`` and
+    ``cert.support`` tuples (anything else is False, not an error).  ``q`` must
     be a nonzero, primitive vector of exact ``int`` entries, of the table's
     length, with ``A q = 0`` and ``m · q = 0`` (its positive and
     negative weighted parts balance), whose weighted one-norm is
@@ -438,6 +439,8 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
     """
     q = cert.q
     rows, cols = A.shape
+    if type(q) is not tuple or type(cert.support) is not tuple:
+        return False
     # a kernel vector of columns in another order is no certificate for this table
     if A.col_ids != table.ids or len(q) != cols:
         return False

@@ -593,6 +593,21 @@ class TestCentralCharacterColumns:
         with pytest.raises(ArithmeticError, match="character of"):
             charge_matrix(table, 2).column(j)
 
+    def test_content_power_sums_once_per_column(self, monkeypatch):
+        # every row read, then every column: each column computes its sums once
+        from symdesign import charges
+
+        calls = []
+        sums = charges._content_power_sums
+        monkeypatch.setattr(
+            charges, "_content_power_sums", lambda parts: calls.append(parts) or sums(parts)
+        )
+        A = charge_matrix(canonical_order(sectors(sud(4), 12)), 4)
+        by_row = tuple(A[i] for i in range(A.shape[0]))
+        assert A.rows == by_row
+        assert len(calls) == A.shape[1] == 34
+        assert sorted(calls) == sorted(irrep.parts for irrep in A.col_ids)
+
     def test_content_power_sums(self):
         from symdesign import charges
 
@@ -710,7 +725,7 @@ class TestMatrixInvariants:
         # a witness that does not reproduce m is only a candidate: elimination
         # then finds m outside the span, and the solve refuses the matrix
         table = canonical_order(custom_table([1, 2]))
-        A = ChargeMatrix(("H0",), table.ids, lambda i, j: 1, CUSTOM, None, (1,))
+        A = ChargeMatrix(("H0",), table.ids, lambda j: (1,), CUSTOM, None, (1,))
         with pytest.raises(ValueError, match="row span"):
             tmax_exact(A, table, assume_semiuniversal=True)
 
@@ -749,14 +764,12 @@ def _hand_built(rows, witness, width=2):
     """A custom-group matrix over ``rows`` as given, with no identity row added."""
     ids = tuple(map(CustomSector, range(width)))
     labels = [f"H{i}" for i in range(len(rows))]
-    return ChargeMatrix(labels, ids, lambda i, j: rows[i][j], CUSTOM, None, witness)
+    return ChargeMatrix(labels, ids, lambda j: tuple(row[j] for row in rows), CUSTOM, None, witness)
 
 
 def _without_witness(A):
     """``A`` with all-zero weights, a witness that proves nothing."""
-    return ChargeMatrix(
-        A.row_labels, A.col_ids, lambda i, j: A.column(j)[i], A.group, A.k, [0] * A.shape[0]
-    )
+    return ChargeMatrix(A.row_labels, A.col_ids, A.column, A.group, A.k, [0] * A.shape[0])
 
 
 class TestCustomMatrix:

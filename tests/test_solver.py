@@ -51,7 +51,7 @@ def without_identity_row(A, m):
     """
     rows, _ = A.shape
     bare = ChargeMatrix(
-        A.row_labels[1:], A.col_ids, lambda i, j: A.column(j)[i + 1], A.group, A.k, [0] * (rows - 1)
+        A.row_labels[1:], A.col_ids, lambda j: A.column(j)[1:], A.group, A.k, [0] * (rows - 1)
     )
     assert rank_rational(list(bare.rows) + [m]) > rank_rational(list(bare.rows))
     return bare
@@ -653,6 +653,11 @@ class TestVerifyCertificate:
             Certificate(q, float(norm), support),  # a float norm such as 6.0
             Certificate(pos[:one] + (True,) + pos[one + 1 :], norm, support),  # True for a 1
             Certificate((float(q[0]), *q[1:]), norm, support),  # a float entry, not a TypeError
+            Certificate(None, norm, support),  # no q, not a TypeError
+            Certificate(list(q), norm, support),  # q not a tuple
+            Certificate(q, norm, None),  # no support, not a TypeError
+            Certificate(q, norm, 5),  # a support that is no sequence
+            Certificate(q, norm, list(support)),  # support not a tuple
         ]
         for cert in bad:
             assert not verify_certificate(cert, A, table), cert
@@ -719,8 +724,10 @@ class TestLazyColumns:
         read = _count_column_reads(monkeypatch)
         A = LAZY_MATRICES[name]()
         r, c = A.shape
-        by_row = [A[i] for i in range(r)]
-        assert not read  # a row is computed without building columns
+        first = A[0]
+        # row 0 of an SU(d) or custom matrix is read without building a column
+        assert bool(read) == (name not in ("sud4", "custom", "custom-aligned"))
+        by_row = [first] + [A[i] for i in range(1, r)]
         by_col = [A.column(j) for j in range(c)]
         assert by_row == [tuple(col[i] for col in by_col) for i in range(r)]
         assert A.rows == tuple(by_row)
@@ -832,19 +839,20 @@ class TestPerTableChecks:
 
     def test_warm_sud_solve_reads_the_identity_row_whole(self, monkeypatch):
         # charge_matrix reads row 0, f^lambda, in one pass over the memo; the
-        # row-span check and the scan's columns then make no entry call for it
+        # row-span check and the scan's columns then take it from that row
         compute_tmax(sud(4), 30, 4)
-        rows_read = []
-        init = ChargeMatrix.__init__
-
-        def counting(self, labels, ids, entry, *rest):
-            init(self, labels, ids, lambda i, j: rows_read.append(i) or entry(i, j), *rest)
-
-        monkeypatch.setattr(ChargeMatrix, "__init__", counting)
+        calls = []
+        dims = charges.sn_irrep_dims
+        monkeypatch.setattr(
+            charges, "sn_irrep_dims", lambda shapes: calls.append(shapes) or dims(shapes)
+        )
+        monkeypatch.setattr(charges, "sn_irrep_dim", lambda parts: calls.append(parts))
+        read = _count_column_reads(monkeypatch)
         result, table, A = compute_tmax(sud(4), 30, 4)
         assert verify_certificate(result.certificate, A, table)
-        assert rows_read and 0 not in rows_read
-        assert A[0] == table.multiplicities == A.rows[0]
+        assert calls == [[irrep.parts for irrep in table.ids]]
+        assert A[0] == tuple(dims(calls[0])) == table.multiplicities == A.rows[0]
+        assert read and all(A.column(j)[0] is A[0][j] for j in read)
 
     @pytest.mark.parametrize("memo", ["warm", "empty"])
     def test_sud_multiplicity_off_by_one_is_outside_the_row_span(self, memo, monkeypatch):

@@ -29,10 +29,8 @@ from symdesign.groups import (
     Residue,
     SectorTable,
     TwiceSpin,
-    beta_set,
     check_partitions,
     custom_table,
-    frobenius_dim,
     part_rows,
     partitions_max_rows,
     sn_irrep_dim,
@@ -346,13 +344,15 @@ class TestPartitionHelpers:
         for n in range(1, 31):
             for parts in partitions_max_rows(n, n):
                 assert sn_irrep_dim(parts) == hook_length_dim(parts), parts
-        assert sn_irrep_dim(()) == frobenius_dim(()) == 1
+        assert sn_irrep_dim(()) == hook_length_dim(()) == 1
 
     def test_frobenius_remainder_raises(self, monkeypatch):
         # (2, 2) has beta = (3, 2): 4! * 1 / (3! * 2!) = 2, and 25 is not divisible by 12
-        monkeypatch.setattr(groups, "factorial", lambda m: factorial(m) + (m == 4))
-        with pytest.raises(ArithmeticError):
-            frobenius_dim(beta_set((2, 2)))
+        rising = groups.rising_row
+        wrong = lambda x, length: [f + (i == 4) for i, f in enumerate(rising(x, length))]
+        monkeypatch.setattr(groups, "rising_row", wrong)  # 4! becomes 25
+        with pytest.raises(ArithmeticError, match=r"Frobenius formula of \(2, 2\)"):
+            groups.frobenius_dims(part_rows(((2, 2),)))
 
     def test_hook_content_remainder_raises(self):
         # [2, 2, 2] is the trivial SU(3) irrep: f = 5 and 5 * 144 / 6! = 1, while
@@ -454,7 +454,6 @@ class TestSudColumnPasses:
             table = sectors(sud(d), n)
             shapes = [irrep.parts for irrep in table.ids]
             assert table.multiplicities == tuple(map(hook_length_dim, shapes)), (d, n)
-            assert table.multiplicities == tuple(frobenius_dim(beta_set(p)) for p in shapes)
             assert table.dims == tuple(hook_content_dim(p, d) for p in shapes), (d, n)
 
     def test_sud300_pads_only_to_the_longest_shape(self, monkeypatch):
