@@ -37,8 +37,6 @@ from math import comb
 from operator import add, attrgetter, eq, itemgetter, mul, sub
 
 from .groups import (
-    CUSTOM,
-    GroupSpec,
     PartitionId,
     SectorTable,
     beta_set,
@@ -48,6 +46,7 @@ from .groups import (
     custom_table,
     partitions_max_rows,
     sectors,
+    semiuniversal_min_locality,
     sn_irrep_dim,
     sn_irrep_dims,
     zp_multiplicity,
@@ -66,6 +65,8 @@ class CycleType(Value):
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: tuple[int, ...]):
+        if type(cycles) is not tuple:  # a list would make an unhashable record
+            raise ValueError(f"cycle lengths must be a tuple, got {cycles!r}")
         # type(c) is int also rejects bool and integral floats such as 2.0
         if not all(type(c) is int for c in cycles):
             raise ValueError(f"cycle lengths must be ints, got {cycles!r}")
@@ -223,6 +224,19 @@ def _content_power_sums(parts: tuple[int, ...]) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
+# the fixed reasons a gate set is not known to be semi-universal; the
+# threshold reason names the group and k, so charge_matrix formats it
+_SUD_SHORTFALL = (
+    "the realizable permutation classes miss a 3-local class, so the "
+    "gate set is not even a 2-design source; pass "
+    "assume_semiuniversal=True to model an amended gate set"
+)
+_CUSTOM_SHORTFALL = (
+    "custom gate sets carry no built-in semi-universality knowledge; "
+    "pass assume_semiuniversal=True if it holds"
+)
+
+
 class ChargeMatrix:
     """Exact matrix with one row per gate charge vector and one column per sector.
 
@@ -236,15 +250,16 @@ class ChargeMatrix:
     :func:`charge_matrix` and :func:`custom_matrix` construct it and supply
     ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m``: the proof that ``m`` lies in the row span,
-    which :func:`multiplicity_in_row_span` checks by one product.  ``k`` is
-    the gate locality, or None for a custom problem.
+    which :func:`multiplicity_in_row_span` checks by one product.  They also
+    decide, from what they build the rows of, whether the gate set is
+    semi-universal: ``shortfall`` is why it is not known to be, the message
+    the solver raises without an override, or None when it is.
     """
 
-    def __init__(self, row_labels, col_ids, column, group, k, witness, first_row=None):
+    def __init__(self, row_labels, col_ids, column, shortfall, witness, first_row=None):
         self.row_labels = tuple(row_labels)
         self.col_ids = tuple(col_ids)
-        self.group: GroupSpec = group
-        self.k: int | None = k
+        self.shortfall: str | None = shortfall
         self.witness = tuple(witness)
         self._build_column = column
         self._first_row: tuple | None = first_row
@@ -282,8 +297,7 @@ class ChargeMatrix:
             self.row_labels,
             table.ids,
             lambda j: column(perm[j]),
-            self.group,
-            self.k,
+            self.shortfall,
             self.witness,
             None if first is None else tuple(map(first.__getitem__, perm)),
         )
@@ -307,6 +321,11 @@ def charge_matrix(
     ``k``-local permutations (for example dropping the 4-cycle row realizes
     3-local gates amended by a product of two disjoint transpositions); it is
     an error for any other group.
+
+    The gate set is semi-universal when ``k`` reaches the group's threshold
+    (:func:`~symdesign.groups.semiuniversal_min_locality`) or, for SU(d),
+    when the rows hold every class of support up to it, with both capped at
+    ``n``: a gate on all ``n`` sites is any symmetric unitary (Marvian 2022).
     """
     group, n = table.group, table.n
     if classes is not None and group.kind != "SUd":
@@ -315,9 +334,14 @@ def charge_matrix(
         raise ValueError(f"k must be an int, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    if group.kind not in ("U1", "SU2", "Zp", "SUd"):
+        raise ValueError("use custom_matrix for user-supplied problems")
+    # a gate on all n sites is any symmetric unitary, so no threshold exceeds n
+    reach = min(threshold := semiuniversal_min_locality(group), n)
     ids = table.ids
     if group.kind == "SUd":
         labels = tuple(gate_classes(k, classes))
+        shortfall = None if {*conjugacy_classes(reach)} <= {*labels} else _SUD_SHORTFALL
         # the columns skip sn_character's checks (support <= k <= n and sectors of
         # n boxes, made here) and read f^lambda from the identity row
         parts = [*map(attrgetter("parts"), ids)]
@@ -346,9 +370,14 @@ def charge_matrix(
                 col.append(chi)
             return tuple(col)
 
-        return ChargeMatrix(labels, ids, column, group, k, witness, f_row)
-    if group.kind not in ("U1", "SU2", "Zp"):
-        raise ValueError("use custom_matrix for user-supplied problems")
+        return ChargeMatrix(labels, ids, column, shortfall, witness, f_row)
+    shortfall = None
+    if k < reach:
+        shortfall = (
+            f"{group} gates with locality k={k} are below the "
+            f"semi-universality threshold k >= {threshold}; pass "
+            "assume_semiuniversal=True to compute the formal kernel optimum"
+        )
     # U(1), SU(2) and Z_p rows are the k-site sectors: each entry counts the
     # ways the other n - k sites complete the row's k-site irrep to the
     # column's n-site irrep, read off the one row C(n - k, .).  Every n-site
@@ -380,7 +409,7 @@ def charge_matrix(
         sums = [zp_multiplicity(binomials, p, beta) for beta in range(p)]
         columns = [tuple(sums[(irrep.beta - a) % p] for a in range(rows)) for irrep in ids]
     # built whole: the witness reads every column
-    return ChargeMatrix(labels, ids, columns.__getitem__, group, k, gate.multiplicities)
+    return ChargeMatrix(labels, ids, columns.__getitem__, shortfall, gate.multiplicities)
 
 
 def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
@@ -418,8 +447,8 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
     ``"identity"``: global phases never change the design order, and this
     makes every kernel vector traceless.  If the rows already span ``m`` it changes neither the row
     space nor the kernel.  The witness ``(1, 0, ..., 0)`` proves the solver's
-    row-span check from that row alone.  The group is :data:`CUSTOM` whatever
-    ``table``'s group.
+    row-span check from that row alone.  A custom gate set is never known to
+    be semi-universal, whatever ``table``'s group.
     """
     from .intlinalg import as_int_row  # an SU(d) or Abelian matrix never needs it
 
@@ -436,7 +465,9 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
         raise ValueError(f"{len(labels)} row labels for {len(rows)} rows")
     witness = [1] + [0] * len(rows)
     columns, labels = [*zip(m, *rows)], ["identity", *labels]
-    return ChargeMatrix(labels, table.ids, columns.__getitem__, CUSTOM, None, witness, tuple(m))
+    return ChargeMatrix(
+        labels, table.ids, columns.__getitem__, _CUSTOM_SHORTFALL, witness, tuple(m)
+    )
 
 
 # ---------------------------------------------------------------------------

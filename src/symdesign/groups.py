@@ -172,6 +172,8 @@ class PartitionId(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
+        if type(parts) is not tuple:  # a list would make an unhashable record
+            raise ValueError(f"partition parts must be a tuple, got {parts!r}")
         check_partitions((parts,))
         object.__setattr__(self, "parts", parts)
 

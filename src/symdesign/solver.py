@@ -46,14 +46,8 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Optional
 
-from .charges import (
-    ChargeMatrix,
-    CycleType,
-    charge_matrix,
-    conjugacy_classes,
-    multiplicity_in_row_span,
-)
-from .groups import GroupSpec, SectorTable, canonical_order, sectors, semiuniversal_min_locality
+from .charges import ChargeMatrix, CycleType, charge_matrix, multiplicity_in_row_span
+from .groups import GroupSpec, SectorTable, canonical_order, sectors
 from .infinity import INFINITE, is_finite
 from .intlinalg import Echelon, ReducedLattice, lll_reduce
 from .values import Value
@@ -76,21 +70,19 @@ class Certificate(Value):
 
 
 class LowerBoundResult(Value):
-    __slots__ = ("ell", "bound", "delta")
+    __slots__ = ("ell", "bound")
 
     def __init__(
         self,
         ell: Optional[int],  # 1-based index into the canonical sector order, None if infinite
         bound: object,  # int or INFINITE
-        delta: tuple,  # the full-rank sector prefix certifying the bound
     ):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "delta", delta)
 
 
 class TmaxResult(Value):
-    __slots__ = ("tmax", "lower_bound", "certificate", "proven_exact", "semiuniversal_assumed")
+    __slots__ = ("tmax", "lower_bound", "certificate", "proven_exact")
 
     def __init__(
         self,
@@ -98,13 +90,11 @@ class TmaxResult(Value):
         lower_bound: object,
         certificate: Optional[Certificate],
         proven_exact: bool,
-        semiuniversal_assumed: bool,
     ):
         object.__setattr__(self, "tmax", tmax)
         object.__setattr__(self, "lower_bound", lower_bound)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "proven_exact", proven_exact)
-        object.__setattr__(self, "semiuniversal_assumed", semiuniversal_assumed)
 
 
 class SemiUniversalityError(ValueError):
@@ -120,16 +110,18 @@ class SemiUniversalityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> bool:
+def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> None:
     """Alignment, canonical order, semi-universality and row span, in that order.
 
-    Returns True when the caller's semi-universality override was needed.
+    The builder decided semi-universality: ``A.shortfall`` says why it fails,
+    which ``assume`` overrides.
     """
     if A.col_ids != table.ids:
         raise ValueError("charge-matrix columns are not aligned with the sector table")
     if not table.is_canonical():
         raise ValueError("sector table must be canonically ordered (weakly increasing m)")
-    assumed = _check_semiuniversal(A, assume)
+    if A.shortfall is not None and not assume:
+        raise SemiUniversalityError(A.shortfall)
     # the lower bound and the support cutoff of the scan rely on m lying in
     # the row span, which the builder's witness proves
     if not multiplicity_in_row_span(table.multiplicities, A):
@@ -137,35 +129,6 @@ def _check_problem(A: ChargeMatrix, table: SectorTable, assume: bool) -> bool:
             f"the row-span witness {A.witness} does not reproduce the multiplicity "
             "vector, so m is not proven to lie in the row span"
         )
-    return assumed
-
-
-def _check_semiuniversal(A: ChargeMatrix, assume: bool) -> bool:
-    """Returns True when the caller's override flag was needed."""
-    group = A.group
-    shortfall = None
-    if group.kind == "Custom":
-        shortfall = (
-            "custom gate sets carry no built-in semi-universality knowledge; "
-            "pass assume_semiuniversal=True if it holds"
-        )
-    elif group.kind == "SUd":
-        # semi-universal iff the realizable classes include every 3-local one
-        if not set(conjugacy_classes(semiuniversal_min_locality(group))) <= set(A.row_labels):
-            shortfall = (
-                "the realizable permutation classes miss a 3-local class, so the "
-                "gate set is not even a 2-design source; pass "
-                "assume_semiuniversal=True to model an amended gate set"
-            )
-    elif A.k is not None and A.k < (threshold := semiuniversal_min_locality(group)):
-        shortfall = (
-            f"{group} gates with locality k={A.k} are below the "
-            f"semi-universality threshold k >= {threshold}; pass "
-            "assume_semiuniversal=True to compute the formal kernel optimum"
-        )
-    if shortfall is not None and not assume:
-        raise SemiUniversalityError(shortfall)
-    return shortfall is not None
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +163,8 @@ def lower_bound(
     _check_problem(A, table, assume_semiuniversal)
     for idx, relation in _prefix_scan(A, len(table)):
         if relation is not None:
-            return LowerBoundResult(
-                ell=idx + 1,
-                bound=table.multiplicities[idx] - 1,
-                delta=table.ids[:idx],
-            )
-    return LowerBoundResult(ell=None, bound=INFINITE, delta=table.ids)
+            return LowerBoundResult(ell=idx + 1, bound=table.multiplicities[idx] - 1)
+    return LowerBoundResult(ell=None, bound=INFINITE)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +342,7 @@ def tmax_exact(
     Every earlier prefix kernel lies in the stop-prefix lattice (zero-padded),
     so this is the optimum that one enumeration of that lattice returns.
     """
-    assumed = _check_problem(A, table, assume_semiuniversal)
+    _check_problem(A, table, assume_semiuniversal)
 
     mults = table.multiplicities
     L = len(table)
@@ -408,7 +367,7 @@ def tmax_exact(
 
     if cert is None:
         # trivial kernel: every symmetric Hamiltonian direction is reachable
-        return TmaxResult(INFINITE, bound, None, True, assumed)
+        return TmaxResult(INFINITE, bound, None, True)
 
     if cert.weighted_norm % 2:
         raise ArithmeticError("a kernel vector has an odd weighted norm")
@@ -420,7 +379,7 @@ def tmax_exact(
         weighted_norm=cert.weighted_norm,
         support=tuple(table.ids[i] for i in cert.support),
     )
-    return TmaxResult(tmax, bound, best, True, assumed)
+    return TmaxResult(tmax, bound, best, True)
 
 
 def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -> bool:

@@ -354,6 +354,11 @@ class TestConjugacyClasses:
         finally:
             gc.enable()
 
+    def test_cycle_type_rejects_a_list(self):
+        # a sorted list is no tuple: named as such, not as an unsorted one
+        with pytest.raises(ValueError, match=r"must be a tuple, got \[2\]"):
+            CycleType([2])
+
     def test_tgroup_is_s4_minus_4cycle(self):
         all4 = {c.cycles for c in conjugacy_classes(4)}
         assert {c.cycles for c in T_GROUP_CLASSES} == all4 - {(4,)}
@@ -725,7 +730,7 @@ class TestMatrixInvariants:
         # a witness that does not reproduce m is only a candidate: elimination
         # then finds m outside the span, and the solve refuses the matrix
         table = canonical_order(custom_table([1, 2]))
-        A = ChargeMatrix(("H0",), table.ids, lambda j: (1,), CUSTOM, None, (1,))
+        A = ChargeMatrix(("H0",), table.ids, lambda j: (1,), HAND_BUILT, (1,))
         with pytest.raises(ValueError, match="row span"):
             tmax_exact(A, table, assume_semiuniversal=True)
 
@@ -760,16 +765,19 @@ class TestMatrixInvariants:
         assert multiplicity_in_row_span(m, _hand_built([half, [0, 0, 0]], [2, 1], width=3))
 
 
+HAND_BUILT = "a hand-built gate set is not known to be semi-universal"
+
+
 def _hand_built(rows, witness, width=2):
-    """A custom-group matrix over ``rows`` as given, with no identity row added."""
+    """A custom matrix over ``rows`` as given, with no identity row added."""
     ids = tuple(map(CustomSector, range(width)))
     labels = [f"H{i}" for i in range(len(rows))]
-    return ChargeMatrix(labels, ids, lambda j: tuple(row[j] for row in rows), CUSTOM, None, witness)
+    return ChargeMatrix(labels, ids, lambda j: tuple(row[j] for row in rows), HAND_BUILT, witness)
 
 
 def _without_witness(A):
     """``A`` with all-zero weights, a witness that proves nothing."""
-    return ChargeMatrix(A.row_labels, A.col_ids, A.column, A.group, A.k, [0] * A.shape[0])
+    return ChargeMatrix(A.row_labels, A.col_ids, A.column, A.shortfall, [0] * A.shape[0])
 
 
 class TestCustomMatrix:

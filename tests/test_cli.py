@@ -58,6 +58,21 @@ class TestTmaxCommand:
         assert code == 2
         assert "semi" in err.lower() or "2-design" in err
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            ("--group", "zp", "--p", "7", "--n", "5", "--k", "5"),
+            ("--group", "sud", "--d", "3", "--n", "2", "--k", "2"),
+            ("--group", "u1", "--n", "1", "--k", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_gates_on_all_sites_are_semiuniversal(self, capsys, instance):
+        # a gate on all n sites is any symmetric unitary, below any threshold
+        code, out, err = run_cli(capsys, "tmax", *instance, "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["tmax"] == "infinity"
+
     def test_default_sv_classes_have_the_sv_closed_form(self, capsys):
         # the default 2-local classes are id,2: both name the sv formula
         docs = []
@@ -331,6 +346,8 @@ class TestLowerBoundCommand:
             ("--group", "u1", "--n", "6", "--k", "1"),
             ("--group", "zp", "--p", "3", "--n", "6", "--k", "2"),
             ("--group", "sud", "--d", "3", "--n", "6", "--k", "3", "--classes", "2"),
+            # restricted classes are no full gate set, even on all n sites
+            ("--group", "sud", "--d", "3", "--n", "3", "--k", "3", "--classes", "2"),
         ],
         ids=" ".join,
     )

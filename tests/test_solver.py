@@ -19,6 +19,7 @@ from symdesign import (
     canonical_order,
     charge_matrix,
     compute_tmax,
+    conjugacy_classes,
     custom_matrix,
     custom_table,
     load_custom_problem,
@@ -42,6 +43,9 @@ def aligned(group, n, k):
     return charge_matrix(table, k), table
 
 
+NO_IDENTITY = "the rows miss the identity class"
+
+
 def without_identity_row(A, m):
     """``A`` with its leading identity-class row dropped and all-zero weights.
 
@@ -51,7 +55,7 @@ def without_identity_row(A, m):
     """
     rows, _ = A.shape
     bare = ChargeMatrix(
-        A.row_labels[1:], A.col_ids, lambda j: A.column(j)[1:], A.group, A.k, [0] * (rows - 1)
+        A.row_labels[1:], A.col_ids, lambda j: A.column(j)[1:], NO_IDENTITY, [0] * (rows - 1)
     )
     assert rank_rational(list(bare.rows) + [m]) > rank_rational(list(bare.rows))
     return bare
@@ -67,7 +71,8 @@ class TestLowerBound:
         lb = lower_bound(matrix, table)
         assert lb.ell == 4
         assert lb.bound == 4  # m at w=4 is 5
-        assert [i.w for i in lb.delta] == [0, 5, 1]
+        # the full-rank prefix certifying the bound
+        assert [i.w for i in table.ids[: lb.ell - 1]] == [0, 5, 1]
 
     def test_u1_k_equals_n_infinite(self):
         matrix, table = aligned(U1, 6, 6)
@@ -92,7 +97,7 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="row span"):
             lower_bound(bare, table, assume_semiuniversal=True)
         # without the flag the missing identity class fails semi-universality first
-        with pytest.raises(SemiUniversalityError):
+        with pytest.raises(SemiUniversalityError, match=NO_IDENTITY):
             lower_bound(bare, table)
 
     @pytest.mark.parametrize("assume", [False, True])
@@ -115,10 +120,12 @@ class TestLowerBound:
         assert lb.bound == result.lower_bound
 
     def test_custom_needs_override(self):
+        # whatever the table's group
         table = canonical_order(sectors(SU2, 6))
         matrix = custom_matrix(table, [])
-        with pytest.raises(SemiUniversalityError, match="custom"):
+        with pytest.raises(SemiUniversalityError) as raised:
             lower_bound(matrix, table)
+        assert str(raised.value) == CUSTOM_SHORTFALL
 
     def test_misaligned(self):
         table = canonical_order(sectors(U1, 5))
@@ -350,7 +357,7 @@ class TestMinWeightedL1Oracle:
 
 class TestTmaxExact:
     def test_u1_n3_k1_certificate(self):
-        result, table, _ = compute_tmax(U1, 3, 1, assume_semiuniversal=True)
+        result, table, A = compute_tmax(U1, 3, 1, assume_semiuniversal=True)
         assert result.tmax == 2
         assert result.certificate.weighted_norm == 6
         assert cert_by_label(result.certificate, table) == {
@@ -359,12 +366,12 @@ class TestTmaxExact:
             "w=3": 1,
         }
         assert result.proven_exact
-        assert result.semiuniversal_assumed
+        assert A.shortfall is not None
 
     def test_su2_n13_k2(self):
-        result, _, _ = compute_tmax(SU2, 13, 2)
+        result, _, A = compute_tmax(SU2, 13, 2)
         assert result.tmax + 1 == 12 * 10
-        assert not result.semiuniversal_assumed
+        assert A.shortfall is None
 
     def test_zp_beyond_n_equals_u1(self):
         # for p > n every residue is a Hamming weight, so Z_p is U(1), also
@@ -402,10 +409,11 @@ class TestTmaxExact:
 
     def test_below_threshold_raises(self):
         matrix, table = aligned(U1, 6, 1)
-        with pytest.raises(SemiUniversalityError):
+        with pytest.raises(SemiUniversalityError) as raised:
             tmax_exact(matrix, table)
-        result = tmax_exact(matrix, table, assume_semiuniversal=True)
-        assert result.semiuniversal_assumed
+        # the override stands in for the shortfall the builder recorded
+        assert str(raised.value) == matrix.shortfall
+        assert tmax_exact(matrix, table, assume_semiuniversal=True).proven_exact
 
     def test_zp_below_threshold(self):
         with pytest.raises(SemiUniversalityError):
@@ -465,6 +473,87 @@ class TestTmaxExact:
         for group, n, k in [(U1, 10, 2), (U1, 9, 4), (SU2, 14, 3), (zp(4), 9, 4)]:
             result, _, _ = compute_tmax(group, n, k)
             assert result.lower_bound <= result.tmax
+
+
+# The semi-universality messages, as the solver raised them before the
+# builders recorded the verdict: SU(d) rows must hold every 3-local class,
+# and U(1), SU(2) and Z_p gates need k >= 2, 2 and p.
+SUD_SHORTFALL = (
+    "the realizable permutation classes miss a 3-local class, so the "
+    "gate set is not even a 2-design source; pass "
+    "assume_semiuniversal=True to model an amended gate set"
+)
+CUSTOM_SHORTFALL = (
+    "custom gate sets carry no built-in semi-universality knowledge; "
+    "pass assume_semiuniversal=True if it holds"
+)
+
+
+def threshold_rule(group, k, labels):
+    """The verdict before ``k = n`` passed: a shortfall message, or None."""
+    if group.kind == "SUd":
+        return None if set(conjugacy_classes(3)) <= set(labels) else SUD_SHORTFALL
+    threshold = group.p if group.kind == "Zp" else 2
+    if k >= threshold:
+        return None
+    return (
+        f"{group} gates with locality k={k} are below the semi-universality "
+        f"threshold k >= {threshold}; pass assume_semiuniversal=True to compute "
+        "the formal kernel optimum"
+    )
+
+
+def verdict_cases():
+    """U(1), SU(2), Z_2..Z_7, SU(3), SU(4) with n = 1..8 and k = 1..n.
+
+    SU(d) takes the default classes, the T-group set and each single class.
+    """
+    for group in (U1, SU2, *map(zp, range(2, 8)), sud(3), sud(4)):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                yield group, n, k, None
+                if group.kind == "SUd":
+                    if k >= 4:
+                        yield group, n, k, list(T_GROUP_CLASSES)
+                    for cls in conjugacy_classes(k):
+                        yield group, n, k, [cls]
+
+
+class TestSemiUniversalVerdict:
+    def test_solvers_raise_exactly_where_the_threshold_rule_does_below_k_equals_n(self):
+        # a gate on all n sites is any symmetric unitary: the full k = n gate
+        # set passes, and every other verdict and message stays as it was
+        passed_at_n = 0
+        for group, n, k, classes in verdict_cases():
+            table = canonical_order(sectors(group, n))
+            A = charge_matrix(table, k, classes)
+            expected = threshold_rule(group, k, A.row_labels)
+            full = group.kind != "SUd" or set(A.row_labels) == set(conjugacy_classes(n))
+            if k == n and full and expected is not None:
+                passed_at_n += 1
+                expected = None
+                assert tmax_exact(A, table).tmax == INFINITE, (group, n, classes)
+            assert A.shortfall == expected, (group, n, k, classes)
+            for solve in (tmax_exact, lower_bound):
+                if expected is None:
+                    solve(A, table)
+                    continue
+                with pytest.raises(SemiUniversalityError) as raised:
+                    solve(A, table)
+                assert str(raised.value) == expected, (group, n, k, classes, solve)
+        # U(1) and SU(2) at n = 1, Z_p at n < p, and SU(d) at n <= 2, where the
+        # single classes (1) at n = 1 and (12) at n = 2 are the full gate set
+        assert passed_at_n == 1 + 1 + sum(range(1, 7)) + 2 * (2 + 2)
+
+    def test_aligned_to_keeps_the_shortfall(self):
+        table = canonical_order(sectors(U1, 5))
+        for A in (
+            charge_matrix(sectors(U1, 5), 1),
+            charge_matrix(sectors(U1, 5), 2),
+            custom_matrix(sectors(U1, 5), []),
+        ):
+            # None at k = 2, the threshold and the custom messages otherwise
+            assert A.aligned_to(table).shortfall == A.shortfall
 
 
 class TestHardKernelCertificates:

@@ -406,6 +406,11 @@ class TestPartitionHelpers:
         with pytest.raises(ValueError):
             PartitionId(parts)
 
+    def test_partition_id_rejects_a_list(self):
+        # a list would pass every part check and make an unhashable id
+        with pytest.raises(ValueError, match=r"must be a tuple, got \[3, 1\]"):
+            PartitionId([3, 1])
+
 
 class TestSudTableCheckedOnce:
     @pytest.mark.parametrize(

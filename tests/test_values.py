@@ -54,17 +54,16 @@ CASES = [
     ),
     (
         LowerBoundResult,
-        ("ell", "bound", "delta"),
-        (None, INFINITE, ()),
-        "LowerBoundResult(ell=None, bound=INFINITE, delta=())",
+        ("ell", "bound"),
+        (None, INFINITE),
+        "LowerBoundResult(ell=None, bound=INFINITE)",
     ),
     (
         TmaxResult,
-        ("tmax", "lower_bound", "certificate", "proven_exact", "semiuniversal_assumed"),
-        (0, 0, Certificate((1, -1), 2, _IDS), True, False),
+        ("tmax", "lower_bound", "certificate", "proven_exact"),
+        (0, 0, Certificate((1, -1), 2, _IDS), True),
         "TmaxResult(tmax=0, lower_bound=0, certificate=Certificate(q=(1, -1), weighted_norm=2, "
-        "support=(HammingWeight(w=0), HammingWeight(w=1))), proven_exact=True, "
-        "semiuniversal_assumed=False)",
+        "support=(HammingWeight(w=0), HammingWeight(w=1))), proven_exact=True)",
     ),
     (
         DiagOperator,
