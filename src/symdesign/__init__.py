@@ -50,7 +50,6 @@ _EXPORTS = {
         "load_custom_problem",
         "sn_character",
     ),
-    "intlinalg": ("rank_exact",),
     "solver": (
         "Certificate",
         "TmaxResult",
@@ -66,7 +65,6 @@ _EXPORTS = {
         "ClosedFormTmax",
         "DiagOperator",
         "binom_int",
-        "binom_frac",
         "closed_tmax",
         "u1_c_eigenvalue",
         "u1_f_operator",
@@ -76,14 +74,12 @@ _EXPORTS = {
         "tr_f_c",
         "tr_a_c",
         "su2_c_eigenvalue",
-        "su2_ctilde_eigenvalue",
         "su2_a_operator",
         "su2_a_norm",
         "tr_a_ctilde",
-        "tr_ctilde_sq",
     ),
 }
-_SUBMODULES = frozenset((*_EXPORTS, "values", "checks", "cli"))
+_SUBMODULES = frozenset((*_EXPORTS, "intlinalg", "values", "checks", "cli"))
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)

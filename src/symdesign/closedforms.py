@@ -25,7 +25,6 @@ from math import comb, factorial, prod
 from .groups import (
     GroupSpec,
     SectorTable,
-    HammingWeight,
     sectors,
     su2_multiplicity,
     semiuniversal_min_locality,
@@ -47,17 +46,6 @@ def binom_int(a: int, k: int) -> int:
         return comb(a, k) if k <= a else 0
     # falling factorial of a negative integer, rewritten with positive indices
     return (-1) ** k * comb(-a + k - 1, k)
-
-
-def binom_frac(alpha, k: int) -> Fraction:
-    """Generalized binomial: falling factorial of ``alpha`` over ``k!``."""
-    if k < 0:
-        return Fraction(0)
-    alpha = Fraction(alpha)
-    num = Fraction(1)
-    for i in range(k):
-        num *= alpha - i
-    return num / factorial(k)
 
 
 def half_binom_int(x: int, s: int, a: int) -> int:
@@ -101,18 +89,6 @@ class DiagOperator(Value):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "qvec", qvec)
-
-    def reflected(self, sign: int = 1) -> "DiagOperator":
-        """Weight reflection w -> n - w (conjugation by X on every qubit)."""
-        ids = self.table.ids
-        if not all(isinstance(irrep, HammingWeight) for irrep in ids):
-            raise ValueError("reflection is defined for Hamming-weight tables")
-        n = self.table.n
-        pos = {irrep.w: i for i, irrep in enumerate(ids)}
-        mirror = [pos[n - irrep.w] for irrep in ids]
-        vals = tuple(sign * self.values[i] for i in mirror)
-        qs = tuple(sign * self.qvec[i] for i in mirror)
-        return DiagOperator(self.table, vals, qs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +184,6 @@ def su2_c_eigenvalue(n: int, ll: int, jj: int) -> int:
     return val
 
 
-def su2_ctilde_eigenvalue(n: int, ll: int, jj: int) -> Fraction:
-    """Unit-normalized variant of :func:`su2_c_eigenvalue` (rational).
-
-    The integer-eigenvalue normalization carries the prefactor
-    ``(ll-1)!! * C(n, ll)``; dividing it out gives the variant whose squared
-    norm is :func:`tr_ctilde_sq` and whose pairings are :func:`tr_a_ctilde`.
-    """
-    return Fraction(
-        su2_c_eigenvalue(n, ll, jj), double_factorial(ll - 1) * comb(n, ll)
-    )
-
-
 def su2_a_operator(n: int, k: int) -> DiagOperator:
     """High-spin-supported operator orthogonal to all ``(k-1)``-local operators."""
     if k % 2:
@@ -249,13 +213,6 @@ def tr_a_ctilde(n: int, ss: int, mm: int) -> int:
         raise ValueError("indices must be even")
     s, m = ss // 2, mm // 2
     return 4**s * (comb(m, s) if s <= m else 0)
-
-
-def tr_ctilde_sq(n: int, mm: int) -> Fraction:
-    """Squared norm of the unit-normalized exchange-basis operator."""
-    if mm % 2:
-        raise ValueError("mm must be even")
-    return Fraction((mm + 1) * 2**n, comb(n, mm))
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,18 @@ def sud(d: int) -> GroupSpec:
 # ---------------------------------------------------------------------------
 
 
+def _natural(name: str, x) -> int:
+    """``x`` if it is an exact ``int >= 0`` (not a bool, 3.0 or list), else ``ValueError``."""
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {x!r}")
+    return x
+
+
 class HammingWeight(Value):
     __slots__ = ("w",)
 
     def __init__(self, w: int):
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _natural("w", w))
 
     @property
     def label(self) -> str:
@@ -118,7 +125,7 @@ class TwiceSpin(Value):
     __slots__ = ("jj",)
 
     def __init__(self, jj: int):  # 2j, kept integral for both parities of n
-        object.__setattr__(self, "jj", jj)
+        object.__setattr__(self, "jj", _natural("jj", jj))
 
     @property
     def label(self) -> str:
@@ -129,7 +136,7 @@ class Residue(Value):
     __slots__ = ("beta",)
 
     def __init__(self, beta: int):
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _natural("beta", beta))
 
     @property
     def label(self) -> str:
@@ -193,7 +200,7 @@ class CustomSector(Value):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", _natural("index", index))
 
     @property
     def label(self) -> str:

@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: one incremental echelon, the only rank and
-kernel-basis routine, and one incremental integral weighted LLL.
+"""Exact integer linear algebra: one incremental echelon, whose pivots give
+the rank and whose relations give the integer kernel basis, and one
+incremental integral weighted LLL.
 
 :class:`ReducedLattice` keeps an LLL-reduced basis with its integer
 Gram-Schmidt state (leading Gram minors ``d``, ``lam = mu * d``) and the
@@ -104,14 +105,6 @@ class Echelon:
 
 def _combine(a: int, x: list[int], b: int, y: list[int]) -> list[int]:
     return [a * p + b * q for p, q in zip(x, y)]
-
-
-def rank_exact(rows) -> int:
-    """Rank over the rationals: the rank of an :class:`Echelon` fed every row."""
-    ech = Echelon()
-    for row in rows:
-        ech.add(as_int_row(row))
-    return ech.rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Test-local references for exact rank and integer kernel bases.
 
 ``rank_rational`` and ``is_kernel_basis`` share no code with
-:class:`symdesign.intlinalg.Echelon`, so they can check it; ``echelon_kernel``
-is the echelon's own kernel basis, as the solver's prefix scan builds it;
-``dot_rows`` is the product ``A v`` that kernel membership is checked with.
+:class:`symdesign.intlinalg.Echelon`, so they can check it; ``echelon_rank``
+and ``echelon_kernel`` are the echelon's own rank and kernel basis, as the
+solver's prefix scan builds them; ``dot_rows`` is the product ``A v`` that
+kernel membership is checked with.
 """
 
 from fractions import Fraction
@@ -36,8 +37,16 @@ def dot_rows(rows, vec) -> list:
 
 
 def rank_rational(rows) -> int:
-    """Rank over the rationals, the reference for ``rank_exact``."""
+    """Rank over the rationals, the reference for ``echelon_rank``."""
     return len(_eliminate(rows))
+
+
+def echelon_rank(rows) -> int:
+    """Rank over the rationals read from an :class:`Echelon` fed every row, each made integral."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(as_int_row(row))
+    return ech.rank
 
 
 def _abs_det(square) -> int:

@@ -7,11 +7,11 @@ per criterion with its runtime.
 import time
 from fractions import Fraction
 
+from closedform_ref import binom_frac
 from symdesign import (
     INFINITE,
     SU2,
     U1,
-    binom_frac,
     canonical_order,
     compute_tmax,
     custom_matrix,

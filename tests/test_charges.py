@@ -11,7 +11,7 @@ from operator import add, sub
 
 import pytest
 
-from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
+from kernel_ref import dot_rows, echelon_kernel, echelon_rank, is_kernel_basis, rank_rational
 from symdesign import (
     SU2,
     U1,
@@ -21,7 +21,6 @@ from symdesign import (
     custom_matrix,
     custom_table,
     load_custom_problem,
-    rank_exact,
     sectors,
     sn_character,
     sud,
@@ -423,8 +422,8 @@ class TestBuildChargeMatrix:
             [1, n - 4, (n - 3) * (n - 6) // 2, (n - 4) * (n - 5) // 2],
         ]
         # on two-row partitions alone the 3x3 block is rank-deficient
-        assert rank_exact([row[:3] for row in sub]) == 2
-        assert rank_exact(sub) == 3
+        assert echelon_rank([row[:3] for row in sub]) == 2
+        assert echelon_rank(sub) == 3
         # its kernel is spanned by (C(n-2,2), -(n-3), 1, 0)
         assert is_kernel_basis(sub, [[comb(n - 2, 2), -(n - 3), 1, 0]])
 
@@ -643,13 +642,13 @@ class TestMatrixInvariants:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_u1_rank(self, n):
         for k in range(1, n + 1):
-            assert rank_exact(charge_matrix(sectors(U1, n), k).rows) == k + 1
+            assert echelon_rank(charge_matrix(sectors(U1, n), k).rows) == k + 1
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_su2_rank_and_parity_kernel(self, n):
         for k in range(2, n + 1):
             rows = charge_matrix(sectors(SU2, n), k).rows
-            assert rank_exact(rows) == k // 2 + 1
+            assert echelon_rank(rows) == k // 2 + 1
         for s in range(1, n // 2):
             even = charge_matrix(sectors(SU2, n), 2 * s).rows
             odd = charge_matrix(sectors(SU2, n), 2 * s + 1).rows
@@ -659,7 +658,7 @@ class TestMatrixInvariants:
     def test_zp_rank(self, p):
         for n in range(p + 1, 13):
             for k in range(p, n):
-                rank = rank_exact(charge_matrix(sectors(zp(p), n), k).rows)
+                rank = echelon_rank(charge_matrix(sectors(zp(p), n), k).rows)
                 assert rank == (p - 1 if p % 2 == 0 else p)
 
     @pytest.mark.parametrize("group", GROUPS_FOR_INVARIANTS)

@@ -5,14 +5,17 @@ from math import comb
 
 import pytest
 
+from closedform_ref import binom_frac
+from kernel_ref import dot_rows
 from symdesign import (
     CUSTOM,
     INFINITE,
     SU2,
     U1,
-    binom_frac,
     binom_int,
+    charge_matrix,
     closed_tmax,
+    sectors,
     semiuniversal_min_locality,
     su2_a_norm,
     su2_a_operator,
@@ -21,13 +24,11 @@ from symdesign import (
     sud,
     tr_a_c,
     tr_a_ctilde,
-    tr_ctilde_sq,
     tr_f_c,
     u1_a_norm,
     u1_a_operator,
     u1_c_eigenvalue,
     u1_f_norm,
-    u1_f_operator,
     zp,
 )
 from symdesign.closedforms import double_factorial, half_binom_int, u1_f_values
@@ -171,16 +172,23 @@ class TestU1FOperators:
             assert u1_f_norm(n, k) == direct_f
             assert u1_a_norm(n, k) == 2**k * comb(n, k)
 
+    # X on every qubit maps weight w to n - w and keeps every operator's
+    # locality: it maps f to -f for odd k, and for even k, whose low edge is
+    # one weight wider, to another operator of the same kernel and norm
     def test_reflection_matches_for_odd_k(self):
-        op = u1_f_operator(9, 5)
-        assert op.reflected(sign=(-1) ** 5).values == op.values
+        for n in range(1, 13):
+            for k in range(1, n + 1, 2):
+                vals = u1_f_values(n, k)
+                assert vals == tuple(-v for v in reversed(vals)), (n, k)
 
     def test_reflection_preserves_norm_even_k(self):
-        op = u1_f_operator(8, 4)
-        refl = op.reflected(sign=1)
-        assert sum(abs(v) * m for v, m in zip(refl.values, op.table.multiplicities)) == u1_f_norm(
-            8, 4
-        )
+        for n in range(2, 13):
+            for k in range(2, n + 1, 2):
+                mirrored = u1_f_values(n, k)[::-1]
+                rows = charge_matrix(sectors(U1, n), k - 1).rows
+                assert not any(dot_rows(rows, mirrored)), (n, k)
+                norm = sum(abs(v) * comb(n, w) for w, v in enumerate(mirrored))
+                assert norm == u1_f_norm(n, k), (n, k)
 
 
 class TestU1Pairings:
@@ -287,8 +295,7 @@ class TestSU2Operators:
                 assert tr_a_ctilde(n, 0, mm) == 1
 
     def test_tr_ctilde_sq_example(self):
-        # frozen from the direct eigenvalue sum below
-        assert tr_ctilde_sq(10, 4) == Fraction(512, 21)
+        # the squared norm of the unit-normalized exchange operator, (mm + 1) 2^n / C(n, mm)
         n, mm = 10, 4
         scale = double_factorial(mm - 1) * comb(n, mm)
         direct = sum(
@@ -301,16 +308,15 @@ class TestSU2Operators:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_tr_ctilde_sq_matches_direct_sum(self, n):
-        from symdesign import su2_ctilde_eigenvalue
-
         for mm in range(0, n + 1, 2):
+            scale = double_factorial(mm - 1) * comb(n, mm)
             direct = sum(
-                su2_ctilde_eigenvalue(n, mm, jj) ** 2
+                Fraction(su2_c_eigenvalue(n, mm, jj), scale) ** 2
                 * (jj + 1)
                 * su2_multiplicity(n, jj)
                 for jj in range(n % 2, n + 1, 2)
             )
-            assert direct == tr_ctilde_sq(n, mm)
+            assert direct == Fraction((mm + 1) * 2**n, comb(n, mm))
 
 
 class TestKernelMembership:

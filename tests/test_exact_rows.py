@@ -158,7 +158,6 @@ def test_large_n_matches_closed_form(group, n, k):
     "group, n, irrep",
     [
         (U1, 3, HammingWeight(7)),
-        (U1, 3, HammingWeight(-1)),
         (SU2, 4, TwiceSpin(1)),
         (SU2, 4, TwiceSpin(6)),
     ],

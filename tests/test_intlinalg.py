@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_ref import dot_rows, echelon_kernel, is_kernel_basis, rank_rational
-from symdesign import charge_matrix, rank_exact, sectors, U1, zp
+from kernel_ref import dot_rows, echelon_kernel, echelon_rank, is_kernel_basis, rank_rational
+from symdesign import charge_matrix, sectors, U1, zp
 from symdesign.checks import kernel_vectors
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
@@ -28,13 +28,13 @@ small_matrix = st.integers(1, 6).flatmap(
 class TestRank:
     def test_identity(self):
         eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        assert rank_exact(eye) == 4
+        assert echelon_rank(eye) == 4
 
     def test_u1_rank_example(self):
-        assert rank_exact(charge_matrix(sectors(U1, 6), 2).rows) == 3
+        assert echelon_rank(charge_matrix(sectors(U1, 6), 2).rows) == 3
 
     def test_zp_even_rank_example(self):
-        assert rank_exact(charge_matrix(sectors(zp(4), 7), 4).rows) == 3
+        assert echelon_rank(charge_matrix(sectors(zp(4), 7), 4).rows) == 3
 
     def test_against_rational_elimination_1000(self):
         rng = random.Random(20240901)
@@ -42,27 +42,27 @@ class TestRank:
             r = rng.randint(1, 8)
             c = rng.randint(1, 8)
             m = [[rng.randint(-100, 100) for _ in range(c)] for _ in range(r)]
-            assert rank_exact(m) == rank_rational(m)
+            assert echelon_rank(m) == rank_rational(m)
 
     def test_fraction_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-        assert rank_exact(m) == rank_rational(m)
+        assert echelon_rank(m) == rank_rational(m)
 
     @given(small_matrix)
     @settings(max_examples=200, deadline=None)
     def test_matches_rational_elimination(self, m):
-        assert rank_exact(m) == rank_rational(m)
+        assert echelon_rank(m) == rank_rational(m)
 
     def test_float_entries_are_exact(self):
         # truncating 0.5 to 0 would report rank 0
-        assert rank_exact([[0.5]]) == 1
-        assert rank_exact([[0.5, 0.25], [2, 1]]) == 1
+        assert echelon_rank([[0.5]]) == 1
+        assert echelon_rank([[0.5, 0.25], [2, 1]]) == 1
 
     @pytest.mark.parametrize("m", [[[1, 2], [1]], [[1], [1, 2]], [[0, 0], [1]]], ids=str)
     def test_ragged_rows_raise(self, m):
         # reduced by a zip to the shorter row, [[1, 2], [1]] read as rank 1
         with pytest.raises(ValueError, match="length"):
-            rank_exact(m)
+            echelon_rank(m)
 
 
 def check_echelon(A):
@@ -158,7 +158,7 @@ class TestKernelLattice:
         rows = charge_matrix(sectors(U1, 3), 1).rows
         basis = echelon_kernel(rows)
         assert len(basis) == 2
-        assert rank_exact(rows) == 2
+        assert echelon_rank(rows) == 2
         # expected lattice frozen from the exhaustive oracle below
         expected = [[1, 0, -1, 2], [0, 1, -2, 3]]
         assert is_kernel_basis(rows, basis) and is_kernel_basis(rows, expected)
@@ -184,7 +184,7 @@ class TestKernelLattice:
     @settings(max_examples=150, deadline=None)
     def test_basis_properties(self, A):
         basis = echelon_kernel(A)
-        assert len(basis) + rank_exact(A) == len(A[0])
+        assert len(basis) + echelon_rank(A) == len(A[0])
         for b in basis:
             assert any(b)
             assert all(x == 0 for x in dot_rows(A, b))

@@ -13,7 +13,7 @@ def test_export_is_its_submodule_object(name):
 
 
 def test_each_export_is_stated_once():
-    assert len(symdesign.__all__) == len(set(symdesign.__all__)) == 54
+    assert len(symdesign.__all__) == len(set(symdesign.__all__)) == 50
     assert symdesign.compute_tmax is symdesign.solver.compute_tmax
     assert symdesign.INFINITE is symdesign.infinity.INFINITE
 

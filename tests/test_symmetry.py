@@ -1,6 +1,7 @@
 """Sector enumeration, canonical ordering, and semi-universality thresholds."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import add, mul
@@ -23,6 +24,7 @@ from symdesign import (
     zp,
 )
 from symdesign.groups import (
+    CustomSector,
     GroupSpec,
     HammingWeight,
     PartitionId,
@@ -410,6 +412,22 @@ class TestPartitionHelpers:
         # a list would pass every part check and make an unhashable id
         with pytest.raises(ValueError, match=r"must be a tuple, got \[3, 1\]"):
             PartitionId([3, 1])
+        # each other id holds one exact int >= 0 and names the value it refuses
+        refused = [
+            (HammingWeight, 1.5),
+            (HammingWeight, -3),
+            (HammingWeight, True),
+            (HammingWeight, [1]),
+            (TwiceSpin, [1]),
+            (TwiceSpin, -1),
+            (Residue, "a"),
+            (Residue, [1]),
+            (CustomSector, None),
+            (CustomSector, [1]),
+        ]
+        for make, bad in refused:
+            with pytest.raises(ValueError, match=re.escape(f"must be an int >= 0, got {bad!r}")):
+                make(bad)
 
 
 class TestSudTableCheckedOnce:
