@@ -19,7 +19,6 @@ orders built on half-integer binomials ``2^a C(x/2, s)`` stay in integers
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, prod
 
 from .groups import (
@@ -190,6 +189,8 @@ def su2_a_operator(n: int, k: int) -> DiagOperator:
         raise ValueError("k must be even")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    from fractions import Fraction  # only this operator has Fraction entries; tmax never loads it
+
     table = sectors(GroupSpec("SU2"), n)
     qs = []
     vals = []

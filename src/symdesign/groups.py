@@ -28,7 +28,7 @@ division ends in a remainder check that raises ``ArithmeticError``.
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, chain, count, repeat, zip_longest
 from math import comb, factorial
 from operator import add, attrgetter, itemgetter, le, lt, mul, sub
 from typing import Iterator, Union
@@ -184,13 +184,6 @@ class PartitionId(Value):
         check_partitions((parts,))
         object.__setattr__(self, "parts", parts)
 
-    @classmethod
-    def _from_checked(cls, shapes) -> tuple[PartitionId, ...]:
-        """Ids for shapes that ``check_partitions`` has passed, without a check per shape."""
-        ids = tuple(map(object.__new__, repeat(cls, len(shapes))))
-        deque(map(object.__setattr__, ids, repeat("parts"), shapes), maxlen=0)
-        return ids
-
     @property
     def label(self) -> str:
         return "[" + ",".join(str(a) for a in self.parts) + "]"
@@ -205,6 +198,18 @@ class CustomSector(Value):
     @property
     def label(self) -> str:
         return f"s{self.index}"
+
+
+def checked_ids(cls, values) -> tuple:
+    """Ids of the one-field id class ``cls`` for checked ``values``, without a check per record.
+
+    The values must be what the constructor accepts: exact ints ``>= 0``, or
+    for :class:`PartitionId` shapes that :func:`check_partitions` has passed.
+    """
+    ids = tuple(map(object.__new__, repeat(cls, len(values))))
+    # Value refuses assignment, so each field is set through its slot's descriptor
+    deque(map(getattr(cls, cls.__slots__[0]).__set__, ids, values), maxlen=0)
+    return ids
 
 
 IrrepId = Union[HammingWeight, TwiceSpin, Residue, PartitionId, CustomSector]
@@ -401,28 +406,28 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    # every label below is a range of exact ints >= 0 or a checked shape, so the ids skip their check
     if group.kind == "U1":
-        ids = tuple(map(HammingWeight, range(n + 1)))
+        ids = checked_ids(HammingWeight, range(n + 1))
         mults = tuple(binomial_row(n))
         dims = (1,) * len(ids)
     elif group.kind == "SU2":
         jjs = range(n % 2, n + 1, 2)
-        ids = tuple(map(TwiceSpin, jjs))
+        ids = checked_ids(TwiceSpin, jjs)
         # 2j = n - 2i has C(n, i) - C(n, i - 1), and i falls from n // 2 to 0 as 2j rises
         half = binomial_row(n)[n // 2 :: -1]
         mults = tuple(map(sub, half, [*half[1:], 0]))
         dims = tuple(jj + 1 for jj in jjs)
     elif group.kind == "Zp":
         betas = range(min(group.p, n + 1))  # residues beyond n do not appear for n < p - 1
-        ids = tuple(map(Residue, betas))
+        ids = checked_ids(Residue, betas)
         row = binomial_row(n)
         mults = tuple(zp_multiplicity(row, group.p, beta) for beta in betas)
         dims = (1,) * len(ids)
     elif group.kind == "SUd":
         shapes = tuple(partitions_max_rows(n, group.d))
-        # once per table, so the ids skip PartitionId's own check; the rows feed every pass
-        rows = check_partitions(shapes, n)
-        ids = PartitionId._from_checked(shapes)
+        rows = check_partitions(shapes, n)  # once per table; the rows feed every pass
+        ids = checked_ids(PartitionId, shapes)
         mults = tuple(sn_irrep_dims(shapes, rows))
         dims = sud_irrep_dims(rows, mults, n, group.d)
     else:
@@ -434,7 +439,7 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
 
 # ties among equal multiplicities: ascending label, except descending 2j for
 # SU(2).  U(1) ties are the mirror pairs (w, n-w), so the low weight comes
-# first.  Every label is unique within its table, so the order is total.
+# first.  Every label of a built table is unique, so the order is total.
 _LABEL_KEYS = {
     "U1": attrgetter("w"),
     "SU2": lambda irrep: -irrep.jj,
@@ -445,12 +450,16 @@ _LABEL_KEYS = {
 
 
 def canonical_order(table: SectorTable) -> SectorTable:
-    """Sort sectors by weakly increasing multiplicity with deterministic ties."""
-    keys = [*zip(table.multiplicities, map(_LABEL_KEYS[table.group.kind], table.ids))]
-    # one permutation takes every column, so each dim moves with its sector
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    columns = (table.ids, table.multiplicities, table.dims)
-    return SectorTable(table.group, table.n, *(tuple(map(c.__getitem__, order)) for c in columns))
+    """Sort sectors by weakly increasing multiplicity with deterministic ties.
+
+    One sort of the rows ``(multiplicity, label key, input index, id, dim)``,
+    transposed once: the index keeps equal keys in input order, so ids and
+    dims are never compared and each dim moves with its sector.
+    """
+    ids, m = table.ids, table.multiplicities
+    rows = sorted(zip(m, map(_LABEL_KEYS[table.group.kind], ids), count(), ids, table.dims))
+    m, _, _, ids, dims = zip(*rows) if rows else ((),) * 5
+    return SectorTable(table.group, table.n, ids, m, dims)
 
 
 def semiuniversal_min_locality(group: GroupSpec) -> int:
@@ -479,5 +488,5 @@ def custom_table(multiplicities: list[int]) -> SectorTable:
     if not multiplicities:
         raise ValueError("the multiplicity vector must list at least one sector")
     check_multiplicities(multiplicities)
-    ids = tuple(map(CustomSector, range(len(multiplicities))))
+    ids = checked_ids(CustomSector, range(len(multiplicities)))
     return SectorTable(CUSTOM, len(ids), ids, tuple(multiplicities), (1,) * len(ids))

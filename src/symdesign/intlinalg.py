@@ -62,10 +62,6 @@ class Echelon:
         self.relations: list[list[int]] = []
         self.length: int | None = None  # of every vector, set by the first one added
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def add(self, vec) -> bool:
         """Reduce the integer vector ``vec``; True if the rank grew, else it gave a relation."""
         v = list(vec)

@@ -33,7 +33,8 @@ trivial).  Three facts make this computable fast:
   one-norm ``R`` times ``h_j = max_i w_i |g_j,i|``.  That cuts the Euclidean
   ball down towards the one-norm ball it covers.  Each level visits its
   values zig-zag outwards from the center, and only one of each pair ``+-q``
-  is visited (the top nonzero coefficient is positive).
+  is visited (the top nonzero coefficient is positive).  A rank-1 lattice
+  ``Z b_0`` skips all of that set-up: its optimum is ``+-b_0``.
 
 Both the incumbent certificate and the cutoff rule are exact, so every answer
 returned with ``proven_exact`` is self-certifying.
@@ -200,6 +201,7 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
     Returns the optimizer, sign-normalized (first nonzero entry positive),
     with lexicographically smallest ``q`` among ties; ``None`` if
     ``upper`` (an integer) is given and no vector has norm <= ``upper``.
+    A rank-1 lattice ``Z b_0`` needs no search: its optimum is ``+-b_0``.
     """
     basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
     if not basis:
@@ -208,6 +210,11 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
     if upper is not None and type(upper) is not int:
         raise ValueError("upper must be an integer")
     d = len(basis)
+    if d == 1:  # x b_0 has norm |x| times that of b_0, so x = +-1 wins
+        norm = _weighted_l1(basis[0], weights)
+        if upper is not None and norm > upper:
+            return None
+        return _certificate(_normalize_sign(basis[0]), norm)
     # lambda_1 >= min_j |b_j*| and the weighted one-norm is at least the
     # weighted two-norm, so no vector is within upper once every
     # |b_j*|^2 = P[j+1] / P[j] exceeds upper^2
@@ -299,10 +306,11 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
 
     search(d - 1, 0, [0] * len(basis[0]), True)
 
-    if best is None:
-        return None
-    support = tuple(i for i, x in enumerate(best_q) if x)
-    return Certificate(q=best_q, weighted_norm=best, support=support)
+    return None if best is None else _certificate(best_q, best)
+
+
+def _certificate(q: tuple[int, ...], norm: int) -> Certificate:
+    return Certificate(q=q, weighted_norm=norm, support=tuple(i for i, x in enumerate(q) if x))
 
 
 # ---------------------------------------------------------------------------

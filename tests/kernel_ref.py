@@ -46,7 +46,7 @@ def echelon_rank(rows) -> int:
     ech = Echelon()
     for row in rows:
         ech.add(as_int_row(row))
-    return ech.rank
+    return len(ech.pivots)
 
 
 def _abs_det(square) -> int:

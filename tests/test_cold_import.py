@@ -94,6 +94,7 @@ def test_integer_custom_problem_loads_no_closed_forms_or_fractions(tmp_path):
 def test_tmax_loads_solver_and_closed_forms():
     loaded = after_main(["tmax", *INSTANCE])
     assert package_modules(loaded) == CLI | TABLES | SOLVER | {"symdesign.closedforms"}
+    assert "fractions" not in loaded
 
 
 def test_only_csv_format_loads_csv():

@@ -80,7 +80,7 @@ def check_echelon(A):
         prefix = [row[: idx + 1] for row in A]
         basis = ech.kernel_basis()
         assert is_kernel_basis(prefix, basis)
-        assert ech.rank + len(basis) == idx + 1
+        assert len(ech.pivots) + len(basis) == idx + 1
         for k, r in enumerate(ech.relations):
             assert r[-1] != 0
             for earlier in ech.relations[:k]:
@@ -140,7 +140,7 @@ class TestEchelonKernel:
         for other in ([1], [1, 2, 3]):
             with pytest.raises(ValueError, match="length"):
                 ech.add(other)
-        assert ech.rank + len(ech.relations) == 1  # the refused vectors left no trace
+        assert len(ech.pivots) + len(ech.relations) == 1  # the refused vectors left no trace
         assert ech.add([3, 4])
 
     def test_previous_basis_is_kept(self):

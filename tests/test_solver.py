@@ -355,6 +355,59 @@ class TestMinWeightedL1Oracle:
         check_against_oracle(A, weights)
 
 
+def rank_one_rows(b0) -> list[list[int]]:
+    """Rows whose integer kernel is the saturation ``Q b0 ∩ Z^c`` of ``Z b0``."""
+    i = next(j for j, x in enumerate(b0) if x)
+    # row j reads b0[i] q_j - b0[j] q_i, which vanishes on every multiple of b0
+    return [
+        [b0[i] if t == j else -b0[j] if t == i else 0 for t in range(len(b0))]
+        for j in range(len(b0))
+        if j != i
+    ]
+
+
+class TestRankOneLattices:
+    """A rank-1 lattice ``Z b0`` is answered without enumeration, with the same result."""
+
+    def test_matches_complete_oracle(self):
+        rng = random.Random(20261021)
+        scaled = 0
+        for _ in range(150):
+            c = rng.randint(2, 6)
+            primitive = [0] * c
+            while math.gcd(*primitive) != 1:
+                primitive = [rng.randint(-3, 3) for _ in range(c)]
+            g = rng.choice([1, 1, 2, 3])  # g > 1: Z b0 is not the whole kernel of its rows
+            scaled += g > 1
+            b0 = [g * x for x in primitive]
+            weights = [rng.randint(1, 9) for _ in range(c)]
+
+            def weighted(q):
+                return sum(w * abs(x) for w, x in zip(weights, q))
+
+            norm = weighted(b0)
+            # the lattice's vectors are the kernel vectors whose content g divides
+            found = [q for q in kernel_vectors(rank_one_rows(b0), weights, norm) if math.gcd(*q) % g == 0]
+            best = min(map(weighted, found))
+            optimum = min(q for q in found if weighted(q) == best)
+            lattice = lll_reduce([b0], weights)
+            cert = min_weighted_l1(lattice)
+            assert (cert.q, cert.weighted_norm) == (optimum, best) == (optimum, norm)
+            assert cert.support == tuple(i for i, x in enumerate(optimum) if x)
+            assert min_weighted_l1(lattice, upper=norm) == cert
+            assert min_weighted_l1(lattice, upper=norm - 1) is None
+            assert min_weighted_l1(lattice, upper=-1) is None
+        assert scaled >= 30
+
+    def test_argument_errors_are_unchanged(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            min_weighted_l1(ReducedLattice([1, 1]))
+        lattice = lll_reduce([[1, -1]], [1, 1])  # norm 2, within an upper of True or 2.0
+        for upper in (True, 2.0, 1.5):
+            with pytest.raises(ValueError, match="upper must be an integer"):
+                min_weighted_l1(lattice, upper=upper)
+
+
 class TestTmaxExact:
     def test_u1_n3_k1_certificate(self):
         result, table, A = compute_tmax(U1, 3, 1, assume_semiuniversal=True)

@@ -24,6 +24,7 @@ from symdesign import (
     zp,
 )
 from symdesign.groups import (
+    CUSTOM,
     CustomSector,
     GroupSpec,
     HammingWeight,
@@ -32,6 +33,7 @@ from symdesign.groups import (
     SectorTable,
     TwiceSpin,
     check_partitions,
+    checked_ids,
     custom_table,
     part_rows,
     partitions_max_rows,
@@ -212,6 +214,55 @@ class TestSectors:
             make()
 
 
+def assert_same_ids(got, expect):
+    """Two id tuples agree in class, equality, hash, label and repr, record by record."""
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert type(a) is type(b) and a == b and hash(a) == hash(b)
+        assert (a.label, repr(a)) == (b.label, repr(b))
+
+
+class TestCheckedIds:
+    """Table ids are built without a check per record and equal the checked constructors' ids."""
+
+    @pytest.mark.parametrize(
+        "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4), sud(5)], ids=str
+    )
+    def test_table_ids_equal_the_constructors(self, group):
+        for n in range(1, 13):
+            ids = sectors(group, n).ids
+            assert_same_ids(ids, tuple(type(irrep)(*irrep._fields()) for irrep in ids))
+
+    def test_custom_table_ids_equal_the_constructor(self):
+        assert_same_ids(custom_table([3, 1, 2, 2]).ids, tuple(map(CustomSector, range(4))))
+
+    @pytest.mark.parametrize(
+        "cls, values",
+        [
+            (HammingWeight, range(6)),
+            (TwiceSpin, range(1, 12, 2)),
+            (Residue, range(5)),
+            (CustomSector, range(9)),
+            (PartitionId, tuple(partitions_max_rows(7, 4))),
+            (HammingWeight, ()),
+        ],
+        ids=lambda x: getattr(x, "__name__", None),
+    )
+    def test_helper_equals_the_constructors(self, cls, values):
+        assert_same_ids(checked_ids(cls, values), tuple(map(cls, values)))
+
+    @pytest.mark.parametrize("cls", [HammingWeight, TwiceSpin, Residue, CustomSector])
+    @pytest.mark.parametrize("bad", [1.5, -3, True])
+    def test_public_constructors_still_check(self, cls, bad):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            cls(bad)
+
+    @pytest.mark.parametrize("bad", [(1.5,), (-3,), (True,), [2, 1]])
+    def test_partition_id_still_checks(self, bad):
+        with pytest.raises(ValueError, match="partition parts"):
+            PartitionId(bad)
+
+
 class TestIntSizes:
     """Sizes and partition parts must be ``int``: no bool, and no integral float."""
 
@@ -266,7 +317,58 @@ def _check_reference_sort(natural, rng):
     assert columns(canonical_order(table)) == expect
 
 
+def keyed_sort(table: SectorTable) -> SectorTable:
+    """The reference order: one sort of the row indices keyed by ``(multiplicity, label key)``.
+
+    Its one permutation takes every column; the sort is stable, so equal keys
+    keep their input order.
+    """
+    keys = [*zip(table.multiplicities, map(groups._LABEL_KEYS[table.group.kind], table.ids))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    columns = (table.ids, table.multiplicities, table.dims)
+    return SectorTable(table.group, table.n, *(tuple(map(c.__getitem__, order)) for c in columns))
+
+
 class TestCanonicalOrder:
+    @pytest.mark.parametrize("group", [U1, SU2, zp(3), zp(5), sud(3), sud(4)], ids=str)
+    def test_equals_the_keyed_sort_with_tied_multiplicities(self, group):
+        # random multiplicities from a short range tie often; the dims are random too
+        rng = random.Random(37)
+        for n in range(1, 13):
+            ids = list(sectors(group, n).ids)
+            for _ in range(5):
+                rng.shuffle(ids)
+                mults = tuple(rng.randint(1, 3) for _ in ids)
+                dims = tuple(rng.randint(1, 4) for _ in ids)
+                table = SectorTable(group, n, tuple(ids), mults, dims)
+                assert canonical_order(table) == keyed_sort(table)
+
+    @pytest.mark.parametrize("group", [U1, SU2, zp(3), sud(3), CUSTOM], ids=str)
+    def test_empty_table_stays_empty(self, group):
+        table = SectorTable(group, 0, (), (), ())
+        assert canonical_order(table) == table == keyed_sort(table)
+
+    @pytest.mark.parametrize(
+        "group, ids",
+        [
+            (U1, (HammingWeight(2), HammingWeight(1))),
+            (SU2, (TwiceSpin(1), TwiceSpin(3))),
+            (sud(3), (PartitionId((2, 1)), PartitionId((3,)))),
+            (CUSTOM, (CustomSector(0), CustomSector(1))),
+        ],
+        ids=str,
+    )
+    def test_duplicate_labels_keep_input_order(self, group, ids):
+        # rows equal in (multiplicity, label) never compare their ids, which
+        # have no order, and keep their input order, dims with them
+        a, b = ids
+        table = SectorTable(group, 3, (a, b, a, a, b), (2, 2, 2, 1, 2), (4, 1, 3, 2, 5))
+        got = canonical_order(table)
+        assert got == keyed_sort(table)
+        assert got.ids[0] == a and got.multiplicities == (1, 2, 2, 2, 2)
+        assert [dim for irrep, dim in zip(got.ids, got.dims) if irrep == a] == [2, 4, 3]
+        assert [dim for irrep, dim in zip(got.ids, got.dims) if irrep == b] == [1, 5]
+
     def test_u1_interleaving_n5(self):
         table = canonical_order(sectors(U1, 5))
         assert [irrep.w for irrep in table.ids] == [0, 5, 1, 4, 2, 3]
