@@ -6,7 +6,7 @@ transform, the spin sectors through Lagrange interpolation in the exchange
 sum, and the two-qubit parity witness through the generators of the block
 unitaries it must commute with.
 
-Run:  python demos/04_dense_verification.py
+Run:  python demos/04_oracle_verification.py
 """
 
 from operator import mul

@@ -121,6 +121,8 @@ def gate_classes(k: int, classes: list[CycleType] | None = None) -> list[CycleTy
     if classes is None:
         return conjugacy_classes(k)
     for cls in classes:
+        if type(cls) is not CycleType:
+            raise ValueError(f"gate classes must be CycleType records, got {cls!r}")
         if cls.support > k:
             raise ValueError(f"class {cls.name} needs support {cls.support} > k = {k}")
     return [IDENTITY_CLASS, *(cls for cls in classes if cls != IDENTITY_CLASS)]

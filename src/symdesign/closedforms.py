@@ -246,10 +246,18 @@ def closed_tmax(group: GroupSpec, n: int, k: int, variant: str = "full") -> Clos
     ``variant`` selects the SU(d) special rows: ``"full"`` for all ``k``-local
     gates, ``"sv"`` for ``k <= 2`` gate sets amended by the commutator
     subgroup, ``"tgroup"`` for 3-local gates plus the product of two disjoint
-    transpositions (``d >= 4``).
+    transpositions (``d >= 4``).  The qubit groups have only ``"full"``.
+    ``n`` and ``k`` must be exact ``int``s ``>= 1``, as :func:`~symdesign.groups.sectors`
+    and :func:`~symdesign.charges.charge_matrix` require.
     """
     if group.kind == "Custom":
         raise ValueError("closed forms exist for built-in groups only")
+    # type(x) is int also rejects bool and integral floats such as 2.0
+    for name, x in (("n", n), ("k", k)):
+        if type(x) is not int or x < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {x!r}")
+    if group.kind != "SUd" and variant != "full":
+        raise ValueError(f"{group} has only the full variant, got {variant!r}")
     if group.kind != "SUd" or variant == "full":
         threshold = semiuniversal_min_locality(group)
         if k < threshold:

@@ -43,6 +43,7 @@ returned with ``proven_exact`` is self-certifying.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Optional
@@ -433,6 +434,35 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
     return tuple(compress(table.ids, q)) == tuple(cert.support)
 
 
+# Canonical tables by (group, n), least recently used first.  A table is the
+# same for every locality k, so a sweep over k builds each one once.  The kept
+# tables hold at most _TABLE_BUDGET sectors in all; a larger table is never kept.
+_TABLE_BUDGET = 4096
+_TABLES: OrderedDict[tuple[GroupSpec, int], SectorTable] = OrderedDict()
+_held_sectors = 0
+
+
+def _canonical_table(group: GroupSpec, n: int) -> SectorTable:
+    """``canonical_order(sectors(group, n))``, shared with earlier calls while the memo keeps it."""
+    global _held_sectors
+    # True == 1 and 2.0 == 2 would find a kept table; sectors refuses them
+    if type(n) is not int:
+        return canonical_order(sectors(group, n))
+    key = (group, n)
+    table = _TABLES.get(key)
+    if table is not None:
+        _TABLES.move_to_end(key)
+        return table
+    table = canonical_order(sectors(group, n))
+    size = len(table)
+    if size <= _TABLE_BUDGET:
+        while _held_sectors + size > _TABLE_BUDGET:
+            _held_sectors -= len(_TABLES.popitem(last=False)[1])
+        _TABLES[key] = table
+        _held_sectors += size
+    return table
+
+
 def compute_tmax(
     group: GroupSpec,
     n: int,
@@ -445,9 +475,11 @@ def compute_tmax(
     The charge matrix is built over the columns of the canonically ordered
     table (SU(d) columns on first read, so the scan computes only its prefix).
     ``classes`` restricts the SU(d) character rows to a subset of the
-    ``k``-local conjugacy classes (amended or reduced gate sets).
+    ``k``-local conjugacy classes (amended or reduced gate sets).  The table
+    comes from a memo of recently built tables, so calls for one ``(group, n)``
+    may return the same (immutable) :class:`SectorTable` object.
     """
-    table = canonical_order(sectors(group, n))
+    table = _canonical_table(group, n)
     A = charge_matrix(table, k, classes)
     result = tmax_exact(A, table, assume_semiuniversal=assume_semiuniversal)
     return result, table, A

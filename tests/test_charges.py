@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -17,6 +18,7 @@ from symdesign import (
     U1,
     canonical_order,
     charge_matrix,
+    compute_tmax,
     conjugacy_classes,
     custom_matrix,
     custom_table,
@@ -32,6 +34,7 @@ from symdesign.charges import (
     CycleType,
     IDENTITY_CLASS,
     T_GROUP_CLASSES,
+    gate_classes,
     multiplicity_in_row_span,
     parse_rational,
 )
@@ -357,6 +360,14 @@ class TestConjugacyClasses:
         # a sorted list is no tuple: named as such, not as an unsorted one
         with pytest.raises(ValueError, match=r"must be a tuple, got \[2\]"):
             CycleType([2])
+
+    @pytest.mark.parametrize("entry", [(2,), "2", 2, None], ids=repr)
+    def test_gate_class_that_is_no_cycle_type_is_named(self, entry):
+        # a bare tuple of cycle lengths has no support to compare with k
+        with pytest.raises(ValueError, match=f"must be CycleType records, got {re.escape(repr(entry))}$"):
+            compute_tmax(sud(3), 10, 3, classes=[entry])
+        with pytest.raises(ValueError, match="CycleType"):
+            gate_classes(3, [CycleType((2,)), entry])
 
     def test_tgroup_is_s4_minus_4cycle(self):
         all4 = {c.cycles for c in conjugacy_classes(4)}

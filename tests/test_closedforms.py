@@ -402,3 +402,20 @@ class TestClosedTmax:
     def test_custom_group_has_no_closed_form(self):
         with pytest.raises(ValueError, match="built-in groups only"):
             closed_tmax(CUSTOM, 10, 3)
+
+    @pytest.mark.parametrize(
+        "group, n, k, name",
+        [(sud(3), True, 3, "n"), (zp(3), -5, 3, "n"), (zp(2), 10, 2.0, "k"), (U1, 20, 4.0, "k")],
+        ids=str,
+    )
+    def test_n_and_k_are_checked_as_sectors_and_charge_matrix_do(self, group, n, k, name):
+        # these used to answer -1, INFINITE, valid_from_n = 3.0 and a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 1"):
+            closed_tmax(group, n, k)
+
+    @pytest.mark.parametrize("group", [U1, SU2, zp(2), zp(3)], ids=str)
+    @pytest.mark.parametrize("variant", ["sv", "tgroup", "bogus"])
+    def test_qubit_groups_have_only_the_full_variant(self, group, variant):
+        with pytest.raises(ValueError, match=f"only the full variant, got '{variant}'$"):
+            closed_tmax(group, 20, 3, variant=variant)
+        assert closed_tmax(group, 20, 3, variant="full") == closed_tmax(group, 20, 3)

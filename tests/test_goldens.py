@@ -6,23 +6,6 @@ bug; this replay catches that without running the benchmark.  The
 benchmark's modules are imported as they are, read-only.
 """
 
-import sys
-from pathlib import Path
-
-import pytest
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
-    return workloads
-
 
 def check_goldens(workloads, requests):
     goldens = workloads.load_goldens()

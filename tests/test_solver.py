@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,15 @@ from symdesign import (
 from symdesign import charges, groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
-from symdesign.groups import SectorTable
+from symdesign.groups import CUSTOM, SectorTable
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
+
+
+@pytest.fixture(autouse=True)
+def empty_table_memo(monkeypatch):
+    """Every test starts with no canonical table kept, whatever ran before it."""
+    monkeypatch.setattr(solver, "_TABLES", OrderedDict())
+    monkeypatch.setattr(solver, "_held_sectors", 0)
 
 
 def aligned(group, n, k):
@@ -961,10 +969,80 @@ class TestLazyCharacterColumns:
         assert {j1, j2} <= read
 
 
+def held_sectors() -> int:
+    """The sectors the table memo keeps, checked against its running count."""
+    held = sum(map(len, solver._TABLES.values()))
+    assert held == solver._held_sectors
+    return held
+
+
+class TestTableMemo:
+    def test_warm_and_cold_solves_agree_on_the_headline_instances(self, monkeypatch, workloads):
+        # the 733 solves of the benchmark's tables workload: table1 and tableSUd
+        instances = [(r.group, r.n, r.k, r.classes) for r in workloads.tables_requests()]
+        assert len(instances) == 733
+        budget = solver._TABLE_BUDGET
+        monkeypatch.setattr(solver, "_TABLE_BUDGET", 0)  # nothing is kept: every table is built
+        cold = [compute_tmax(group, n, k, classes=classes) for group, n, k, classes in instances]
+        assert not solver._TABLES
+        monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        last = {}  # the table each (group, n) got last
+        hits = 0
+        for (group, n, k, classes), (result, table, A) in zip(instances, cold):
+            warm, warm_table, warm_A = compute_tmax(group, n, k, classes=classes)
+            hits += last.get((group, n)) is warm_table
+            last[group, n] = warm_table
+            # tmax, lower bound, q, norm and support ids
+            assert warm == result, (group, n, k)
+            assert warm_table == table and warm_A.col_ids == A.col_ids
+            assert held_sectors() <= budget
+        # the table1 localities and SU(3)'s k = 4 sweep share tables; SU(4)'s sweeps overrun the budget
+        assert hits == 369
+
+    def test_a_sweep_past_the_budget_keeps_at_most_the_budget(self):
+        built = 0
+        for n in range(22, 41):
+            _, table, _ = compute_tmax(sud(4), n, 3)
+            built += len(table)
+            assert held_sectors() <= solver._TABLE_BUDGET
+        assert built > solver._TABLE_BUDGET
+        # the least recently used go first, so the newest tables stay
+        kept = [n for _, n in solver._TABLES]
+        assert kept == list(range(41 - len(kept), 41)) and len(kept) < 19
+
+    def test_least_recently_used_goes_first_and_a_larger_table_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(solver, "_TABLE_BUDGET", 40)
+        t10 = compute_tmax(U1, 10, 2)[1]  # 11 sectors
+        compute_tmax(U1, 20, 2)  # 21
+        assert compute_tmax(U1, 10, 3)[1] is t10  # now the most recently used
+        compute_tmax(U1, 15, 2)  # 16: 48 > 40, so (U1, 20) goes
+        assert [*solver._TABLES] == [(U1, 10), (U1, 15)] and held_sectors() == 27
+        result, table, A = compute_tmax(U1, 50, 4)  # 51 sectors > 40
+        assert table == canonical_order(sectors(U1, 50))
+        assert verify_certificate(result.certificate, A, table)
+        assert [*solver._TABLES] == [(U1, 10), (U1, 15)] and held_sectors() == 27
+        assert compute_tmax(U1, 50, 4)[1] is not table
+
+    @pytest.mark.parametrize(
+        "group, n, match",
+        [(U1, True, "n must be an int"), (U1, 2.0, "n must be an int"), (CUSTOM, 3, "custom groups")],
+        ids=str,
+    )
+    def test_inputs_equal_to_a_kept_key_still_reach_the_checks(self, group, n, match):
+        # True == 1 and 2.0 == 2 hash as the kept keys (U1, 1) and (U1, 2)
+        compute_tmax(U1, 1, 1)
+        compute_tmax(U1, 2, 2)
+        assert [*solver._TABLES] == [(U1, 1), (U1, 2)]
+        with pytest.raises(ValueError, match=match):
+            compute_tmax(group, n, 1)
+
+
 class TestPerTableChecks:
     def test_warm_sud_solve_checks_no_partition_per_sector(self, monkeypatch):
         # sectors checks its generated shapes once per table; the solve and
         # the certificate check then build no checked PartitionId per sector
+        # (no table is kept, so the warm solve builds its table again)
+        monkeypatch.setattr(solver, "_TABLE_BUDGET", 0)
         compute_tmax(sud(4), 30, 4)
         calls = []
         init = groups.PartitionId.__init__
