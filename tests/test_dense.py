@@ -32,7 +32,7 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-class TestDiagonals:
+class TestDenseDiagonals:
     def test_c1_n3_diagonal(self):
         assert u1_c_diagonal(3, 1) == [3, 1, 1, -1, 1, -1, -1, -3]
 
