@@ -437,7 +437,11 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
 # Canonical tables by (group, n), least recently used first.  A table is the
 # same for every locality k, so a sweep over k builds each one once.  The kept
 # tables hold at most _TABLE_BUDGET sectors in all; a larger table is never kept.
-_TABLE_BUDGET = 4096
+# The budget is the next power of two above the largest locality sweep of the
+# headline tables (SU(4) at n = 22..40, 6,549 sectors), so a sweep over k
+# finds every table the previous k built.  A kept sector costs about 150 B
+# for SU(d) and 90 B for U(1), SU(2) or Z_p, so a full memo holds about 1.3 MB.
+_TABLE_BUDGET = 8192
 _TABLES: OrderedDict[tuple[GroupSpec, int], SectorTable] = OrderedDict()
 _held_sectors = 0
 

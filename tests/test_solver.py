@@ -840,6 +840,20 @@ def _count_column_reads(monkeypatch) -> set:
     return read
 
 
+def _count_sectors_calls(monkeypatch) -> list:
+    """Record every ``(group, n)`` a sector table is enumerated for."""
+    calls = []
+    enumerate_sectors = groups.sectors
+
+    def counting(group, n):
+        calls.append((group, n))
+        return enumerate_sectors(group, n)
+
+    for module in (groups, solver):
+        monkeypatch.setattr(module, "sectors", counting)
+    return calls
+
+
 _CUSTOM_M = [5, 1, 4, 2, 3, 6]
 _CUSTOM_ROWS = [["1/2", -1, 0, 3, "2/3", 1], [1, 1, "-1/4", 0, 2, -3]]
 
@@ -929,15 +943,7 @@ class TestLazyCharacterColumns:
                 assert A.rows == eager, (n, k, classes)
 
     def test_sud5_n50_reads_a_short_prefix_of_one_table(self, monkeypatch):
-        calls = []
-        enumerate_sectors = groups.sectors
-
-        def counting(group, n):
-            calls.append((group, n))
-            return enumerate_sectors(group, n)
-
-        for module in (groups, solver):
-            monkeypatch.setattr(module, "sectors", counting)
+        calls = _count_sectors_calls(monkeypatch)
         read = _count_column_reads(monkeypatch)
         result, table, A = compute_tmax(sud(5), 50, 4)
         assert len(calls) == 1
@@ -987,28 +993,51 @@ class TestTableMemo:
         assert not solver._TABLES
         monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
         last = {}  # the table each (group, n) got last
+        su4_built = {}  # the tables of SU(4)'s k = 3 sweep, by n
         hits = 0
         for (group, n, k, classes), (result, table, A) in zip(instances, cold):
             warm, warm_table, warm_A = compute_tmax(group, n, k, classes=classes)
             hits += last.get((group, n)) is warm_table
             last[group, n] = warm_table
+            if group == sud(4) and (k, classes) == (3, None):
+                su4_built[n] = warm_table
+            elif group == sud(4):  # the k = 4 and T-group sweeps
+                assert warm_table is su4_built[n], (n, k, classes)
             # tmax, lower bound, q, norm and support ids
             assert warm == result, (group, n, k)
             assert warm_table == table and warm_A.col_ids == A.col_ids
             assert held_sectors() <= budget
-        # the table1 localities and SU(3)'s k = 4 sweep share tables; SU(4)'s sweeps overrun the budget
-        assert hits == 369
+        # the table1 localities and the SU(3) and SU(4) sweeps after k = 3 share tables
+        assert len(su4_built) == 19
+        assert hits == 407
 
     def test_a_sweep_past_the_budget_keeps_at_most_the_budget(self):
         built = 0
         for n in range(22, 41):
-            _, table, _ = compute_tmax(sud(4), n, 3)
+            _, table, _ = compute_tmax(sud(5), n, 3)
             built += len(table)
             assert held_sectors() <= solver._TABLE_BUDGET
         assert built > solver._TABLE_BUDGET
         # the least recently used go first, so the newest tables stay
         kept = [n for _, n in solver._TABLES]
         assert kept == list(range(41 - len(kept), 41)) and len(kept) < 19
+
+    def test_the_budget_holds_each_headline_locality_sweep(self):
+        # table1 sweeps U(1), SU(2) and Z_p over n = 13..60, tableSUd each SU(d) over n = 22..40
+        sweeps = {group: range(13, 61) for group in (U1, SU2, zp(2), zp(3), zp(4), zp(5))}
+        sweeps |= {sud(3): range(22, 41), sud(4): range(22, 41)}
+        sizes = {group: sum(len(sectors(group, n)) for n in ns) for group, ns in sweeps.items()}
+        assert max(sizes.values()) == sizes[sud(4)] == 6549
+        assert all(size <= solver._TABLE_BUDGET for size in sizes.values()), sizes
+        # the sizing rule: the next power of two above the largest sweep
+        assert solver._TABLE_BUDGET == 1 << sizes[sud(4)].bit_length()
+
+    def test_each_su4_locality_sweep_reads_the_tables_of_the_first(self, monkeypatch):
+        calls = _count_sectors_calls(monkeypatch)
+        for k, classes in ((3, None), (4, None), (4, list(T_GROUP_CLASSES))):
+            for n in range(22, 41):
+                compute_tmax(sud(4), n, k, classes=classes)
+        assert calls == [(sud(4), n) for n in range(22, 41)]
 
     def test_least_recently_used_goes_first_and_a_larger_table_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(solver, "_TABLE_BUDGET", 40)
