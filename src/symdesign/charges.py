@@ -44,6 +44,7 @@ from .groups import (
     canonical_order,
     check_multiplicities,
     custom_table,
+    memoized,
     partitions_max_rows,
     sectors,
     semiuniversal_min_locality,
@@ -103,12 +104,18 @@ IDENTITY_CLASS = CycleType(())
 def conjugacy_classes(k: int) -> list[CycleType]:
     """All cycle types with support <= k, the classes of k-local permutations, identity first.
 
-    They are the partitions of 0..k with no part 1, in increasing order.
+    They are the partitions of 0..k with no part 1, in increasing order, kept
+    as one tuple in the memo of :mod:`symdesign.groups`; each call returns a
+    fresh list.
     """
     if type(k) is not int:  # also rejects bool and integral floats such as 3.0
         raise ValueError(f"k must be an int, got {k!r}")
+    return [*memoized(("classes", k), lambda: _cycle_types(k))]
+
+
+def _cycle_types(k: int) -> tuple[CycleType, ...]:
     shapes = (p for s in range(k + 1) for p in reversed([*partitions_max_rows(s, s)]))
-    return [CycleType(p) for p in shapes if 1 not in p]
+    return tuple(CycleType(p) for p in shapes if 1 not in p)
 
 
 def gate_classes(k: int, classes: list[CycleType] | None = None) -> list[CycleType]:
@@ -384,11 +391,13 @@ def charge_matrix(
     # ways the other n - k sites complete the row's k-site irrep to the
     # column's n-site irrep, read off the one row C(n - k, .).  Every n-site
     # sector decomposes over the k-site irreps, so the witness weights each
-    # row by its k-site multiplicity: m = sum_v m_k(v) A[v].
-    gate = sectors(group, k)
+    # row by its k-site multiplicity: m = sum_v m_k(v) A[v].  The gate table
+    # and the row are kept in the memo of symdesign.groups.
+    gate = memoized(("gate", group, k), lambda: sectors(group, k))
     labels, rows, nk = gate.ids, len(gate), n - k
     binomials = binomial_row(nk)
-    padded = [0] * (k + 2) + binomials + [0] * (k + 2)  # C(n - k, b) at b + k + 2
+    pad = [0] * (k + 2)
+    padded = [*pad, *binomials, *pad]  # C(n - k, b) at b + k + 2
     if group.kind == "U1":
         ws = [*map(attrgetter("w"), ids)]
         if min(ws, default=0) < 0 or max(ws, default=0) > n:
@@ -420,22 +429,29 @@ def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
     The proof is ``witness^T A == m`` for the builder's ``A.witness``,
     computed in O(rows * cols).  A matrix whose weights are all nonzero
     (U(1), SU(2), Z_p) is read by columns, which it holds built, one column
-    product each; otherwise each row of nonzero weight (row 0, the identity
-    row of SU(d) and custom matrices) is read once and added whole.  The
-    SU(d) identity row comes built: ``charge_matrix`` read it in one pass
-    over the columns' partitions through the ``f^lambda`` memo, so this
-    check builds no column.  False means the witness does not
-    reproduce ``m``, whether or not ``m`` is in the span.
+    product each.  A witness whose one nonzero weight is the int 1 (SU(d) and
+    custom matrices, on row 0, the identity row) needs no product: that row
+    is compared with ``m`` in one tuple comparison.  Otherwise each row of
+    nonzero weight is read once and added whole.  The SU(d) identity row
+    comes built: ``charge_matrix`` read it in one pass over the columns'
+    partitions through the ``f^lambda`` memo, so this check builds no column.
+    False means the witness does not reproduce ``m``, whether or not ``m`` is
+    in the span.
     """
     witness = A.witness
+    if len(m) != len(A.col_ids):
+        return False
     if all(witness):
         products = (sum(map(mul, witness, A.column(j))) for j in range(len(m)))
-    else:
-        products = [0] * len(m)
-        for i, y in enumerate(witness):
-            if y:
-                products = list(map(add, products, map(mul, repeat(y), A[i])))
-    return len(m) == len(A.col_ids) and all(map(eq, products, m))
+        return all(map(eq, products, m))
+    nonzero = [i for i, y in enumerate(witness) if y]
+    # one weight of exactly the int 1 (a float 1.0 would turn the products into floats)
+    if len(nonzero) == 1 and type(witness[nonzero[0]]) is int and witness[nonzero[0]] == 1:
+        return A[nonzero[0]] == tuple(m)
+    products = [0] * len(m)
+    for i in nonzero:
+        products = list(map(add, products, map(mul, repeat(witness[i]), A[i])))
+    return all(map(eq, products, m))
 
 
 def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None) -> ChargeMatrix:

@@ -239,9 +239,9 @@ def cmd_smatrix(args) -> int:
 
 def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
     """(group label, k, n, solver, closed form) rows for the requested table."""
-    from .charges import T_GROUP_CLASSES, charge_matrix
-    from .groups import SU2, U1, canonical_order, sectors, sud, zp
-    from .solver import tmax_exact
+    from .charges import T_GROUP_CLASSES
+    from .groups import SU2, U1, sud, zp
+    from .solver import compute_tmax
 
     jobs = []
     if which == "table1":
@@ -266,18 +266,21 @@ def _table_rows(which: str, n_lo: int, n_hi: int, d: int):
     else:
         raise ValueError(f"unknown table {which!r}")
 
+    # None below the formula's validity threshold, which every tabulated
+    # formula puts above k
+    jobs = [(job, cf) for job in jobs if (cf := _closed_form_for(*job)) is not None]
+    # solved (group, n)-major, so every locality of a (group, n) reads the
+    # canonical table while the memo keeps it, however wide the range
+    by_table = {}  # job indices per (group, n), in first-seen order
+    for i, ((group, n, _, _), _) in enumerate(jobs):
+        by_table.setdefault((group, n), []).append(i)
+    results = [None] * len(jobs)
+    for indices in by_table.values():
+        for i in indices:
+            group, n, k, classes = jobs[i][0]
+            results[i] = compute_tmax(group, n, k, classes=classes)[0]
     rows = []
-    tables = {}  # one canonical sector table per (group, n), shared by its localities
-    for group, n, k, classes in jobs:
-        # None below the formula's validity threshold, which every tabulated
-        # formula puts above k
-        cf = _closed_form_for(group, n, k, classes)
-        if cf is None:
-            continue
-        table = tables.get((group, n))
-        if table is None:
-            table = tables[group, n] = canonical_order(sectors(group, n))
-        result = tmax_exact(charge_matrix(table, k, classes), table)
+    for ((group, n, k, classes), cf), result in zip(jobs, results):
         rows.append(
             {
                 "group": str(group) if classes is None else f"{group}+classes",

@@ -23,11 +23,15 @@ the partition check, ``f^lambda`` and the dimensions each run one pass per
 row or pair of rows rather than one step per shape.  ``f^lambda`` is kept in
 one per-shape memo, filled a whole table at a time on a miss; every
 division ends in a remainder check that raises ``ArithmeticError``.
+
+The exact constants a built-in solve reads again and again (canonical
+tables, gate tables, binomial rows and SU(d) class tuples) share one bounded,
+least-recently-used memo, :func:`memoized`, counted in kept entries.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from itertools import accumulate, chain, count, repeat, zip_longest
 from math import comb, factorial
 from operator import add, attrgetter, itemgetter, le, lt, mul, sub
@@ -367,11 +371,57 @@ def sud_irrep_dims(rows, f, n: int, d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# one bounded memo of exact constants
+# ---------------------------------------------------------------------------
+
+# Exact constants that depend only on their key, least recently used first:
+# canonical sector tables ("table", group, n), the natural-order gate tables
+# ("gate", group, k) that charges.charge_matrix reads, binomial rows ("row", m)
+# and SU(d) class tuples ("classes", k).  Every value is immutable and counts
+# as its len() in entries (the sectors of a table, the coefficients of a row,
+# the classes of a tuple); the kept entries total at most MEMO_BUDGET, and an
+# empty value or one larger than the budget is returned but never kept.  The
+# budget is the next power of two above the largest locality sweep of the
+# headline tables (SU(4) at n = 22..40, 6,549 sectors), so a sweep over k finds
+# every table the previous k built.  A kept sector costs about 150 B for SU(d)
+# and 90 B for U(1), SU(2) or Z_p, so a full memo holds about 1.3 MB.
+MEMO_BUDGET = 8192
+_MEMO: OrderedDict[tuple, tuple | SectorTable] = OrderedDict()
+_held = 0
+
+
+def memoized(key: tuple, build):
+    """The value kept under ``key``, else ``build()``, kept while it fits the budget.
+
+    A key holds exact ints only: ``True == 1`` and ``2.0 == 2`` would find the
+    value of another input, so callers check their ints first.
+    """
+    global _held
+    value = _MEMO.get(key)
+    if value is not None:
+        _MEMO.move_to_end(key)
+        return value
+    value = build()
+    size = len(value)
+    if 0 < size <= MEMO_BUDGET:
+        while _held + size > MEMO_BUDGET:
+            _held -= len(_MEMO.popitem(last=False)[1])
+        _MEMO[key] = value
+        _held += size
+    return value
+
+
+# ---------------------------------------------------------------------------
 # sector enumeration
 # ---------------------------------------------------------------------------
 
 
-def binomial_row(m: int) -> list[int]:
+def binomial_row(m: int) -> tuple[int, ...]:
+    """``C(m, 0..m)`` for an exact ``int m >= 0``, kept in the memo."""
+    return memoized(("row", _natural("m", m)), lambda: _binomial_row(m))
+
+
+def _binomial_row(m: int) -> tuple[int, ...]:
     """``C(m, 0..m)`` by ``C(m, b + 1) = C(m, b) (m - b) / (b + 1)``, each remainder checked."""
     half = [1]
     for b in range(m // 2):
@@ -379,7 +429,7 @@ def binomial_row(m: int) -> list[int]:
         if rem:
             raise ArithmeticError(f"C({m}, {b + 1}) is not an integer")
         half.append(c)
-    return half + half[m % 2 - 2 :: -1]  # the mirror image C(m, m - b) = C(m, b)
+    return (*half, *half[m % 2 - 2 :: -1])  # the mirror image C(m, m - b) = C(m, b)
 
 
 def su2_multiplicity(n: int, jj: int) -> int:
@@ -390,7 +440,7 @@ def su2_multiplicity(n: int, jj: int) -> int:
     return comb(n, i) - (comb(n, i - 1) if i >= 1 else 0)
 
 
-def zp_multiplicity(row: list[int], p: int, beta: int) -> int:
+def zp_multiplicity(row: tuple[int, ...], p: int, beta: int) -> int:
     """Number of ``m``-bit strings of Hamming weight ``beta`` mod ``p``, from ``row = C(m, .)``."""
     return sum(row[beta::p])
 
@@ -409,7 +459,7 @@ def sectors(group: GroupSpec, n: int) -> SectorTable:
     # every label below is a range of exact ints >= 0 or a checked shape, so the ids skip their check
     if group.kind == "U1":
         ids = checked_ids(HammingWeight, range(n + 1))
-        mults = tuple(binomial_row(n))
+        mults = binomial_row(n)
         dims = (1,) * len(ids)
     elif group.kind == "SU2":
         jjs = range(n % 2, n + 1, 2)
@@ -460,6 +510,14 @@ def canonical_order(table: SectorTable) -> SectorTable:
     rows = sorted(zip(m, map(_LABEL_KEYS[table.group.kind], ids), count(), ids, table.dims))
     m, _, _, ids, dims = zip(*rows) if rows else ((),) * 5
     return SectorTable(table.group, table.n, ids, m, dims)
+
+
+def canonical_table(group: GroupSpec, n: int) -> SectorTable:
+    """``canonical_order(sectors(group, n))``, shared with earlier calls while the memo keeps it."""
+    # True == 1 and 2.0 == 2 would find a kept table; sectors refuses them
+    if type(n) is not int:
+        return canonical_order(sectors(group, n))
+    return memoized(("table", group, n), lambda: canonical_order(sectors(group, n)))
 
 
 def semiuniversal_min_locality(group: GroupSpec) -> int:

@@ -43,13 +43,12 @@ returned with ``proven_exact`` is self-certifying.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Optional
 
 from .charges import ChargeMatrix, CycleType, charge_matrix, multiplicity_in_row_span
-from .groups import GroupSpec, SectorTable, canonical_order, sectors
+from .groups import GroupSpec, SectorTable, canonical_table
 from .infinity import INFINITE, is_finite
 from .intlinalg import Echelon, ReducedLattice, lll_reduce
 from .values import Value
@@ -434,39 +433,6 @@ def verify_certificate(cert: Certificate, A: ChargeMatrix, table: SectorTable) -
     return tuple(compress(table.ids, q)) == tuple(cert.support)
 
 
-# Canonical tables by (group, n), least recently used first.  A table is the
-# same for every locality k, so a sweep over k builds each one once.  The kept
-# tables hold at most _TABLE_BUDGET sectors in all; a larger table is never kept.
-# The budget is the next power of two above the largest locality sweep of the
-# headline tables (SU(4) at n = 22..40, 6,549 sectors), so a sweep over k
-# finds every table the previous k built.  A kept sector costs about 150 B
-# for SU(d) and 90 B for U(1), SU(2) or Z_p, so a full memo holds about 1.3 MB.
-_TABLE_BUDGET = 8192
-_TABLES: OrderedDict[tuple[GroupSpec, int], SectorTable] = OrderedDict()
-_held_sectors = 0
-
-
-def _canonical_table(group: GroupSpec, n: int) -> SectorTable:
-    """``canonical_order(sectors(group, n))``, shared with earlier calls while the memo keeps it."""
-    global _held_sectors
-    # True == 1 and 2.0 == 2 would find a kept table; sectors refuses them
-    if type(n) is not int:
-        return canonical_order(sectors(group, n))
-    key = (group, n)
-    table = _TABLES.get(key)
-    if table is not None:
-        _TABLES.move_to_end(key)
-        return table
-    table = canonical_order(sectors(group, n))
-    size = len(table)
-    if size <= _TABLE_BUDGET:
-        while _held_sectors + size > _TABLE_BUDGET:
-            _held_sectors -= len(_TABLES.popitem(last=False)[1])
-        _TABLES[key] = table
-        _held_sectors += size
-    return table
-
-
 def compute_tmax(
     group: GroupSpec,
     n: int,
@@ -480,10 +446,11 @@ def compute_tmax(
     table (SU(d) columns on first read, so the scan computes only its prefix).
     ``classes`` restricts the SU(d) character rows to a subset of the
     ``k``-local conjugacy classes (amended or reduced gate sets).  The table
-    comes from a memo of recently built tables, so calls for one ``(group, n)``
-    may return the same (immutable) :class:`SectorTable` object.
+    comes from the bounded memo of :mod:`symdesign.groups`
+    (:func:`~symdesign.groups.canonical_table`), so calls for one
+    ``(group, n)`` may return the same (immutable) :class:`SectorTable` object.
     """
-    table = _canonical_table(group, n)
+    table = canonical_table(group, n)
     A = charge_matrix(table, k, classes)
     result = tmax_exact(A, table, assume_semiuniversal=assume_semiuniversal)
     return result, table, A

@@ -1,6 +1,7 @@
 """Fixtures shared by more than one test module."""
 
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,12 @@ def workloads():
     finally:
         sys.path.remove(str(BENCH))
     return workloads
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty memo of exact constants for one test, whatever ran before it."""
+    from symdesign import groups
+
+    monkeypatch.setattr(groups, "_MEMO", OrderedDict())
+    monkeypatch.setattr(groups, "_held", 0)

@@ -6,9 +6,9 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from math import comb, factorial
-from operator import add, sub
+from operator import add, eq, mul, sub
 
 import pytest
 
@@ -773,6 +773,66 @@ class TestMatrixInvariants:
         assert not multiplicity_in_row_span(m, _hand_built([m, half], [2, 0], width=3))
         assert multiplicity_in_row_span(m, _hand_built([half, m], [2, 0], width=3))
         assert multiplicity_in_row_span(m, _hand_built([half, [0, 0, 0]], [2, 1], width=3))
+
+
+class TestUnitWitnessRowSpan:
+    """A witness of one weight 1 compares its row with ``m``; the verdict is the general path's."""
+
+    @staticmethod
+    def cases(m):
+        """``m``, and ``m`` with its first or last entry one too large."""
+        m = list(m)
+        return [m, [m[0] + 1, *m[1:]], [*m[:-1], m[-1] + 1]]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_sud_matches_the_general_path(self, d):
+        for n in range(1, 13):
+            table = canonical_order(sectors(sud(d), n))
+            matrices = [charge_matrix(table, k) for k in range(1, min(n, 5) + 1)]
+            if n >= 4:
+                matrices.append(charge_matrix(table, 4, list(T_GROUP_CLASSES)))
+            for A in matrices:
+                assert A.witness[0] == 1 and not any(A.witness[1:])
+                cases = self.cases(table.multiplicities)
+                verdicts = [multiplicity_in_row_span(m, A) for m in cases]
+                assert verdicts == [row_span_by_products(m, A) for m in cases]
+                assert verdicts == [True, False, False], (n, A.row_labels)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": [1, 3, 3, 1], "rows": [[1, "1/2", "-1/2", -1]]},
+            {"m": [5], "rows": []},
+            {"m": [2, 2, 7, 1, 9], "rows": [[1, 0, -1, 0, 2], ["3/4", 1, 0, -2, 0]]},
+            {"m": [4, 1, 4], "rows": [[0, 0, 0]], "labels": ["zero"]},
+        ],
+        ids=lambda doc: f"m={doc['m']}",
+    )
+    def test_custom_documents_match_the_general_path(self, doc):
+        table, A = load_custom_problem(json.dumps(doc))
+        for m in self.cases(table.multiplicities):
+            assert multiplicity_in_row_span(m, A) == row_span_by_products(m, A)
+        assert multiplicity_in_row_span(table.multiplicities, A)
+        wrong_last = [*table.multiplicities[:-1], table.multiplicities[-1] + 1]
+        assert not multiplicity_in_row_span(wrong_last, A)
+
+    def test_a_wrong_last_entry_is_refuted(self):
+        table = canonical_order(sectors(sud(4), 12))
+        A = charge_matrix(table, 4)
+        m = list(table.multiplicities)
+        m[-1] -= 1
+        assert not multiplicity_in_row_span(m, A)
+        assert not multiplicity_in_row_span(m[:-1], A)  # one entry short
+        assert multiplicity_in_row_span(table.multiplicities, A)
+
+
+def row_span_by_products(m, A):
+    """The general check: each row of nonzero weight multiplied by it and added whole."""
+    products = [0] * len(m)
+    for i, y in enumerate(A.witness):
+        if y:
+            products = list(map(add, products, map(mul, repeat(y), A[i])))
+    return len(m) == len(A.col_ids) and all(map(eq, products, m))
 
 
 HAND_BUILT = "a hand-built gate set is not known to be semi-universal"

@@ -540,7 +540,7 @@ class TestTableCommand:
     @pytest.mark.parametrize(
         "which, d", [("table1", None), ("table2", None), ("tablesud", 4)], ids=str
     )
-    def test_one_sector_table_per_group_and_n(self, which, d, monkeypatch):
+    def test_one_sector_table_per_group_and_n(self, which, d, monkeypatch, empty_memo):
         # every locality of a (group, n) solves against one canonical table
         calls = []
         enumerate_sectors = groups.sectors
@@ -555,6 +555,24 @@ class TestTableCommand:
         assert {(row["group"].removesuffix("+classes"), row["n"]) for row in rows} == {
             (str(group), n) for group, n in calls
         }
+
+    def test_a_range_wider_than_the_memo_builds_each_table_once(self, monkeypatch, empty_memo):
+        # one U(1) locality sweep over 13..60 holds 1,800 sectors; the jobs run
+        # (group, n)-major, so each table is read by all its localities at once
+        monkeypatch.setattr(groups, "MEMO_BUDGET", 256)
+        calls = []
+        enumerate_sectors = groups.sectors
+        monkeypatch.setattr(groups, "sectors", lambda group, n: calls.append((group, n)) or enumerate_sectors(group, n))
+        rows = cli._table_rows("table1", 13, 60, None)
+        assert len(rows) > 600 and len(calls) == len(set(calls))
+
+    def test_rows_stay_k_major_and_the_tgroup_rows_agree(self, empty_memo):
+        rows = cli._table_rows("tablesud", 22, 24, 4)
+        assert [(row["group"], row["k"], row["n"]) for row in rows] == [
+            *(("sud(d=4)", k, n) for k in (3, 4) for n in (22, 23, 24)),
+            *(("sud(d=4)+classes", 4, n) for n in (22, 23, 24)),
+        ]
+        assert all(row["agrees"] for row in rows)
 
     @pytest.mark.parametrize("d", ["0", "1"])
     def test_tablesud_small_d_exits_2(self, capsys, d):

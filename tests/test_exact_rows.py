@@ -55,7 +55,16 @@ def hook_content_dim(parts, d):
 
 def test_binomial_row_is_pascal_row():
     for m in range(0, 200):
-        assert binomial_row(m) == [comb(m, b) for b in range(m + 1)], m
+        assert binomial_row(m) == tuple(comb(m, b) for b in range(m + 1)), m
+
+
+@pytest.mark.parametrize("m", [-1, -3, True, 2.0, "3", None], ids=repr)
+def test_binomial_row_refuses_what_is_no_int_at_least_0(m, empty_memo):
+    # -3 and True gave [1, 1]; as a memo key True would share the row of 1
+    binomial_row(1)
+    with pytest.raises(ValueError, match="m must be an int >= 0"):
+        binomial_row(m)
+    assert [*groups._MEMO] == [("row", 1)]
 
 
 @pytest.mark.parametrize("group", BINARY, ids=str)
@@ -131,8 +140,8 @@ def test_perturbed_factorial_row_raises(monkeypatch):
         sectors(sud(3), 4)
 
 
-def test_perturbed_binomial_division_raises(monkeypatch):
-    # every step of the recurrence checks its remainder
+def test_perturbed_binomial_division_raises(monkeypatch, empty_memo):
+    # every step of the recurrence checks its remainder (the empty memo holds no row 5)
     monkeypatch.setattr(groups, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(ArithmeticError):
         binomial_row(5)

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from collections import OrderedDict
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,15 +35,13 @@ from symdesign import (
 from symdesign import charges, groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
-from symdesign.groups import CUSTOM, SectorTable
+from symdesign.groups import CUSTOM, SectorTable, binomial_row
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
 
 @pytest.fixture(autouse=True)
-def empty_table_memo(monkeypatch):
-    """Every test starts with no canonical table kept, whatever ran before it."""
-    monkeypatch.setattr(solver, "_TABLES", OrderedDict())
-    monkeypatch.setattr(solver, "_held_sectors", 0)
+def empty_table_memo(empty_memo):
+    """Every test starts with nothing kept in the memo, whatever ran before it."""
 
 
 def aligned(group, n, k):
@@ -849,8 +847,7 @@ def _count_sectors_calls(monkeypatch) -> list:
         calls.append((group, n))
         return enumerate_sectors(group, n)
 
-    for module in (groups, solver):
-        monkeypatch.setattr(module, "sectors", counting)
+    monkeypatch.setattr(groups, "sectors", counting)
     return calls
 
 
@@ -975,11 +972,16 @@ class TestLazyCharacterColumns:
         assert {j1, j2} <= read
 
 
-def held_sectors() -> int:
-    """The sectors the table memo keeps, checked against its running count."""
-    held = sum(map(len, solver._TABLES.values()))
-    assert held == solver._held_sectors
+def held_entries() -> int:
+    """The entries the memo keeps, checked against its running count."""
+    held = sum(map(len, groups._MEMO.values()))
+    assert held == groups._held
     return held
+
+
+def kept_tables() -> list:
+    """The ``(group, n)`` of every canonical table the memo keeps, least recently used first."""
+    return [key[1:] for key in groups._MEMO if key[0] == "table"]
 
 
 class TestTableMemo:
@@ -987,11 +989,11 @@ class TestTableMemo:
         # the 733 solves of the benchmark's tables workload: table1 and tableSUd
         instances = [(r.group, r.n, r.k, r.classes) for r in workloads.tables_requests()]
         assert len(instances) == 733
-        budget = solver._TABLE_BUDGET
-        monkeypatch.setattr(solver, "_TABLE_BUDGET", 0)  # nothing is kept: every table is built
+        budget = groups.MEMO_BUDGET
+        monkeypatch.setattr(groups, "MEMO_BUDGET", 0)  # nothing is kept: every table is built
         cold = [compute_tmax(group, n, k, classes=classes) for group, n, k, classes in instances]
-        assert not solver._TABLES
-        monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        assert not groups._MEMO
+        monkeypatch.setattr(groups, "MEMO_BUDGET", budget)
         last = {}  # the table each (group, n) got last
         su4_built = {}  # the tables of SU(4)'s k = 3 sweep, by n
         hits = 0
@@ -1006,7 +1008,7 @@ class TestTableMemo:
             # tmax, lower bound, q, norm and support ids
             assert warm == result, (group, n, k)
             assert warm_table == table and warm_A.col_ids == A.col_ids
-            assert held_sectors() <= budget
+            assert held_entries() <= budget
         # the table1 localities and the SU(3) and SU(4) sweeps after k = 3 share tables
         assert len(su4_built) == 19
         assert hits == 407
@@ -1016,10 +1018,10 @@ class TestTableMemo:
         for n in range(22, 41):
             _, table, _ = compute_tmax(sud(5), n, 3)
             built += len(table)
-            assert held_sectors() <= solver._TABLE_BUDGET
-        assert built > solver._TABLE_BUDGET
+            assert held_entries() <= groups.MEMO_BUDGET
+        assert built > groups.MEMO_BUDGET
         # the least recently used go first, so the newest tables stay
-        kept = [n for _, n in solver._TABLES]
+        kept = [n for _, n in kept_tables()]
         assert kept == list(range(41 - len(kept), 41)) and len(kept) < 19
 
     def test_the_budget_holds_each_headline_locality_sweep(self):
@@ -1028,9 +1030,9 @@ class TestTableMemo:
         sweeps |= {sud(3): range(22, 41), sud(4): range(22, 41)}
         sizes = {group: sum(len(sectors(group, n)) for n in ns) for group, ns in sweeps.items()}
         assert max(sizes.values()) == sizes[sud(4)] == 6549
-        assert all(size <= solver._TABLE_BUDGET for size in sizes.values()), sizes
+        assert all(size <= groups.MEMO_BUDGET for size in sizes.values()), sizes
         # the sizing rule: the next power of two above the largest sweep
-        assert solver._TABLE_BUDGET == 1 << sizes[sud(4)].bit_length()
+        assert groups.MEMO_BUDGET == 1 << sizes[sud(4)].bit_length()
 
     def test_each_su4_locality_sweep_reads_the_tables_of_the_first(self, monkeypatch):
         calls = _count_sectors_calls(monkeypatch)
@@ -1040,17 +1042,17 @@ class TestTableMemo:
         assert calls == [(sud(4), n) for n in range(22, 41)]
 
     def test_least_recently_used_goes_first_and_a_larger_table_is_not_kept(self, monkeypatch):
-        monkeypatch.setattr(solver, "_TABLE_BUDGET", 40)
-        t10 = compute_tmax(U1, 10, 2)[1]  # 11 sectors
-        compute_tmax(U1, 20, 2)  # 21
-        assert compute_tmax(U1, 10, 3)[1] is t10  # now the most recently used
-        compute_tmax(U1, 15, 2)  # 16: 48 > 40, so (U1, 20) goes
-        assert [*solver._TABLES] == [(U1, 10), (U1, 15)] and held_sectors() == 27
-        result, table, A = compute_tmax(U1, 50, 4)  # 51 sectors > 40
-        assert table == canonical_order(sectors(U1, 50))
-        assert verify_certificate(result.certificate, A, table)
-        assert [*solver._TABLES] == [(U1, 10), (U1, 15)] and held_sectors() == 27
-        assert compute_tmax(U1, 50, 4)[1] is not table
+        # an SU(3) table reads no binomial row, so the memo keeps the tables alone
+        monkeypatch.setattr(groups, "MEMO_BUDGET", 40)
+        t10 = groups.canonical_table(sud(3), 10)  # 14 sectors
+        groups.canonical_table(sud(3), 12)  # 19
+        assert groups.canonical_table(sud(3), 10) is t10  # now the most recently used
+        groups.canonical_table(sud(3), 8)  # 10: 43 > 40, so (sud(3), 12) goes
+        assert kept_tables() == [(sud(3), 10), (sud(3), 8)] and held_entries() == 24
+        table = groups.canonical_table(sud(3), 20)  # 44 sectors > 40
+        assert table == canonical_order(sectors(sud(3), 20))
+        assert kept_tables() == [(sud(3), 10), (sud(3), 8)] and held_entries() == 24
+        assert groups.canonical_table(sud(3), 20) is not table
 
     @pytest.mark.parametrize(
         "group, n, match",
@@ -1058,12 +1060,100 @@ class TestTableMemo:
         ids=str,
     )
     def test_inputs_equal_to_a_kept_key_still_reach_the_checks(self, group, n, match):
-        # True == 1 and 2.0 == 2 hash as the kept keys (U1, 1) and (U1, 2)
+        # True == 1 and 2.0 == 2 hash as the kept keys of (U1, 1) and (U1, 2)
         compute_tmax(U1, 1, 1)
         compute_tmax(U1, 2, 2)
-        assert [*solver._TABLES] == [(U1, 1), (U1, 2)]
+        assert kept_tables() == [(U1, 1), (U1, 2)]
         with pytest.raises(ValueError, match=match):
             compute_tmax(group, n, 1)
+
+
+class TestConstantsMemo:
+    """The one memo of exact constants: rows, gate tables and class tuples beside the tables."""
+
+    def test_per_pass_counts_of_the_headline_instances(self, monkeypatch, workloads):
+        instances = [(r.group, r.n, r.k, r.classes) for r in workloads.tables_requests()]
+        memoized = groups.memoized
+        asked, built = Counter(), Counter()
+
+        def counting(key, build):
+            asked[key[0]] += 1
+            built[key[0]] += key not in groups._MEMO
+            return memoized(key, build)
+
+        for module in (groups, charges):
+            monkeypatch.setattr(module, "memoized", counting)
+        passes = []
+        for _ in range(2):  # from the empty memo, then a steady pass
+            asked.clear()
+            built.clear()
+            for group, n, k, classes in instances:
+                compute_tmax(group, n, k, classes=classes)
+                assert held_entries() <= groups.MEMO_BUDGET
+            passes.append((dict(asked), dict(built)))
+        asked_per_pass = {"table": 733, "gate": 638, "row": 941, "classes": 171}
+        # rows and gate tables are reused within a pass: the SU(4) sweeps at its
+        # end evict them first, as the least recently used
+        assert passes[0] == (asked_per_pass, {"table": 326, "gate": 15, "row": 59, "classes": 2})
+        assert passes[1] == (asked_per_pass, {"table": 326, "gate": 15, "row": 59, "classes": 1})
+
+    def test_least_recently_used_goes_first_across_the_kinds_of_entry(self, monkeypatch):
+        monkeypatch.setattr(groups, "MEMO_BUDGET", 30)
+        u1 = sectors(U1, 5)  # reads the row C(5, .): 6 coefficients
+        row = binomial_row(9)  # 10
+        t8 = groups.canonical_table(sud(3), 8)  # 10 sectors
+        conjugacy_classes(5)  # 7 classes: 33 > 30, so row 5 goes
+        assert [*groups._MEMO] == [("row", 9), ("table", sud(3), 8), ("classes", 5)]
+        assert binomial_row(9) is row  # now the most recently used
+        binomial_row(3)  # 4: 31 > 30, so the table goes
+        assert [*groups._MEMO] == [("classes", 5), ("row", 9), ("row", 3)] and held_entries() == 21
+        conjugacy_classes(5)
+        # the gate table of k = 2 reads row 2 (kept first), then the columns read row 3
+        A = charge_matrix(u1, 2)
+        assert A.witness is groups._MEMO["gate", U1, 2].multiplicities
+        assert [*groups._MEMO] == [
+            ("row", 9), ("classes", 5), ("row", 2), ("gate", U1, 2), ("row", 3)
+        ]
+        assert groups.canonical_table(sud(3), 8) == t8  # 10 again: 37 > 30, so row 9 goes
+        assert [*groups._MEMO] == [
+            ("classes", 5), ("row", 2), ("gate", U1, 2), ("row", 3), ("table", sud(3), 8)
+        ]
+        assert held_entries() == 27
+
+    def test_a_row_one_past_the_budget_is_returned_but_not_kept(self):
+        budget = groups.MEMO_BUDGET
+        binomial_row(3)
+        row = binomial_row(budget)
+        assert len(row) == budget + 1
+        assert row[:3] == (1, budget, budget * (budget - 1) // 2)
+        assert row[budget // 2] == math.comb(budget, budget // 2)
+        assert [*groups._MEMO] == [("row", 3)] and held_entries() == 4
+        assert binomial_row(budget) is not row
+        # a row of exactly the budget is kept, and every other entry goes
+        full = binomial_row(budget - 1)
+        assert [*groups._MEMO] == [("row", budget - 1)] and held_entries() == budget
+        assert binomial_row(budget - 1) is full
+
+    def test_a_caller_changing_a_result_leaves_the_next_call_unchanged(self):
+        row = binomial_row(6)
+        with pytest.raises(TypeError):
+            row[0] = 7  # a kept row is a tuple
+        classes = conjugacy_classes(4)
+        expected = [*classes]
+        classes[0] = CycleType((2,))
+        classes.append(CycleType((5,)))
+        gates = charges.gate_classes(4)
+        gates.clear()
+        assert conjugacy_classes(4) == charges.gate_classes(4) == expected
+        assert [c.cycles for c in expected] == [(), (2,), (3,), (2, 2), (4,)]
+        assert binomial_row(6) == (1, 6, 15, 20, 15, 6, 1)
+        A = charge_matrix(canonical_order(sectors(sud(3), 6)), 4)
+        assert list(A.row_labels) == expected
+
+    def test_empty_values_are_not_kept(self):
+        # no class has support below 0, and an empty value would count no entry
+        assert conjugacy_classes(-1) == []
+        assert not groups._MEMO
 
 
 class TestPerTableChecks:
@@ -1071,7 +1161,7 @@ class TestPerTableChecks:
         # sectors checks its generated shapes once per table; the solve and
         # the certificate check then build no checked PartitionId per sector
         # (no table is kept, so the warm solve builds its table again)
-        monkeypatch.setattr(solver, "_TABLE_BUDGET", 0)
+        monkeypatch.setattr(groups, "MEMO_BUDGET", 0)
         compute_tmax(sud(4), 30, 4)
         calls = []
         init = groups.PartitionId.__init__
