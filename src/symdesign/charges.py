@@ -4,8 +4,8 @@ For ``k``-local gates on ``n`` sites, the reachable relative phases between
 irrep sectors are constrained by one exact integer matrix per problem:
 
 * U(1), SU(2), Z_p -- the overlap matrix between ``k``-site and ``n``-site
-  irreps, one row per ``k``-site irrep, every column built whole from the one
-  binomial row ``C(n - k, .)``;
+  irreps, one row per ``k``-site irrep, every row built whole from slices of
+  the one binomial row ``C(n - k, .)`` and the columns taken by one ``zip``;
 * SU(d) -- the symmetric-group character matrix restricted to the conjugacy
   classes realizable by ``k``-local permutations, always with the identity class.
   The identity row is ``f^lambda``, read whole in one pass over the columns'
@@ -19,7 +19,8 @@ irrep sectors are constrained by one exact integer matrix per problem:
   integer multiple, below the multiplicity row (the identity Hamiltonian)
   so that tracelessness is implied by the kernel condition.
 
-Each builder makes whole columns, never a single entry.
+Each builder makes whole rows or whole columns, never a single entry, and
+hands the matrix the rows it built, which the row-span check reads.
 
 An integer vector in the rational kernel of this matrix is exactly a
 symmetric Hamiltonian orthogonal to everything the gates generate; the solver
@@ -34,7 +35,7 @@ import re
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import add, attrgetter, eq, itemgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 
 from .groups import (
     PartitionId,
@@ -251,27 +252,28 @@ class ChargeMatrix:
 
     ``column(j)`` returns the whole column ``j`` as a tuple.  It runs the
     first time the column is read and its result is kept, so the
-    multiplicity-ordered scan pays only for the prefix it reads (U(1), SU(2)
-    and Z_p builders pass columns they have already built).  ``A[i]`` reads
-    row ``i`` from the columns, except row 0 when ``first_row`` is given: that
-    row, built whole (the identity row of SU(d) and custom matrices), is read
-    without building a column.  :attr:`rows` builds every column.
+    multiplicity-ordered scan pays only for the prefix it reads.
+    ``built_rows`` are the leading rows its builder made whole, as tuples:
+    every row of U(1), SU(2), Z_p and custom matrices (whose columns are
+    then one ``zip`` of the rows), and the identity row of SU(d) ones.
+    ``A[i]`` returns a built row as it is and reads any other from the
+    columns; :attr:`rows` builds every column unless every row is built.
     :func:`charge_matrix` and :func:`custom_matrix` construct it and supply
     ``witness``, one integer weight per row chosen with the rows so
     that ``witness^T A = m``: the proof that ``m`` lies in the row span,
-    which :func:`multiplicity_in_row_span` checks by one product.  They also
+    which :func:`multiplicity_in_row_span` checks by adding up rows.  They also
     decide, from what they build the rows of, whether the gate set is
     semi-universal: ``shortfall`` is why it is not known to be, the message
     the solver raises without an override, or None when it is.
     """
 
-    def __init__(self, row_labels, col_ids, column, shortfall, witness, first_row=None):
+    def __init__(self, row_labels, col_ids, column, shortfall, witness, built_rows=()):
         self.row_labels = tuple(row_labels)
         self.col_ids = tuple(col_ids)
         self.shortfall: str | None = shortfall
         self.witness = tuple(witness)
         self._build_column = column
-        self._first_row: tuple | None = first_row
+        self._built_rows: tuple[tuple, ...] = tuple(built_rows)
         self._columns: dict[int, tuple] = {}
 
     @property
@@ -285,12 +287,14 @@ class ChargeMatrix:
         return col
 
     def __getitem__(self, i: int) -> tuple:
-        if i == 0 and self._first_row is not None:
-            return self._first_row
+        if 0 <= i < len(self._built_rows):
+            return self._built_rows[i]
         return tuple(map(itemgetter(i), map(self.column, range(len(self.col_ids)))))
 
     @property
     def rows(self) -> tuple[tuple, ...]:
+        if len(self._built_rows) == len(self.row_labels):
+            return self._built_rows
         return tuple(zip(*map(self.column, range(len(self.col_ids)))))
 
     def aligned_to(self, table: SectorTable) -> "ChargeMatrix":
@@ -301,14 +305,14 @@ class ChargeMatrix:
             raise ValueError("sector sets differ; cannot align")
         pos = {irrep: j for j, irrep in enumerate(self.col_ids)}
         perm = [pos[irrep] for irrep in table.ids]
-        column, first = self.column, self._first_row
+        column = self.column
         return ChargeMatrix(
             self.row_labels,
             table.ids,
             lambda j: column(perm[j]),
             self.shortfall,
             self.witness,
-            None if first is None else tuple(map(first.__getitem__, perm)),
+            [tuple(map(row.__getitem__, perm)) for row in self._built_rows],
         )
 
 
@@ -318,7 +322,10 @@ def charge_matrix(
     """Charge matrix of ``k``-local symmetric gates over ``table``'s columns, in its order.
 
     ``table`` lists the sectors of a built-in group on ``n`` sites, in any
-    order.  SU(d) rows are the S_n characters on ``gate_classes(k, classes)``,
+    order.  U(1), SU(2) and Z_p rows are built whole from slices of the
+    binomial row ``C(n - k, .)``, and the columns are one ``zip`` of them;
+    the witness weights each row by its ``k``-site multiplicity.  SU(d) rows
+    are the S_n characters on ``gate_classes(k, classes)``,
     so row 0, the identity class, is ``f^lambda`` and the witness is
     ``(1, 0, ..., 0)``.  That row is read whole, in one pass over the columns'
     partitions through the ``f^lambda`` memo of :func:`~symdesign.groups.sn_irrep_dims`
@@ -379,7 +386,7 @@ def charge_matrix(
                 col.append(chi)
             return tuple(col)
 
-        return ChargeMatrix(labels, ids, column, shortfall, witness, f_row)
+        return ChargeMatrix(labels, ids, column, shortfall, witness, [f_row])
     shortfall = None
     if k < reach:
         shortfall = (
@@ -392,66 +399,66 @@ def charge_matrix(
     # column's n-site irrep, read off the one row C(n - k, .).  Every n-site
     # sector decomposes over the k-site irreps, so the witness weights each
     # row by its k-site multiplicity: m = sum_v m_k(v) A[v].  The gate table
-    # and the row are kept in the memo of symdesign.groups.
+    # and the row are kept in the memo of symdesign.groups.  Each row is
+    # built whole over the sectors in natural order, from slices of that
+    # row, then read in the table's order at the sectors' positions.
     gate = memoized(("gate", group, k), lambda: sectors(group, k))
-    labels, rows, nk = gate.ids, len(gate), n - k
+    labels, nk = gate.ids, n - k
     binomials = binomial_row(nk)
     pad = [0] * (k + 2)
     padded = [*pad, *binomials, *pad]  # C(n - k, b) at b + k + 2
     if group.kind == "U1":
-        ws = [*map(attrgetter("w"), ids)]
-        if min(ws, default=0) < 0 or max(ws, default=0) > n:
+        positions = [*map(attrgetter("w"), ids)]
+        if min(positions, default=0) < 0 or max(positions, default=0) > n:
             raise ValueError(f"U(1) sectors on n={n} sites have weights 0..{n}")
         # row v of column w is C(n - k, w - v), for v = 0..k
-        columns = [tuple(padded[w + k + 2 : w + 1 : -1]) for w in ws]
+        natural = [padded[k + 2 - v :] for v in range(len(gate))]
     elif group.kind == "SU2":
+        jjs = [*map(attrgetter("jj"), ids)]
+        if {*jjs} - {*range(n % 2, n + 1, 2)}:
+            jj = next(jj for jj in jjs if not 0 <= jj <= n or (n - jj) % 2)
+            raise ValueError(f"2j={jj} labels no spin sector of n={n} qubits")
         # row 2j' = k % 2 + 2t of column 2j is C(n - k, lo - t) - C(n - k, lo + k % 2 + 1 + t)
-        # with lo = (n - k + 2j - k % 2) / 2, exact as 2j has the parity of n
-        columns = []
-        for irrep in ids:
-            if not 0 <= irrep.jj <= n or (n - irrep.jj) % 2:
-                raise ValueError(f"2j={irrep.jj} labels no spin sector of n={n} qubits")
-            lo = (nk + irrep.jj - k % 2) // 2 + k + 2
-            hi = lo + k % 2 + 1
-            columns.append(tuple(map(sub, padded[lo : lo - rows : -1], padded[hi : hi + rows])))
+        # with lo = (n - k + 2j - k % 2) / 2, exact as 2j has the parity of n; 2j = n % 2 + 2i
+        # gives lo = base + i, so the row over i is the difference of two slices
+        positions = [jj >> 1 for jj in jjs]
+        base, width = (nk - k % 2 + n % 2) // 2 + k + 2, n // 2 + 1
+        natural = [
+            [*map(sub, padded[base - t : base - t + width], padded[base + k % 2 + 1 + t :])]
+            for t in range(len(gate))
+        ]
     else:
         # row alpha of column beta is the residue sum of C(n - k, .) at beta - alpha mod p
         p = group.p
+        positions = [*map(attrgetter("beta"), ids)]
+        if min(positions, default=0) < 0 or max(positions, default=0) >= p:
+            raise ValueError(f"Z_p sectors of p={p} have residues 0..{p - 1}")
         sums = [zp_multiplicity(binomials, p, beta) for beta in range(p)]
-        columns = [tuple(sums[(irrep.beta - a) % p] for a in range(rows)) for irrep in ids]
-    # built whole: the witness reads every column
-    return ChargeMatrix(labels, ids, columns.__getitem__, shortfall, gate.multiplicities)
+        natural = [sums[p - alpha :] + sums[: p - alpha] for alpha in range(len(gate))]
+    rows = [tuple(map(row.__getitem__, positions)) for row in natural]
+    # built whole: the witness reads every row, and the scan its columns
+    columns = [*zip(*rows)]
+    return ChargeMatrix(labels, ids, columns.__getitem__, shortfall, gate.multiplicities, rows)
 
 
 def multiplicity_in_row_span(m, A: ChargeMatrix) -> bool:
     """Exact proof that the multiplicity vector ``m`` lies in the rational row span of ``A``.
 
-    The proof is ``witness^T A == m`` for the builder's ``A.witness``,
-    computed in O(rows * cols).  A matrix whose weights are all nonzero
-    (U(1), SU(2), Z_p) is read by columns, which it holds built, one column
-    product each.  A witness whose one nonzero weight is the int 1 (SU(d) and
-    custom matrices, on row 0, the identity row) needs no product: that row
-    is compared with ``m`` in one tuple comparison.  Otherwise each row of
-    nonzero weight is read once and added whole.  The SU(d) identity row
-    comes built: ``charge_matrix`` read it in one pass over the columns'
-    partitions through the ``f^lambda`` memo, so this check builds no column.
-    False means the witness does not reproduce ``m``, whether or not ``m`` is
-    in the span.
+    The proof is ``witness^T A == m`` for the builder's ``A.witness``: each
+    row of nonzero weight is read once, multiplied by its weight (a weight
+    equal to 1 leaves it as it is) and added whole, and the sum is compared
+    with ``m``, in O(rows * cols).  Every builder passes the rows it weights
+    built (all of them for U(1), SU(2), Z_p and custom matrices, the
+    identity row, of weight 1, for SU(d) ones), so this check builds no
+    column.  False means the witness does not reproduce ``m``, whether or
+    not ``m`` is in the span.
     """
-    witness = A.witness
-    if len(m) != len(A.col_ids):
-        return False
-    if all(witness):
-        products = (sum(map(mul, witness, A.column(j))) for j in range(len(m)))
-        return all(map(eq, products, m))
-    nonzero = [i for i, y in enumerate(witness) if y]
-    # one weight of exactly the int 1 (a float 1.0 would turn the products into floats)
-    if len(nonzero) == 1 and type(witness[nonzero[0]]) is int and witness[nonzero[0]] == 1:
-        return A[nonzero[0]] == tuple(m)
-    products = [0] * len(m)
-    for i in nonzero:
-        products = list(map(add, products, map(mul, repeat(witness[i]), A[i])))
-    return all(map(eq, products, m))
+    total = [0] * len(A.col_ids)
+    for i, y in enumerate(A.witness):
+        if y:
+            row = A[i]
+            total = [*map(add, total, row if y == 1 else map(mul, repeat(y), row))]
+    return total == [*m]
 
 
 def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None) -> ChargeMatrix:
@@ -482,10 +489,9 @@ def custom_matrix(table: SectorTable, rows, row_labels: list[str] | None = None)
     if len(labels) != len(rows):
         raise ValueError(f"{len(labels)} row labels for {len(rows)} rows")
     witness = [1] + [0] * len(rows)
-    columns, labels = [*zip(m, *rows)], ["identity", *labels]
-    return ChargeMatrix(
-        labels, table.ids, columns.__getitem__, _CUSTOM_SHORTFALL, witness, tuple(m)
-    )
+    rows, labels = [tuple(m), *map(tuple, rows)], ["identity", *labels]
+    columns = [*zip(*rows)]
+    return ChargeMatrix(labels, table.ids, columns.__getitem__, _CUSTOM_SHORTFALL, witness, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -188,12 +188,12 @@ def cmd_tmax(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     from .charges import charge_matrix
-    from .groups import canonical_order, sectors
+    from .groups import canonical_table
     from .solver import lower_bound
 
     group = _group_from_flags(args)
     classes = _parse_classes(args.classes)
-    table = canonical_order(sectors(group, args.n))
+    table = canonical_table(group, args.n)
     matrix = charge_matrix(table, args.k, classes)
     started = time.perf_counter()
     lb = lower_bound(matrix, table, assume_semiuniversal=args.assume_semiuniversal)

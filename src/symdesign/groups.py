@@ -47,8 +47,17 @@ from .values import Value
 _KINDS = ("U1", "SU2", "Zp", "SUd", "Custom")
 
 
-class GroupSpec(Value):
-    """Tagged description of a symmetry group and its on-site representation."""
+class _HashSlot:
+    """A slot for a hash computed once; outside :class:`Value`, so it is no record field."""
+
+    __slots__ = ("_hash",)
+
+
+class GroupSpec(Value, _HashSlot):
+    """Tagged description of a symmetry group and its on-site representation.
+
+    Memo keys hold one, so its field hash is computed once, at construction.
+    """
 
     __slots__ = ("kind", "p", "d")
 
@@ -72,6 +81,10 @@ class GroupSpec(Value):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_hash", hash((kind, p, d)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def local_dim(self) -> int:

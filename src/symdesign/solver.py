@@ -25,6 +25,10 @@ trivial).  Three facts make this computable fast:
   echelon never rewrites a relation, so at each kernel growth the lattice
   takes the new coordinates (zero on its vectors) and the one new relation,
   reduced from its index on, instead of reducing the whole basis again.
+  Until the second growth the prefix kernel is ``Z b_0``, whose optimum is
+  ``+-b_0``, so the scan keeps ``b_0`` as a plain vector: a scan that stops
+  at rank 1 builds no lattice, and the second growth builds it from both
+  relations.
   The Euclidean norm of the weight-rescaled vector lower bounds the
   weighted one-norm, so the radius shrinks to each new incumbent.  Each
   level also keeps Hölder's bound ``|y| <= R * h_j``: the level value ``y``
@@ -33,8 +37,7 @@ trivial).  Three facts make this computable fast:
   one-norm ``R`` times ``h_j = max_i w_i |g_j,i|``.  That cuts the Euclidean
   ball down towards the one-norm ball it covers.  Each level visits its
   values zig-zag outwards from the center, and only one of each pair ``+-q``
-  is visited (the top nonzero coefficient is positive).  A rank-1 lattice
-  ``Z b_0`` skips all of that set-up: its optimum is ``+-b_0``.
+  is visited (the top nonzero coefficient is positive).
 
 Both the incumbent certificate and the cutoff rule are exact, so every answer
 returned with ``proven_exact`` is self-certifying.
@@ -48,7 +51,7 @@ from operator import add, mul
 from typing import Optional
 
 from .charges import ChargeMatrix, CycleType, charge_matrix, multiplicity_in_row_span
-from .groups import GroupSpec, SectorTable, canonical_table
+from .groups import GroupSpec, SectorTable, canonical_table, check_multiplicities
 from .infinity import INFINITE, is_finite
 from .intlinalg import Echelon, ReducedLattice, lll_reduce
 from .values import Value
@@ -201,7 +204,6 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
     Returns the optimizer, sign-normalized (first nonzero entry positive),
     with lexicographically smallest ``q`` among ties; ``None`` if
     ``upper`` (an integer) is given and no vector has norm <= ``upper``.
-    A rank-1 lattice ``Z b_0`` needs no search: its optimum is ``+-b_0``.
     """
     basis, P, lam, weights = lattice.basis, lattice.d, lattice.lam, lattice.weights
     if not basis:
@@ -210,11 +212,6 @@ def min_weighted_l1(lattice: ReducedLattice, upper: Optional[int] = None) -> Opt
     if upper is not None and type(upper) is not int:
         raise ValueError("upper must be an integer")
     d = len(basis)
-    if d == 1:  # x b_0 has norm |x| times that of b_0, so x = +-1 wins
-        norm = _weighted_l1(basis[0], weights)
-        if upper is not None and norm > upper:
-            return None
-        return _certificate(_normalize_sign(basis[0]), norm)
     # lambda_1 >= min_j |b_j*| and the weighted one-norm is at least the
     # weighted two-norm, so no vector is within upper once every
     # |b_j*|^2 = P[j+1] / P[j] exceeds upper^2
@@ -326,8 +323,9 @@ def tmax_exact(
     """Exact maximum design order with a verifiable certificate.
 
     One scan over multiplicity-ordered sector prefixes: the first kernel
-    growth gives the lower bound (as in :func:`lower_bound`), and each later
-    one inserts its relation into the scan's reduced lattice.  The answer is
+    growth gives the lower bound (as in :func:`lower_bound`) and the first
+    relation ``b_0``, the second builds the scan's reduced lattice from both
+    relations, and each later one inserts its relation into it.  The answer is
     the minimum weighted norm ``B`` of the first prefix with
     ``B <= 2 * m[next]`` (or of the whole table): any kernel vector supported
     outside the prefix costs at least ``2 * m[next]`` because its positive
@@ -343,6 +341,12 @@ def tmax_exact(
     last index, one unbounded enumeration gives the answer.  So a finite
     solve runs one full enumeration, on the prefix where the scan stops.
 
+    The rank-1 rule: while the kernel is ``Z b_0`` its optimum is ``+-b_0``
+    (``x b_0`` costs ``|x|`` times as much), so a scan that stops there
+    answers with ``b_0``, sign-normalized, and builds no lattice.  The second
+    growth at ``idx`` needs no bounded search on ``Z b_0`` either: the cutoff
+    test one index earlier found ``|b_0|_w > 2 * m[idx]``.
+
     Ties go to the lexicographically smallest optimum supported on the prefix
     where the scan stops (the first ``0..s`` holding an optimum with ``s``
     last or ``B <= 2 * m[s + 1]``), not to a smaller one needing a later
@@ -355,22 +359,33 @@ def tmax_exact(
     mults = table.multiplicities
     L = len(table)
     bound = INFINITE
-    cert: Optional[Certificate] = None  # over the lattice's coordinates
+    cert: Optional[Certificate] = None  # over the stop prefix's coordinates
+    first: Optional[list[int]] = None  # b_0, the kernel basis while it has rank 1
     lattice: Optional[ReducedLattice] = None
     for idx, relation in _prefix_scan(A, L):
         if relation is not None:
-            if lattice is None:  # the first kernel growth
+            if first is None:  # the first kernel growth
+                check_multiplicities(mults[: idx + 1])  # the weights of b_0's norm
                 bound = mults[idx] - 1
-                lattice = lll_reduce([relation], mults[: idx + 1])
+                first = relation
+            elif lattice is None:  # the second: Z b_0 is known to miss 2 * m[idx]
+                padded = first + [0] * (idx + 1 - len(first))
+                lattice = lll_reduce([padded, relation], mults[: idx + 1])
             else:
                 cert = min_weighted_l1(lattice, upper=2 * mults[idx])
                 if cert is not None:
                     break
                 lattice.extend(mults[len(lattice.weights) : idx + 1])
                 lattice.insert(relation)
-            ub = min(_weighted_l1(b, lattice.weights) for b in lattice.basis)
-        if lattice is not None and (idx + 1 == L or ub <= 2 * mults[idx + 1]):
-            cert = min_weighted_l1(lattice)
+            if lattice is None:
+                ub = _weighted_l1(first, mults)
+            else:
+                ub = min(_weighted_l1(b, lattice.weights) for b in lattice.basis)
+        if first is not None and (idx + 1 == L or ub <= 2 * mults[idx + 1]):
+            if lattice is None:
+                cert = _certificate(_normalize_sign(first), ub)
+            else:
+                cert = min_weighted_l1(lattice)
             break
 
     if cert is None:
@@ -437,6 +452,7 @@ def compute_tmax(
     group: GroupSpec,
     n: int,
     k: int,
+    *,
     assume_semiuniversal: bool = False,
     classes: Optional[list[CycleType]] = None,
 ) -> tuple[TmaxResult, SectorTable, ChargeMatrix]:
@@ -445,7 +461,9 @@ def compute_tmax(
     The charge matrix is built over the columns of the canonically ordered
     table (SU(d) columns on first read, so the scan computes only its prefix).
     ``classes`` restricts the SU(d) character rows to a subset of the
-    ``k``-local conjugacy classes (amended or reduced gate sets).  The table
+    ``k``-local conjugacy classes (amended or reduced gate sets); it and
+    ``assume_semiuniversal`` are keyword-only, so a class list passed in the
+    flag's place raises ``TypeError`` instead of turning the override on.  The table
     comes from the bounded memo of :mod:`symdesign.groups`
     (:func:`~symdesign.groups.canonical_table`), so calls for one
     ``(group, n)`` may return the same (immutable) :class:`SectorTable` object.

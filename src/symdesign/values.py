@@ -25,6 +25,8 @@ class Value:
         return tuple(map(getattr, repeat(self), self.__slots__))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._fields() == other._fields()
         return NotImplemented

@@ -826,6 +826,28 @@ class TestUnitWitnessRowSpan:
         assert multiplicity_in_row_span(table.multiplicities, A)
 
 
+class TestBuiltRowSpan:
+    """U(1), SU(2) and Z_p weights are all nonzero, so every entry of every built row counts."""
+
+    @pytest.mark.parametrize(
+        "group, n, k", [(U1, 9, 3), (SU2, 10, 4), (zp(3), 8, 3)], ids=["u1", "su2", "zp3"]
+    )
+    def test_a_perturbed_entry_is_refuted(self, group, n, k):
+        table = canonical_order(sectors(group, n))
+        A = charge_matrix(table, k)
+        m = table.multiplicities
+        assert all(A.witness) and multiplicity_in_row_span(m, A)
+        rows = A.rows
+        for i, row in enumerate(rows):
+            for j in range(len(row)):
+                for delta in (1, -1):
+                    bad = row[:j] + (row[j] + delta,) + row[j + 1 :]
+                    built = rows[:i] + (bad,) + rows[i + 1 :]
+                    B = ChargeMatrix(A.row_labels, A.col_ids, A.column, None, A.witness, built)
+                    assert B[i] == bad
+                    assert not multiplicity_in_row_span(m, B), (i, j, delta)
+
+
 def row_span_by_products(m, A):
     """The general check: each row of nonzero weight multiplied by it and added whole."""
     products = [0] * len(m)

@@ -229,7 +229,7 @@ def _inexact(*args):
 @pytest.mark.parametrize(
     "argv, target",
     [
-        (["tmax", "--group", "u1", "--n", "6", "--k", "2"], (ReducedLattice, "insert")),
+        (["tmax", "--group", "u1", "--n", "6", "--k", "3"], (ReducedLattice, "insert")),
         (["custom", "problem.json"], (ReducedLattice, "insert")),
         (["lower-bound", "--group", "u1", "--n", "5", "--k", "2"], (Echelon, "add")),
     ],
@@ -237,8 +237,9 @@ def _inexact(*args):
 )
 def test_failed_exactness_check_exits_4(capsys, tmp_path, monkeypatch, argv, target):
     # an exactness invariant that raises inside the solver is an internal
-    # verification failure, not a traceback with exit code 1
-    (tmp_path / "problem.json").write_text('{"m": [4, 4], "rows": []}')
+    # verification failure, not a traceback with exit code 1.  A scan that
+    # stops at rank 1 builds no lattice, so both solves stop at rank 2 or more
+    (tmp_path / "problem.json").write_text('{"m": [2, 3, 3], "rows": []}')
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(*target, _inexact)
     code, out, err = run_cli(capsys, *argv)

@@ -35,7 +35,7 @@ from symdesign import (
 from symdesign import charges, groups, solver
 from symdesign.charges import T_GROUP_CLASSES, ChargeMatrix, CycleType, parse_rational, sn_character
 from symdesign.checks import exhaustive_certificate, kernel_vectors
-from symdesign.groups import CUSTOM, SectorTable, binomial_row
+from symdesign.groups import CUSTOM, CustomSector, GroupSpec, SectorTable, binomial_row, canonical_table
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
 
@@ -373,7 +373,7 @@ def rank_one_rows(b0) -> list[list[int]]:
 
 
 class TestRankOneLattices:
-    """A rank-1 lattice ``Z b0`` is answered without enumeration, with the same result."""
+    """The optimum of a rank-1 lattice ``Z b0`` is ``+-b0``, as the scan's rank-1 rule assumes."""
 
     def test_matches_complete_oracle(self):
         rng = random.Random(20261021)
@@ -446,6 +446,15 @@ class TestTmaxExact:
                     assert qa == (b.certificate and b.certificate.q), (p, n, k)
                     instances += 1
         assert instances == 219
+
+    def test_flags_are_keyword_only(self):
+        # a class list in the override's place used to solve the default class set
+        with pytest.raises(TypeError):
+            compute_tmax(sud(4), 22, 4, list(T_GROUP_CLASSES))
+        with pytest.raises(TypeError):
+            compute_tmax(U1, 6, 2, True)
+        result, _, _ = compute_tmax(sud(4), 22, 4, classes=list(T_GROUP_CLASSES))
+        assert result.tmax == 2868
 
     def test_zp_odd_infinite(self):
         result, _, _ = compute_tmax(zp(3), 6, 3)
@@ -651,16 +660,19 @@ class TestHardKernelCertificates:
 def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     """Each warm-started search of :func:`tmax_exact` against a cold solve.
 
-    The scan keeps one :class:`ReducedLattice` and inserts only the new
-    relation at each kernel growth.  Every search it makes goes through the
+    The scan keeps the first relation ``b_0`` as a plain vector, builds one
+    :class:`ReducedLattice` at the second kernel growth and inserts only the
+    new relation at each later one.  Every search it makes goes through the
     public :func:`min_weighted_l1`, which records them: bounded searches, one
-    per growth after the first on the lattice before it, plus one final
-    enumeration with the default ``upper=None``; the cold solve reduces the whole padded kernel basis of the
-    same prefix from scratch under the same ``upper``.  The certificate is a
-    property of the lattice, so they must agree.  Every call but the last is
-    a bounded miss; the last gives the answer: it is the one unbounded
-    enumeration, unless a bounded search hit.  A trivial kernel makes no call.
-    Returns the number of searches compared.
+    per growth after the second on the lattice before it, plus one final
+    enumeration with the default ``upper=None``; the cold solve reduces the
+    whole padded kernel basis of the same prefix from scratch under the same
+    ``upper``.  The certificate is a property of the lattice, so they must
+    agree.  Every call but the last is a bounded miss; the last gives the
+    answer: it is the one unbounded enumeration, unless a bounded search
+    hit.  A scan that stops at rank 1 makes no call, and its certificate is
+    the cold optimum of ``Z b_0``; a trivial kernel makes no call either.
+    Returns the number of kernel growths the scan reached.
     """
     calls = []
     search = solver.min_weighted_l1
@@ -677,19 +689,27 @@ def check_warm_equals_cold(monkeypatch, matrix, table) -> int:
     growths = [
         (idx + 1, ech.kernel_basis()) for idx in range(len(table)) if not ech.add(matrix.column(idx))
     ]
-    assert [width for width, _, _ in calls] == [width for width, _ in growths[: len(calls)]]
-    for (width, upper, warm), (_, basis) in zip(calls, growths):
+    if result.certificate is None:
+        assert calls == []
+        return 0
+    if not calls:  # a rank-1 stop: the optimum of Z b_0 on its own prefix
+        width, basis = growths[0]
+        cert = min_weighted_l1(lll_reduce(basis, table.multiplicities[:width]))
+        assert cert.q + (0,) * (len(table) - width) == result.certificate.q
+        assert cert.weighted_norm == result.certificate.weighted_norm
+        assert verify_certificate(result.certificate, matrix, table)
+        return 1
+    # the i-th search runs on the lattice of the (i + 1)-th growth, before the next one
+    assert [width for width, _, _ in calls] == [width for width, _ in growths[1 : len(calls) + 1]]
+    for (width, upper, warm), (_, basis) in zip(calls, growths[1:]):
         assert warm == min_weighted_l1(lll_reduce(basis, table.multiplicities[:width]), upper=upper)
     assert all(upper is not None and cert is None for _, upper, cert in calls[:-1])
     unbounded = sum(upper is None for _, upper, _ in calls)
-    if result.certificate is None:
-        assert calls == []
-    else:
-        _, upper, cert = calls[-1]
-        assert unbounded == (upper is None)
-        assert cert.q + (0,) * (len(table) - len(cert.q)) == result.certificate.q
-        assert verify_certificate(result.certificate, matrix, table)
-    return len(calls)
+    _, upper, cert = calls[-1]
+    assert unbounded == (upper is None)
+    assert cert.q + (0,) * (len(table) - len(cert.q)) == result.certificate.q
+    assert verify_certificate(result.certificate, matrix, table)
+    return len(calls) + 1
 
 
 # custom problems where a window's bounded search finds the optimum, with their tmax
@@ -705,15 +725,17 @@ class TestWarmStart:
         "group", [U1, SU2, zp(2), zp(3), zp(4), zp(5), sud(3), sud(4)], ids=str
     )
     def test_builtin_groups(self, monkeypatch, group):
-        warm = 0
+        reached = Counter()
         for n in range(2, 17):
             for k in range(1, n + 1):
                 matrix, table = aligned(group, n, k)
-                warm += max(check_warm_equals_cold(monkeypatch, matrix, table) - 1, 0)
+                reached[check_warm_equals_cold(monkeypatch, matrix, table)] += 1
         # a Z_p scan at k >= p stops at its first kernel growth; below that
         # threshold Z_4 and Z_5 reach later growths (k = 1, and k = 2 for
         # Z_5), while Z_2 and Z_3 never do
-        assert warm > 0 or group in (zp(2), zp(3))
+        assert any(r > 1 for r in reached) or group in (zp(2), zp(3))
+        # every group has scans that stop at rank 1, with no search at all
+        assert reached[1] > 0
 
     @pytest.mark.parametrize("sectors_, rows", [(9, 3), (10, 4), (12, 4)])
     def test_random_custom_problems(self, monkeypatch, sectors_, rows):
@@ -744,6 +766,67 @@ class TestWarmStart:
         assert all(upper is not None for upper, _ in calls)
         assert calls[-1][1] is not None
         assert result.certificate == exhaustive_certificate(matrix, table)
+
+
+def _count_lattices(monkeypatch) -> list:
+    """Record the weights of every :class:`ReducedLattice` built."""
+    built = []
+    init = ReducedLattice.__init__
+    monkeypatch.setattr(ReducedLattice, "__init__", lambda self, w: built.append(w) or init(self, w))
+    return built
+
+
+class TestRankOneStop:
+    """A scan that stops while its kernel is ``Z b_0`` answers ``+-b_0`` and builds no lattice."""
+
+    def test_tables_requests(self, monkeypatch, workloads):
+        built = _count_lattices(monkeypatch)
+        stops = Counter()
+        for r in workloads.tables_requests():
+            built.clear()
+            result, table, A = compute_tmax(r.group, r.n, r.k, classes=r.classes)
+            lattices = len(built)
+            # the first two kernel growths, from a fresh echelon
+            ech, growths = Echelon(), []
+            for idx in range(len(table)):
+                if not ech.add(A.column(idx)):
+                    growths.append((idx, ech.kernel_basis()))
+                    if len(growths) == 2:
+                        break
+            if not growths:
+                assert result.certificate is None and lattices == 0
+                stops["infinite"] += 1
+                continue
+            (idx0, basis), mults = growths[0], table.multiplicities
+            cold = min_weighted_l1(lll_reduce(basis, mults[: idx0 + 1]))
+            # m never decreases, so the cutoff fires before the second growth
+            # exactly when it fires at the index just before it
+            if len(growths) == 1 or cold.weighted_norm <= 2 * mults[growths[1][0]]:
+                assert lattices == 0, r.rid
+                assert result.certificate.q == cold.q + (0,) * (len(table) - idx0 - 1)
+                assert result.certificate.weighted_norm == cold.weighted_norm
+                stops["rank 1"] += 1
+            else:
+                assert lattices == 1, r.rid  # built at the second growth, then grown in place
+                stops["rank 2+"] += 1
+        assert stops == {"rank 1": 483, "rank 2+": 250 - stops["infinite"], "infinite": stops["infinite"]}
+
+    def test_a_rank_two_stop_builds_one_lattice(self, monkeypatch):
+        # {"m": [2, 3, 3]}: b_0 = (3, -2) has norm 12 > 2 * 3, so the scan goes
+        # on to the second growth and stops there, at the last index
+        built = _count_lattices(monkeypatch)
+        table, matrix = load_custom_problem(json.dumps({"m": [2, 3, 3], "rows": []}))
+        result = tmax_exact(matrix, table, assume_semiuniversal=True)
+        assert built == [(2, 3, 3)]
+        assert result.certificate.q == (0, 1, -1) and result.tmax == 2
+        assert result.certificate == exhaustive_certificate(matrix, table)
+
+    def test_a_rank_one_stop_still_checks_its_weights(self):
+        # a hand-built table whose zero multiplicity the lattice used to refuse
+        table = SectorTable(CUSTOM, 2, (CustomSector(0), CustomSector(1)), (0, 2), (1, 1))
+        A = ChargeMatrix(("H0",), table.ids, lambda j: (0, 2)[j : j + 1], None, (1,))
+        with pytest.raises(ValueError, match="positive"):
+            tmax_exact(A, table)
 
 
 class TestVerifyCertificate:
@@ -886,9 +969,11 @@ class TestLazyColumns:
         A = LAZY_MATRICES[name]()
         r, c = A.shape
         first = A[0]
-        # row 0 of an SU(d) or custom matrix is read without building a column
-        assert bool(read) == (name not in ("sud4", "custom", "custom-aligned"))
+        # row 0 of every matrix is built whole, so reading it builds no column
+        assert not read
         by_row = [first] + [A[i] for i in range(1, r)]
+        # so are the other U(1), SU(2), Z_p and custom rows; SU(d) ones read the columns
+        assert bool(read) == (name == "sud4")
         by_col = [A.column(j) for j in range(c)]
         assert by_row == [tuple(col[i] for col in by_col) for i in range(r)]
         assert A.rows == tuple(by_row)
@@ -985,6 +1070,17 @@ def kept_tables() -> list:
 
 
 class TestTableMemo:
+    def test_an_equal_group_built_apart_hits(self, monkeypatch, empty_memo):
+        calls = _count_sectors_calls(monkeypatch)
+        group, again = GroupSpec("SUd", d=4), sud(4)
+        assert again is not group and again == group
+        assert hash(again) == hash(group) == hash(("SUd", None, 4))
+        table = canonical_table(group, 12)
+        assert canonical_table(again, 12) is table
+        kept = groups.memoized(("gate", group, 3), lambda: (1, 2))
+        assert groups.memoized(("gate", again, 3), lambda: pytest.fail("missed")) is kept
+        assert calls == [(group, 12)]
+
     def test_warm_and_cold_solves_agree_on_the_headline_instances(self, monkeypatch, workloads):
         # the 733 solves of the benchmark's tables workload: table1 and tableSUd
         instances = [(r.group, r.n, r.k, r.classes) for r in workloads.tables_requests()]
