@@ -2,6 +2,10 @@
 the rank and whose relations give the integer kernel basis, and one
 incremental integral weighted LLL.
 
+:class:`Echelon` keeps each pivot as one row, its vector followed by its
+transform, so a reduction step is one list pass over the pivot's row; a
+pivot entry of +-1 needs no ``gcd``, and any other takes a Bézout step.
+
 :class:`ReducedLattice` keeps an LLL-reduced basis with its integer
 Gram-Schmidt state (leading Gram minors ``d``, ``lam = mu * d``) and the
 integral Gram-Schmidt vectors ``d[j] * b_j*`` that the solver's enumeration
@@ -43,10 +47,18 @@ def as_int_row(row) -> list[int]:
 class Echelon:
     """Incremental integer echelon of the vectors ``v_j`` added so far.
 
-    Each pivot ``(i, h, u)`` has ``h == sum_j u[j] v_j`` and is zero at the
-    positions of the pivots before it.  A new vector is reduced against them
-    by unimodular Euclidean steps, which may rewrite a pivot (Cohen, Sec.
-    2.4); if it reaches zero, its transform is a relation.  The transform
+    Each pivot ``(i, row)`` holds in one list the vector ``h = row[:length]``
+    followed by its transform ``u = row[length:]``: ``h == sum_j u[j] v_j``,
+    ``h`` is zero at the positions of the pivots before it and nonzero at
+    ``i``, and ``u`` ends at the vector that made or last rewrote the pivot
+    (it is never zero-padded).  A new vector ``v_n`` enters as the row of
+    ``v_n`` and the transform ``(0, ..., 0, 1)``, and is reduced against the
+    pivots in turn.  A step is one pass over the pivot's row, which is
+    shorter than the new one; the new row's tail stays as it is, or is
+    negated when the pivot entry is -1, and a pivot entry of +-1 needs no
+    ``gcd``.  Any other pivot entry takes a unimodular Euclidean step, which
+    may rewrite the pivot (Cohen, Sec. 2.4), and scales the tail.  A vector
+    that reaches zero leaves its transform as a relation.  The transform
     stays unimodular, so the relations are a basis of the integer kernel of
     the ``v_j`` as columns, and each new vector adds at most one relation.
     Each relation ends at the index of the vector that made it, so reducing a
@@ -58,38 +70,50 @@ class Echelon:
     """
 
     def __init__(self):
-        self.pivots: list[tuple[int, list[int], list[int]]] = []
+        self.pivots: list[tuple[int, list[int]]] = []
         self.relations: list[list[int]] = []
         self.length: int | None = None  # of every vector, set by the first one added
 
     def add(self, vec) -> bool:
         """Reduce the integer vector ``vec``; True if the rank grew, else it gave a relation."""
-        v = list(vec)
+        row = list(vec)
+        n = len(row)
         if self.length is None:
-            self.length = len(v)
-        elif len(v) != self.length:
-            raise ValueError(f"vector of length {len(v)} added to an echelon of length {self.length}")
-        w = [0] * (len(self.pivots) + len(self.relations)) + [1]
-        for slot, (i, h, u) in enumerate(self.pivots):
-            if v[i]:
-                g = gcd(h[i], v[i])
-                a, b = h[i] // g, v[i] // g
-                u += [0] * (len(w) - len(u))
+            self.length = n
+        elif n != self.length:
+            raise ValueError(f"vector of length {n} added to an echelon of length {self.length}")
+        pivots = self.pivots
+        row += [0] * (len(pivots) + len(self.relations))
+        row.append(1)
+        for slot, (i, p) in enumerate(pivots):
+            b = row[i]
+            if not b:
+                continue
+            a = p[i]
+            k = len(p)  # < len(row): the pivot's transform ends before the new vector
+            if a == 1:
+                row[:k] = [x - b * y for x, y in zip(row, p)]
+                continue
+            if a != -1:  # -1 needs no gcd: the step below negates the row
+                g = gcd(a, b)
+                a, b = a // g, b // g
                 if abs(a) > 1:
-                    # the pivot becomes g = s h[i] + t v[i]: the step
+                    # the pivot becomes g = s p[i] + t row[i]: the step
                     # [[s, t], [-b, a]] has determinant s a + t b = 1
                     t = pow(b, -1, abs(a))
                     s = (1 - t * b) // a
-                    self.pivots[slot] = (i, _combine(s, h, t, v), _combine(s, u, t, w))
-                v, w = _combine(a, v, -b, h), _combine(a, w, -b, u)
-        for i, x in enumerate(v):
-            if x:
-                self.pivots.append((i, v, w))
+                    rewritten = [s * y + t * x for x, y in zip(row, p)] + [t * x for x in row[k:]]
+                    pivots[slot] = (i, rewritten)
+            row = [a * x - b * y for x, y in zip(row, p)] + [a * x for x in row[k:]]
+        for i in range(n):
+            if row[i]:
+                pivots.append((i, row))
                 return True
+        w = row[n:]
         for r in reversed(self.relations):
             q = w[len(r) - 1] // r[-1]
             if q:
-                w = _combine(1, w, -q, r) + w[len(r) :]
+                w = [x - q * y for x, y in zip(w, r)] + w[len(r) :]
         self.relations.append(w)
         return False
 
@@ -97,10 +121,6 @@ class Echelon:
         """The relations zero-padded to the number of vectors added so far."""
         n = len(self.pivots) + len(self.relations)
         return [r + [0] * (n - len(r)) for r in self.relations]
-
-
-def _combine(a: int, x: list[int], b: int, y: list[int]) -> list[int]:
-    return [a * p + b * q for p, q in zip(x, y)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Exact rank, the echelon kernel basis, and the integral weighted LLL."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_ref import dot_rows, echelon_kernel, echelon_rank, is_kernel_basis, rank_rational
-from symdesign import charge_matrix, sectors, U1, zp
+from symdesign import charge_matrix, sectors, solver, U1, zp
 from symdesign.checks import kernel_vectors
 from symdesign.intlinalg import Echelon, ReducedLattice, lll_reduce
 
@@ -69,8 +70,9 @@ def check_echelon(A):
     """Feed the columns of ``A`` to one echelon, checking it after every column.
 
     The kernel basis must pass the independent saturation check on the column
-    prefix, every pivot ``(i, h, u)`` must satisfy
-    ``h == sum_j u[j] * column_j``, and each relation must be reduced by the
+    prefix, every pivot ``(i, row)`` must satisfy
+    ``h == sum_j u[j] * column_j`` for its vector ``h = row[:length]`` and
+    transform ``u = row[length:]``, and each relation must be reduced by the
     earlier ones at their last indices.
     """
     cols = [list(col) for col in zip(*A)]
@@ -86,7 +88,8 @@ def check_echelon(A):
             for earlier in ech.relations[:k]:
                 last = earlier[-1]
                 assert 0 <= r[len(earlier) - 1] * last < last * last
-        for i, h, u in ech.pivots:
+        for i, row in ech.pivots:
+            h, u = row[: ech.length], row[ech.length :]
             assert h[i] != 0
             combo = [0] * len(h)
             for x, v in zip(u, cols):
@@ -115,7 +118,7 @@ class TestEchelonKernel:
         # 3 does not divide 2: the pivot becomes gcd 1 and the kernel [2, -3]
         ech = Echelon()
         assert ech.add([3]) and not ech.add([2])
-        assert [abs(h[0]) for _, h, _ in ech.pivots] == [1]
+        assert [abs(row[0]) for _, row in ech.pivots] == [1]
         assert ech.kernel_basis() in ([[2, -3]], [[-2, 3]])
 
     def test_relation_entries_stay_small(self):
@@ -151,6 +154,136 @@ class TestEchelonKernel:
         ech.add([0, 1])
         ech.add([3, 3])
         assert ech.kernel_basis()[:1] == [first[0] + [0, 0]]
+
+
+class EchelonReference:
+    """Reference echelon that keeps each pivot as a vector and a transform, ``(i, h, u)``.
+
+    Every pivot step is two list passes, ``a v - b h`` then ``a w - b u``,
+    after ``gcd(h[i], v[i])``, and a pivot's ``u`` is zero-padded to the new
+    transform's length when a step reads it.  :class:`Echelon` must give the
+    same ``add`` results, relations and pivots entry for entry.  ``met``
+    counts the pivot entries ``h[i]`` that a step read, as 1, -1 or other.
+    """
+
+    def __init__(self):
+        self.pivots = []
+        self.relations = []
+        self.length = None
+        self.met = Counter()
+
+    def add(self, vec):
+        v = list(vec)
+        if self.length is None:
+            self.length = len(v)
+        elif len(v) != self.length:
+            raise ValueError(f"vector of length {len(v)} added to an echelon of length {self.length}")
+        w = [0] * (len(self.pivots) + len(self.relations)) + [1]
+        for slot, (i, h, u) in enumerate(self.pivots):
+            if v[i]:
+                self.met[h[i] if abs(h[i]) == 1 else "other"] += 1
+                g = gcd(h[i], v[i])
+                a, b = h[i] // g, v[i] // g
+                u += [0] * (len(w) - len(u))
+                if abs(a) > 1:
+                    t = pow(b, -1, abs(a))
+                    s = (1 - t * b) // a
+                    self.pivots[slot] = (i, combine(s, h, t, v), combine(s, u, t, w))
+                v, w = combine(a, v, -b, h), combine(a, w, -b, u)
+        for i, x in enumerate(v):
+            if x:
+                self.pivots.append((i, v, w))
+                return True
+        for r in reversed(self.relations):
+            q = w[len(r) - 1] // r[-1]
+            if q:
+                w = combine(1, w, -q, r) + w[len(r) :]
+        self.relations.append(w)
+        return False
+
+    def kernel_basis(self):
+        n = len(self.pivots) + len(self.relations)
+        return [r + [0] * (n - len(r)) for r in self.relations]
+
+
+def combine(a, x, b, y):
+    return [a * p + b * q for p, q in zip(x, y)]
+
+
+def check_matches_reference(columns) -> Counter:
+    """Feed ``columns`` to an :class:`Echelon` and the reference, comparing after every add.
+
+    Transforms are compared zero-padded to the number of vectors added, since
+    only the reference pads them.  Returns the pivot entries the reference met.
+    """
+    ech, ref = Echelon(), EchelonReference()
+    for col in columns:
+        assert ech.add(col) == ref.add(col)
+        n = len(ref.pivots) + len(ref.relations)
+        assert ech.relations == ref.relations
+        assert ech.kernel_basis() == ref.kernel_basis()
+        assert ech.length == ref.length
+        length = ech.length
+        got = [
+            (i, row[:length], row[length:] + [0] * (length + n - len(row))) for i, row in ech.pivots
+        ]
+        assert got == [(i, h, u + [0] * (n - len(u))) for i, h, u in ref.pivots]
+    return ref.met
+
+
+def random_columns(rng):
+    """Columns of a random matrix: {-1, 0, 1}, sparse small or dense large entries.
+
+    Zero and repeated columns are mixed in, and one row or one column is common.
+    """
+    rows = rng.choice((1, rng.randint(1, 7)))
+    cols = rng.choice((1, rng.randint(1, 10)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        entry = lambda: rng.choice((-1, 0, 1))
+    elif kind == 1:
+        entry = lambda: rng.randint(-40, 40) if rng.random() < 0.5 else 0
+    else:
+        entry = lambda: rng.randint(-(10**6), 10**6)
+    columns = [[entry() for _ in range(rows)] for _ in range(cols)]
+    for _ in range(rng.randint(0, 2)):
+        extra = [0] * rows if rng.random() < 0.5 or not columns else list(rng.choice(columns))
+        columns.insert(rng.randint(0, len(columns)), extra)
+    return columns
+
+
+class TestEchelonMatchesReference:
+    def test_random_matrices(self):
+        rng = random.Random(20261022)
+        met = Counter()
+        for _ in range(5000):
+            met += check_matches_reference(random_columns(rng))
+        # every kind of step is reached: +1, the negating -1 and the Bezout one
+        assert met[1] and met[-1] and met["other"]
+
+    def test_workload_column_sequences(self, monkeypatch, workloads):
+        # every echelon the solver builds for the benchmark's tables and lattice requests
+        sequences = []
+
+        class Recording(Echelon):
+            def __init__(self):
+                super().__init__()
+                self.columns = []
+                sequences.append(self.columns)
+
+            def add(self, vec):
+                self.columns.append(list(vec))
+                return super().add(vec)
+
+        monkeypatch.setattr(solver, "Echelon", Recording)
+        requests = workloads.tables_requests() + workloads.lattice_requests(workloads.DEFAULT_SEED)
+        assert len(requests) == 733 + 15
+        for request in requests:
+            sequences.clear()
+            request.run()
+            assert sequences, request.rid
+            for columns in sequences:
+                check_matches_reference(columns)
 
 
 class TestKernelLattice:
